@@ -13,20 +13,19 @@ import json
 import os
 import sys
 
-from .encodings import (ContextProbe, boudol_encoding, check_encoding_pairs,
+from .encodings import (boudol_encoding, check_encoding_pairs,
                         full_abstraction_check, load_pairs, plug)
 from .finlang import (FiniteLanguage, InputError, Relation, Verdict,
                       check_correct_upto, check_correct_wrt, check_preserves,
-                      check_respects, congruence_closure_1hole, denote,
+                      check_respects, congruence_closure_1hole,
                       is_congruence, is_congruence_for_image,
                       is_one_hole_congruence, load_language, load_relation,
                       load_semantic_translation, load_translation, lr_closure,
                       property_suite, upward_closed_targets)
 from .finlang import check_valid_upto
-from .pi import (BISIM_KINDS, Barb, ExtBarb, In, Nil, Out, Par, PiError,
-                 PiTerm, PVar, Repl, Res, barb_from_text, bisim, explore,
-                 normal_form, parse_pi, print_pi, print_state, reduce_once,
-                 strong_barbs, weak_barb)
+from .pi import (BISIM_KINDS, ExtBarb, In, Out, Par, PiError, PiTerm, Repl, Res,
+                 barb_from_text, bisim, explore, normal_form, parse_pi, print_pi,
+                 print_state, reduce_once, strong_barbs, weak_barb)
 from .terms import Term, TermError, compose_translations, print_term
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
@@ -549,6 +548,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else USAGE
     except (InputError, TermError, PiError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return USAGE
 
 

@@ -8,7 +8,6 @@ bare value names coincide.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -16,8 +15,7 @@ from typing import Iterator
 
 from .terms import (App, Construct, Signature, Term, Translation, Var,
                     complete_compositional, compose_translations,
-                    enumerate_terms, free_vars, parse_term, print_term,
-                    translation)
+                    enumerate_terms, free_vars, parse_term, translation)
 
 
 class InputError(Exception):
@@ -199,10 +197,6 @@ def load_semantic_translation(data: dict) -> SemanticTranslation:
                                tuple(sorted((a, b) for a, b in data["pairs"])))
 
 
-def dump_semantic_translation(r: SemanticTranslation) -> dict:
-    return {"name": r.name, "pairs": sorted([a, b] for a, b in r.pairs)}
-
-
 def check_total(r: SemanticTranslation, source: FiniteLanguage) -> None:
     for v in source.values:
         if not any(u == source.qualify(v) for _, u in r.pairs):
@@ -218,11 +212,6 @@ def load_translation(data: dict, source: FiniteLanguage | Signature,
                          f"got languages {src.name} -> {tgt.name}")
     heads = {op: parse_term(tgt, img) for op, img in data["heads"].items()}
     return translation(src, tgt, heads)
-
-
-def dump_translation(tr: Translation) -> dict:
-    return {"source": tr.source.name, "target": tr.target.name,
-            "heads": {op: print_term(img) for op, img in tr.heads}}
 
 
 # ------------- congruence checks -------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, permutations
+from itertools import count
+from typing import NamedTuple
 
 
 class PiError(Exception):
@@ -349,8 +350,11 @@ def print_pi(t: PiTerm) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PiState:
-    """Structural-congruence normal form: restrictions lifted to the top,
-    parallel threads flattened and sorted, identity by alpha-canonical key."""
+    """Structural-congruence normal form (see normal_form): restrictions
+    lifted to the top, parallel threads flattened, both in the order of the
+    canonical key's leaf, and identity by that key.  The key is the minimum,
+    over the leaves of the individualization-refinement search on the
+    restricted names, of the sorted thread keys."""
     restricted: tuple[str, ...]
     threads: tuple[PiTerm, ...]
     key: tuple
@@ -362,14 +366,7 @@ class PiState:
         return hash(self.key)
 
     def term(self) -> PiTerm:
-        core: PiTerm = Nil()
-        if self.threads:
-            core = self.threads[0]
-            for th in self.threads[1:]:
-                core = Par(core, th)
-        for n in reversed(self.restricted):
-            core = Res(n, core)
-        return core
+        return _assemble(self.restricted, self.threads)
 
 
 def print_state(s: PiState) -> str:
@@ -382,26 +379,40 @@ def _uniquify(t: PiTerm) -> PiTerm:
     free, as an input parameter, or on another restriction."""
     params: set[str] = set()
     res_count: dict[str, int] = {}
+    avoid: set[str] = set()  # every name, as all_names(t)
+    free: set[str] = set()  # as free_names(t)
 
-    def scan(u: PiTerm) -> None:
+    def scan(u: PiTerm, bound: frozenset[str]) -> None:
         match u:
-            case Out(_, _, k) | Repl(k):
-                scan(k)
-            case In(_, z, k):
+            case Out(x, y, k):
+                avoid.update((x, y))
+                if x not in bound:
+                    free.add(x)
+                if y not in bound:
+                    free.add(y)
+                scan(k, bound)
+            case In(x, z, k):
                 params.add(z)
-                scan(k)
+                avoid.update((x, z))
+                if x not in bound:
+                    free.add(x)
+                scan(k, bound | {z})
             case Res(n, b):
                 res_count[n] = res_count.get(n, 0) + 1
-                scan(b)
+                avoid.add(n)
+                scan(b, bound | {n})
             case Par(l, r):
-                scan(l)
-                scan(r)
-            case _:
-                pass
+                scan(l, bound)
+                scan(r, bound)
+            case Repl(b):
+                scan(b, bound)
+            case ExtBarb(w):
+                avoid.add(w)
 
-    scan(t)
-    clash = free_names(t) | params | {n for n, c in res_count.items() if c > 1}
-    avoid = set(all_names(t))
+    scan(t, frozenset())
+    clash = free | params | {n for n, c in res_count.items() if c > 1}
+    if clash.isdisjoint(res_count):
+        return t  # every binder keeps its spelling
 
     def go(u: PiTerm, ren: dict[str, str]) -> PiTerm:
         match u:
@@ -451,106 +462,276 @@ def _split_level(t: PiTerm) -> tuple[list[str], list[PiTerm]]:
     return nus, threads
 
 
-def _renorm(t: PiTerm) -> PiTerm:
-    """Canonical reassembled form of a continuation or replication body."""
-    nus, raw = _split_level(t)
-    threads = [_renorm_thread(th) for th in raw]
-    used = set()
-    for th in threads:
-        used |= free_names(th)
-    nus = [n for n in nus if n in used]
-    _, nu_order, thread_order = _canon_level(nus, threads)
+class _Level(NamedTuple):
+    """A normalized continuation: its term, its restrictions and threads,
+    each thread's free names, and the level's own free names."""
+    term: PiTerm
+    nus: list[str]
+    threads: list[PiTerm]
+    fns: list[frozenset[str]]
+    free: frozenset[str]
+
+
+_EMPTY = _Level(Nil(), [], [], [], frozenset())
+
+
+def _assemble(nus, threads) -> PiTerm:
     core: PiTerm = Nil()
-    if thread_order:
-        core = thread_order[0]
-        for th in thread_order[1:]:
+    if threads:
+        core = threads[0]
+        for th in threads[1:]:
             core = Par(core, th)
-    for n in reversed(nu_order):
+    for n in reversed(nus):
         core = Res(n, core)
     return core
 
 
-def _renorm_thread(t: PiTerm) -> PiTerm:
-    match t:
-        case Out(x, y, k):
-            return Out(x, y, _renorm(k))
-        case In(x, z, k):
-            return In(x, z, _renorm(k))
-        case Repl(b):
-            return Repl(_renorm(b))
-        case _:
-            return t
+class _Canon:
+    """Normalization and canonical keys for one normal_form call.
+
+    A level is the restricted names and the parallel threads directly under a
+    prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
+    the restricted names spelled ``r{depth}.{i}``; input parameters are spelled
+    ``p{depth}`` and free names ``f:{name}``.  Levels are memoized by the id of
+    their term, and each memo entry holds that term, so the id cannot be
+    reused while the memo lives.
+    """
+
+    def __init__(self) -> None:
+        self._levels: dict[int, _Level] = {}
+        self._conts: dict[tuple, tuple] = {}
+
+    def gather(self, t: PiTerm) -> tuple[list[str], list[PiTerm], list[frozenset[str]]]:
+        """The used restrictions, normalized threads and their free names of
+        the level at t."""
+        nus, raw = _split_level(t)
+        parts = [self.renorm_thread(th) for th in raw]
+        used = frozenset().union(*(fn for _, fn in parts))
+        return [n for n in nus if n in used], [th for th, _ in parts], [fn for _, fn in parts]
+
+    def renorm(self, t: PiTerm) -> _Level:
+        """Normalize a continuation: drop unused restrictions and order
+        restrictions and threads canonically."""
+        if isinstance(t, Nil):
+            return _EMPTY
+        nus, threads, fns = self.gather(t)
+        if len(nus) > 1 or len(threads) > 1:
+            _, nus, perm = self.level(nus, threads, fns, {}, 0)
+            threads = [threads[i] for i in perm]
+            fns = [fns[i] for i in perm]
+        core = _assemble(nus, threads)
+        free = frozenset().union(*fns) - set(nus)
+        lv = self._levels[id(core)] = _Level(core, nus, threads, fns, free)
+        return lv
+
+    def renorm_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
+        """The thread with normalized continuations, and its free names."""
+        match t:
+            case Out(x, y, k):
+                lv = self.renorm(k)
+                return Out(x, y, lv.term), lv.free | {x, y}
+            case In(x, z, k):
+                lv = self.renorm(k)
+                return In(x, z, lv.term), (lv.free - {z}) | {x}
+            case Repl(b):
+                lv = self.renorm(b)
+                return Repl(lv.term), lv.free
+            case _:
+                return t, frozenset()
+
+    def thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
+        match t:
+            case Out(x, y, k):
+                return ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
+                        self.cont(k, env, depth))
+            case In(x, z, k):
+                return ("in", env.get(x) or f"f:{x}",
+                        self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
+            case Repl(b):
+                return ("repl", self.cont(b, env, depth))
+            case PVar(x):
+                return ("pvar", x)
+            case ExtBarb(w):
+                return ("ext", w)
+        raise PiError(f"not a sequential thread: {t!r}")
+
+    def cont(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
+        """Key of a normalized continuation.  It depends on env only through
+        the tokens of the level's free names, which key the memo."""
+        if isinstance(t, Nil):
+            return (0, ())
+        lv = self._levels[id(t)]
+        memo_key = (id(t), depth, tuple(map(env.get, lv.free)))
+        key = self._conts.get(memo_key)
+        if key is None:
+            key = self._conts[memo_key] = self.level(lv.nus, lv.threads, lv.fns, env, depth)[0]
+        return key
+
+    def level(self, nus: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
+              env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
+        """The level's key, and the restriction order and thread order
+        (indices into threads) that realize it."""
+        if len(nus) > 1:
+            keys, order, perm = _Search(self, nus, threads, fns, env, depth).best()
+            return (len(nus), keys), order, perm
+        env2 = {**env, nus[0]: f"r{depth}.0"} if nus else env
+        keyed = sorted((self.thread(th, env2, depth + 1), i) for i, th in enumerate(threads))
+        return (len(nus), tuple(k for k, _ in keyed)), list(nus), [i for _, i in keyed]
 
 
-_MAX_PERM = 7
+class _Search:
+    """Individualization-refinement over the restricted names of one level.
+
+    A node is an ordered partition of the names into cells.  Refinement splits
+    each cell by the sorted keys of the threads a name occurs in, with the name
+    itself marked and every other name shown by its cell; it repeats until no
+    cell splits.  Where a cell stays larger than one name, each of its names is
+    individualized in turn.  A leaf (all cells single) numbers the names by
+    position.  Nothing here reads the names' spelling, so the leaf set of a
+    renamed level is the renamed leaf set, and the minimum leaf key is
+    canonical.  Two leaves with equal keys yield an automorphism; the search
+    skips children in the same orbit and leaves a subtree as soon as one of its
+    leaves matches the first leaf (McKay and Piperno, Practical graph
+    isomorphism II, 2014).
+    """
+
+    def __init__(self, canon: _Canon, nus: list[str], threads: list[PiTerm],
+                 fns: list[frozenset[str]], env: dict[str, str], depth: int) -> None:
+        self.canon, self.nus, self.threads, self.env, self.depth = canon, nus, threads, env, depth
+        self.mine = [[n for n in nus if n in fn] for fn in fns]
+        self.occurs = {n: [i for i, fn in enumerate(fns) if n in fn] for n in nus}
+        self.memo: dict[tuple, tuple] = {}
+
+    def key(self, i: int, tokens: dict[str, str]) -> tuple:
+        """Key of thread i with this level's names spelled by tokens."""
+        mine = self.mine[i]
+        memo_key = (i, tuple(map(tokens.__getitem__, mine)))
+        key = self.memo.get(memo_key)
+        if key is None:
+            env = dict(self.env)
+            env.update((n, tokens[n]) for n in mine)
+            key = self.memo[memo_key] = self.canon.thread(self.threads[i], env, self.depth + 1)
+        return key
+
+    def refine(self, cells: list[list[str]]) -> list[list[str]]:
+        while True:
+            colour = {}
+            pos = 0
+            for cell in cells:
+                for n in cell:
+                    colour[n] = f"c{self.depth}.{pos}"
+                pos += len(cell)
+            out = []
+            for cell in cells:
+                if len(cell) == 1:
+                    out.append(cell)
+                    continue
+                groups: dict[tuple, list[str]] = {}
+                for n in cell:
+                    tokens = dict(colour)
+                    tokens[n] = f"s{self.depth}"
+                    sig = tuple(sorted(self.key(i, tokens) for i in self.occurs[n]))
+                    groups.setdefault(sig, []).append(n)
+                out.extend(groups[sig] for sig in sorted(groups))
+            if len(out) == len(cells):
+                return out
+            cells = out
+
+    def leaf(self, cells: list[list[str]]) -> tuple[tuple, list[str], list[int]]:
+        """The sorted thread keys of a leaf, its restriction order, and its
+        thread order."""
+        order = [cell[0] for cell in cells]
+        tokens = {n: f"r{self.depth}.{i}" for i, n in enumerate(order)}
+        keyed = sorted((self.key(i, tokens), i) for i in range(len(self.threads)))
+        return tuple(k for k, _ in keyed), order, [i for _, i in keyed]
+
+    def best(self) -> tuple[tuple, list[str], list[int]]:
+        """The leaf with the minimum key."""
+        n = len(self.nus)
+        root = self.refine([list(self.nus)])
+        if len(root) == n:
+            return self.leaf(root)
+        first = best = first_path = None
+        autos: list[dict[str, str]] = []
+        # the open path: frames[k] = [cells, path of k names, target cell, next child, tried]
+        frames = [[root, (), _first_cell(root), 0, []]]
+        while frames:
+            cells, path, t, nxt, tried = frame = frames[-1]
+            if nxt == len(cells[t]):
+                frames.pop()
+                continue
+            frame[3] += 1
+            w = cells[t][nxt]
+            if tried and _same_orbit(w, tried, path, autos):
+                continue
+            tried.append(w)
+            child = self.refine(
+                cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1:])
+            here = path + (w,)
+            if len(child) < n:
+                frames.append([child, here, _first_cell(child), 0, []])
+                continue
+            leaf = self.leaf(child)
+            if first is None:
+                first = best = leaf
+                first_path = here
+            elif leaf[0] == first[0]:
+                autos.append(dict(zip(first[1], leaf[1])))
+                # the automorphism fixes the path shared with the first leaf
+                # and maps the first path's subtree onto this one: resume
+                # where the two paths part
+                j = 0
+                while here[j] == first_path[j]:
+                    j += 1
+                del frames[j + 1:]
+            elif leaf[0] == best[0]:
+                autos.append(dict(zip(best[1], leaf[1])))
+            elif leaf[0] < best[0]:
+                best = leaf
+        return best
 
 
-def _key_level(nus: list[str], threads: list[PiTerm],
-               env: dict[str, str], depth: int) -> tuple:
-    if len(nus) > _MAX_PERM:
-        raise PiError("too many parallel restrictions for canonical comparison")
-    best = None
-    for perm in permutations(nus):
-        env2 = dict(env)
-        env2.update({n: f"r{depth}.{i}" for i, n in enumerate(perm)})
-        keys = sorted(_key_thread(th, env2, depth + 1) for th in threads)
-        cand = (len(nus), tuple(keys))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _first_cell(cells: list[list[str]]) -> int:
+    return next(i for i, cell in enumerate(cells) if len(cell) > 1)
 
 
-def _key_thread(t: PiTerm, env: dict[str, str], depth: int) -> tuple:
-    def tok(n: str) -> str:
-        return env.get(n, f"f:{n}")
+def _same_orbit(w: str, tried: list[str], path: tuple[str, ...],
+                autos: list[dict[str, str]]) -> bool:
+    """Whether some automorphism fixing path maps a tried name to w, in the
+    group generated by the automorphisms found so far that fix path."""
+    parent: dict[str, str] = {}
 
-    match t:
-        case Out(x, y, k):
-            return ("out", tok(x), tok(y), _key_cont(k, env, depth))
-        case In(x, z, k):
-            env2 = dict(env)
-            env2[z] = f"p{depth}"
-            return ("in", tok(x), _key_cont(k, env2, depth + 1))
-        case Repl(b):
-            return ("repl", _key_cont(b, env, depth))
-        case PVar(x):
-            return ("pvar", x)
-        case ExtBarb(w):
-            return ("ext", w)
-    raise PiError(f"not a sequential thread: {t!r}")
+    def find(n: str) -> str:
+        while parent.get(n, n) != n:
+            n = parent[n]
+        return n
 
-
-def _key_cont(t: PiTerm, env: dict[str, str], depth: int) -> tuple:
-    nus, threads = _split_level(t)
-    return _key_level(nus, threads, env, depth)
-
-
-def _canon_level(nus: list[str], threads: list[PiTerm]) -> tuple[tuple, list[str], list[PiTerm]]:
-    """Choose the restriction order and thread order realizing the minimal key."""
-    if len(nus) > _MAX_PERM:
-        raise PiError("too many parallel restrictions for canonical comparison")
-    best = None
-    for perm in permutations(nus):
-        env = {n: f"r0.{i}" for i, n in enumerate(perm)}
-        keyed = sorted(
-            ((_key_thread(th, env, 1), i) for i, th in enumerate(threads)))
-        cand = ((len(nus), tuple(k for k, _ in keyed)), list(perm),
-                [threads[i] for _, i in keyed])
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+    for g in autos:
+        if all(g[v] == v for v in path):
+            for a, b in g.items():
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    root = find(w)
+    return any(find(u) == root for u in tried)
 
 
 def normal_form(t: PiTerm) -> PiState:
-    u = _uniquify(t)
-    nus, raw = _split_level(u)
-    threads = [_renorm_thread(th) for th in raw]
-    used = set()
-    for th in threads:
-        used |= free_names(th)
-    nus = [n for n in nus if n in used]
-    key, nu_order, thread_order = _canon_level(nus, threads)
-    return PiState(tuple(nu_order), tuple(thread_order), key)
+    """Structural-congruence normal form of t.
+
+    Restriction binders are renamed apart and lifted to the top of each
+    level, the parallel spine is flattened, unused restrictions are dropped,
+    and every continuation is normalized the same way.  The key is the
+    minimum thread-key list over the leaves of an individualization-refinement
+    search on each level's restricted names (see _Search).  The leaf set does
+    not depend on how the names are spelled, so two terms get equal keys
+    exactly when they are structurally congruent up to renaming of bound
+    names.  A level with at most one restricted name has a single leaf.
+    """
+    canon = _Canon()
+    nus, threads, fns = canon.gather(_uniquify(t))
+    key, order, perm = canon.level(nus, threads, fns, {}, 0)
+    return PiState(tuple(order), tuple(threads[i] for i in perm), key)
 
 
 # ------------- barbs -------------

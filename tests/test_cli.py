@@ -196,6 +196,13 @@ def test_pi_weak_barb_translated_subjects(cli):
     assert (code, out) == (FAIL, "no\n")
 
 
+def test_pi_weak_barb_boudol_four_pairs(cli):
+    # eight restrictions in flight at once in the translated process
+    subject = " | ".join(["x!z"] * 4 + ["x(y).r!y"] * 4)
+    code, out, _ = cli("pi", "weak-barb", subject, "r", "--boudol", "--budget", "500")
+    assert (code, out) == (OK, "yes\n")
+
+
 def test_pi_bisim_default_kind(cli):
     code, out, _ = cli("pi", "bisim", "x!z.0", "new t. (t!t | t(s).x!z.0)")
     assert code == OK
@@ -293,6 +300,12 @@ def test_bad_term_is_usage_error(cli):
     code, _, err = cli("pi", "parse", "x!(")
     assert code == USAGE
     assert err == "error: expected 'name' at position 2, found '('\n"
+
+
+def test_deeply_nested_term_is_usage_error(cli):
+    code, out, err = cli("pi", "parse", "x!a." * 1500 + "0")
+    assert (code, out) == (USAGE, "")
+    assert err == "error: input nested too deeply to process\n"
 
 
 def test_open_subject_is_usage_error(cli):

@@ -197,13 +197,6 @@ def test_shadowed_binders_normalize_apart():
     assert len(set(s.restricted)) == 2
 
 
-def test_too_many_parallel_restrictions_rejected():
-    names = ", ".join(f"n{i}" for i in range(8))
-    body = " | ".join(f"n{i}!x" for i in range(8))
-    with pytest.raises(PiError, match="restrictions"):
-        nf(f"new {names}. ({body})")
-
-
 @settings(max_examples=60, deadline=None)
 @given(pi_terms())
 def test_normal_form_idempotent(t):

@@ -1,0 +1,355 @@
+"""Canonical process states: the individualization-refinement key against the
+brute-force permutation key it replaced, and the state-space frontier."""
+
+import random
+from itertools import permutations
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transcheck.encodings import boudol_translate
+from transcheck.pi import (ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
+                           Res, explore, normal_form, parse_pi, print_state,
+                           subst_names)
+
+
+# ------------- the brute-force key (oracle) -------------
+
+def _split(t):
+    nus, threads = [], []
+
+    def spine(u):
+        match u:
+            case Nil():
+                pass
+            case Par(l, r):
+                spine(l)
+                spine(r)
+            case Res(n, b):
+                nus.append(n)
+                spine(b)
+            case _:
+                threads.append(u)
+
+    spine(t)
+    return nus, threads
+
+
+def brute_level(nus, threads, env, depth):
+    """Minimum over every numbering of the restricted names."""
+    best = None
+    for perm in permutations(nus):
+        env2 = dict(env)
+        env2.update({n: f"r{depth}.{i}" for i, n in enumerate(perm)})
+        cand = (len(nus), tuple(sorted(brute_thread(th, env2, depth + 1) for th in threads)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def brute_thread(t, env, depth):
+    def tok(n):
+        return env.get(n, f"f:{n}")
+
+    match t:
+        case Out(x, y, k):
+            return ("out", tok(x), tok(y), brute_level(*_split(k), env, depth))
+        case In(x, z, k):
+            return ("in", tok(x), brute_level(*_split(k), {**env, z: f"p{depth}"}, depth + 1))
+        case Repl(b):
+            return ("repl", brute_level(*_split(b), env, depth))
+        case PVar(x):
+            return ("pvar", x)
+        case ExtBarb(w):
+            return ("ext", w)
+    raise PiError(f"not a sequential thread: {t!r}")
+
+
+def brute_key(t):
+    """The permutation-search key of t's normal form."""
+    s = normal_form(t)
+    return brute_level(list(s.restricted), list(s.threads), {}, 0)
+
+
+def max_level_width(t) -> int:
+    """Most restricted names on one level of t's normal form."""
+    s = normal_form(t)
+    width = len(s.restricted)
+    stack = list(s.threads)
+    while stack:
+        match stack.pop():
+            case Out(_, _, k) | In(_, _, k) | Repl(k):
+                nus, threads = _split(k)
+                width = max(width, len(nus))
+                stack.extend(threads)
+    return width
+
+
+# ------------- generated terms -------------
+
+BOUND = "abcdef"
+NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f", "x", "p"])
+
+
+@st.composite
+def levels(draw, depth=0, width=6):
+    """new <up to width names>. (threads), continuations two levels deep."""
+    nus = list(BOUND[:draw(st.integers(0, width if depth == 0 else min(width, 2)))])
+    threads = draw(st.lists(threads_at(depth, width), min_size=3 if depth == 0 else 0,
+                            max_size=8 if depth == 0 else 2))
+    core = Nil()
+    for th in threads:
+        core = th if isinstance(core, Nil) else Par(core, th)
+    for n in reversed(nus):
+        core = Res(n, core)
+    return core
+
+
+def threads_at(depth, width):
+    leaf = st.builds(Out, NAMES, NAMES, st.just(Nil()))
+    if depth >= 2:
+        return leaf
+    inner = levels(depth + 1, width)
+    return st.one_of(leaf, leaf,
+                     st.builds(Out, NAMES, NAMES, inner),
+                     st.builds(In, NAMES, st.just("p"), inner),
+                     st.builds(Repl, inner))
+
+
+class _Fresh:
+    def __init__(self):
+        self.i = 0
+
+    def __call__(self):
+        self.i += 1
+        return f"q{self.i}"
+
+
+def variant(t, rnd, fresh=None):
+    """A structurally congruent spelling of t: every bound name renamed,
+    parallel components shuffled, and each restriction placed at a random
+    legal scope, from the top down to the smallest one covering its uses."""
+    fresh = fresh or _Fresh()
+    nus, threads = [], []
+
+    def spine(u):
+        match u:
+            case Nil():
+                pass
+            case Par(l, r):
+                spine(l)
+                spine(r)
+            case Res(n, b):
+                m = fresh()
+                nus.append(m)
+                spine(subst_names(b, {n: m}))
+            case _:
+                threads.append(u)
+
+    spine(t)
+    threads = [_variant_thread(th, rnd, fresh) for th in threads]
+    if rnd.random() < 0.3:
+        threads.append(Nil())
+    rnd.shuffle(threads)
+    rnd.shuffle(nus)
+    # a name may be bound at any suffix of the chain that holds every use
+    where = {}
+    for n in nus:
+        uses = [i for i, th in enumerate(threads) if n in _names(th)]
+        where[n] = rnd.randint(0, uses[0]) if uses else 0
+    core = threads[-1] if threads else Nil()
+    for j in range(len(threads) - 1, -1, -1):
+        if j < len(threads) - 1:
+            core = Par(threads[j], core)
+        for n in nus:
+            if where[n] == j:
+                core = Res(n, core)
+    for n in nus:
+        if where[n] == 0 and not threads:
+            core = Res(n, core)
+    return core
+
+
+def _variant_thread(t, rnd, fresh):
+    match t:
+        case Out(x, y, k):
+            return Out(x, y, variant(k, rnd, fresh))
+        case In(x, z, k):
+            z2 = fresh()
+            return In(x, z2, variant(subst_names(k, {z: z2}), rnd, fresh))
+        case Repl(b):
+            return Repl(variant(b, rnd, fresh))
+    return t
+
+
+def _names(t):
+    match t:
+        case Out(x, y, k):
+            return {x, y} | _names(k)
+        case In(x, _, k):
+            return {x} | _names(k)
+        case Par(l, r):
+            return _names(l) | _names(r)
+        case Res(_, b) | Repl(b):
+            return _names(b)
+    return set()
+
+
+def rebind(t, choice):
+    """t with each use of a top-level restricted name replaced by a possibly
+    different one of them: sometimes congruent to t, often not."""
+    nus = []
+    while isinstance(t, Res):
+        nus.append(t.name)
+        t = t.body
+    if nus:
+        t = subst_names(t, {n: nus[c % len(nus)] for n, c in zip(nus, choice)})
+    for n in reversed(nus):
+        t = Res(n, t)
+    return t
+
+
+# ------------- differential tests -------------
+
+@settings(max_examples=120, deadline=None)
+@given(levels(), st.lists(st.integers(0, 5), min_size=6, max_size=6), st.randoms())
+def test_key_equality_matches_brute_force(t, choice, rnd):
+    others = [variant(t, rnd), rebind(t, choice), variant(rebind(t, choice), rnd)]
+    new, old = normal_form(t).key, brute_key(t)
+    assert normal_form(others[0]).key == new
+    assert brute_key(others[0]) == old
+    for u in others[1:]:
+        assert (normal_form(u).key == new) == (brute_key(u) == old)
+
+
+@settings(max_examples=80, deadline=None)
+@given(levels(width=1), st.randoms())
+def test_key_is_the_brute_force_key_with_one_name_per_level(t, rnd):
+    assert max_level_width(t) <= 1
+    assert normal_form(t).key == brute_key(t)
+    assert normal_form(variant(t, rnd)).key == brute_key(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(levels(), min_size=2, max_size=4))
+def test_key_equality_matches_brute_force_across_terms(ts):
+    new = [normal_form(t).key for t in ts]
+    old = [brute_key(t) for t in ts]
+    for i in range(len(ts)):
+        for j in range(i):
+            assert (new[i] == new[j]) == (old[i] == old[j])
+
+
+def test_nested_levels_match_brute_force():
+    # a 3-cycle of restricted names under a prefix, outer names in its keys
+    text = "new a, b. (a!b | x(p).new c, d, e. (c!d | d!e | e!c | c!a | p!b))"
+    t = parse_pi(text)
+    for seed in range(3):
+        u = variant(t, random.Random(seed))
+        assert normal_form(u) == normal_form(t) and brute_key(u) == brute_key(t)
+    # the inner cycle reaches the outer pair the other way round
+    u = parse_pi(text.replace("c!a", "c!b").replace("p!b", "p!a"))
+    assert normal_form(u) != normal_form(t) and brute_key(u) != brute_key(t)
+
+
+# ------------- many parallel restrictions -------------
+
+def cycles(*lengths):
+    """Directed cycles of the given lengths through restricted names."""
+    names, threads = [], []
+    for n in lengths:
+        ring = [f"n{len(names) + i}" for i in range(n)]
+        threads += [f"{a}!{b}" for a, b in zip(ring, ring[1:] + ring[:1])]
+        names += ring
+    return parse_pi(f"new {', '.join(names)}. ({' | '.join(threads)})")
+
+
+@pytest.mark.parametrize("lengths", [(8,), (5, 3), (12,), (6, 3, 3)],
+                         ids=["8", "5+3", "12", "6+3+3"])
+def test_many_parallel_restrictions_normalize(lengths):
+    # every name sends once and receives once, so refinement alone cannot
+    # tell the names apart, nor a union of cycles from a single cycle
+    t = cycles(*lengths)
+    s = normal_form(t)
+    assert len(s.restricted) == sum(lengths)
+    again = normal_form(s.term())
+    assert again == s and print_state(again) == print_state(s)
+    for seed in range(5):
+        assert normal_form(variant(t, random.Random(seed))) == s
+    if len(lengths) > 1:
+        assert s != normal_form(cycles(sum(lengths)))
+
+
+SHAPES = {  # small graphs with many automorphisms, as edge lists
+    "edge": [(0, 1), (1, 0)],
+    "path": [(0, 1), (1, 0), (1, 2), (2, 1)],
+    "triangle": [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)],
+    "ring3": [(0, 1), (1, 2), (2, 0)],
+    "square": [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)],
+    "star": [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)],
+}
+
+
+def graph(shapes, extra=()):
+    """Disjoint union of the shapes on restricted names, plus extra edges
+    between the union's names (taken modulo its size)."""
+    names, threads = [], []
+    for shape in shapes:
+        edges = SHAPES[shape]
+        size = 1 + max(max(e) for e in edges)
+        base = len(names)
+        names += [f"n{base + i}" for i in range(size)]
+        threads += [f"n{base + a}!n{base + b}" for a, b in edges]
+    threads += [f"{names[a % len(names)]}!{names[b % len(names)]}" for a, b in extra]
+    return parse_pi(f"new {', '.join(names)}. ({' | '.join(threads)})")
+
+
+symmetric = st.tuples(st.lists(st.sampled_from(sorted(SHAPES)), min_size=1, max_size=3),
+                      st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric, symmetric, st.randoms())
+def test_symmetric_levels_are_canonical(g, h, rnd):
+    # refinement leaves large cells here, so the individualization and the
+    # automorphism pruning do the work
+    t, u = graph(*g), graph(*h)
+    key = normal_form(t).key
+    for _ in range(3):
+        assert normal_form(variant(t, rnd)).key == key
+    if max(len(normal_form(t).restricted), len(normal_form(u).restricted)) <= 7:
+        assert (normal_form(u).key == key) == (brute_key(u) == brute_key(t))
+
+
+# ------------- the Boudol family -------------
+
+def boudol(n):
+    return boudol_translate(parse_pi(" | ".join(["x!z"] * n + ["x(y).r!y"] * n)))
+
+
+def product(k):
+    return boudol_translate(parse_pi(" | ".join(f"c{i}!a | c{i}(y).d{i}!y" for i in range(k))))
+
+
+def counts(t):
+    g = explore(t, 2000)
+    assert g.complete
+    return len(g.states), sum(len(e) for e in g.edges.values())
+
+
+@pytest.mark.parametrize("make, size, states, edges", [
+    (boudol, 2, 10, 12), (boudol, 3, 20, 30),
+    (product, 2, 16, 24), (product, 3, 64, 144),
+])
+def test_state_and_edge_counts_unchanged(make, size, states, edges):
+    assert counts(make(size)) == (states, edges)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_boudol_frontier_closes(n):
+    # a state is the number m of sender/receiver pairs that have met and the
+    # multiset of their three protocol phases: C(n+3, 3) states
+    states, _ = counts(boudol(n))
+    assert states == comb(n + 3, 3)
