@@ -42,6 +42,9 @@ class FiniteLanguage:
         for op in self.operators:
             keys = set(op.table)
             want = set(product(self.values, repeat=op.arity))
+            if not keys <= want:
+                extra = sorted(keys - want)[:3]
+                raise InputError(f"{self.name}.{op.name}: table keys outside values: {extra}")
             if keys != want:
                 missing = sorted(want - keys)[:3]
                 raise InputError(f"{self.name}.{op.name}: table not total, missing {missing}")
@@ -62,9 +65,19 @@ class FiniteLanguage:
         return tuple(self.qualify(v) for v in self.values)
 
 
+def _need_keys(data, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(data, dict):
+        raise InputError(f"{what} is not a JSON object")
+    missing = set(keys) - set(data)
+    if missing:
+        raise InputError(f"{what} lacks keys: {sorted(missing)}")
+
+
 def load_language(data: dict) -> FiniteLanguage:
+    _need_keys(data, ("name", "values", "operators"), "language file")
     ops = []
     for op in data["operators"]:
+        _need_keys(op, ("name", "arity", "table"), "operator")
         table = {}
         for key, out in op["table"].items():
             args = tuple(key.split(",")) if key else ()
@@ -167,9 +180,7 @@ def close_relation(generators: set[tuple[str, str]], kind: str,
 
 
 def load_relation(data: dict) -> Relation:
-    missing = {"pairs", "kind", "carrier"} - set(data)
-    if missing:
-        raise InputError(f"relation file lacks keys: {sorted(missing)}")
+    _need_keys(data, ("pairs", "kind", "carrier"), "relation file")
     return close_relation({tuple(p) for p in data["pairs"]}, data["kind"],
                           tuple(data["carrier"]), data.get("name", "rel"))
 
@@ -207,6 +218,7 @@ def load_translation(data: dict, source: FiniteLanguage | Signature,
                      target: FiniteLanguage | Signature) -> Translation:
     src = source.signature if isinstance(source, FiniteLanguage) else source
     tgt = target.signature if isinstance(target, FiniteLanguage) else target
+    _need_keys(data, ("source", "target", "heads"), "translation file")
     if data["source"] != src.name or data["target"] != tgt.name:
         raise InputError(f"translation is {data['source']} -> {data['target']}, "
                          f"got languages {src.name} -> {tgt.name}")
@@ -253,8 +265,8 @@ def is_one_hole_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
     return Verdict(True)
 
 
-def _need_carrier(rel: Relation, lang: FiniteLanguage) -> None:
-    missing = set(lang.qualified_values) - set(rel.carrier)
+def _need_carrier(rel: Relation, *langs: FiniteLanguage) -> None:
+    missing = {v for lang in langs for v in lang.qualified_values} - set(rel.carrier)
     if missing:
         raise InputError(f"relation carrier misses {sorted(missing)}")
 
@@ -385,6 +397,7 @@ def check_valid_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguag
     increasing size; the first (hence lexicographically least) total witness
     is returned.  Verdict note "inconclusive" when the cap is hit first.
     """
+    _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict(True, SemanticTranslation("R", ()), "vacuous: no source values")
     pool = sorted((w, v) for w in lang2.values for v in lang.values
@@ -416,6 +429,7 @@ def check_correct_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangu
     """Correctness up to the relation: every source value has a related target
     value, and the translation is correct w.r.t. the full restriction of the
     relation to target x source."""
+    _need_carrier(rel, lang, lang2)
     for v in lang.values:
         if not any(rel.related(lang2.qualify(w), lang.qualify(v)) for w in lang2.values):
             return Verdict(False, ("unrelated-source-value", v))
@@ -513,6 +527,7 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     reached a fixed point, or the homomorphism certificate over heads holds);
     otherwise "holds-to-depth".
     """
+    _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict(True, {}, "preserves")
     if not lang2.values:
@@ -561,6 +576,7 @@ def check_respects(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                    rel: Relation, depth: int) -> Verdict:
     """Every closed source term keeps its meaning under every valuation of the
     image's variables into U (target values related to some source value)."""
+    _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict(True, None, "vacuous: no source values")
     for v in lang.values:

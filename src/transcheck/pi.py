@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
-from typing import NamedTuple
+from functools import cached_property
+from itertools import chain, count
+from typing import Callable, Iterator, NamedTuple
 
 
 class PiError(Exception):
@@ -883,6 +884,108 @@ def reduce_once(state: PiState) -> list[PiState]:
     return [succs[k] for k in sorted(succs)]
 
 
+# ------------- graphs on numbered states -------------
+
+class _Graph:
+    """A reduction graph with its state keys numbered once: state i is
+    keys[i], succ[i] its successors in the order of edges and barbs[i] its
+    strong barbs."""
+
+    def __init__(self, keys: list, edges: dict, barbs: dict) -> None:
+        self.keys = keys
+        self.index = {k: i for i, k in enumerate(keys)}
+        self.succ = [[self.index[v] for v in edges[k]] for k in keys]
+        self.barbs = [barbs[k] for k in keys]
+
+    @cached_property
+    def divergent(self) -> list[bool]:
+        """Whether an infinite run starts at each state."""
+        return _divergent(self.succ)
+
+    @cached_property
+    def marks(self) -> list[frozenset[int]]:
+        """The barbs numbered as negative ints, so that one set can hold
+        barbs and block numbers (never negative) apart."""
+        ids: dict[Barb, int] = {}
+        return [frozenset(~ids.setdefault(b, len(ids)) for b in bs) for bs in self.barbs]
+
+
+def _components(succ: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The strongly connected components of the graph on 0..n-1 with
+    successor lists succ, and the component of each node.  Components come
+    sinks first: each one after every component it reaches (iterative
+    Tarjan)."""
+    n = len(succ)
+    order = [-1] * n  # discovery number
+    low = [0] * n
+    comp_of = [-1] * n
+    comps: list[list[int]] = []
+    stack: list[int] = []
+    found = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            u, i = work[-1]
+            if i < len(succ[u]):
+                work[-1] = (u, i + 1)
+                v = succ[u][i]
+                if order[v] < 0:
+                    order[v] = low[v] = found
+                    found += 1
+                    stack.append(v)
+                    work.append((v, 0))
+                elif comp_of[v] < 0 and order[v] < low[u]:  # v is still on the stack
+                    low[u] = order[v]
+                continue
+            work.pop()
+            if work and low[u] < low[work[-1][0]]:
+                low[work[-1][0]] = low[u]
+            if low[u] == order[u]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    comp_of[w] = len(comps)
+                    members.append(w)
+                    if w == u:
+                        break
+                comps.append(members)
+    return comps, comp_of
+
+
+def _divergent(succ: list[list[int]],
+               components: tuple[list[list[int]], list[int]] | None = None) -> list[bool]:
+    """Whether an infinite run starts at each node: whether it reaches a
+    cycle.  components are those of succ, when already known."""
+    comps, comp_of = components or _components(succ)
+    div: list[bool] = []
+    for c, members in enumerate(comps):
+        div.append(len(members) > 1 or any(comp_of[v] == c or div[comp_of[v]]
+                                           for u in members for v in succ[u]))
+    return [div[c] for c in comp_of]
+
+
+def _gather(succ: list[list[int]], own: list[frozenset],
+            components: tuple[list[list[int]], list[int]] | None = None) -> list[frozenset]:
+    """For each node, the union of own over every node it reaches, itself
+    included; nodes of one component share one set."""
+    comps, comp_of = components or _components(succ)
+    acc: list[frozenset] = []
+    for c, members in enumerate(comps):
+        s: set = set()
+        for u in members:
+            s |= own[u]
+            for v in succ[u]:
+                if comp_of[v] != c:
+                    s |= acc[comp_of[v]]
+        acc.append(frozenset(s))
+    return [acc[c] for c in comp_of]
+
+
 # ------------- exploration -------------
 
 @dataclass
@@ -930,28 +1033,8 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
         frontier = nxt
     divergent: frozenset = frozenset()
     if complete:
-        on_cycle = set()
-        for k in states:
-            seen: set[tuple] = set()
-            stack = list(edges[k])
-            while stack:
-                u = stack.pop()
-                if u == k:
-                    on_cycle.add(k)
-                    break
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(edges[u])
-        div = set(on_cycle)
-        changed = True
-        while changed:
-            changed = False
-            for k in states:
-                if k not in div and any(u in div for u in edges[k]):
-                    div.add(k)
-                    changed = True
-        divergent = frozenset(div)
+        g = _Graph(list(states), edges, barbs)
+        divergent = frozenset(k for k, d in zip(g.keys, g.divergent) if d)
     return ReductionGraph(root.key, states, edges, barbs, complete, divergent)
 
 
@@ -975,80 +1058,129 @@ class BisimVerdict:
     reason: str | None = None
 
 
-def _weak_closure(keys: list[tuple], edges: dict) -> dict[tuple, set[tuple]]:
-    reach = {}
-    for k in keys:
-        seen = {k}
-        stack = [k]
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        reach[k] = seen
-    return reach
+def _refinement(g: _Graph, kind: str) -> Iterator[list[int]]:
+    """The partitions of signature refinement for kind, as block numbers per
+    state: first the partition with one block, then the partition of each
+    round, ending with the coarsest stable one.  A round splits each block by
+    the signature of its states under the previous partition:
+
+    * strong: the barbs, and the blocks of the successors;
+    * weak: the barbs and the blocks of every state reachable in any number of
+      steps (the weak closure);
+    * branching: the barbs and the exit blocks (blocks other than its own
+      that a step enters) of every state reachable by inert steps, steps that
+      stay inside the block;
+    * dp-branching: branching, and whether an infinite run of inert steps
+      starts at the state;
+    * wdp-branching: branching, and whether any infinite run starts at the
+      state, which is the same as splitting the first partition by it.
+
+    The inert steps and the weak closure are gathered once per round over
+    their strongly connected components.
+    """
+    n = len(g.keys)
+    succ, marks = g.succ, g.marks
+    everything = _components(succ) if kind == "weak-barbed" else None
+    block = [0] * n
+    blocks = 1
+    yield block
+    while True:
+        if kind == "strong-barbed":
+            sig: list = [(marks[u], frozenset([block[v] for v in succ[u]])) for u in range(n)]
+        elif kind == "weak-barbed":
+            sig = _gather(succ, [marks[u] | {block[u]} for u in range(n)], everything)
+        else:
+            inert = [[v for v in succ[u] if block[v] == block[u]] for u in range(n)]
+            exits = [marks[u].union([block[v] for v in succ[u] if block[v] != block[u]])
+                     for u in range(n)]
+            comps = _components(inert)
+            sig = _gather(inert, exits, comps)
+            if kind == "dp-branching-barbed":
+                sig = list(zip(sig, _divergent(inert, comps)))
+            elif kind == "wdp-branching-barbed":
+                sig = list(zip(sig, g.divergent))
+        ids: dict = {}
+        block = [ids.setdefault(key, len(ids)) for key in zip(block, sig)]
+        if len(ids) == blocks:
+            return
+        blocks = len(ids)
+        yield block
 
 
-def _divergent_keys(keys: list[tuple], edges: dict) -> set[tuple]:
-    div = set()
-    for k in keys:
-        seen: set[tuple] = set()
-        stack = list(edges[k])
-        while stack:
-            u = stack.pop()
-            if u == k:
-                div.add(k)
-                break
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(edges[u])
-    changed = True
-    while changed:
-        changed = False
-        for k in keys:
-            if k not in div and any(u in div for u in edges[k]):
-                div.add(k)
-                changed = True
-    return div
-
-
-def _has_avoiding_lasso(start: tuple, avoid: set[tuple], edges: dict) -> bool:
-    """Infinite reduction run from start that never enters avoid."""
-    if start in avoid:
-        return False
-    seen = set()
-    stack = [start]
-    reach = set()
+def _violation(g: _Graph, kind: str, u: int, v: int, related: Callable[[int, int], bool],
+               show: Callable[[int], str]) -> str | None:
+    """How u escapes v under the relation related, or None.  Each check asks
+    that some related state exist, so a difference found under a relation
+    also holds under every smaller one."""
+    succ, barbs = g.succ, g.barbs
+    if kind == "strong-barbed":
+        for w in sorted(barbs[u]):
+            if w not in barbs[v]:
+                return f"barb {w} of {show(u)} not matched by {show(v)}"
+        for u2 in succ[u]:
+            if not any(related(u2, v2) for v2 in succ[v]):
+                return f"step {show(u)} -> {show(u2)} not matched by {show(v)}"
+        return None
+    weak = {v}
+    stack = [v]
     while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        for v in edges[u]:
-            if v not in avoid:
-                reach.add(v)
-                stack.append(v)
-    pool = {start} | reach
-    # a cycle exists in the avoid-free reachable subgraph iff some state there
-    # can reach itself
-    for k in pool:
-        seen2: set[tuple] = set()
-        stack = [v for v in edges[k] if v in pool]
-        while stack:
-            u = stack.pop()
-            if u == k:
-                return True
-            if u in seen2 or u not in pool:
-                continue
-            seen2.add(u)
-            stack.extend(v for v in edges[u] if v in pool)
-    return False
+        for v2 in succ[stack.pop()]:
+            if v2 not in weak:
+                weak.add(v2)
+                stack.append(v2)
+    if kind == "weak-barbed":
+        for w in sorted(barbs[u]):
+            if not any(w in barbs[v2] for v2 in weak):
+                return f"barb {w} of {show(u)} not weakly matched by {show(v)}"
+        for u2 in succ[u]:
+            if not any(related(u2, v2) for v2 in weak):
+                return f"step {show(u)} -> {show(u2)} not weakly matched by {show(v)}"
+        return None
+    # branching family: v may first move through states related to u
+    stay = [vd for vd in weak if related(u, vd)]
+    for w in sorted(barbs[u]):
+        if not any(w in barbs[vd] for vd in stay):
+            return (f"barb {w} of {show(u)} not matched through "
+                    f"related intermediate states of {show(v)}")
+    for u2 in succ[u]:
+        if not any(related(u2, vd) or any(related(u2, v2) for v2 in succ[vd]) for vd in stay):
+            return (f"step {show(u)} -> {show(u2)} "
+                    f"violates the branching condition against {show(v)}")
+    if kind == "dp-branching-barbed":
+        # an infinite run from u that never meets a state related to a
+        # successor of v
+        rescued = [any(related(s, v2) for v2 in succ[v]) for s in range(len(succ))]
+        if not rescued[u]:
+            avoiding = [[y for y in ys if not rescued[y]] for ys in succ]
+            if _divergent(avoiding)[u]:
+                return f"divergence from {show(u)} cannot be tracked by {show(v)}"
+    if kind == "wdp-branching-barbed":
+        if g.divergent[u] and not g.divergent[v]:
+            return f"{show(u)} diverges but {show(v)} does not"
+    return None
 
 
 def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
           input_barbs: bool = False) -> BisimVerdict:
+    """Decide whether p and q are bisimilar of the given kind.
+
+    Both reduction graphs are explored within the state budget; if either
+    does not close, the verdict is inconclusive.  On the union of the two
+    graphs, with state keys numbered once, _refinement splits blocks by the
+    kind's signature until the partition is stable; the roots are bisimilar
+    iff they end in one block.  Divergence (some infinite run, or for
+    dp-branching an infinite run of inert steps) comes from one pass of
+    Tarjan's strongly connected components.
+
+    A "not" verdict stops at the round that separates the roots.  Its reason
+    is the first failure of the bisimulation conditions (see _violation) for
+    the roots, in key order and then the other way round, with the states of
+    one block of the partition that round refined taken as related.  Where
+    that partition shows no failure yet, the partitions after it are tried
+    in turn, with the roots taken as related too: what would fail if they
+    were.  The stable partition always shows one, because the bisimilarity
+    is the largest relation with no failure.
+    """
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
     g1 = explore(p, budget, input_barbs)
@@ -1056,76 +1188,25 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     if not (g1.complete and g2.complete):
         return BisimVerdict("inconclusive", "state budget exhausted before both graphs closed")
     states = {**g1.states, **g2.states}
-    edges = {**g1.edges, **g2.edges}
-    barbs = {**g1.barbs, **g2.barbs}
-    keys = sorted(states)
-    weak = _weak_closure(keys, edges)
-    div = _divergent_keys(keys, edges)
-
-    rel = {(a, b) for a in keys for b in keys if a <= b}
-
-    def related(a: tuple, b: tuple) -> bool:
-        return ((a, b) if a <= b else (b, a)) in rel
-
-    def violation(u: tuple, v: tuple) -> str | None:
-        su, sv = states[u], states[v]
-        if kind == "strong-barbed":
-            for w in sorted(barbs[u]):
-                if w not in barbs[v]:
-                    return f"barb {w} of {print_state(su)} not matched by {print_state(sv)}"
-            for u2 in edges[u]:
-                if not any(related(u2, v2) for v2 in edges[v]):
-                    return (f"step {print_state(su)} -> {print_state(states[u2])} "
-                            f"not matched by {print_state(sv)}")
-            return None
-        if kind == "weak-barbed":
-            for w in sorted(barbs[u]):
-                if not any(w in barbs[v2] for v2 in weak[v]):
-                    return f"barb {w} of {print_state(su)} not weakly matched by {print_state(sv)}"
-            for u2 in edges[u]:
-                if not any(related(u2, v2) for v2 in weak[v]):
-                    return (f"step {print_state(su)} -> {print_state(states[u2])} "
-                            f"not weakly matched by {print_state(sv)}")
-            return None
-        # branching family
-        for w in sorted(barbs[u]):
-            if not any(related(u, v2) and w in barbs[v2] for v2 in weak[v]):
-                return (f"barb {w} of {print_state(su)} not matched through "
-                        f"related intermediate states of {print_state(sv)}")
-        for u2 in edges[u]:
-            ok = False
-            for vd in weak[v]:
-                if not related(u, vd):
-                    continue
-                if related(u2, vd) or any(related(u2, v2) for v2 in edges[vd]):
-                    ok = True
-                    break
-            if not ok:
-                return (f"step {print_state(su)} -> {print_state(states[u2])} "
-                        f"violates the branching condition against {print_state(sv)}")
-        if kind == "dp-branching-barbed":
-            rescued = {s for s in keys if any(related(s, v2) for v2 in edges[v])}
-            if _has_avoiding_lasso(u, rescued, edges):
-                return (f"divergence from {print_state(su)} cannot be tracked by "
-                        f"{print_state(sv)}")
-        if kind == "wdp-branching-barbed":
-            if u in div and v not in div:
-                return f"{print_state(su)} diverges but {print_state(sv)} does not"
-        return None
-
-    reasons: dict[tuple, str] = {}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(rel):
-            a, b = pair
-            msg = violation(a, b) or violation(b, a)
-            if msg:
-                rel.discard(pair)
-                reasons[pair] = msg
-                changed = True
-
-    root_pair = (g1.root, g2.root) if g1.root <= g2.root else (g2.root, g1.root)
-    if root_pair in rel:
+    g = _Graph(list(states), {**g1.edges, **g2.edges}, {**g1.barbs, **g2.barbs})
+    a, b = (g.index[k] for k in sorted((g1.root, g2.root)))
+    rounds = _refinement(g, kind)
+    before = next(rounds)
+    for block in rounds:
+        if block[a] != block[b]:
+            break
+        before = block
+    else:
         return BisimVerdict("bisimilar")
-    return BisimVerdict("not", reasons.get(root_pair, "root states distinguished"))
+
+    def show(i: int) -> str:
+        return print_state(states[g.keys[i]])
+
+    for part in chain((before, block), rounds):
+        def related(x: int, y: int) -> bool:
+            return part[x] == part[y] or (x, y) in ((a, b), (b, a))
+
+        msg = _violation(g, kind, a, b, related, show) or _violation(g, kind, b, a, related, show)
+        if msg:
+            return BisimVerdict("not", msg)
+    return BisimVerdict("not", "root states distinguished")

@@ -1,5 +1,7 @@
 """Command line goldens: exact stdout and exit codes over the fixture files."""
 
+import json
+
 from conftest import FIXTURES
 
 from transcheck.cli import main
@@ -363,3 +365,76 @@ def test_paths_resolve_without_the_env_too(capsys, monkeypatch):
     code = main(["lang", "validate", "--lang", str(FIXTURES / "negtop" / "L.json")])
     assert code == OK
     assert capsys.readouterr().out == "ok: neg2 (2 values, 3 operators)\n"
+
+
+# ------------- relations and files that do not fit -------------
+
+UNCOVERED = ("--source", "negtop/L.json", "--target", "negtop/Lp.json",
+             "--translation", "negtop/T.json", "--relation", "cycle4/sim.json")
+MISSES = ("error: relation carrier misses "
+          "['neg2.0', 'neg2.1', 'neg3.0', 'neg3.1', 'neg3.top']\n")
+
+
+def test_check_valid_uncovered_relation_is_usage_error(cli):
+    code, out, err = cli("check", "valid", *UNCOVERED)
+    assert (code, out, err) == (USAGE, "", MISSES)
+
+
+def test_check_correct_uncovered_relation_is_usage_error(cli):
+    code, out, err = cli("check", "correct", *UNCOVERED)
+    assert (code, out, err) == (USAGE, "", MISSES)
+
+
+def test_check_preserves_uncovered_relation_is_usage_error(cli):
+    code, out, err = cli("check", "preserves", *UNCOVERED, "--depth", "2")
+    assert (code, out, err) == (USAGE, "", MISSES)
+
+
+def test_check_respects_uncovered_relation_is_usage_error(cli):
+    code, out, err = cli("check", "respects", *UNCOVERED, "--depth", "2")
+    assert (code, out, err) == (USAGE, "", MISSES)
+
+
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_language_without_operators_is_usage_error(cli, tmp_path):
+    lang = _write_json(tmp_path / "L.json", {"name": "l", "values": ["0"]})
+    code, out, err = cli("closure", "--lang", lang, "--relation", "mod3/sim.json")
+    assert (code, out) == (USAGE, "")
+    assert err == "error: language file lacks keys: ['operators']\n"
+    code, out, _ = cli("lang", "validate", "--lang", lang)
+    assert (code, out) == (FAIL, "invalid: language file lacks keys: ['operators']\n")
+
+
+def test_language_file_must_be_an_object(cli, tmp_path):
+    lang = _write_json(tmp_path / "L.json", ["name", "values", "operators"])
+    code, _, err = cli("closure", "--lang", lang, "--relation", "mod3/sim.json")
+    assert (code, err) == (USAGE, "error: language file is not a JSON object\n")
+
+
+def test_operator_without_table_is_usage_error(cli, tmp_path):
+    lang = _write_json(tmp_path / "L.json", {"name": "l", "values": ["0"],
+                                             "operators": [{"name": "z", "arity": 0}]})
+    code, _, err = cli("closure", "--lang", lang, "--relation", "mod3/sim.json")
+    assert code == USAGE
+    assert err == "error: operator lacks keys: ['table']\n"
+
+
+def test_translation_without_heads_is_usage_error(cli, tmp_path):
+    tr = _write_json(tmp_path / "T.json", {"source": "neg2", "target": "neg3"})
+    code, _, err = cli("check", "correct", "--source", "negtop/L.json",
+                       "--target", "negtop/Lp.json", "--translation", tr,
+                       "--relation", "negtop/sim.json")
+    assert code == USAGE
+    assert err == "error: translation file lacks keys: ['heads']\n"
+
+
+def test_table_key_outside_values_is_named(cli, tmp_path):
+    lang = _write_json(tmp_path / "L.json", {
+        "name": "l", "values": ["0", "1"],
+        "operators": [{"name": "neg", "arity": 1, "table": {"0": "1", "1": "0", "2": "0"}}]})
+    code, out, _ = cli("lang", "validate", "--lang", lang)
+    assert (code, out) == (FAIL, "invalid: l.neg: table keys outside values: [('2',)]\n")
