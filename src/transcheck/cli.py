@@ -12,23 +12,25 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .encodings import (boudol_encoding, check_encoding_pairs,
                         full_abstraction_check, load_pairs, plug)
-from .finlang import (FiniteLanguage, InputError, Relation, Verdict,
+from .finlang import (FiniteLanguage, InputError, Relation,
                       check_correct_upto, check_correct_wrt, check_preserves,
                       check_respects, congruence_closure_1hole,
-                      is_congruence, is_congruence_for_image,
+                      check_valid_upto, is_congruence, is_congruence_for_image,
                       is_one_hole_congruence, load_language, load_relation,
                       load_semantic_translation, load_translation, lr_closure,
                       property_suite, upward_closed_targets)
-from .finlang import check_valid_upto
 from .pi import (BISIM_KINDS, ExtBarb, In, Out, Par, PiError, PiTerm, Repl, Res,
                  barb_from_text, bisim, explore, normal_form, parse_pi, print_pi,
                  print_state, reduce_once, strong_barbs, weak_barb)
 from .terms import Term, TermError, compose_translations, print_term
+from .verdict import Verdict
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
+EXIT = {"yes": OK, "no": FAIL, "inconclusive": INCONCLUSIVE}
 
 FIXTURE_ENV = "TRANSCHECK_FIXTURES"
 
@@ -100,13 +102,24 @@ def _print_partition(rel: Relation, langs=()) -> None:
         print("{" + ", ".join(_unqualify(v, langs) for v in cls) + "}")
 
 
-def _verdict_exit(v: Verdict, label: str, langs=()) -> int:
-    print(f"{label}: {'yes' if v.holds else 'no'}")
-    if not v.holds:
+def _report(label: str, v: Verdict, langs=(), show=None) -> int:
+    """Print `label: status`, the witness and the note; return the exit code.
+
+    A "no" prints its counterexample; a "yes" prints its witness only when
+    show is given to format it."""
+    print(f"{label}: {v.status}")
+    if v.status == "no":
         _print_witness(v.witness, langs)
+    elif v.holds and show is not None:
+        print("witness: " + show(v.witness))
     if v.note:
         print(f"note: {v.note}")
-    return OK if v.holds else FAIL
+    return EXIT[v.status]
+
+
+def _batch_exit(failed: int, inconclusive: int) -> int:
+    """A batch fails if one check fails, else is inconclusive if one is."""
+    return EXIT["no" if failed else "inconclusive" if inconclusive else "yes"]
 
 
 # ------------- finite-language commands -------------
@@ -130,16 +143,16 @@ def _cmd_check_congruence(ns) -> int:
         src, tgt = _lang(ns.source), _lang(ns.target)
         tr = load_translation(_read_json(ns.translation), src, tgt)
         if ns.w:
-            w_set = tuple(tgt.qualify(v) for v in ns.w.split(","))
+            w_set = tuple(ns.w.split(","))
         else:
             w_set = tuple(upward_closed_targets(src, tgt, rel))
         v = is_congruence_for_image(tr, src, tgt, rel, w_set)
-        return _verdict_exit(v, "congruence", (src, tgt))
+        return _report("congruence", v, (src, tgt))
     if ns.lang is None:
         raise InputError("check congruence needs --lang (or --image with languages)")
     lang = _lang(ns.lang)
     v = is_one_hole_congruence(lang, rel) if ns.one_hole else is_congruence(lang, rel)
-    return _verdict_exit(v, "congruence", (lang,))
+    return _report("congruence", v, (lang,))
 
 
 def _cmd_closure(ns) -> int:
@@ -173,50 +186,40 @@ def _cmd_check_correct(ns) -> int:
         v = check_correct_upto(tr, src, tgt, rel)
     else:
         raise InputError("check correct needs --relation or --semtrans")
-    return _verdict_exit(v, "correct", (src, tgt))
+    return _report("correct", v, (src, tgt))
 
 
 def _cmd_check_valid(ns) -> int:
     src, tgt, tr = _load_triple(ns)
     rel = load_relation(_read_json(ns.relation))
     v = check_valid_upto(tr, src, tgt, rel)
-    print(f"valid: {'yes' if v.holds else 'no'}")
-    if v.holds:
-        pairs = sorted((_unqualify(a, (tgt,)), _unqualify(b, (src,)))
-                       for a, b in v.witness.pairs)
-        print("witness: " + " ".join(f"({a},{b})" for a, b in pairs))
-    if v.note:
-        print(f"note: {v.note}")
-    return OK if v.holds else FAIL
+
+    def show(r) -> str:
+        pairs = sorted((_unqualify(a, (tgt,)), _unqualify(b, (src,))) for a, b in r.pairs)
+        return " ".join(f"({a},{b})" for a, b in pairs)
+
+    return _report("valid", v, show=show)
 
 
 def _cmd_check_preserves(ns) -> int:
     src, tgt, tr = _load_triple(ns)
     rel = load_relation(_read_json(ns.relation))
     v = check_preserves(tr, src, tgt, rel, ns.depth)
-    print(f"preserves: {'yes' if v.holds else 'no'}")
-    if v.holds and isinstance(v.witness, dict):
-        print("witness: " + " ".join(f"bT({a})={b}" for a, b in sorted(v.witness.items())))
-    elif not v.holds:
-        _print_witness(v.witness, (src, tgt))
-    if v.note:
-        print(f"note: {v.note}")
-    return OK if v.holds else FAIL
+    return _report("preserves", v, (src, tgt),
+                   lambda bt: " ".join(f"bT({a})={b}" for a, b in sorted(bt.items())))
 
 
 def _cmd_check_respects(ns) -> int:
     src, tgt, tr = _load_triple(ns)
     rel = load_relation(_read_json(ns.relation))
     v = check_respects(tr, src, tgt, rel, ns.depth)
-    return _verdict_exit(v, "respects", (src, tgt))
+    return _report("respects", v, (src, tgt))
 
 
 def _cmd_compose(ns) -> int:
     a, b, c = _lang(ns.source), _lang(ns.mid), _lang(ns.target)
     t1 = load_translation(_read_json(ns.first), a, b)
     t2 = load_translation(_read_json(ns.second), b, c)
-    if t1.target.name != t2.source.name:
-        raise InputError("translations do not compose: signature mismatch")
     try:
         composed = compose_translations(t1, t2)
     except TermError as e:
@@ -305,7 +308,7 @@ def _cmd_pi_explore(ns) -> int:
     if g.complete:
         div = " ".join(str(index[k]) for k in order if k in g.divergent)
         print(f"divergent: {div if div else 'none'}")
-    return OK if g.complete else INCONCLUSIVE
+    return EXIT["yes" if g.complete else "inconclusive"]
 
 
 def _cmd_pi_barbs(ns) -> int:
@@ -318,18 +321,16 @@ def _cmd_pi_barbs(ns) -> int:
 def _cmd_pi_weak_barb(ns) -> int:
     verdict = weak_barb(_subject(ns), barb_from_text(ns.barb), ns.budget)
     print(verdict)
-    return {"yes": OK, "no": FAIL}.get(verdict, INCONCLUSIVE)
+    return EXIT[verdict]
 
 
 def _cmd_pi_bisim(ns) -> int:
     p = _parse_term_arg(ns, ns.left)
     q = _parse_term_arg(ns, ns.right)
     v = bisim(p, q, ns.kind, ns.budget, input_barbs=ns.input_barbs)
-    if v.result == "bisimilar":
-        print("bisimilar")
-        return OK
-    print(f"{'not bisimilar' if v.result == 'not' else 'inconclusive'}: {v.reason}")
-    return FAIL if v.result == "not" else INCONCLUSIVE
+    word = {"yes": "bisimilar", "no": "not bisimilar"}.get(v.status, v.status)
+    print(f"{word}: {v.note}" if v.note else word)
+    return EXIT[v.status]
 
 
 def _cmd_pi_translate(ns) -> int:
@@ -356,9 +357,7 @@ def _cmd_pi_check_encoding(ns) -> int:
     counts = report.counts
     print(f"bisimilar={counts['bisimilar']} not={counts['not']} "
           f"inconclusive={counts['inconclusive']}")
-    if counts["not"]:
-        return FAIL
-    return OK if not counts["inconclusive"] else INCONCLUSIVE
+    return _batch_exit(counts["not"], counts["inconclusive"])
 
 
 def _cmd_pi_full_abstraction(ns) -> int:
@@ -371,17 +370,12 @@ def _cmd_pi_full_abstraction(ns) -> int:
         return bisim(p, q, ns.kind, ns.budget)
 
     report = full_abstraction_check(enc.translate, oracle, oracle, pairs)
-    npass = nfail = ninc = 0
     for p, q, sv, tv, status in report.rows:
         print(f"{status}: {print_pi(p)} ;; {print_pi(q)} "
               f"(source={sv.result}, target={tv.result})")
-        npass += status == "pass"
-        nfail += status == "fail"
-        ninc += status == "inconclusive"
-    print(f"pass={npass} fail={nfail} inconclusive={ninc}")
-    if nfail:
-        return FAIL
-    return OK if not ninc else INCONCLUSIVE
+    n = Counter(status for *_, status in report.rows)
+    print(f"pass={n['pass']} fail={n['fail']} inconclusive={n['inconclusive']}")
+    return _batch_exit(n["fail"], n["inconclusive"])
 
 
 # ------------- wiring -------------

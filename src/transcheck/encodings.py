@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable
 
-from .finlang import FiniteLanguage, Verdict, denote
-from .pi import (Barb, BisimVerdict, ExtBarb, In, Nil, Out, Par, PiError,
+from .finlang import FiniteLanguage, denote
+from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError,
                  PiTerm, PVar, Repl, Res, all_names, alpha_eq_pi, bisim,
                  free_names, is_async, process_vars, weak_barb, _fresh_name)
 from .terms import (App, Construct, Signature, Term, TermError, Translation,
                     Var, complete_compositional, free_vars, parse_term,
                     translation)
+from .verdict import Verdict
 
 
 _RESERVED_PREFIX = "_b"
@@ -184,8 +185,8 @@ def routes_agree(enc: Encoding, probes: list[PiTerm]) -> Verdict:
     """Direct route vs head-map route, compared up to renaming of bound names."""
     for p in probes:
         if not alpha_eq_pi(enc.translate(p), enc.translate_via_heads(p)):
-            return Verdict(False, (p,), "translation routes disagree")
-    return Verdict(True, None, f"agree on {len(probes)} probes")
+            return Verdict("no", (p,), "translation routes disagree")
+    return Verdict("yes", note=f"agree on {len(probes)} probes")
 
 
 # ------------- plugging contexts -------------
@@ -260,7 +261,7 @@ class ContextProbe:
 @dataclass
 class EncodingReport:
     kind: str
-    rows: list[tuple[PiTerm, BisimVerdict]] = field(default_factory=list)
+    rows: list[tuple[PiTerm, Verdict]] = field(default_factory=list)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -280,8 +281,8 @@ def check_encoding_pairs(enc: Encoding, terms: list[PiTerm], kind: str,
 
 
 def pullback_equiv(enc: Encoding, theta: dict[str, PiTerm],
-                   target_oracle: Callable[[PiTerm, PiTerm], BisimVerdict],
-                   ) -> Callable[[PiTerm, PiTerm], BisimVerdict]:
+                   target_oracle: Callable[[PiTerm, PiTerm], Verdict],
+                   ) -> Callable[[PiTerm, PiTerm], Verdict]:
     """Equivalence on source terms induced by comparing closed translations.
 
     theta closes over stray process variables of the translations; the
@@ -300,7 +301,7 @@ def pullback_equiv(enc: Encoding, theta: dict[str, PiTerm],
             tp = plug_var(tp, x, theta[x])
         return tp
 
-    def decide(p: PiTerm, q: PiTerm) -> BisimVerdict:
+    def decide(p: PiTerm, q: PiTerm) -> Verdict:
         return target_oracle(close(p), close(q))
 
     return decide
@@ -321,21 +322,19 @@ def finite_pullback_precondition(lang: FiniteLanguage) -> Verdict:
         try:
             t = parse_term(lang.signature, v)
         except TermError:
-            return Verdict(False, (v,),
-                           "precondition-violation: value is not a closed term")
-        if free_vars(lang.signature, t):
-            return Verdict(False, (v,),
-                           "precondition-violation: value is not a closed term")
+            t = None
+        if t is None or free_vars(lang.signature, t):
+            return Verdict("no", (v,), "precondition-violation: value is not a closed term")
         got = denote(lang, t, {})
         if got != v:
-            return Verdict(False, (v, got),
+            return Verdict("no", (v, got),
                            "precondition-violation: value does not denote itself")
-    return Verdict(True, None, "closed-term language")
+    return Verdict("yes", note="closed-term language")
 
 
 @dataclass
 class FullAbstractionReport:
-    rows: list[tuple[PiTerm, PiTerm, BisimVerdict, BisimVerdict, str]] = field(default_factory=list)
+    rows: list[tuple[PiTerm, PiTerm, Verdict, Verdict, str]] = field(default_factory=list)
 
     @property
     def counterexamples(self) -> list[tuple[PiTerm, PiTerm]]:
@@ -347,17 +346,17 @@ class FullAbstractionReport:
 
 
 def full_abstraction_check(translate: Callable[[PiTerm], PiTerm],
-                           source_oracle: Callable[[PiTerm, PiTerm], BisimVerdict],
-                           target_oracle: Callable[[PiTerm, PiTerm], BisimVerdict],
+                           source_oracle: Callable[[PiTerm, PiTerm], Verdict],
+                           target_oracle: Callable[[PiTerm, PiTerm], Verdict],
                            pairs: list[tuple[PiTerm, PiTerm]]) -> FullAbstractionReport:
     """Per pair, both directions of: p ~ q iff T(p) ~ T(q)."""
     report = FullAbstractionReport()
     for p, q in pairs:
         sv = source_oracle(p, q)
         tv = target_oracle(translate(p), translate(q))
-        if "inconclusive" in (sv.result, tv.result):
+        if "inconclusive" in (sv.status, tv.status):
             status = "inconclusive"
-        elif (sv.result == "bisimilar") == (tv.result == "bisimilar"):
+        elif sv.status == tv.status:
             status = "pass"
         else:
             status = "fail"

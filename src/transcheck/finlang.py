@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .terms import (App, Construct, Signature, Term, Translation, Var,
                     complete_compositional, compose_translations,
                     enumerate_terms, free_vars, parse_term, translation)
+from .verdict import Verdict
 
 
 class InputError(Exception):
@@ -228,13 +229,6 @@ def load_translation(data: dict, source: FiniteLanguage | Signature,
 
 # ------------- congruence checks -------------
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: tuple | None = None
-    note: str = ""
-
-
 def is_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
     """Equivalence preserved by every operator, all argument positions at once."""
     _need_carrier(rel, lang)
@@ -244,8 +238,8 @@ def is_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
                 if all(rel.related(lang.qualify(u), lang.qualify(v)) for u, v in zip(us, vs)):
                     ru, rv = op.table[us], op.table[vs]
                     if not rel.related(lang.qualify(ru), lang.qualify(rv)):
-                        return Verdict(False, (op.name, us, vs, ru, rv))
-    return Verdict(True)
+                        return Verdict("no", (op.name, us, vs, ru, rv))
+    return Verdict("yes")
 
 
 def is_one_hole_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
@@ -261,8 +255,8 @@ def is_one_hole_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
                     other = ctx[:i] + (v,) + ctx[i + 1:]
                     ru, rv = op.table[ctx], op.table[other]
                     if not rel.related(lang.qualify(ru), lang.qualify(rv)):
-                        return Verdict(False, (op.name, ctx, other, ru, rv))
-    return Verdict(True)
+                        return Verdict("no", (op.name, ctx, other, ru, rv))
+    return Verdict("yes")
 
 
 def _need_carrier(rel: Relation, *langs: FiniteLanguage) -> None:
@@ -271,22 +265,33 @@ def _need_carrier(rel: Relation, *langs: FiniteLanguage) -> None:
         raise InputError(f"relation carrier misses {sorted(missing)}")
 
 
-def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
-    """Largest one-hole congruence for lang contained in the equivalence rel.
+def _refine(rel: Relation, lang: FiniteLanguage, values: tuple[str, ...],
+            probe: Callable[[str, dict[str, int]], tuple]) -> frozenset[tuple[str, str]]:
+    """Pairs of the coarsest partition of values inside rel that probe does
+    not split: the greatest fixpoint of partition refinement.  Values start
+    in their rel classes; each round splits a block by probe(v, block), the
+    blocks that v's one-hole contexts reach under the current partition."""
+    qs = [lang.qualify(v) for v in values]
+    block = {q: i for i, cls in enumerate(rel.restricted(set(qs)).classes()) for q in cls}
+    while True:
+        ids: dict[tuple, int] = {}
+        nxt = {q: ids.setdefault((block[q], probe(v, block)), len(ids))
+               for v, q in zip(values, qs)}
+        if len(ids) == len(set(block.values())):
+            break
+        block = nxt
+    return frozenset((a, b) for a in qs for b in qs if block[a] == block[b])
 
-    Greatest fixpoint by partition refinement: values start in their rel
-    classes and are split whenever some operator with one varied argument
-    tells them apart.
-    """
+
+def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
+    """Largest one-hole congruence for lang contained in the equivalence rel:
+    values are split whenever some operator with one varied argument tells
+    them apart."""
     if rel.kind != "equivalence":
         raise InputError("congruence closure needs an equivalence")
     _need_carrier(rel, lang)
-    block: dict[str, int] = {}
-    for i, cls in enumerate(rel.restricted(set(lang.qualified_values)).classes()):
-        for q in cls:
-            block[q] = i
 
-    def probe(v: str) -> tuple:
+    def probe(v: str, block: dict[str, int]) -> tuple:
         sig = []
         for op in lang.operators:
             for ctx in product(lang.values, repeat=op.arity):
@@ -295,19 +300,7 @@ def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
                     sig.append(block[lang.qualify(op.table[plugged])])
         return tuple(sig)
 
-    while True:
-        groups: dict[tuple, int] = {}
-        nxt: dict[str, int] = {}
-        for v in lang.values:
-            key = (block[lang.qualify(v)], probe(v))
-            if key not in groups:
-                groups[key] = len(groups)
-            nxt[lang.qualify(v)] = groups[key]
-        if len(set(nxt.values())) == len(set(block.values())):
-            break
-        block = nxt
-    pairs = frozenset((a, b) for a in lang.qualified_values for b in lang.qualified_values
-                      if block[a] == block[b])
+    pairs = _refine(rel, lang, lang.values, probe)
     return Relation(f"{rel.name}^1c", "equivalence", lang.qualified_values, pairs)
 
 
@@ -385,8 +378,8 @@ def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangua
                 lhs = denote(lang2, image, eta)
                 rhs = denote(lang, head, rho)
                 if (lang2.qualify(lhs), lang.qualify(rhs)) not in rp:
-                    return Verdict(False, (name, eta, rho, lhs, rhs))
-    return Verdict(True)
+                    return Verdict("no", (name, eta, rho, lhs, rhs))
+    return Verdict("yes")
 
 
 def check_valid_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
@@ -395,11 +388,11 @@ def check_valid_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguag
 
     Candidates are subsets of rel over target x source values, enumerated by
     increasing size; the first (hence lexicographically least) total witness
-    is returned.  Verdict note "inconclusive" when the cap is hit first.
+    is returned.  Inconclusive when the cap is hit first.
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
-        return Verdict(True, SemanticTranslation("R", ()), "vacuous: no source values")
+        return Verdict("yes", SemanticTranslation("R", ()), "vacuous: no source values")
     pool = sorted((w, v) for w in lang2.values for v in lang.values
                   if rel.related(lang2.qualify(w), lang.qualify(v)))
     considered = 0
@@ -407,14 +400,14 @@ def check_valid_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguag
         for subset in combinations(pool, size):
             considered += 1
             if considered > cap:
-                return Verdict(False, None, f"inconclusive: candidate cap {cap} exceeded")
+                return Verdict("inconclusive", note=f"inconclusive: candidate cap {cap} exceeded")
             if {v for _, v in subset} != set(lang.values):
                 continue
             r = SemanticTranslation("R", tuple(
                 (lang2.qualify(w), lang.qualify(v)) for w, v in subset))
             if check_correct_wrt(tr, lang, lang2, r).holds:
-                return Verdict(True, r)
-    return Verdict(False, None, f"exhausted {considered} candidates")
+                return Verdict("yes", r)
+    return Verdict("no", note=f"exhausted {considered} candidates")
 
 
 def upward_closed_targets(lang: FiniteLanguage, lang2: FiniteLanguage,
@@ -432,7 +425,7 @@ def check_correct_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangu
     _need_carrier(rel, lang, lang2)
     for v in lang.values:
         if not any(rel.related(lang2.qualify(w), lang.qualify(v)) for w in lang2.values):
-            return Verdict(False, ("unrelated-source-value", v))
+            return Verdict("no", ("unrelated-source-value", v))
     r = SemanticTranslation("R", tuple(sorted(
         (lang2.qualify(w), lang.qualify(v)) for w in lang2.values for v in lang.values
         if rel.related(lang2.qualify(w), lang.qualify(v)))))
@@ -529,9 +522,9 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
-        return Verdict(True, {}, "preserves")
+        return Verdict("yes", {}, "preserves")
     if not lang2.values:
-        return Verdict(False)
+        return Verdict("no")
     reps, variables, rows_src, img_index, exhausted = _preserve_reps(tr, lang, lang2, depth)
     cands = [[w for w in lang2.values if rel.related(lang2.qualify(w), lang.qualify(v))]
              for v in lang.values]
@@ -550,8 +543,8 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
                 break
         if ok:
             certified = exhausted or _homomorphism_certificate(tr, lang, lang2, bt)
-            return Verdict(True, bt, "preserves" if certified else f"holds-to-depth {depth}")
-    return Verdict(False)
+            return Verdict("yes", bt, "preserves" if certified else f"holds-to-depth {depth}")
+    return Verdict("no")
 
 
 def _homomorphism_certificate(tr: Translation, lang: FiniteLanguage,
@@ -578,10 +571,10 @@ def check_respects(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     image's variables into U (target values related to some source value)."""
     _need_carrier(rel, lang, lang2)
     if not lang.values:
-        return Verdict(True, None, "vacuous: no source values")
+        return Verdict("yes", note="vacuous: no source values")
     for v in lang.values:
         if not any(rel.related(lang2.qualify(w), lang.qualify(v)) for w in lang2.values):
-            return Verdict(False, ("unrelated-source-value", v))
+            return Verdict("no", ("unrelated-source-value", v))
     u_set = tuple(upward_closed_targets(lang, lang2, rel))
     translate = complete_compositional(tr)
     for p in closed_terms(lang, depth):
@@ -590,13 +583,17 @@ def check_respects(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
         for eta in valuations(tuple(sorted(free_vars(lang2.signature, tp))), u_set):
             lhs = denote(lang2, tp, eta)
             if not rel.related(lang2.qualify(lhs), lang.qualify(rhs)):
-                return Verdict(False, (p, eta, lhs, rhs))
-    return Verdict(True, None, f"holds-to-depth {depth}")
+                return Verdict("no", (p, eta, lhs, rhs))
+    return Verdict("yes", note=f"holds-to-depth {depth}")
 
 
 def is_congruence_for_image(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                             rel: Relation, w_set: tuple[str, ...]) -> Verdict:
     """Relation preserved by every translated head over valuations into w_set."""
+    _need_carrier(rel, lang, lang2)
+    stray = sorted(set(w_set) - set(lang2.values))
+    if stray:
+        raise InputError(f"values outside {lang2.name}: {stray}")
     for name, _, image in _heads(tr):
         xs = tuple(sorted(free_vars(lang2.signature, image)))
         for theta in valuations(xs, w_set):
@@ -604,23 +601,17 @@ def is_congruence_for_image(tr: Translation, lang: FiniteLanguage, lang2: Finite
                 if all(rel.related(lang2.qualify(theta[x]), lang2.qualify(eta[x])) for x in xs):
                     lhs, rhs = denote(lang2, image, theta), denote(lang2, image, eta)
                     if not rel.related(lang2.qualify(lhs), lang2.qualify(rhs)):
-                        return Verdict(False, (name, theta, eta, lhs, rhs))
-    return Verdict(True)
+                        return Verdict("no", (name, theta, eta, lhs, rhs))
+    return Verdict("yes")
 
 
 def image_congruence_closure_1hole(tr: Translation, lang: FiniteLanguage,
                                    lang2: FiniteLanguage, rel: Relation,
                                    w_set: tuple[str, ...]) -> Relation:
     """Largest 1-hole congruence for the translated language on w_set inside rel."""
-    qw = [lang2.qualify(w) for w in w_set]
-    block: dict[str, int] = {}
-    classes = rel.restricted(set(qw)).classes()
-    for i, cls in enumerate(classes):
-        for q in cls:
-            block[q] = i
     images = [image for _, _, image in _heads(tr)]
 
-    def probe(w: str) -> tuple:
+    def probe(w: str, block: dict[str, int]) -> tuple:
         sig = []
         for image in images:
             xs = tuple(sorted(free_vars(lang2.signature, image)))
@@ -635,19 +626,9 @@ def image_congruence_closure_1hole(tr: Translation, lang: FiniteLanguage,
                     sig.append(block[out])
         return tuple(sig)
 
-    while True:
-        groups: dict[tuple, int] = {}
-        nxt: dict[str, int] = {}
-        for w in w_set:
-            key = (block[lang2.qualify(w)], probe(w))
-            if key not in groups:
-                groups[key] = len(groups)
-            nxt[lang2.qualify(w)] = groups[key]
-        if len(set(nxt.values())) == len(set(block.values())):
-            break
-        block = nxt
-    pairs = frozenset((a, b) for a in qw for b in qw if block[a] == block[b])
-    return Relation(f"{rel.name}^1c_image", "equivalence", tuple(sorted(qw)), pairs)
+    pairs = _refine(rel, lang2, w_set, probe)
+    return Relation(f"{rel.name}^1c_image", "equivalence",
+                    tuple(sorted(lang2.qualify(w) for w in w_set)), pairs)
 
 
 def compose_semantic(r2: SemanticTranslation, r1: SemanticTranslation) -> SemanticTranslation:

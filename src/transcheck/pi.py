@@ -14,6 +14,8 @@ from functools import cached_property
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
 
+from .verdict import Verdict
+
 
 class PiError(Exception):
     """Syntax or usage error in the process workbench."""
@@ -1052,12 +1054,6 @@ BISIM_KINDS = ("strong-barbed", "weak-barbed", "branching-barbed",
                "dp-branching-barbed", "wdp-branching-barbed")
 
 
-@dataclass(frozen=True)
-class BisimVerdict:
-    result: str  # "bisimilar" | "not" | "inconclusive"
-    reason: str | None = None
-
-
 def _refinement(g: _Graph, kind: str) -> Iterator[list[int]]:
     """The partitions of signature refinement for kind, as block numbers per
     state: first the partition with one block, then the partition of each
@@ -1161,14 +1157,15 @@ def _violation(g: _Graph, kind: str, u: int, v: int, related: Callable[[int, int
 
 
 def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
-          input_barbs: bool = False) -> BisimVerdict:
+          input_barbs: bool = False) -> Verdict:
     """Decide whether p and q are bisimilar of the given kind.
 
-    Both reduction graphs are explored within the state budget; if either
-    does not close, the verdict is inconclusive.  On the union of the two
-    graphs, with state keys numbered once, _refinement splits blocks by the
-    kind's signature until the partition is stable; the roots are bisimilar
-    iff they end in one block.  Divergence (some infinite run, or for
+    Both reduction graphs are explored within the state budget, once when p
+    and q have one normal form (they are then bisimilar); if either does not
+    close, the verdict is inconclusive.  On the union of the two graphs, with
+    state keys numbered once, _refinement splits blocks by the kind's
+    signature until the partition is stable; the roots are bisimilar iff they
+    end in one block.  Divergence (some infinite run, or for
     dp-branching an infinite run of inert steps) comes from one pass of
     Tarjan's strongly connected components.
 
@@ -1184,9 +1181,12 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
     g1 = explore(p, budget, input_barbs)
-    g2 = explore(q, budget, input_barbs)
+    root2 = normal_form(q)
+    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
-        return BisimVerdict("inconclusive", "state budget exhausted before both graphs closed")
+        return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
+    if g1 is g2:
+        return Verdict("yes")
     states = {**g1.states, **g2.states}
     g = _Graph(list(states), {**g1.edges, **g2.edges}, {**g1.barbs, **g2.barbs})
     a, b = (g.index[k] for k in sorted((g1.root, g2.root)))
@@ -1197,7 +1197,7 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
             break
         before = block
     else:
-        return BisimVerdict("bisimilar")
+        return Verdict("yes")
 
     def show(i: int) -> str:
         return print_state(states[g.keys[i]])
@@ -1208,5 +1208,5 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
 
         msg = _violation(g, kind, a, b, related, show) or _violation(g, kind, b, a, related, show)
         if msg:
-            return BisimVerdict("not", msg)
-    return BisimVerdict("not", "root states distinguished")
+            return Verdict("no", note=msg)
+    return Verdict("no", note="root states distinguished")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import Callable, Iterator
 
+from .verdict import Verdict
+
 _PLACEHOLDER = re.compile(r"X[0-9]+$")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -488,36 +490,27 @@ def enumerate_terms(sig: Signature, depth: int,
         pool += fresh_level
 
 
-@dataclass(frozen=True)
-class DepthVerdict:
-    holds: bool
-    depth: int
-    checked: int
-    exhausted: bool
-    witness: tuple | None = None
-
-
 def check_compositional(sig_src: Signature, sig_tgt: Signature,
                         translate: Callable[[Term], Term], depth: int,
-                        max_pairs: int = 10000) -> DepthVerdict:
+                        max_pairs: int = 10000) -> Verdict:
     """Test the three compositionality clauses over the canonical term pool.
 
     Clause (1) T(E[sigma]) =alpha T(E)[T.sigma] is checked for pairs (E, sigma)
     in canonical order until the pool or the budget is exhausted; the budget
-    keeps large signatures tractable and is reported in the verdict.
+    keeps large signatures tractable, and the note says which ran out.
     """
     if depth < 1:
         raise TermError("depth must be >= 1")
     for x in ("X", "Y"):
         got = translate(Var(x))
         if got != Var(x):
-            return DepthVerdict(False, depth, 0, False, ("clause-3", Var(x), got))
+            return Verdict("no", ("clause-3", Var(x), got))
     ranges = list(enumerate_terms(sig_src, max(depth - 1, 1)))
     checked = 0
     for e in enumerate_terms(sig_src, depth):
         variant = canonical_binders(sig_src, e, base="q")
         if not alpha_eq(sig_tgt, translate(e), translate(variant)):
-            return DepthVerdict(False, depth, checked, False, ("clause-2", e, variant))
+            return Verdict("no", ("clause-2", e, variant), checked=checked)
         fv = sorted(free_vars(sig_src, e))
         if not fv:
             domains: list[dict[str, Term]] = [{}]
@@ -529,26 +522,26 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
             rhs = substitute(sig_tgt, translate(e), {x: translate(r) for x, r in sigma.items()})
             checked += 1
             if not alpha_eq(sig_tgt, lhs, rhs):
-                return DepthVerdict(False, depth, checked, False, (e, sigma, lhs, rhs))
+                return Verdict("no", (e, sigma, lhs, rhs), checked=checked)
             if checked >= max_pairs:
-                return DepthVerdict(True, depth, checked, False)
-    return DepthVerdict(True, depth, checked, True)
+                return Verdict("yes", note=f"cap of {max_pairs} pairs reached", checked=checked)
+    return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)
 
 
 def is_fvr(sig_src: Signature, sig_tgt: Signature,
            translate: Callable[[Term], Term], depth: int,
-           max_terms: int = 4000) -> DepthVerdict:
+           max_terms: int = 4000) -> Verdict:
     """Free-variable respecting to depth: fv(T(E)) is a subset of fv(E)."""
     if depth < 1:
         raise TermError("depth must be >= 1")
     checked = 0
     for e in enumerate_terms(sig_src, depth):
         if not free_vars(sig_tgt, translate(e)) <= free_vars(sig_src, e):
-            return DepthVerdict(False, depth, checked, False, (e,))
+            return Verdict("no", (e,), checked=checked)
         checked += 1
         if checked >= max_terms:
-            return DepthVerdict(True, depth, checked, False)
-    return DepthVerdict(True, depth, checked, True)
+            return Verdict("yes", note=f"cap of {max_terms} terms reached", checked=checked)
+    return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)
 
 
 # ------------- concrete syntax -------------

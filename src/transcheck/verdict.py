@@ -1,0 +1,28 @@
+"""The answer of every check: yes, no or inconclusive."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """status is "yes" (the property holds, within any bound the note names),
+    "no" (it fails, and witness is the counterexample) or "inconclusive" (a
+    resource limit was reached first, and the note says which).  checked
+    counts the cases a bounded search went through, where the check counts
+    them."""
+    status: str
+    witness: object = None
+    note: str = ""
+    checked: int = 0
+
+    @property
+    def holds(self) -> bool:
+        return self.status == "yes"
+
+    @property
+    def result(self) -> str:
+        """The status in the words of the bisimilarities: "bisimilar", "not"
+        or "inconclusive"."""
+        return {"yes": "bisimilar", "no": "not"}.get(self.status, self.status)

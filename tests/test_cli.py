@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import FIXTURES
 
 from transcheck.cli import main
@@ -438,3 +440,86 @@ def test_table_key_outside_values_is_named(cli, tmp_path):
         "operators": [{"name": "neg", "arity": 1, "table": {"0": "1", "1": "0", "2": "0"}}]})
     code, out, _ = cli("lang", "validate", "--lang", lang)
     assert (code, out) == (FAIL, "invalid: l.neg: table keys outside values: [('2',)]\n")
+
+
+def test_check_congruence_on_image_needs_the_carrier(cli):
+    code, out, err = cli("check", "congruence", "--image", *UNCOVERED)
+    assert (code, out, err) == (USAGE, "", MISSES)
+
+
+def test_check_congruence_on_image_rejects_stray_values(cli):
+    image = ("check", "congruence", "--image", "--source", "negtop/L.json",
+             "--target", "negtop/Lp.json", "--translation", "negtop/T.json",
+             "--relation", "negtop/sim.json")
+    code, out, err = cli(*image, "--w", "0,zzz")
+    assert (code, out, err) == (USAGE, "", "error: values outside neg3: ['zzz']\n")
+    code, out, _ = cli(*image, "--w", "0,1,top")
+    assert (code, out) == (FAIL, "congruence: no\nwitness: neg | {X1=1} | {X1=top} | 0 | top\n")
+    code, out, _ = cli(*image, "--w", "0,1")
+    assert (code, out) == (OK, "congruence: yes\n")
+
+
+# ------------- the exit-code contract -------------
+
+NEGTOP = ("--source", "negtop/L.json", "--target", "negtop/Lp.json",
+          "--translation", "negtop/T.json", "--relation", "negtop/sim.json")
+MOD3 = ("--source", "mod3/L.json", "--target", "mod3/Lp.json",
+        "--translation", "mod3/T.json", "--relation", "mod3/sim.json")
+CYCLE4 = ("--source", "cycle4/L.json", "--target", "cycle4/Lp.json",
+          "--translation", "cycle4/T.json", "--relation", "cycle4/sim.json")
+ANSWER_EXIT = {"yes": OK, "bisimilar": OK, "no": FAIL, "not bisimilar": FAIL,
+               "inconclusive": INCONCLUSIVE}
+
+
+def _answer(out: str) -> str:
+    """The answer word of a verdict's first line: `label: word`, `word` or
+    `word: reason`."""
+    first = out.splitlines()[0]
+    label, _, rest = first.partition(": ")
+    return label if label in ANSWER_EXIT else rest
+
+
+@pytest.mark.parametrize("argv", [
+    *(("check", name, *triple) for name in ("valid", "correct", "preserves", "respects")
+      for triple in (NEGTOP, MOD3, CYCLE4)),
+    *(("check", "congruence", "--image", *triple) for triple in (NEGTOP, MOD3, CYCLE4)),
+    ("check", "congruence", "--lang", "negtop/L.json", "--relation", "negtop/sim.json"),
+    ("check", "congruence", "--lang", "mod3/Lp.json", "--relation", "mod3/sim.json",
+     "--one-hole"),
+    ("pi", "bisim", "x!z.0", "new t. (t!t | t(s).x!z.0)"),
+    ("pi", "bisim", "x!z.0", "y!z.0", "--kind", "strong-barbed"),
+    ("pi", "bisim", "x!a.x!a.x!a | !x(y).0", "0", "--budget", "2"),
+    ("pi", "weak-barb", "x!z", "v", "--context", "X | x(u).u!v"),
+    ("pi", "weak-barb", "new u. (x!u | u(v).v!z)", "v", "--context", "X | x(u).u!v"),
+    ("pi", "weak-barb", "!x(y).(x!y | x!y) | x!a", "q", "--budget", "3"),
+], ids=" ".join)
+def test_answer_word_matches_exit_code(cli, argv):
+    code, out, err = cli(*argv)
+    assert err == ""
+    assert ANSWER_EXIT[_answer(out)] == code
+
+
+def _parity(tmp_path, n: int) -> tuple[str, ...]:
+    """Z_n against Z_n with the head map s |-> s(s(X1)), ~ relating values of
+    equal parity; for even n no semantic translation inside ~ is correct."""
+    vals = [str(i) for i in range(n)]
+    for name in (f"z{n}", f"z{n}p"):
+        _write_json(tmp_path / f"{name}.json", {
+            "name": name, "values": vals,
+            "operators": [{"name": "s", "arity": 1,
+                           "table": {v: str((int(v) + 1) % n) for v in vals}}]})
+    _write_json(tmp_path / "T.json", {"source": f"z{n}", "target": f"z{n}p",
+                                      "heads": {"s": "s(s(X1))"}})
+    pairs = ([[f"z{n}.{v}", f"z{n}p.{v}"] for v in vals]
+             + [[f"z{n}.{i}", f"z{n}.{i + 2}"] for i in range(n - 2)])
+    _write_json(tmp_path / "sim.json", {
+        "kind": "equivalence", "pairs": pairs,
+        "carrier": [f"{lang}.{v}" for lang in (f"z{n}", f"z{n}p") for v in vals]})
+    return ("--source", str(tmp_path / f"z{n}.json"), "--target", str(tmp_path / f"z{n}p.json"),
+            "--translation", str(tmp_path / "T.json"), "--relation", str(tmp_path / "sim.json"))
+
+
+def test_check_valid_at_its_cap_is_inconclusive(cli, tmp_path):
+    code, out, _ = cli("check", "valid", *_parity(tmp_path, 8))
+    assert code == INCONCLUSIVE
+    assert out == "valid: inconclusive\nnote: inconclusive: candidate cap 1048576 exceeded\n"

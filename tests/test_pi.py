@@ -387,7 +387,7 @@ def test_divergence_sensitive_kinds():
 def test_strong_bisim_distinguishes_subjects():
     v = bisim(parse_pi("x!z"), parse_pi("y!z"), "strong-barbed", 10)
     assert v.result == "not"
-    assert "barb" in v.reason
+    assert "barb" in v.note
 
 
 def test_barbed_bisim_ignores_payloads():

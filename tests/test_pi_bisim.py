@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transcheck import pi
 from transcheck.encodings import load_pairs
 from transcheck.pi import (BISIM_KINDS, Barb, In, Nil, Out, Par, Repl, Res,
                            _divergent, _Graph, _refinement, bisim, explore,
@@ -238,7 +239,28 @@ def test_bisim_matches_pairwise_fixpoint_on_processes(p, q):
         v = bisim(p, q, kind, 40)
         assert v.result == ("bisimilar" if tuple(sorted((g1.root, g2.root))) in rel else "not")
         if v.result == "not":
-            assert v.reason != "root states distinguished"
+            assert v.note != "root states distinguished"
+
+
+@pytest.mark.parametrize("kind", BISIM_KINDS)
+@pytest.mark.parametrize("left, right, budget, result", [
+    ("x!z | x(y).y!w", "x!z | x(y).y!w", 100, "bisimilar"),
+    ("new a. (a!b | a(c).c!w)", "new d. (d!b | d(e).e!w)", 100, "bisimilar"),
+    ("new t. (t!t | !t(s).t!s)", "new t. (t!t | !t(s).t!s)", 100, "bisimilar"),
+    ("x!a.x!a.x!a | !x(y).0", "x!a.x!a.x!a | !x(y).0", 2, "inconclusive"),
+])
+def test_bisim_explores_one_normal_form_once(monkeypatch, kind, left, right, budget, result):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(pi, "explore", counting)
+    assert bisim(parse_pi(left), parse_pi(right), kind, budget).result == result
+    assert len(calls) == 1
+    assert bisim(parse_pi(left), parse_pi("x!z"), kind, budget).result != "bisimilar"
+    assert len(calls) == 3
 
 
 # ------------- reasons -------------
@@ -258,8 +280,8 @@ def test_branching_reason_names_the_step(kind):
     p, q = independent_pairs(4)
     v = bisim(p, q, kind, 100)
     assert v.result == "not"
-    assert v.reason.startswith("step ")
-    assert "violates the branching condition" in v.reason
+    assert v.note.startswith("step ")
+    assert "violates the branching condition" in v.note
 
 
 def test_wdp_reason_names_the_divergence():
@@ -267,7 +289,7 @@ def test_wdp_reason_names_the_divergence():
     p, q = (parse_pi(s) for s in pairs[4])
     v = bisim(p, q, "wdp-branching-barbed", 300)
     assert v.result == "not"
-    assert v.reason == "new t. (x!z | t!c | !t(y).t!y) diverges but x!z does not"
+    assert v.note == "new t. (x!z | t!c | !t(y).t!y) diverges but x!z does not"
 
 
 # ------------- frontier -------------
