@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterator
 
 from .terms import (App, Construct, Signature, Term, Translation, Var,
@@ -382,32 +382,124 @@ def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangua
     return Verdict("yes")
 
 
+class _Closure:
+    """Least closures under F_T, the map check_correct_wrt tests on heads.
+
+    F_T(R) holds (I[eta], f[rho]) for every head f(X1..Xn) with image I and
+    every pair of valuations with eta(x) R rho(x) on their joint variables;
+    T is correct w.r.t. a total R iff F_T(R) is inside R.  Pairs are bare
+    (target value, source value); a closure that would leave `inside` is None.
+    """
+
+    def __init__(self, tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
+                 inside: frozenset[tuple[str, str]]):
+        self.lang2 = lang2
+        self.inside = inside
+        self.rules = []  # (joint variables, positions of X1..Xn in them, f's table, I, I's memo)
+        for name, head, image in _heads(tr):
+            joint = tuple(sorted(free_vars(lang.signature, head)
+                                 | free_vars(lang2.signature, image)))
+            table = next(op.table for op in lang.operators if op.name == name)
+            self.rules.append((joint, tuple(joint.index(x.name) for x in head.args),
+                               table, image, {}))
+        # heads with no variables derive their pair from the empty relation
+        self.seeds = tuple(self._derive(rule, ()) for rule in self.rules if not rule[0])
+
+    def _derive(self, rule: tuple, combo: tuple[tuple[str, str], ...]) -> tuple[str, str]:
+        joint, args, table, image, memo = rule
+        eta = tuple(w for w, _ in combo)
+        if eta not in memo:
+            memo[eta] = denote(self.lang2, image, dict(zip(joint, eta)))
+        return memo[eta], table[tuple(combo[i][1] for i in args)]
+
+    def __call__(self, rel: frozenset[tuple[str, str]],
+                 new: tuple[tuple[str, str], ...]) -> frozenset[tuple[str, str]] | None:
+        """The least closed relation holding rel (closed) and new.  Only
+        derivations that use a new pair are made."""
+        out = set(rel)
+        work: list[tuple[str, str]] = []
+        for p in new:
+            if p not in out:
+                if p not in self.inside:
+                    return None
+                out.add(p)
+                work.append(p)
+        while work:
+            p = work.pop()
+            others = list(out)
+            for rule in self.rules:
+                k = len(rule[0])
+                for i in range(k):
+                    for combo in product(*([p] if j == i else others for j in range(k))):
+                        q = self._derive(rule, combo)
+                        if q not in out:
+                            if q not in self.inside:
+                                return None
+                            out.add(q)
+                            work.append(q)
+        return frozenset(out)
+
+
 def check_valid_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                      rel: Relation, cap: int = 2 ** 20) -> Verdict:
     """Search for a semantic translation inside the relation witnessing correctness.
 
-    Candidates are subsets of rel over target x source values, enumerated by
-    increasing size; the first (hence lexicographically least) total witness
-    is returned.  Inconclusive when the cap is hit first.
+    For a head map, T is correct w.r.t. a total R iff F_T(R) is inside R
+    (see _Closure), and F_T is monotone.  So the correct relations are closed
+    under intersection, and every smallest total correct R is the least
+    F_T-closure of one choice of a related target per source value: the
+    closure of the choices R makes is inside R, total and correct.  The
+    search backtracks over such closures: it takes the first source value
+    the current closure misses, adds each of its related targets in turn and
+    closes again.  A branch ends when a derived pair leaves the relation,
+    when its closure was seen before, or when it cannot end smaller than the
+    best witness found.
+
+    The witness is the least total closure by (size, sorted (target, source)
+    pairs), which is the first total correct subset of the related pairs in
+    order of size and then lexicographic order.  The note of "no" counts the
+    candidates that answer rules out: every nonempty subset of the related
+    pairs.  cap bounds the closures computed, which `checked` counts; when
+    it is reached first the verdict is inconclusive.
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict("yes", SemanticTranslation("R", ()), "vacuous: no source values")
     pool = sorted((w, v) for w in lang2.values for v in lang.values
                   if rel.related(lang2.qualify(w), lang.qualify(v)))
-    considered = 0
-    for size in range(1, len(pool) + 1):
-        for subset in combinations(pool, size):
-            considered += 1
-            if considered > cap:
-                return Verdict("inconclusive", note=f"inconclusive: candidate cap {cap} exceeded")
-            if {v for _, v in subset} != set(lang.values):
-                continue
-            r = SemanticTranslation("R", tuple(
-                (lang2.qualify(w), lang.qualify(v)) for w, v in subset))
-            if check_correct_wrt(tr, lang, lang2, r).holds:
-                return Verdict("yes", r)
-    return Verdict("no", note=f"exhausted {considered} candidates")
+    targets = {v: [w for w, u in pool if u == v] for v in lang.values}
+    close = _Closure(tr, lang, lang2, frozenset(pool))
+    best: tuple[int, list[tuple[str, str]]] | None = None
+    seen: set[frozenset[tuple[str, str]]] = set()
+    checked = 0
+    # frames: (closed relation, how many source values it misses, the
+    # branches: pairs to add to it, one tuple per branch)
+    stack = [(frozenset(), len(lang.values), iter([close.seeds]))]
+    while stack:
+        r, missing, branches = stack[-1]
+        new = next(branches, None)
+        if new is None or (best is not None and len(r) + missing > best[0]):
+            stack.pop()
+            continue
+        if checked == cap:
+            return Verdict("inconclusive", note=f"inconclusive: candidate cap {cap} exceeded",
+                           checked=checked)
+        checked += 1
+        r = close(r, new)
+        if r is None or r in seen:
+            continue
+        seen.add(r)
+        covered = {v for _, v in r}
+        uncovered = [v for v in lang.values if v not in covered]
+        if uncovered:
+            v = uncovered[0]
+            stack.append((r, len(uncovered), iter([((w, v),) for w in targets[v]])))
+        elif best is None or (len(r), sorted(r)) < best:
+            best = (len(r), sorted(r))
+    if best is None:
+        return Verdict("no", note=f"exhausted {2 ** len(pool) - 1} candidates", checked=checked)
+    return Verdict("yes", SemanticTranslation("R", tuple(
+        (lang2.qualify(w), lang.qualify(v)) for w, v in best[1])), checked=checked)
 
 
 def upward_closed_targets(lang: FiniteLanguage, lang2: FiniteLanguage,
@@ -463,6 +555,7 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     img_index = {row: i for i, row in enumerate(rows_img)}
     ext_rows = [row[len(variables) - len(extras):] if extras else ()
                 for row in rows_img]
+    ext_cols = tuple(zip(*ext_rows))
 
     image_ops = {}
     for name, _, image in _heads(tr):
@@ -476,11 +569,12 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
         image_ops[name] = tbl
 
     def combine(op: Operator, combo: tuple) -> tuple:
-        src = tuple(op.table[tuple(c[0][i] for c in combo)]
-                    for i in range(len(rows_src)))
         img_tbl = image_ops[op.name]
-        img = tuple(img_tbl[tuple(c[1][i] for c in combo) + ext_rows[i]]
-                    for i in range(len(rows_img)))
+        if not combo:
+            return (op.table[()],) * len(rows_src), tuple(map(img_tbl.__getitem__, ext_rows))
+        # row i's argument tuple is column i of the combo's tables
+        src = tuple(map(op.table.__getitem__, zip(*(c[0] for c in combo))))
+        img = tuple(map(img_tbl.__getitem__, zip(*(c[1] for c in combo), *ext_cols)))
         return src, img
 
     reps: dict[tuple, Term] = {}
@@ -526,24 +620,42 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     if not lang2.values:
         return Verdict("no")
     reps, variables, rows_src, img_index, exhausted = _preserve_reps(tr, lang, lang2, depth)
-    cands = [[w for w in lang2.values if rel.related(lang2.qualify(w), lang.qualify(v))]
-             for v in lang.values]
+    related = {(w, v) for w in lang2.values for v in lang.values
+               if rel.related(lang2.qualify(w), lang.qualify(v))}
+    cands = [[w for w in lang2.values if (w, v) in related] for v in lang.values]
+    # bT is assigned depth-first in lang.values order, so the first full map
+    # found is the first in product order; a row is checked at the depth that
+    # gives its last value a target
+    last = {v: d for d, v in enumerate(lang.values)}
+    due: list[list[int]] = [[] for _ in lang.values]
+    for i, row in enumerate(rows_src):
+        due[max(last[v] for v in row)].append(i)
     items = list(reps)
-    for combo in product(*cands):
-        bt = dict(zip(lang.values, combo))
-        ok = True
-        for src, img in items:
-            for i, row in enumerate(rows_src):
-                theta = tuple(bt[v] for v in row)
-                if not rel.related(lang2.qualify(img[img_index[theta]]),
-                                   lang.qualify(src[i])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            certified = exhausted or _homomorphism_certificate(tr, lang, lang2, bt)
-            return Verdict("yes", bt, "preserves" if certified else f"holds-to-depth {depth}")
+    bt: dict[str, str] = {}
+
+    def rows_hold(d: int) -> bool:
+        for i in due[d]:
+            theta = img_index[tuple(bt[v] for v in rows_src[i])]
+            if any((img[theta], src[i]) not in related for src, img in items):
+                return False
+        return True
+
+    stack = [iter(cands[0])]
+    while stack:
+        d = len(stack) - 1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        bt[lang.values[d]] = w
+        if not rows_hold(d):
+            continue
+        if d + 1 < len(lang.values):
+            stack.append(iter(cands[d + 1]))
+            continue
+        found = {v: bt[v] for v in lang.values}
+        certified = exhausted or _homomorphism_certificate(tr, lang, lang2, found)
+        return Verdict("yes", found, "preserves" if certified else f"holds-to-depth {depth}")
     return Verdict("no")
 
 

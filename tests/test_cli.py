@@ -519,7 +519,7 @@ def _parity(tmp_path, n: int) -> tuple[str, ...]:
             "--translation", str(tmp_path / "T.json"), "--relation", str(tmp_path / "sim.json"))
 
 
-def test_check_valid_at_its_cap_is_inconclusive(cli, tmp_path):
+def test_check_valid_decides_parity_z8(cli, tmp_path):
     code, out, _ = cli("check", "valid", *_parity(tmp_path, 8))
-    assert code == INCONCLUSIVE
-    assert out == "valid: inconclusive\nnote: inconclusive: candidate cap 1048576 exceeded\n"
+    assert code == FAIL
+    assert out == "valid: no\nnote: exhausted 4294967295 candidates\n"

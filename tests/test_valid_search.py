@@ -1,0 +1,226 @@
+"""The closure search of check_valid_upto and the depth-first bT search of
+check_preserves against the exhaustive searches they replaced."""
+
+import json
+import random
+from itertools import combinations, product
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transcheck import finlang
+from transcheck.finlang import (FiniteLanguage, Operator, Relation, SemanticTranslation,
+                                check_correct_wrt, check_preserves, check_valid_upto,
+                                denote, load_language, load_relation, load_translation)
+from transcheck.terms import App, Var, complete_compositional, translation
+from transcheck.verdict import Verdict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ---------- the replaced searches, kept as oracles ----------
+
+def subset_search(tr, lang, lang2, rel, cap=2 ** 20) -> Verdict:
+    """Every subset of the related target x source pairs by increasing size;
+    the first total one the translation is correct for is the witness."""
+    if not lang.values:
+        return Verdict("yes", SemanticTranslation("R", ()), "vacuous: no source values")
+    pool = sorted((w, v) for w in lang2.values for v in lang.values
+                  if rel.related(lang2.qualify(w), lang.qualify(v)))
+    considered = 0
+    for size in range(1, len(pool) + 1):
+        for subset in combinations(pool, size):
+            considered += 1
+            if considered > cap:
+                return Verdict("inconclusive", note=f"inconclusive: candidate cap {cap} exceeded")
+            if {v for _, v in subset} != set(lang.values):
+                continue
+            r = SemanticTranslation("R", tuple(
+                (lang2.qualify(w), lang.qualify(v)) for w, v in subset))
+            if check_correct_wrt(tr, lang, lang2, r).holds:
+                return Verdict("yes", r)
+    return Verdict("no", note=f"exhausted {considered} candidates")
+
+
+def product_preserves(tr, lang, lang2, rel, depth) -> Verdict:
+    """check_preserves trying every bT in product order, each on all rows."""
+    if not lang.values:
+        return Verdict("yes", {}, "preserves")
+    if not lang2.values:
+        return Verdict("no")
+    reps, _, rows_src, img_index, exhausted = finlang._preserve_reps(tr, lang, lang2, depth)
+    cands = [[w for w in lang2.values if rel.related(lang2.qualify(w), lang.qualify(v))]
+             for v in lang.values]
+    for combo in product(*cands):
+        bt = dict(zip(lang.values, combo))
+        if all(rel.related(lang2.qualify(img[img_index[tuple(bt[v] for v in row)]]),
+                           lang.qualify(src[i]))
+               for src, img in reps for i, row in enumerate(rows_src)):
+            certified = exhausted or finlang._homomorphism_certificate(tr, lang, lang2, bt)
+            return Verdict("yes", bt, "preserves" if certified else f"holds-to-depth {depth}")
+    return Verdict("no")
+
+
+def same_answer(new: Verdict, old: Verdict) -> bool:
+    return (new.status, new.witness, new.note) == (old.status, old.witness, old.note)
+
+
+# ---------- instances ----------
+
+def suite_instances(seed: int, trials: int):
+    """The (translation, source, target, relation) instances property_suite
+    draws with this seed: T1 from L1 to L2 and T2 from L2 to L3."""
+    rnd = random.Random(seed)
+    for _ in range(trials):
+        l1, l2, l3 = (finlang._random_language(rnd, n) for n in ("L1", "L2", "L3"))
+        rel = finlang._random_equivalence(
+            rnd, l1.qualified_values + l2.qualified_values + l3.qualified_values)
+        t1 = finlang._random_translation(rnd, l1, l2)
+        t2 = finlang._random_translation(rnd, l2, l3)
+        if t1 is None or t2 is None:
+            continue
+        for tr, src, tgt in ((t1, l1, l2), (t2, l2, l3)):
+            yield tr, src, tgt, rel.restricted(set(src.qualified_values)
+                                               | set(tgt.qualified_values))
+
+
+SUITE = list(suite_instances(7, 1000))
+
+
+def fixture(name):
+    d = FIXTURES / name
+    src = load_language(json.loads((d / "L.json").read_text()))
+    tgt = load_language(json.loads((d / "Lp.json").read_text()))
+    rel = load_relation(json.loads((d / "sim.json").read_text()))
+    return load_translation(json.loads((d / "T.json").read_text()), src, tgt), src, tgt, rel
+
+
+def parity(n: int):
+    """Z_n against Z_n, s |-> s(s(X1)), ~ relating values of equal parity."""
+    vals = [str(i) for i in range(n)]
+
+    def lang(name):
+        return load_language({"name": name, "values": vals, "operators": [
+            {"name": "s", "arity": 1, "table": {v: str((int(v) + 1) % n) for v in vals}}]})
+
+    src, tgt = lang(f"z{n}"), lang(f"z{n}p")
+    rel = load_relation({"kind": "equivalence",
+                         "carrier": list(src.qualified_values + tgt.qualified_values),
+                         "pairs": [[src.qualify(v), tgt.qualify(v)] for v in vals]
+                         + [[src.qualify(str(i)), src.qualify(str(i + 2))]
+                            for i in range(n - 2)]})
+    tr = load_translation({"source": src.name, "target": tgt.name,
+                           "heads": {"s": "s(s(X1))"}}, src, tgt)
+    return tr, src, tgt, rel
+
+
+@st.composite
+def instances(draw):
+    """Languages with an arity-2 operator each, a relation drawn pair by pair
+    over target x source, and head images that may use the variable Y, which
+    no head binds; at least one image does."""
+
+    def language(name):
+        values = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
+        arities = draw(st.lists(st.integers(0, 2), max_size=2)) + [2]
+        return FiniteLanguage(name, values, tuple(
+            Operator(f"f{j}", a, {args: draw(st.sampled_from(values))
+                                  for args in product(values, repeat=a)})
+            for j, a in enumerate(arities)))
+
+    src, tgt = language("S"), language("T")
+    cross = [(tgt.qualify(w), src.qualify(v)) for w in tgt.values for v in src.values]
+    carrier = src.qualified_values + tgt.qualified_values
+    pairs = draw(st.sets(st.sampled_from(cross)))
+    rel = Relation("sim", "preorder", tuple(sorted(carrier)),
+                   frozenset(pairs) | {(c, c) for c in carrier})
+    consts = [App(op.name, (), ()) for op in tgt.operators if op.arity == 0]
+
+    def image(arity, budget):
+        leaves = [Var(f"X{i + 1}") for i in range(arity)] + [Var("Y")] + consts
+        if budget == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(leaves))
+        op = draw(st.sampled_from([op for op in tgt.operators if op.arity > 0]))
+        return App(op.name, (), tuple(image(arity, budget - 1) for _ in range(op.arity)))
+
+    heads = {op.name: image(op.arity, 2) for op in src.operators}
+    binary = next(op.name for op in tgt.operators if op.arity == 2)
+    forced = draw(st.sampled_from(sorted(heads)))
+    heads[forced] = App(binary, (), (Var("Y"), heads[forced]))
+    return translation(src.signature, tgt.signature, heads), src, tgt, rel
+
+
+# ---------- check_valid_upto ----------
+
+def test_closure_search_matches_subset_search_on_suite_instances():
+    assert len(SUITE) >= 1000
+    valid = 0
+    for inst in SUITE:
+        new, old = check_valid_upto(*inst), subset_search(*inst)
+        assert same_answer(new, old), inst
+        valid += new.holds
+    assert valid >= 100  # valid instances are well represented, not only "no"
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_closure_search_matches_subset_search_with_image_only_variables(inst):
+    assert same_answer(check_valid_upto(*inst), subset_search(*inst))
+
+
+@pytest.mark.parametrize("name", ["negtop", "cycle4", "mod3", "samecopy"])
+def test_closure_search_matches_subset_search_on_fixtures(name):
+    inst = fixture(name)
+    assert same_answer(check_valid_upto(*inst), subset_search(*inst))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_closure_search_matches_subset_search_on_parity(n):
+    inst = parity(n)
+    new = check_valid_upto(*inst)
+    assert same_answer(new, subset_search(*inst))
+    assert (new.status, new.note) == ("no", f"exhausted {2 ** (n * n // 2) - 1} candidates")
+
+
+def test_cap_bounds_the_closures_computed():
+    # Z_4: the closure of no choice, then the two choices for 0, both leaving ~
+    assert check_valid_upto(*parity(4)).checked == 3
+    for cap in (0, 1, 2):
+        v = check_valid_upto(*parity(4), cap=cap)
+        assert (v.status, v.note) == ("inconclusive", f"inconclusive: candidate cap {cap} exceeded")
+        assert v.checked == cap
+    assert check_valid_upto(*parity(4), cap=3).status == "no"
+
+
+# ---------- check_preserves ----------
+
+def test_depth_first_bt_matches_product_order_on_suite_instances():
+    found = 0
+    for inst in SUITE[::2]:
+        new, old = check_preserves(*inst, depth=3), product_preserves(*inst, depth=3)
+        assert same_answer(new, old), inst
+        found += new.holds
+    assert found >= 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_depth_first_bt_matches_product_order_with_image_only_variables(inst):
+    assert same_answer(check_preserves(*inst, depth=2), product_preserves(*inst, depth=2))
+
+
+def test_behaviour_tables_are_meanings():
+    """Each behaviour's two tables are its term's meaning and its
+    translation's meaning, row by row."""
+    for tr, src, tgt, _ in SUITE[:50]:
+        reps, variables, rows_src, img_index, _ = finlang._preserve_reps(tr, src, tgt, 3)
+        rows_img = sorted(img_index, key=img_index.get)
+        translate = complete_compositional(tr)
+        for (src_tbl, img_tbl), term in reps.items():
+            assert src_tbl == tuple(denote(src, term, dict(zip(variables, row)))
+                                    for row in rows_src)
+            image = translate(term)
+            assert img_tbl == tuple(denote(tgt, image, dict(zip(variables, row)))
+                                    for row in rows_img)
