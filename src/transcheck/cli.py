@@ -23,9 +23,9 @@ from .finlang import (FiniteLanguage, InputError, Relation,
                       is_one_hole_congruence, load_language, load_relation,
                       load_semantic_translation, load_translation, lr_closure,
                       property_suite, upward_closed_targets)
-from .pi import (BISIM_KINDS, ExtBarb, In, Out, Par, PiError, PiTerm, Repl, Res,
-                 barb_from_text, bisim, explore, normal_form, parse_pi, print_pi,
-                 print_state, reduce_once, strong_barbs, weak_barb)
+from .pi import (BISIM_KINDS, PiError, PiTerm, barb_from_text, bisim, explore,
+                 normal_form, parse_pi, print_pi, print_state, reduce_once,
+                 strong_barbs, weak_barb, _scan)
 from .terms import Term, TermError, compose_translations, print_term
 from .verdict import Verdict
 
@@ -250,23 +250,10 @@ def _parse_term_arg(ns, text: str) -> PiTerm:
     omega = getattr(ns, "ext", None)
     if omega is not None:
         declared = set(omega.split(",")) if omega else set()
-        used = _ext_ids(t)
-        stray = used - declared
+        stray = _scan(t).ext - declared
         if stray:
             raise PiError(f"external barb ids {sorted(stray)} not in the declared set")
     return t
-
-
-def _ext_ids(t: PiTerm) -> set[str]:
-    match t:
-        case ExtBarb(w):
-            return {w}
-        case Out(_, _, k) | In(_, _, k) | Res(_, k) | Repl(k):
-            return _ext_ids(k)
-        case Par(l, r):
-            return _ext_ids(l) | _ext_ids(r)
-        case _:
-            return set()
 
 
 def _subject(ns) -> PiTerm:
@@ -350,7 +337,7 @@ def _cmd_pi_check_encoding(ns) -> int:
                  if line.strip() and not line.strip().startswith("#")] + texts
     if not texts:
         raise InputError("no terms given (positional or --file)")
-    terms = [parse_pi(s, allow_reserved=ns.allow_reserved) for s in texts]
+    terms = [_parse_term_arg(ns, s) for s in texts]
     report = check_encoding_pairs(boudol_encoding(), terms, ns.kind, ns.budget)
     for p, v in report.rows:
         print(f"{v.result}: {print_pi(p)}")
@@ -361,8 +348,7 @@ def _cmd_pi_check_encoding(ns) -> int:
 
 
 def _cmd_pi_full_abstraction(ns) -> int:
-    pairs = [(parse_pi(a, allow_reserved=ns.allow_reserved),
-              parse_pi(b, allow_reserved=ns.allow_reserved))
+    pairs = [(_parse_term_arg(ns, a), _parse_term_arg(ns, b))
              for a, b in load_pairs(_read_text(ns.pairs))]
     enc = boudol_encoding()
 

@@ -197,9 +197,6 @@ class SemanticTranslation:
     name: str
     pairs: tuple[tuple[str, str], ...]  # (target value, source value), qualified
 
-    def targets_of(self, v: str) -> list[str]:
-        return sorted(w for w, u in self.pairs if u == v)
-
     def image(self) -> list[str]:
         return sorted({w for w, _ in self.pairs})
 
@@ -372,7 +369,7 @@ def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangua
         joint = tuple(sorted(free_vars(lang.signature, head)
                              | free_vars(lang2.signature, image)))
         for rho in valuations(joint, lang.values):
-            cands = [[w for w, u in rp if u == lang.qualify(rho[x])] for x in joint]
+            cands = [[w for w, u in r.pairs if u == lang.qualify(rho[x])] for x in joint]
             for combo in product(*cands):
                 eta = dict(zip(joint, [w.split(".", 1)[1] for w in combo]))
                 lhs = denote(lang2, image, eta)

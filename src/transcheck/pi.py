@@ -72,66 +72,100 @@ class ExtBarb:
 PiTerm = Nil | Out | In | Par | Res | Repl | PVar | ExtBarb
 
 
+class _Names(NamedTuple):
+    """What one walk of a term collects (see _scan)."""
+    free: set[str]  # free names
+    names: set[str]  # every name, bound or free, barb ids included
+    params: set[str]  # input parameters
+    binders: dict[str, int]  # restriction binders, with how often each occurs
+    pvars: set[str]  # process variables
+    ext: set[str]  # external barb ids
+    sync: bool  # some output has a continuation other than 0
+
+
+class _Unbind(NamedTuple):
+    """Stack entry that closes the scope of one input or restriction binder."""
+    name: str
+
+
+def _scan(t: PiTerm) -> _Names:
+    """Collect the names of t in one walk with an explicit stack, so a term
+    of any depth is walked.  bound counts the binders of each name whose
+    scope holds the node being visited; a name occurs free where it has
+    none."""
+    free: set[str] = set()
+    names: set[str] = set()
+    params: set[str] = set()
+    binders: dict[str, int] = {}
+    pvars: set[str] = set()
+    ext: set[str] = set()
+    sync = False
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is _Unbind:
+            bound[u.name] -= 1
+        elif cls is Out:
+            x, y = u.chan, u.msg
+            names.add(x)
+            names.add(y)
+            if not bound.get(x):
+                free.add(x)
+            if not bound.get(y):
+                free.add(y)
+            if type(u.cont) is not Nil:
+                sync = True
+            stack.append(u.cont)
+        elif cls is In:
+            x, z = u.chan, u.param
+            names.add(x)
+            names.add(z)
+            params.add(z)
+            if not bound.get(x):
+                free.add(x)
+            bound[z] = bound.get(z, 0) + 1
+            stack.append(_Unbind(z))
+            stack.append(u.cont)
+        elif cls is Res:
+            n = u.name
+            names.add(n)
+            binders[n] = binders.get(n, 0) + 1
+            bound[n] = bound.get(n, 0) + 1
+            stack.append(_Unbind(n))
+            stack.append(u.body)
+        elif cls is Par:
+            stack.append(u.right)
+            stack.append(u.left)
+        elif cls is Repl:
+            stack.append(u.body)
+        elif cls is PVar:
+            pvars.add(u.name)
+        elif cls is ExtBarb:
+            names.add(u.ident)
+            ext.add(u.ident)
+        elif cls is not Nil:
+            raise PiError(f"not a process: {u!r}")
+    return _Names(free, names, params, binders, pvars, ext, sync)
+
+
 def free_names(t: PiTerm) -> set[str]:
-    match t:
-        case Nil() | PVar(_) | ExtBarb(_):
-            return set()
-        case Out(x, y, k):
-            return {x, y} | free_names(k)
-        case In(x, z, k):
-            return {x} | (free_names(k) - {z})
-        case Par(l, r):
-            return free_names(l) | free_names(r)
-        case Res(n, b):
-            return free_names(b) - {n}
-        case Repl(b):
-            return free_names(b)
-    raise PiError(f"not a process: {t!r}")
+    return _scan(t).free
 
 
 def all_names(t: PiTerm) -> set[str]:
     """Every name occurring anywhere, bound or free (barb ids included)."""
-    match t:
-        case Nil() | PVar(_):
-            return set()
-        case ExtBarb(w):
-            return {w}
-        case Out(x, y, k):
-            return {x, y} | all_names(k)
-        case In(x, z, k):
-            return {x, z} | all_names(k)
-        case Par(l, r):
-            return all_names(l) | all_names(r)
-        case Res(n, b):
-            return {n} | all_names(b)
-        case Repl(b):
-            return all_names(b)
-    raise PiError(f"not a process: {t!r}")
+    return _scan(t).names
 
 
 def process_vars(t: PiTerm) -> set[str]:
-    match t:
-        case PVar(x):
-            return {x}
-        case Out(_, _, k) | In(_, _, k) | Res(_, k) | Repl(k):
-            return process_vars(k)
-        case Par(l, r):
-            return process_vars(l) | process_vars(r)
-        case _:
-            return set()
+    return _scan(t).pvars
 
 
 def is_async(t: PiTerm) -> bool:
     """Asynchronous sublanguage membership: every output continuation is 0."""
-    match t:
-        case Out(_, _, k):
-            return isinstance(k, Nil)
-        case In(_, _, k) | Res(_, k) | Repl(k):
-            return is_async(k)
-        case Par(l, r):
-            return is_async(l) and is_async(r)
-        case _:
-            return True
+    return not _scan(t).sync
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -380,42 +414,11 @@ def _uniquify(t: PiTerm) -> PiTerm:
     """Rename restriction binders so that lifting them over siblings is
     capture-free: a binder keeps its spelling unless that spelling also occurs
     free, as an input parameter, or on another restriction."""
-    params: set[str] = set()
-    res_count: dict[str, int] = {}
-    avoid: set[str] = set()  # every name, as all_names(t)
-    free: set[str] = set()  # as free_names(t)
-
-    def scan(u: PiTerm, bound: frozenset[str]) -> None:
-        match u:
-            case Out(x, y, k):
-                avoid.update((x, y))
-                if x not in bound:
-                    free.add(x)
-                if y not in bound:
-                    free.add(y)
-                scan(k, bound)
-            case In(x, z, k):
-                params.add(z)
-                avoid.update((x, z))
-                if x not in bound:
-                    free.add(x)
-                scan(k, bound | {z})
-            case Res(n, b):
-                res_count[n] = res_count.get(n, 0) + 1
-                avoid.add(n)
-                scan(b, bound | {n})
-            case Par(l, r):
-                scan(l, bound)
-                scan(r, bound)
-            case Repl(b):
-                scan(b, bound)
-            case ExtBarb(w):
-                avoid.add(w)
-
-    scan(t, frozenset())
-    clash = free | params | {n for n, c in res_count.items() if c > 1}
-    if clash.isdisjoint(res_count):
+    scan = _scan(t)
+    clash = scan.free | scan.params | {n for n, c in scan.binders.items() if c > 1}
+    if clash.isdisjoint(scan.binders):
         return t  # every binder keeps its spelling
+    avoid = scan.names
 
     def go(u: PiTerm, ren: dict[str, str]) -> PiTerm:
         match u:
@@ -765,35 +768,6 @@ def barb_from_text(s: str) -> Barb:
     return Barb("out", s)
 
 
-def _barbs_walk(t: PiTerm, hidden: frozenset[str], acc: set[Barb], inp: bool) -> None:
-    match t:
-        case Nil() | PVar(_):
-            pass
-        case ExtBarb(w):
-            acc.add(Barb("ext", w))
-        case Out(x, _, _):
-            if x not in hidden:
-                acc.add(Barb("out", x))
-        case In(x, _, _):
-            if inp and x not in hidden:
-                acc.add(Barb("in", x))
-        case Par(l, r):
-            _barbs_walk(l, hidden, acc, inp)
-            _barbs_walk(r, hidden, acc, inp)
-        case Res(n, b):
-            _barbs_walk(b, hidden | {n}, acc, inp)
-        case Repl(b):
-            _barbs_walk(b, hidden, acc, inp)
-
-
-def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
-    acc: set[Barb] = set()
-    hidden = frozenset(s.restricted)
-    for th in s.threads:
-        _barbs_walk(th, hidden, acc, input_barbs)
-    return frozenset(acc)
-
-
 # ------------- reduction -------------
 
 @dataclass(frozen=True)
@@ -813,30 +787,52 @@ class _Offer:
     cont: PiTerm
     top: int               # top-level thread index
     levels: tuple[_CopyLevel, ...]
-    eid: int
+
+
+def _active(threads: tuple[PiTerm, ...]) -> Iterator[tuple[PiTerm, int, tuple[_CopyLevel, ...]]]:
+    """The threads that can act now, in order, each with the index of its
+    top-level thread and the replication copies (outermost first) that
+    unfold to reach it: every top-level thread, and in place of a
+    replication the threads of one copy of its body."""
+    cids = count()
+    for top, th in enumerate(threads):
+        stack: list[tuple[PiTerm, tuple[_CopyLevel, ...]]] = [(th, ())]
+        while stack:
+            t, levels = stack.pop()
+            if type(t) is not Repl:
+                yield t, top, levels
+                continue
+            cid = next(cids)
+            nus, parts = _split_level(t.body)
+            nus, parts = tuple(nus), tuple(parts)
+            for i in reversed(range(len(parts))):
+                stack.append((parts[i], levels + (_CopyLevel(cid, nus, parts, i),)))
+
+
+def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
+    """The external barbs of the active threads (see _active), and the
+    subjects of their outputs (and of their inputs, with input_barbs) that no
+    restriction of the state or of an unfolded copy hides."""
+    acc: set[Barb] = set()
+    for t, _, levels in _active(s.threads):
+        cls = type(t)
+        if cls is ExtBarb:
+            acc.add(Barb("ext", t.ident))
+        elif cls is Out or (cls is In and input_barbs):
+            x = t.chan
+            if x not in s.restricted and all(x not in lv.nus for lv in levels):
+                acc.add(Barb("out" if cls is Out else "in", x))
+    return frozenset(acc)
 
 
 def _expand_offers(threads: tuple[PiTerm, ...]) -> list[_Offer]:
     offers: list[_Offer] = []
-    cids = count()
-    eids = count()
-
-    def go(t: PiTerm, top: int, levels: tuple[_CopyLevel, ...]) -> None:
-        match t:
-            case Out(x, y, k):
-                offers.append(_Offer("send", x, y, None, k, top, levels, next(eids)))
-            case In(x, z, k):
-                offers.append(_Offer("recv", x, None, z, k, top, levels, next(eids)))
-            case Repl(body):
-                cid = next(cids)
-                nus, parts = _split_level(body)
-                for i, p in enumerate(parts):
-                    go(p, top, levels + (_CopyLevel(cid, tuple(nus), tuple(parts), i),))
-            case _:
-                pass
-
-    for i, th in enumerate(threads):
-        go(th, i, ())
+    for t, top, levels in _active(threads):
+        cls = type(t)
+        if cls is Out:
+            offers.append(_Offer("send", t.chan, t.msg, None, t.cont, top, levels))
+        elif cls is In:
+            offers.append(_Offer("recv", t.chan, None, t.param, t.cont, top, levels))
     return offers
 
 
@@ -863,14 +859,7 @@ def _successor(state: PiState, send: _Offer, recv: _Offer) -> PiState:
                 components.append(p)  # the replication itself persists
     components.append(send.cont)
     components.append(subst_names(recv.cont, {recv.param: send.msg}))
-    core: PiTerm = Nil()
-    if components:
-        core = components[0]
-        for c in components[1:]:
-            core = Par(core, c)
-    for n in reversed(list(state.restricted) + extra_nus):
-        core = Res(n, core)
-    return normal_form(core)
+    return normal_form(_assemble(list(state.restricted) + extra_nus, components))
 
 
 def reduce_once(state: PiState) -> list[PiState]:
@@ -880,7 +869,7 @@ def reduce_once(state: PiState) -> list[PiState]:
     succs: dict[tuple, PiState] = {}
     for s in sends:
         for r in recvs:
-            if s.chan == r.chan and s.eid != r.eid:
+            if s.chan == r.chan:
                 nxt = _successor(state, s, r)
                 succs.setdefault(nxt.key, nxt)
     return [succs[k] for k in sorted(succs)]

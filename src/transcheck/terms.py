@@ -70,10 +70,6 @@ class Signature:
     def __contains__(self, op: str) -> bool:
         return any(c.name == op for c in self.constructs)
 
-    @property
-    def binder_free(self) -> bool:
-        return all(not c.slots for c in self.constructs)
-
 
 def signature_from_dict(data: dict) -> Signature:
     constructs = tuple(

@@ -340,6 +340,22 @@ def test_undeclared_external_barb_rejected(cli):
     assert out == "@done\nx!\n"
 
 
+def test_check_encoding_checks_declared_external_barbs(cli):
+    code, out, err = cli("pi", "check-encoding", "@w | x!z", "--ext", "")
+    assert code == USAGE
+    assert out == ""
+    assert err == "error: external barb ids ['w'] not in the declared set\n"
+
+
+def test_full_abstraction_checks_declared_external_barbs(cli, tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("x!z ;; @w | x!z\n")
+    code, out, err = cli("pi", "full-abstraction", "--pairs", str(pairs), "--ext", "v")
+    assert code == USAGE
+    assert out == ""
+    assert err == "error: external barb ids ['w'] not in the declared set\n"
+
+
 def test_missing_file_is_usage_error(cli):
     code, _, err = cli("closure", "--lang", "no/such/file.json",
                        "--relation", "mod3/sim.json")

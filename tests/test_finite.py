@@ -1,6 +1,9 @@
 """Finite-domain decision procedures: frozen fixtures and exhaustive laws."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -298,6 +301,34 @@ def test_closed_terms_have_no_variables():
 def test_valuations_cover_product():
     assert list(valuations(("X",), ("a", "b"))) == [{"X": "a"}, {"X": "b"}]
     assert list(valuations((), ("a",))) == [{}]
+
+
+def test_correct_wrt_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    """Candidate targets come in the order of R's pairs, so the first
+    failing eta is the same in every process."""
+    files = {
+        "s.json": {"name": "s", "values": ["0"],
+                   "operators": [{"name": "f", "arity": 1, "table": {"0": "0"}}]},
+        "t.json": {"name": "t", "values": ["a", "b", "c"],
+                   "operators": [{"name": "g", "arity": 1,
+                                  "table": {"a": "c", "b": "c", "c": "c"}}]},
+        "T.json": {"source": "s", "target": "t", "heads": {"f": "g(X1)"}},
+        "R.json": {"name": "R", "pairs": [["t.a", "s.0"], ["t.b", "s.0"]]},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "transcheck", "check", "correct", "--source", "s.json",
+             "--target", "t.json", "--translation", "T.json", "--semtrans", "R.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 1, run.stderr
+        outs.add(run.stdout)
+    assert outs == {"correct: no\nwitness: f | {X1=a} | {X1=0} | c | 0\n"}
 
 
 # ---------- randomized law suite ----------

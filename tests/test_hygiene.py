@@ -1,0 +1,79 @@
+"""No dead code in src/transcheck: every import is used in its module, and
+every module-level function, class and method is named somewhere in src/,
+tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
+module, so comments and docstrings do not count as uses.  A method that
+overrides one of a base class (argparse calls _Parser.error) is used by the
+base class's callers."""
+
+import ast
+import importlib
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "transcheck"
+
+
+def _parse(paths):
+    return {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(), str(p)) for p in paths}
+
+
+PACKAGE_TREES = _parse(sorted(PACKAGE.glob("*.py")))
+ALL_TREES = _parse(sorted(p for d in ("src", "tests", "perfbench")
+                          for p in (ROOT / d).rglob("*.py")))
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """Identifiers used under node: names, attributes and imported names."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+    return out
+
+
+def _definitions(path: str, tree: ast.Module):
+    """Module-level functions and classes, and the methods of those classes,
+    leaving out dunder methods (the language calls them) and overrides."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            module = importlib.import_module(f"transcheck.{Path(path).stem}")
+            bases = getattr(module, node.name).__mro__[1:]
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    yield item
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in PACKAGE_TREES.items():
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loads:
+                        unused.append(f"{path}: {bound}")
+    assert unused == []
+
+
+def test_every_definition_is_used():
+    everywhere = Counter()
+    for tree in ALL_TREES.values():
+        everywhere += _mentions(tree)
+    dead = []
+    for path, tree in PACKAGE_TREES.items():
+        for node in _definitions(path, tree):
+            if everywhere[node.name] - _mentions(node)[node.name] == 0:
+                dead.append(f"{path}: {node.name}")
+    assert dead == []
