@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator
 
@@ -53,10 +54,15 @@ class FiniteLanguage:
                 if out not in vs:
                     raise InputError(f"{self.name}.{op.name}: result {out} outside values")
 
-    @property
+    @cached_property
     def signature(self) -> Signature:
         return Signature(self.name, tuple(
             Construct(op.name, op.arity, ((),) * op.arity) for op in self.operators))
+
+    @cached_property
+    def tables(self) -> dict[str, dict[tuple[str, ...], str]]:
+        """Operator tables by operator name."""
+        return {op.name: op.table for op in self.operators}
 
     def qualify(self, v: str) -> str:
         return f"{self.name}.{v}"
@@ -113,8 +119,7 @@ def denote(lang: FiniteLanguage, t: Term, rho: Valuation) -> str:
                 raise InputError(f"valuation does not cover variable {x}")
             return rho[x]
         case App(op, _, args):
-            table = next(o.table for o in lang.operators if o.name == op)
-            return table[tuple(denote(lang, a, rho) for a in args)]
+            return lang.tables[op][tuple(denote(lang, a, rho) for a in args)]
     raise InputError(f"not a term: {t!r}")
 
 
@@ -160,23 +165,29 @@ class Relation:
 
 def close_relation(generators: set[tuple[str, str]], kind: str,
                    carrier: tuple[str, ...], name: str = "rel") -> Relation:
+    """Reflexive-transitive closure of the generators on the carrier, also
+    symmetric for an equivalence: each value is related to every value its
+    generator edges reach."""
     cs = set(carrier)
-    for a, b in generators:
-        if a not in cs or b not in cs:
-            raise InputError(f"pair ({a}, {b}) mentions a value outside the carrier")
+    stray = sorted((str(a), str(b)) for a, b in generators if a not in cs or b not in cs)
+    if stray:
+        a, b = stray[0]
+        raise InputError(f"pair ({a}, {b}) mentions a value outside the carrier")
     if kind not in ("equivalence", "preorder"):
         raise InputError(f"unknown relation kind {kind!r}")
-    pairs = {(a, a) for a in carrier} | set(generators)
-    if kind == "equivalence":
-        pairs |= {(b, a) for a, b in generators}
-    changed = True
-    while changed:  # small carriers, naive transitive closure is fine
-        changed = False
-        for a, b in list(pairs):
-            for c, d in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
+    edges: dict[str, set[str]] = {a: set() for a in carrier}
+    for a, b in generators:
+        edges[a].add(b)
+        if kind == "equivalence":
+            edges[b].add(a)
+    pairs = set()
+    for a in carrier:
+        reached, work = {a}, [a]
+        while work:
+            for b in edges[work.pop()] - reached:
+                reached.add(b)
+                work.append(b)
+        pairs |= {(a, b) for b in reached}
     return Relation(name, kind, tuple(sorted(carrier)), frozenset(pairs))
 
 
@@ -302,20 +313,7 @@ def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
 
 
 def smallest_equiv_containing(r: SemanticTranslation, carrier: tuple[str, ...]) -> Relation:
-    parent: dict[str, str] = {c: c for c in carrier}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in r.pairs:
-        if a not in parent or b not in parent:
-            raise InputError(f"pair ({a}, {b}) mentions a value outside the carrier")
-        parent[find(a)] = find(b)
-    pairs = frozenset((a, b) for a in carrier for b in carrier if find(a) == find(b))
-    return Relation(f"eq_{r.name}", "equivalence", tuple(sorted(carrier)), pairs)
+    return close_relation(set(r.pairs), "equivalence", carrier, f"eq_{r.name}")
 
 
 def lr_closure(lang: FiniteLanguage, rel: Relation, r: SemanticTranslation) -> Relation:
@@ -354,6 +352,13 @@ def _heads(tr: Translation) -> list[tuple[str, Term, Term]]:
     return out
 
 
+def _joint_vars(lang: FiniteLanguage, lang2: FiniteLanguage,
+                head: Term, image: Term) -> tuple[str, ...]:
+    """The sorted variables of a head and its image: the domain of the
+    valuation pairs the head is checked under."""
+    return tuple(sorted(free_vars(lang.signature, head) | free_vars(lang2.signature, image)))
+
+
 def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                       r: SemanticTranslation) -> Verdict:
     """Correctness w.r.t. a given semantic translation, decided on heads.
@@ -366,8 +371,7 @@ def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangua
     check_total(r, lang)
     rp = set(r.pairs)
     for name, head, image in _heads(tr):
-        joint = tuple(sorted(free_vars(lang.signature, head)
-                             | free_vars(lang2.signature, image)))
+        joint = _joint_vars(lang, lang2, head, image)
         for rho in valuations(joint, lang.values):
             cands = [[w for w, u in r.pairs if u == lang.qualify(rho[x])] for x in joint]
             for combo in product(*cands):
@@ -394,11 +398,9 @@ class _Closure:
         self.inside = inside
         self.rules = []  # (joint variables, positions of X1..Xn in them, f's table, I, I's memo)
         for name, head, image in _heads(tr):
-            joint = tuple(sorted(free_vars(lang.signature, head)
-                                 | free_vars(lang2.signature, image)))
-            table = next(op.table for op in lang.operators if op.name == name)
+            joint = _joint_vars(lang, lang2, head, image)
             self.rules.append((joint, tuple(joint.index(x.name) for x in head.args),
-                               table, image, {}))
+                               lang.tables[name], image, {}))
         # heads with no variables derive their pair from the empty relation
         self.seeds = tuple(self._derive(rule, ()) for rule in self.rules if not rule[0])
 
@@ -661,9 +663,7 @@ def _homomorphism_certificate(tr: Translation, lang: FiniteLanguage,
     """Image meanings commute with bT on every head; implies preservation for
     all terms by induction."""
     for _, head, image in _heads(tr):
-        joint = tuple(sorted(free_vars(lang.signature, head)
-                             | free_vars(lang2.signature, image)))
-        for rho in valuations(joint, lang.values):
+        for rho in valuations(_joint_vars(lang, lang2, head, image), lang.values):
             eta = {x: bt[v] for x, v in rho.items()}
             if denote(lang2, image, eta) != bt[denote(lang, head, rho)]:
                 return False

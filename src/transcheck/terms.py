@@ -9,7 +9,7 @@ bindable names (lowercase); alpha-conversion renames every kind of bound name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Callable, Iterator
 
@@ -27,48 +27,55 @@ class TermError(Exception):
 
 @dataclass(frozen=True)
 class Construct:
+    """A construct with its binding profile.
+
+    binders[i] lists the slot labels whose bound names scope over argument i.
+    Both derived fields are computed once: slots holds the distinct labels in
+    first-appearance order, and an App's bound names are aligned with it;
+    scopes[i] holds the indices into slots of the labels in binders[i], in
+    that order, so bound[k] for k in scopes[i] are the names bound in
+    argument i.
+    """
     name: str
     args: int
-    binders: tuple[tuple[str, ...], ...]  # slot labels scoping over each argument
+    binders: tuple[tuple[str, ...], ...]
+    slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    scopes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.args < 0:
             raise TermError(f"{self.name}: negative arity")
         if len(self.binders) != self.args:
             raise TermError(f"{self.name}: binding profile length != arity")
-        for lbl in self.slots:
+        slots = tuple(dict.fromkeys(lbl for per_arg in self.binders for lbl in per_arg))
+        for lbl in slots:
             if _PLACEHOLDER.match(lbl):
                 raise TermError(f"{self.name}: slot label {lbl} collides with argument placeholders")
-
-    @property
-    def slots(self) -> tuple[str, ...]:
-        """Distinct slot labels in first-appearance order."""
-        seen: list[str] = []
-        for per_arg in self.binders:
-            for lbl in per_arg:
-                if lbl not in seen:
-                    seen.append(lbl)
-        return tuple(seen)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "scopes", tuple(
+            tuple(slots.index(lbl) for lbl in per_arg) for per_arg in self.binders))
 
 
 @dataclass(frozen=True)
 class Signature:
     name: str
     constructs: tuple[Construct, ...]
+    _by_name: dict[str, Construct] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.constructs]
-        if len(set(names)) != len(names):
+        by_name = {c.name: c for c in self.constructs}
+        if len(by_name) != len(self.constructs):
             raise TermError(f"{self.name}: duplicate construct names")
+        object.__setattr__(self, "_by_name", by_name)
 
     def __getitem__(self, op: str) -> Construct:
-        for c in self.constructs:
-            if c.name == op:
-                return c
-        raise TermError(f"{self.name}: unknown construct {op}")
+        c = self._by_name.get(op)
+        if c is None:
+            raise TermError(f"{self.name}: unknown construct {op}")
+        return c
 
     def __contains__(self, op: str) -> bool:
-        return any(c.name == op for c in self.constructs)
+        return op in self._by_name
 
 
 def signature_from_dict(data: dict) -> Signature:
@@ -108,16 +115,15 @@ def validate(sig: Signature, t: Term) -> None:
                 raise TermError(f"{op}: expected {c.args} arguments, got {len(args)}")
             if len(bound) != len(c.slots):
                 raise TermError(f"{op}: expected {len(c.slots)} binder names, got {len(bound)}")
-            for per_arg in c.binders:
-                names = [bound[c.slots.index(lbl)] for lbl in per_arg]
+            for b in bound:
+                if not _IDENT.match(b):
+                    raise TermError(f"{op}: bad binder name {b!r}")
+            for scope in c.scopes:
+                names = [bound[k] for k in scope]
                 if len(set(names)) != len(names):
                     raise TermError(f"{op}: equal binder names scope the same argument")
             for a in args:
                 validate(sig, a)
-
-
-def _arg_binders(c: Construct, bound: tuple[str, ...], i: int) -> set[str]:
-    return {bound[c.slots.index(lbl)] for lbl in c.binders[i]}
 
 
 def free_vars(sig: Signature, t: Term) -> set[str]:
@@ -125,10 +131,9 @@ def free_vars(sig: Signature, t: Term) -> set[str]:
         case Var(x):
             return {x}
         case App(_, bound, args):
-            c = sig[t.op]
             out: set[str] = set()
-            for i, a in enumerate(args):
-                out |= free_vars(sig, a) - _arg_binders(c, bound, i)
+            for a, scope in zip(args, sig[t.op].scopes):
+                out |= free_vars(sig, a) - {bound[k] for k in scope}
             return out
     raise TermError(f"not a term: {t!r}")
 
@@ -186,12 +191,11 @@ def substitute(sig: Signature, t: Term, subst: dict[str, Term],
                     renamed_slot[k] = nb
                     new_bound[k] = nb
             new_args = []
-            for i, a in enumerate(args):
-                slot_ks = [c.slots.index(lbl) for lbl in c.binders[i]]
-                here = {bound[k] for k in slot_ks}
+            for a, scope in zip(args, c.scopes):
+                here = {bound[k] for k in scope}
                 inner = {x: r for x, r in active.items() if x not in here}
                 inner.update({bound[k]: Var(renamed_slot[k])
-                              for k in slot_ks if k in renamed_slot})
+                              for k in scope if k in renamed_slot})
                 new_args.append(substitute(sig, a, inner, _capture) if inner else a)
             return App(op, tuple(new_bound), tuple(new_args))
     raise TermError(f"not a term: {t!r}")
@@ -203,12 +207,11 @@ def _canon_key(sig: Signature, t: Term, env: dict[str, int], depth: int) -> tupl
             return ("b", env[x]) if x in env else ("f", x)
         case App(op, bound, args):
             c = sig[op]
-            levels = {lbl: depth + k for k, lbl in enumerate(c.slots)}
             parts = []
-            for i, a in enumerate(args):
+            for a, scope in zip(args, c.scopes):
                 env2 = dict(env)
-                for lbl in c.binders[i]:
-                    env2[bound[c.slots.index(lbl)]] = levels[lbl]
+                for k in scope:
+                    env2[bound[k]] = depth + k
                 parts.append(_canon_key(sig, a, env2, depth + len(c.slots)))
             return ("a", op, tuple(parts))
     raise TermError(f"not a term: {t!r}")
@@ -240,13 +243,11 @@ def canonical_binders(sig: Signature, t: Term, base: str = "B") -> Term:
             case Var(x):
                 return Var(ren.get(x, x))
             case App(op, bound, args):
-                c = sig[op]
                 fresh_slot = [next_name() for _ in bound]
                 new_args = []
-                for i, a in enumerate(args):
+                for a, scope in zip(args, sig[op].scopes):
                     ren2 = dict(ren)
-                    for lbl in c.binders[i]:
-                        k = c.slots.index(lbl)
+                    for k in scope:
                         ren2[bound[k]] = fresh_slot[k]
                     new_args.append(go(a, ren2))
                 return App(op, tuple(fresh_slot), tuple(new_args))
@@ -280,12 +281,10 @@ def is_prefix(sig: Signature, e: Term, f: Term) -> bool:
             case App(op, bound, args):
                 if not isinstance(f, App) or f.op != op:
                     return False
-                c = sig[op]
-                for i in range(c.args):
+                for i, scope in enumerate(sig[op].scopes):
                     env2 = dict(env)
                     fb2 = set(fbound)
-                    for lbl in c.binders[i]:
-                        k = c.slots.index(lbl)
+                    for k in scope:
                         env2[bound[k]] = f.bound[k]
                         fb2.add(f.bound[k])
                     if not go(args[i], f.args[i], env2, fb2):
@@ -314,10 +313,9 @@ def head_decompose(sig: Signature, t: Term) -> tuple[Term, dict[str, Term]]:
             case Var(_):
                 return t  # an occurrence bound above; free ones were abstracted
             case App(op, bound, args):
-                c = sig[op]
                 new_args = []
-                for i, a in enumerate(args):
-                    inner = above | _arg_binders(c, bound, i)
+                for a, scope in zip(args, sig[op].scopes):
+                    inner = above | {bound[k] for k in scope}
                     if free_vars(sig, a) & inner:
                         new_args.append(keep(a, inner))
                     else:
@@ -344,16 +342,22 @@ class Translation:
     source: Signature
     target: Signature
     heads: tuple[tuple[str, Term], ...]
+    _images: dict[str, Term] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        have = dict(self.heads)
+        images = dict(self.heads)
+        stray = sorted(op for op in images if op not in self.source)
+        if stray:
+            raise TermError(f"translation has images for constructs {self.source.name} "
+                            f"lacks: {stray}")
         for c in self.source.constructs:
-            if c.name not in have:
+            if c.name not in images:
                 raise TermError(f"translation lacks an image for {c.name}")
-            validate(self.target, have[c.name])
+            validate(self.target, images[c.name])
+        object.__setattr__(self, "_images", images)
 
     def head(self, op: str) -> Term:
-        return dict(self.heads)[op]
+        return self._images[op]
 
 
 def translation(source: Signature, target: Signature, heads: dict[str, Term]) -> Translation:
@@ -366,11 +370,10 @@ def _rename_slot_binders(sig: Signature, t: Term, ren: dict[str, str]) -> Term:
         case Var(_):
             return t
         case App(op, bound, args):
-            c = sig[op]
             new_bound = tuple(ren.get(b, b) for b in bound)
             new_args = []
-            for i, a in enumerate(args):
-                here = _arg_binders(c, bound, i)
+            for a, scope in zip(args, sig[op].scopes):
+                here = {bound[k] for k in scope}
                 occ = {b: Var(ren[b]) for b in here if b in ren}
                 a2 = substitute(sig, a, occ, _capture=frozenset(ren.values())) if occ else a
                 new_args.append(_rename_slot_binders(sig, a2, ren))
@@ -402,19 +405,16 @@ def complete_compositional(tr: Translation,
             case App(op, bound, args):
                 c = tr.source[op]
                 image = tr.head(op)
-                w = {}
-                for k, lbl in enumerate(c.slots):
-                    w[lbl] = bound[k] if bound[k] in keep_binders else fresh_w()
+                w = [b if b in keep_binders else fresh_w() for b in bound]  # per slot
                 new_args = []
-                for i, a in enumerate(args):
-                    ren = {bound[c.slots.index(lbl)]: Var(w[lbl]) for lbl in c.binders[i]
-                           if bound[c.slots.index(lbl)] != w[lbl]}
+                for a, scope in zip(args, c.scopes):
+                    ren = {bound[k]: Var(w[k]) for k in scope if bound[k] != w[k]}
                     new_args.append(apply(substitute(tr.source, a, ren) if ren else a))
                 image = _rename_slot_binders(tr.target, image,
-                                             {lbl: nm for lbl, nm in w.items() if lbl != nm})
+                                             {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm})
                 plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
-                out = substitute(tr.target, image, plugs, _capture=frozenset(w.values()))
-                leaked = free_vars(tr.target, out) & set(w.values())
+                out = substitute(tr.target, image, plugs, _capture=frozenset(w))
+                leaked = free_vars(tr.target, out) & set(w)
                 if leaked:
                     raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
                 return out
@@ -446,9 +446,8 @@ def compose_translations(t1: Translation, t2: Translation) -> Translation:
     f1, f2 = complete_compositional(t1), complete_compositional(t2)
     for c in t1.source.constructs:
         bound = tuple(f"b{k + 1}" for k in range(len(c.slots)))
-        args = tuple(
-            Var(bound[c.slots.index(c.binders[i][0])]) if c.binders[i] else Var(f"X{i + 1}")
-            for i in range(c.args))
+        args = tuple(Var(bound[scope[0]]) if scope else Var(f"X{i + 1}")
+                     for i, scope in enumerate(c.scopes))
         g = App(c.name, bound, args)
         if not alpha_eq(t2.target, fc(g), f2(f1(g))):
             raise TermError(f"composed image of {c.name} does not match the two-stage translation")

@@ -1,6 +1,10 @@
 """Command line goldens: exact stdout and exit codes over the fixture files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -448,6 +452,37 @@ def test_translation_without_heads_is_usage_error(cli, tmp_path):
                        "--relation", "negtop/sim.json")
     assert code == USAGE
     assert err == "error: translation file lacks keys: ['heads']\n"
+
+
+def test_translation_with_a_stray_head_is_usage_error(cli, tmp_path):
+    data = json.loads((FIXTURES / "negtop" / "T.json").read_text())
+    data["heads"]["bogus"] = "yes"
+    tr = _write_json(tmp_path / "T.json", data)
+    code, out, err = cli("check", "valid", "--source", "negtop/L.json",
+                         "--target", "negtop/Lp.json", "--translation", tr,
+                         "--relation", "negtop/sim.json")
+    assert (code, out) == (USAGE, "")
+    assert err == "error: translation has images for constructs neg2 lacks: ['bogus']\n"
+
+
+def test_relation_error_does_not_depend_on_the_hash_seed(tmp_path):
+    """Out-of-carrier pairs are reported in sorted order, so every process
+    names the same pair."""
+    rel = _write_json(tmp_path / "R.json", {
+        "kind": "equivalence", "carrier": ["neg2.0", "neg2.1"],
+        "pairs": [["neg2.0", "zz.a"], ["neg2.1", "qq.b"]]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "transcheck", "check", "congruence",
+             "--lang", str(FIXTURES / "negtop" / "L.json"), "--relation", rel],
+            env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (USAGE, "")
+        errs.add(run.stderr)
+    assert errs == {"error: pair (neg2.0, zz.a) mentions a value outside the carrier\n"}
 
 
 def test_table_key_outside_values_is_named(cli, tmp_path):

@@ -286,6 +286,49 @@ def test_smallest_equiv_containing():
     assert eq.classes() == [["L.a", "L.b", "M.x"], ["L.c"]]
 
 
+def _naive_closure(generators, kind, carrier):
+    """The pairwise transitive-closure loop close_relation used to run."""
+    pairs = {(a, a) for a in carrier} | set(generators)
+    if kind == "equivalence":
+        pairs |= {(b, a) for a, b in generators}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            for c, d in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    return frozenset(pairs)
+
+
+CLOSURE_CARRIER = ("L.a", "L.b", "L.c", "L.d", "M.x", "M.y")
+
+
+@given(gens=st.sets(st.tuples(st.sampled_from(CLOSURE_CARRIER),
+                              st.sampled_from(CLOSURE_CARRIER)), max_size=8),
+       kind=st.sampled_from(["equivalence", "preorder"]))
+@settings(max_examples=200)
+def test_close_relation_matches_the_naive_closure(gens, kind):
+    rel = close_relation(gens, kind, CLOSURE_CARRIER, "g")
+    assert rel == Relation("g", kind, CLOSURE_CARRIER, _naive_closure(gens, kind, CLOSURE_CARRIER))
+    if kind == "equivalence":
+        r = SemanticTranslation("R", tuple(sorted(gens)))
+        eq = smallest_equiv_containing(r, CLOSURE_CARRIER)
+        assert eq == Relation("eq_R", kind, CLOSURE_CARRIER, rel.pairs)
+
+
+def test_close_relation_names_the_least_stray_pair():
+    with pytest.raises(InputError, match=r"^pair \(neg2\.0, zz\.a\) mentions"):
+        close_relation({("neg2.1", "qq.b"), ("neg2.0", "zz.a")}, "equivalence",
+                       ("neg2.0", "neg2.1"))
+    with pytest.raises(InputError, match=r"^pair \(0, neg2\.0\) mentions"):
+        close_relation({("neg2.1", "qq.b"), (0, "neg2.0")}, "preorder", ("neg2.0", "neg2.1"))
+    with pytest.raises(InputError, match=r"^pair \(M\.x, L\.z\) mentions"):
+        smallest_equiv_containing(SemanticTranslation("R", (("M.x", "L.z"), ("M.y", "L.q"))),
+                                  ("L.a", "M.x", "M.y"))
+
+
 def test_compose_semantic():
     r1 = SemanticTranslation("R1", (("M.x", "L.a"), ("M.y", "L.b")))
     r2 = SemanticTranslation("R2", (("N.u", "M.x"), ("N.u", "M.y")))

@@ -83,6 +83,16 @@ def test_validate_arity_and_binder_count():
         validate(LAM, App("lam", (), (Var("X"),)))
 
 
+def test_validate_rejects_bad_binder_names():
+    sig = Signature("s", (Construct("In", 2, ((), ("y",))), Construct("Nil", 0, ())))
+    with pytest.raises(TermError, match="bad binder name"):
+        parse_term(sig, "In[)](x, Nil)")
+    with pytest.raises(TermError, match="bad binder name"):
+        validate(sig, App("In", ("a b",), (Var("x"), App("Nil", (), ()))))
+    t = parse_term(sig, "In[_y1](x, Nil)")
+    assert parse_term(sig, print_term(t)) == t
+
+
 # ---------- substitution ----------
 
 def test_substitute_avoids_capture():
@@ -256,6 +266,12 @@ def test_image_must_bind_its_slots():
     f = complete_compositional(tr)
     with pytest.raises(TermError):
         f(parse_term(TOY, "In[a](X, Out(a, a, Nil))"))
+
+
+def test_translation_rejects_images_for_unknown_constructs():
+    with pytest.raises(TermError, match=r"images for constructs toy lacks: \['Bogus', 'Zap'\]"):
+        translation(TOY, TOY, {**TOY_HEADS, "Zap": App("Nil", (), ()),
+                               "Bogus": App("Nil", (), ())})
 
 
 def test_compose_translations_keeps_slot_labels():
