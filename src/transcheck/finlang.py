@@ -8,6 +8,7 @@ bare value names coincide.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,6 +41,10 @@ class FiniteLanguage:
     operators: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
+        names = [op.name for op in self.operators]
+        dup = sorted({n for n in names if names.count(n) > 1})
+        if dup:
+            raise InputError(f"{self.name}: duplicate operator names {dup}")
         vs = set(self.values)
         for op in self.operators:
             keys = set(op.table)
@@ -193,6 +198,12 @@ def close_relation(generators: set[tuple[str, str]], kind: str,
 
 def load_relation(data: dict) -> Relation:
     _need_keys(data, ("pairs", "kind", "carrier"), "relation file")
+    if not isinstance(data["pairs"], list):
+        raise InputError("relation pairs are not a JSON list")
+    for p in data["pairs"]:
+        if not (isinstance(p, list) and len(p) == 2
+                and not any(isinstance(v, (list, dict)) for v in p)):
+            raise InputError(f"relation pair {json.dumps(p)} is not a pair of two values")
     return close_relation({tuple(p) for p in data["pairs"]}, data["kind"],
                           tuple(data["carrier"]), data.get("name", "rel"))
 

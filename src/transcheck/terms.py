@@ -95,9 +95,20 @@ class Var:
 
 @dataclass(frozen=True)
 class App:
+    """A construct applied to its bound names and arguments.
+
+    The two memo fields are filled on first use and never take part in ==,
+    hash or repr.  _fv_memo pairs the free variables with the Signature they
+    were computed under, since two signatures may give one construct name
+    different binding profiles; _names_memo holds every name in the term.
+    """
     op: str
     bound: tuple[str, ...]  # actual binder names, aligned with the construct's slots
     args: tuple["Term", ...]
+    _fv_memo: tuple[Signature, frozenset[str]] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False)
+    _names_memo: frozenset[str] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False)
 
 
 Term = Var | App
@@ -126,29 +137,50 @@ def validate(sig: Signature, t: Term) -> None:
                 validate(sig, a)
 
 
+def _fv(sig: Signature, t: Term) -> frozenset[str]:
+    """Free variables of t over sig, memoized on each App node."""
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if not isinstance(t, App):
+        raise TermError(f"not a term: {t!r}")
+    memo = t._fv_memo
+    if memo is not None and memo[0] is sig:
+        return memo[1]
+    out: set[str] = set()
+    bound = t.bound
+    for a, scope in zip(t.args, sig[t.op].scopes):
+        if scope:
+            out |= _fv(sig, a) - {bound[k] for k in scope}
+        else:
+            out |= _fv(sig, a)
+    fv = frozenset(out)
+    object.__setattr__(t, "_fv_memo", (sig, fv))
+    return fv
+
+
+def _names(t: Term) -> frozenset[str]:
+    """Every name in t, free or bound, memoized on each App node."""
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if not isinstance(t, App):
+        raise TermError(f"not a term: {t!r}")
+    memo = t._names_memo
+    if memo is None:
+        out = set(t.bound)
+        for a in t.args:
+            out |= _names(a)
+        memo = frozenset(out)
+        object.__setattr__(t, "_names_memo", memo)
+    return memo
+
+
 def free_vars(sig: Signature, t: Term) -> set[str]:
-    match t:
-        case Var(x):
-            return {x}
-        case App(_, bound, args):
-            out: set[str] = set()
-            for a, scope in zip(args, sig[t.op].scopes):
-                out |= free_vars(sig, a) - {bound[k] for k in scope}
-            return out
-    raise TermError(f"not a term: {t!r}")
+    return set(_fv(sig, t))
 
 
 def all_names(sig: Signature, t: Term) -> set[str]:
     """Every variable name occurring in t, free or bound."""
-    match t:
-        case Var(x):
-            return {x}
-        case App(_, bound, args):
-            out = set(bound)
-            for a in args:
-                out |= all_names(sig, a)
-            return out
-    raise TermError(f"not a term: {t!r}")
+    return set(_names(t))
 
 
 def _fresh(base: str, avoid: set[str]) -> str:
@@ -173,30 +205,37 @@ def substitute(sig: Signature, t: Term, subst: dict[str, Term],
         case Var(x):
             return subst.get(x, t)
         case App(op, bound, args):
-            c = sig[op]
-            fv = free_vars(sig, t)
+            fv = _fv(sig, t)
             active = {x: r for x, r in subst.items() if x in fv}
             if not active:
                 return t
             range_fv: set[str] = set()
             for r in active.values():
-                range_fv |= free_vars(sig, r)
-            avoid = range_fv | all_names(sig, t) | set(active)
+                range_fv |= _fv(sig, r)
+            avoid: set[str] | None = None  # built only when a binder is renamed
             renamed_slot: dict[int, str] = {}
             new_bound = list(bound)
             for k, b in enumerate(bound):
                 if b in range_fv and b not in _capture:
+                    if avoid is None:
+                        avoid = range_fv | _names(t) | set(active)
                     nb = _fresh(b, avoid)
                     avoid.add(nb)
                     renamed_slot[k] = nb
                     new_bound[k] = nb
             new_args = []
-            for a, scope in zip(args, c.scopes):
-                here = {bound[k] for k in scope}
-                inner = {x: r for x, r in active.items() if x not in here}
-                inner.update({bound[k]: Var(renamed_slot[k])
-                              for k in scope if k in renamed_slot})
-                new_args.append(substitute(sig, a, inner, _capture) if inner else a)
+            for a, scope in zip(args, sig[op].scopes):
+                if scope:
+                    here = {bound[k] for k in scope}
+                    inner = {x: r for x, r in active.items() if x not in here}
+                    inner.update({bound[k]: Var(renamed_slot[k])
+                                  for k in scope if k in renamed_slot})
+                else:
+                    inner = active
+                if isinstance(a, Var):
+                    new_args.append(inner.get(a.name, a))
+                else:
+                    new_args.append(substitute(sig, a, inner, _capture) if inner else a)
             return App(op, tuple(new_bound), tuple(new_args))
     raise TermError(f"not a term: {t!r}")
 
@@ -229,7 +268,7 @@ def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
 def canonical_binders(sig: Signature, t: Term, base: str = "B") -> Term:
     """Alpha-representative with binders renamed base1, base2, ... in pre-order."""
     counter = count(1)
-    avoid = set(free_vars(sig, t))
+    avoid = set(_fv(sig, t))
 
     def next_name() -> str:
         while True:
@@ -272,7 +311,7 @@ def is_prefix(sig: Signature, e: Term, f: Term) -> bool:
             case Var(x):
                 if x in env:
                     return isinstance(f, Var) and f.name == env[x]
-                if free_vars(sig, f) & fbound:
+                if not _fv(sig, f).isdisjoint(fbound):
                     return False  # would need to capture a bound name
                 if x in assignment:
                     return alpha_eq(sig, assignment[x], f)
@@ -316,7 +355,7 @@ def head_decompose(sig: Signature, t: Term) -> tuple[Term, dict[str, Term]]:
                 new_args = []
                 for a, scope in zip(args, sig[op].scopes):
                     inner = above | {bound[k] for k in scope}
-                    if free_vars(sig, a) & inner:
+                    if not _fv(sig, a).isdisjoint(inner):
                         new_args.append(keep(a, inner))
                     else:
                         x = f"X{next(fresh)}"
@@ -366,9 +405,9 @@ def translation(source: Signature, target: Signature, heads: dict[str, Term]) ->
 
 def _rename_slot_binders(sig: Signature, t: Term, ren: dict[str, str]) -> Term:
     """Rename every binder site whose bound name is a key of ren, plus its occurrences."""
+    if isinstance(t, Var) or ren.keys().isdisjoint(_names(t)):
+        return t
     match t:
-        case Var(_):
-            return t
         case App(op, bound, args):
             new_bound = tuple(ren.get(b, b) for b in bound)
             new_args = []
@@ -414,14 +453,14 @@ def complete_compositional(tr: Translation,
                                              {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm})
                 plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
                 out = substitute(tr.target, image, plugs, _capture=frozenset(w))
-                leaked = free_vars(tr.target, out) & set(w)
+                leaked = _fv(tr.target, out) & set(w)
                 if leaked:
                     raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
                 return out
         raise TermError(f"not a term: {t!r}")
 
     def translate(t: Term) -> Term:
-        for nm in all_names(tr.source, t):
+        for nm in _names(t):
             m = w_pattern.match(nm)
             if m:  # keep internal names clear of any _wN already in the input
                 state["next"] = max(state["next"], int(m.group(1)) + 1)
@@ -506,7 +545,7 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
         variant = canonical_binders(sig_src, e, base="q")
         if not alpha_eq(sig_tgt, translate(e), translate(variant)):
             return Verdict("no", ("clause-2", e, variant), checked=checked)
-        fv = sorted(free_vars(sig_src, e))
+        fv = sorted(_fv(sig_src, e))
         if not fv:
             domains: list[dict[str, Term]] = [{}]
         else:
@@ -531,7 +570,7 @@ def is_fvr(sig_src: Signature, sig_tgt: Signature,
         raise TermError("depth must be >= 1")
     checked = 0
     for e in enumerate_terms(sig_src, depth):
-        if not free_vars(sig_tgt, translate(e)) <= free_vars(sig_src, e):
+        if not _fv(sig_tgt, translate(e)) <= _fv(sig_src, e):
             return Verdict("no", (e,), checked=checked)
         checked += 1
         if checked >= max_terms:

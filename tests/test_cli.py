@@ -445,6 +445,27 @@ def test_operator_without_table_is_usage_error(cli, tmp_path):
     assert err == "error: operator lacks keys: ['table']\n"
 
 
+def test_relation_pair_of_three_values_is_usage_error(cli, tmp_path):
+    rel = _write_json(tmp_path / "rel.json", {
+        "name": "r", "kind": "equivalence", "carrier": ["neg2.0", "neg2.1"],
+        "pairs": [["neg2.0", "neg2.1", "neg2.0"]]})
+    code, out, err = cli("closure", "--lang", "negtop/L.json", "--relation", rel)
+    assert (code, out) == (USAGE, "")
+    assert err == ('error: relation pair ["neg2.0", "neg2.1", "neg2.0"] '
+                   "is not a pair of two values\n")
+
+
+def test_language_with_a_duplicate_operator_name_is_rejected(cli, tmp_path):
+    data = json.loads((FIXTURES / "negtop" / "L.json").read_text())
+    data["operators"].append({"name": "neg", "arity": 1, "table": {"0": "0", "1": "1"}})
+    lang = _write_json(tmp_path / "L.json", data)
+    message = "neg2: duplicate operator names ['neg']"
+    code, out, _ = cli("lang", "validate", "--lang", lang)
+    assert (code, out) == (FAIL, f"invalid: {message}\n")
+    code, out, err = cli("closure", "--lang", lang, "--relation", "negtop/sim.json")
+    assert (code, out, err) == (USAGE, "", f"error: {message}\n")
+
+
 def test_translation_without_heads_is_usage_error(cli, tmp_path):
     tr = _write_json(tmp_path / "T.json", {"source": "neg2", "target": "neg3"})
     code, _, err = cli("check", "correct", "--source", "negtop/L.json",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -174,6 +175,17 @@ def test_language_table_must_be_total():
         FiniteLanguage("L", ("a", "b"), (Operator("f", 1, {("a",): "a"}),))
     with pytest.raises(InputError):
         FiniteLanguage("L", ("a",), (Operator("f", 0, {(): "z"}),))
+
+
+def test_load_relation_rejects_malformed_pairs():
+    base = {"name": "r", "kind": "preorder", "carrier": ["L.a", "L.b"]}
+    for pairs, shown in (([["L.a", "L.b", "L.a"]], '["L.a", "L.b", "L.a"]'),
+                         ([["L.a"]], '["L.a"]'), (["ab"], '"ab"'),
+                         ([["L.a", ["L.b"]]], '["L.a", ["L.b"]]')):
+        with pytest.raises(InputError, match=f"^relation pair {re.escape(shown)} is not a pair"):
+            load_relation({**base, "pairs": pairs})
+    with pytest.raises(InputError, match="^relation pairs are not a JSON list$"):
+        load_relation({**base, "pairs": 5})
 
 
 def test_load_language_roundtrip():

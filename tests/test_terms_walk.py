@@ -1,11 +1,12 @@
 """The term walkers that read Construct.scopes, against the walkers that
 looked the scoping binders up by slot label at every node.
 
-The oracles below are the earlier definitions of free_vars, substitute,
-canon_key, canonical_binders and complete_compositional, with the helpers
-they used (the slot list and _arg_binders).  Each new result must equal its
-oracle under ==, not only up to alpha: the binder names a walker picks
-(_wN, freshened names) reach printed output.
+The oracles below are the earlier definitions of free_vars, all_names,
+substitute, canon_key, canonical_binders and complete_compositional, with the
+helpers they used (the slot list and _arg_binders).  They recompute at every
+node and read no memo.  Each new result must equal its oracle under ==, not
+only up to alpha: the binder names a walker picks (_wN, freshened names)
+reach printed output.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from transcheck.encodings import PI_TERM_SIG, boudol_head_translation
 from transcheck.terms import (App, Construct, Signature, TermError, Var, _fresh,
-                              all_names, canon_key, canonical_binders,
+                              _rename_slot_binders, all_names, canon_key, canonical_binders,
                               complete_compositional, enumerate_terms, free_vars,
                               signature_from_dict, substitute, translation)
 
@@ -53,6 +54,18 @@ def old_free_vars(sig, t):
     raise TermError(f"not a term: {t!r}")
 
 
+def old_all_names(t):
+    match t:
+        case Var(x):
+            return {x}
+        case App(_, bound, args):
+            out = set(bound)
+            for a in args:
+                out |= old_all_names(a)
+            return out
+    raise TermError(f"not a term: {t!r}")
+
+
 def old_substitute(sig, t, subst, _capture=frozenset()):
     match t:
         case Var(x):
@@ -66,7 +79,7 @@ def old_substitute(sig, t, subst, _capture=frozenset()):
             range_fv = set()
             for r in active.values():
                 range_fv |= old_free_vars(sig, r)
-            avoid = range_fv | all_names(sig, t) | set(active)
+            avoid = range_fv | old_all_names(t) | set(active)
             renamed_slot = {}
             new_bound = list(bound)
             for k, b in enumerate(bound):
@@ -191,7 +204,7 @@ def old_complete_compositional(tr, keep_binders=frozenset()):
         raise TermError(f"not a term: {t!r}")
 
     def translate(t):
-        for nm in all_names(tr.source, t):
+        for nm in old_all_names(t):
             m = w_pattern.match(nm)
             if m:
                 state["next"] = max(state["next"], int(m.group(1)) + 1)
@@ -265,6 +278,7 @@ SIG_TERM_AND_SUBST = st.one_of(*(
 def test_free_vars_canon_key_and_canonical_binders_match(case):
     sig, t = case
     assert free_vars(sig, t) == old_free_vars(sig, t)
+    assert all_names(sig, t) == old_all_names(t)
     assert canon_key(sig, t) == old_canon_key(sig, t)
     assert canonical_binders(sig, t) == old_canonical_binders(sig, t)
     assert canonical_binders(sig, t, base="q") == old_canonical_binders(sig, t, base="q")
@@ -344,3 +358,71 @@ def test_boudol_head_map_matches_on_the_depth_3_pool():
     new, old = complete_compositional(tr), old_complete_compositional(tr)
     for t in islice(enumerate_terms(PI_TERM_SIG, 3), 1000):
         assert new(t) == old(t)
+
+
+# ------------- the memos on App nodes -------------
+
+# one construct name, two binding profiles: f's slot a scopes its first
+# argument under A_FIRST and its second under A_SECOND, so a node's free
+# variables depend on the signature it is read under
+A_FIRST = Signature("first", (Construct("f", 2, (("a",), ())), Construct("g", 2, ((), ()))))
+A_SECOND = Signature("second", (Construct("f", 2, ((), ("a",))), Construct("g", 2, ((), ()))))
+
+
+def _memo_term():
+    return App("g", (), (App("f", ("y",), (Var("y"), Var("X"))), Var("Z")))
+
+
+def test_free_variable_memo_is_kept_apart_per_signature():
+    t = _memo_term()
+    fresh = _memo_term()
+    sigma = {"y": App("f", ("x",), (Var("X"), Var("x"))), "X": Var("y")}
+    for _ in range(2):  # the second round finds both signatures' memos filled
+        for sig in (A_FIRST, A_SECOND, A_FIRST):
+            assert free_vars(sig, t) == old_free_vars(sig, fresh)
+            assert substitute(sig, t, sigma) == old_substitute(sig, fresh, sigma)
+            assert canonical_binders(sig, t) == old_canonical_binders(sig, fresh)
+    assert free_vars(A_FIRST, t) == {"X", "Z"}
+    assert free_vars(A_SECOND, t) == {"X", "Z", "y"}
+    assert substitute(A_FIRST, t, sigma) != substitute(A_SECOND, t, sigma)
+    assert all_names(A_FIRST, t) == all_names(A_SECOND, t) == {"X", "Z", "y"}
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert repr(t) == ("App(op='g', bound=(), args=(App(op='f', bound=('y',), "
+                       "args=(Var(name='y'), Var(name='X'))), Var(name='Z')))")
+    match t:
+        case App(op, bound, args):
+            assert (op, bound, args) == ("g", (), fresh.args)
+
+
+def test_returned_name_sets_do_not_alias_a_memo():
+    t = _memo_term()
+    for collect in (lambda: free_vars(A_SECOND, t), lambda: all_names(A_SECOND, t)):
+        first = collect()
+        want = set(first)
+        first.add("z")
+        first.discard("X")
+        assert collect() == want
+
+
+def test_memoized_walks_skip_repeated_work(monkeypatch):
+    lookups = []
+    plain_getitem = Signature.__getitem__
+
+    def counted(self, op):
+        lookups.append(op)
+        return plain_getitem(self, op)
+
+    monkeypatch.setattr(Signature, "__getitem__", counted)
+    t = _memo_term()
+    assert free_vars(A_FIRST, t) == {"X", "Z"}
+    assert lookups
+    lookups.clear()
+    assert free_vars(A_FIRST, t) == {"X", "Z"}
+    assert lookups == []
+    # a substitution whose domain misses fv(t) returns t itself
+    assert substitute(A_FIRST, t, {"y": Var("W"), "a": Var("X")}) is t
+    assert substitute(A_FIRST, t, {}) is t
+    assert lookups == []
+    assert _rename_slot_binders(A_FIRST, t, {}) is t
+    assert _rename_slot_binders(A_FIRST, t, {"q": "r"}) is t
+    assert lookups == []
