@@ -85,8 +85,17 @@ def _need_keys(data, keys: tuple[str, ...], what: str) -> None:
         raise InputError(f"{what} lacks keys: {sorted(missing)}")
 
 
+def _need_values(vs, message: str) -> None:
+    """vs must be a JSON list of scalar values; otherwise fail with message."""
+    if not isinstance(vs, list) or any(isinstance(v, (list, dict)) for v in vs):
+        raise InputError(message)
+
+
 def load_language(data: dict) -> FiniteLanguage:
     _need_keys(data, ("name", "values", "operators"), "language file")
+    _need_values(data["values"], "language values are not a JSON list of values")
+    if not isinstance(data["operators"], list):
+        raise InputError("language operators are not a JSON list")
     ops = []
     for op in data["operators"]:
         _need_keys(op, ("name", "arity", "table"), "operator")
@@ -198,6 +207,7 @@ def close_relation(generators: set[tuple[str, str]], kind: str,
 
 def load_relation(data: dict) -> Relation:
     _need_keys(data, ("pairs", "kind", "carrier"), "relation file")
+    _need_values(data["carrier"], "relation carrier is not a JSON list of values")
     if not isinstance(data["pairs"], list):
         raise InputError("relation pairs are not a JSON list")
     for p in data["pairs"]:

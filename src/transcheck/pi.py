@@ -244,9 +244,11 @@ def alpha_eq_pi(a: PiTerm, b: PiTerm) -> bool:
 
 # ------------- concrete syntax -------------
 
+_NAME_PATTERN = r"[a-z_][a-zA-Z0-9_]*"
 _PI_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[a-z_][a-zA-Z0-9_]*)|(?P<pvar>[A-Z][a-zA-Z0-9_]*)"
+    rf"\s*(?:(?P<name>{_NAME_PATTERN})|(?P<pvar>[A-Z][a-zA-Z0-9_]*)"
     r"|(?P<zero>0)|(?P<sym>[!().|,@]))")
+_NAME = re.compile(_NAME_PATTERN)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -376,8 +378,14 @@ def print_pi(t: PiTerm) -> str:
                     names.append(u.name)
                     u = u.body
                 return f"new {', '.join(names)}. {fac(u)}"
-            case Par(l, r):
-                return f"{go(l)} | {fac(r)}"
+            case Par(_, _):
+                # a left-nested spine of any length, without recursion
+                rights = []
+                while isinstance(u, Par):
+                    rights.append(fac(u.right))
+                    u = u.left
+                rights.append(go(u))
+                return " | ".join(reversed(rights))
         raise PiError(f"not a process: {u!r}")
 
     return go(t)
@@ -410,61 +418,78 @@ def print_state(s: PiState) -> str:
     return print_pi(s.term())
 
 
-def _uniquify(t: PiTerm) -> PiTerm:
-    """Rename restriction binders so that lifting them over siblings is
-    capture-free: a binder keeps its spelling unless that spelling also occurs
-    free, as an input parameter, or on another restriction."""
-    scan = _scan(t)
-    clash = scan.free | scan.params | {n for n, c in scan.binders.items() if c > 1}
-    if clash.isdisjoint(scan.binders):
-        return t  # every binder keeps its spelling
-    avoid = scan.names
+class _Build(NamedTuple):
+    """Stack entry that rebuilds a node of class cls from fields and the last
+    arity results."""
+    cls: type
+    fields: tuple
+    arity: int
 
-    def go(u: PiTerm, ren: dict[str, str]) -> PiTerm:
-        match u:
-            case Nil() | PVar(_) | ExtBarb(_):
-                return u
-            case Out(x, y, k):
-                return Out(ren.get(x, x), ren.get(y, y), go(k, ren))
-            case In(x, z, k):
-                inner = {a: b for a, b in ren.items() if a != z}
-                return In(ren.get(x, x), z, go(k, inner))
-            case Res(n, b):
-                m = n if n not in clash else _fresh_name(n, avoid)
-                clash.add(m)
-                avoid.add(m)
-                return Res(m, go(b, {**ren, n: m}))
-            case Par(l, r):
-                return Par(go(l, ren), go(r, ren))
-            case Repl(b):
-                return Repl(go(b, ren))
-        raise PiError(f"not a process: {u!r}")
 
-    return go(t, {})
+def _rename(t: PiTerm, ren: dict[str, str], clash: set[str], avoid: set[str]) -> PiTerm:
+    """t with ren applied to its free names and each restriction binder in
+    clash respelled afresh, avoiding avoid.  Binders are visited in
+    pre-order, left before right, and each spelling joins clash and avoid,
+    so the spellings chosen depend only on that order.  One walk with an
+    explicit stack, so a term of any width or depth is renamed."""
+    done: list[PiTerm] = []
+    work: list = [(t, ren)]
+    while work:
+        item = work.pop()
+        if type(item) is _Build:
+            kids = done[len(done) - item.arity:]
+            del done[len(done) - item.arity:]
+            done.append(item.cls(*item.fields, *kids))
+            continue
+        u, ren = item
+        cls = type(u)
+        if cls is Out:
+            work.append(_Build(Out, (ren.get(u.chan, u.chan), ren.get(u.msg, u.msg)), 1))
+            work.append((u.cont, ren))
+        elif cls is In:
+            z = u.param
+            work.append(_Build(In, (ren.get(u.chan, u.chan), z), 1))
+            work.append((u.cont, {a: b for a, b in ren.items() if a != z} if z in ren else ren))
+        elif cls is Res:
+            n = u.name
+            m = n if n not in clash else _fresh_name(n, avoid)
+            clash.add(m)
+            avoid.add(m)
+            work.append(_Build(Res, (m,), 1))
+            work.append((u.body, {**ren, n: m}))
+        elif cls is Par:
+            work.append(_Build(Par, (), 2))
+            work.append((u.right, ren))
+            work.append((u.left, ren))
+        elif cls is Repl:
+            work.append(_Build(Repl, (), 1))
+            work.append((u.body, ren))
+        elif cls is Nil or cls is PVar or cls is ExtBarb:
+            done.append(u)
+        else:
+            raise PiError(f"not a process: {u!r}")
+    return done[0]
 
 
 def _split_level(t: PiTerm) -> tuple[list[str], list[PiTerm]]:
-    """Unwrap leading restrictions and flatten the parallel spine."""
+    """Unwrap leading restrictions and flatten the parallel spine, lifting
+    the restrictions met on it: names and threads in pre-order, left before
+    right.  One walk with an explicit stack, so the spine may be of any
+    length."""
     nus: list[str] = []
-    while isinstance(t, Res):
-        nus.append(t.name)
-        t = t.body
     threads: list[PiTerm] = []
-
-    def spine(u: PiTerm) -> None:
-        match u:
-            case Nil():
-                pass
-            case Par(l, r):
-                spine(l)
-                spine(r)
-            case Res(n, b):
-                nus.append(n)
-                spine(b)
-            case _:
-                threads.append(u)
-
-    spine(t)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        cls = type(u)
+        if cls is Par:
+            stack.append(u.right)
+            stack.append(u.left)
+        elif cls is Res:
+            nus.append(u.name)
+            stack.append(u.body)
+        elif cls is not Nil:
+            threads.append(u)
     return nus, threads
 
 
@@ -493,24 +518,116 @@ def _assemble(nus, threads) -> PiTerm:
 
 
 class _Canon:
-    """Normalization and canonical keys for one normal_form call.
+    """Normalization and canonical keys, memoized for the life of one canon:
+    one explore, or one normal_form call.
 
     A level is the restricted names and the parallel threads directly under a
     prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
     the restricted names spelled ``r{depth}.{i}``; input parameters are spelled
-    ``p{depth}`` and free names ``f:{name}``.  Levels are memoized by the id of
-    their term, and each memo entry holds that term, so the id cannot be
-    reused while the memo lives.
+    ``p{depth}`` and free names ``f:{name}``.
+
+    A thread is normalized once per structure (equal threads share one
+    entry) and scanned once per object; a normalized thread is keyed once per
+    depth and spelling of its free names.  So a successor, which shares all
+    but a few threads with its parent state, costs the new continuations and
+    the opened replication copies, not the whole state.  Memos keyed by an
+    object's id hold that object, so the id cannot be reused while the canon
+    lives.  No memo key is a level term: a parallel spine of any length is
+    never hashed.
     """
 
     def __init__(self) -> None:
+        # normalized continuations by id, and their keys by (id, depth, tokens)
         self._levels: dict[int, _Level] = {}
         self._conts: dict[tuple, tuple] = {}
+        # normalized threads with their free names: by structure, then by the
+        # id of each object looked up
+        self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
+        self._normal_of: dict[int, tuple[PiTerm, tuple[PiTerm, frozenset[str]]]] = {}
+        # keys of normalized threads by (id, depth, tokens of the free names)
+        self._keys: dict[tuple, tuple] = {}
+        # scans of parts by id, and substituted continuations by (id, param, msg)
+        self._scans: dict[int, tuple[PiTerm, _Names]] = {}
+        self._substs: dict[tuple, tuple[PiTerm, PiTerm]] = {}
 
-    def gather(self, t: PiTerm) -> tuple[list[str], list[PiTerm], list[frozenset[str]]]:
+    def scan(self, t: PiTerm) -> _Names:
+        hit = self._scans.get(id(t))
+        if hit is None:
+            hit = self._scans[id(t)] = (t, _scan(t))
+        return hit[1]
+
+    def subst(self, t: PiTerm, param: str, msg: str) -> PiTerm:
+        """subst_names(t, {param: msg}), one result object per input object."""
+        memo_key = (id(t), param, msg)
+        hit = self._substs.get(memo_key)
+        if hit is None:
+            hit = self._substs[memo_key] = (t, subst_names(t, {param: msg}))
+        return hit[1]
+
+    def state(self, nus: list[str], parts: list[PiTerm]) -> PiState:
+        """The normal form of ``new nus. (parts[0] | parts[1] | ...)``.
+
+        First the restriction binders are renamed so that lifting them over
+        siblings is capture-free: a binder keeps its spelling unless that
+        spelling also occurs free, as an input parameter, or on another
+        restriction.  That is decided from the scans of the parts, and only
+        a part holding such a binder, or a free occurrence of a renamed name
+        of nus, is rebuilt.  Then the levels are flattened and keyed."""
+        scans = [self.scan(p) for p in parts]
+        count: dict[str, int] = {}
+        for n in nus:
+            count[n] = count.get(n, 0) + 1
+        for sc in scans:
+            for n, c in sc.binders.items():
+                count[n] = count.get(n, 0) + c
+        clash: set[str] = set()
+        if count:
+            free = set().union(*(sc.free for sc in scans)).difference(nus)
+            params = set().union(*(sc.params for sc in scans))
+            clash = {n for n, c in count.items() if c > 1 or n in free or n in params}
+        if clash:
+            nus, parts = self._respell(nus, parts, scans, clash)
+        top: list[str] = list(nus)
+        raw: list[PiTerm] = []
+        for p in parts:
+            if type(p) in (Par, Res, Nil):  # a level, not a thread
+                more, threads = _split_level(p)
+                top += more
+                raw += threads
+            else:
+                raw.append(p)
+        top, threads, fns = self.gather(top, raw)
+        key, order, perm = self.level(top, threads, fns, {}, 0)
+        return PiState(tuple(order), tuple([threads[i] for i in perm]), key)
+
+    @staticmethod
+    def _respell(nus: list[str], parts: list[PiTerm], scans: list[_Names],
+                 clash: set[str]) -> tuple[list[str], list[PiTerm]]:
+        """Rename the binders in clash as one pre-order walk of
+        ``new nus. (parts[0] | ...)`` would (see _rename), rebuilding only
+        the parts that walk changes."""
+        avoid = set(nus).union(*(sc.names for sc in scans))
+        ren: dict[str, str] = {}
+        spelt = []
+        for n in nus:
+            m = n if n not in clash else _fresh_name(n, avoid)
+            clash.add(m)
+            avoid.add(m)
+            ren[n] = m
+            spelt.append(m)
+        moved = {n for n, m in ren.items() if n != m}
+        out = []
+        for p, sc in zip(parts, scans):
+            if clash.isdisjoint(sc.binders) and moved.isdisjoint(sc.free):
+                out.append(p)  # no binder renamed, no free name moved
+            else:
+                out.append(_rename(p, ren, clash, avoid))
+        return spelt, out
+
+    def gather(self, nus: list[str], raw: list[PiTerm]) -> tuple[
+            list[str], list[PiTerm], list[frozenset[str]]]:
         """The used restrictions, normalized threads and their free names of
-        the level at t."""
-        nus, raw = _split_level(t)
+        a level with restrictions nus and threads raw."""
         parts = [self.renorm_thread(th) for th in raw]
         used = frozenset().union(*(fn for _, fn in parts))
         return [n for n in nus if n in used], [th for th, _ in parts], [fn for _, fn in parts]
@@ -520,7 +637,7 @@ class _Canon:
         restrictions and threads canonically."""
         if isinstance(t, Nil):
             return _EMPTY
-        nus, threads, fns = self.gather(t)
+        nus, threads, fns = self.gather(*_split_level(t))
         if len(nus) > 1 or len(threads) > 1:
             _, nus, perm = self.level(nus, threads, fns, {}, 0)
             threads = [threads[i] for i in perm]
@@ -532,6 +649,16 @@ class _Canon:
 
     def renorm_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
         """The thread with normalized continuations, and its free names."""
+        hit = self._normal_of.get(id(t))
+        if hit is None:
+            done = self._normal.get(t)
+            if done is None:
+                done = self._normal[t] = self.normalize_thread(t)
+            hit = self._normal_of[id(t)] = (t, done)
+        return hit[1]
+
+    def normalize_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
+        """renorm_thread's work, done once per thread structure."""
         match t:
             case Out(x, y, k):
                 lv = self.renorm(k)
@@ -545,7 +672,16 @@ class _Canon:
             case _:
                 return t, frozenset()
 
-    def thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
+    def thread(self, t: PiTerm, fn: frozenset[str], env: dict[str, str], depth: int) -> tuple:
+        """Key of a normalized thread with free names fn.  It depends on env
+        only through the tokens of fn, which key the memo."""
+        memo_key = (id(t), depth, *map(env.get, fn))
+        key = self._keys.get(memo_key)
+        if key is None:
+            key = self._keys[memo_key] = self._thread(t, env, depth)
+        return key
+
+    def _thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
         match t:
             case Out(x, y, k):
                 return ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
@@ -581,8 +717,10 @@ class _Canon:
             keys, order, perm = _Search(self, nus, threads, fns, env, depth).best()
             return (len(nus), keys), order, perm
         env2 = {**env, nus[0]: f"r{depth}.0"} if nus else env
-        keyed = sorted((self.thread(th, env2, depth + 1), i) for i, th in enumerate(threads))
-        return (len(nus), tuple(k for k, _ in keyed)), list(nus), [i for _, i in keyed]
+        keyed = sorted([(self.thread(th, fn, env2, depth + 1), i)
+                        for i, (th, fn) in enumerate(zip(threads, fns))])
+        return (len(nus), tuple([k for k, _ in keyed])), list(nus), [i for _, i in keyed]
+
 
 
 class _Search:
@@ -604,6 +742,7 @@ class _Search:
     def __init__(self, canon: _Canon, nus: list[str], threads: list[PiTerm],
                  fns: list[frozenset[str]], env: dict[str, str], depth: int) -> None:
         self.canon, self.nus, self.threads, self.env, self.depth = canon, nus, threads, env, depth
+        self.fns = fns
         self.mine = [[n for n in nus if n in fn] for fn in fns]
         self.occurs = {n: [i for i, fn in enumerate(fns) if n in fn] for n in nus}
         self.memo: dict[tuple, tuple] = {}
@@ -616,7 +755,8 @@ class _Search:
         if key is None:
             env = dict(self.env)
             env.update((n, tokens[n]) for n in mine)
-            key = self.memo[memo_key] = self.canon.thread(self.threads[i], env, self.depth + 1)
+            key = self.memo[memo_key] = self.canon.thread(self.threads[i], self.fns[i], env,
+                                                          self.depth + 1)
         return key
 
     def refine(self, cells: list[list[str]]) -> list[list[str]]:
@@ -734,10 +874,7 @@ def normal_form(t: PiTerm) -> PiState:
     exactly when they are structurally congruent up to renaming of bound
     names.  A level with at most one restricted name has a single leaf.
     """
-    canon = _Canon()
-    nus, threads, fns = canon.gather(_uniquify(t))
-    key, order, perm = canon.level(nus, threads, fns, {}, 0)
-    return PiState(tuple(order), tuple(threads[i] for i in perm), key)
+    return _Canon().state([], [t])
 
 
 # ------------- barbs -------------
@@ -756,16 +893,22 @@ class Barb:
 
 
 def barb_from_text(s: str) -> Barb:
+    """``x!`` or ``x`` (output), ``x(`` or ``x?`` (input), ``@w`` (external
+    barb); x and w are spelled as names are in process terms."""
     s = s.strip()
-    if s.startswith("@"):
-        return Barb("ext", s[1:])
-    if s.endswith("!"):
-        return Barb("out", s[:-1])
-    if s.endswith("(") or s.endswith("?"):
-        return Barb("in", s[:-1])
     if not s:
         raise PiError("empty barb")
-    return Barb("out", s)
+    if s.startswith("@"):
+        barb = Barb("ext", s[1:])
+    elif s.endswith("!"):
+        barb = Barb("out", s[:-1])
+    elif s.endswith("(") or s.endswith("?"):
+        barb = Barb("in", s[:-1])
+    else:
+        barb = Barb("out", s)
+    if not _NAME.fullmatch(barb.name):
+        raise PiError(f"barb {s!r}: {barb.name!r} is not a name")
+    return barb
 
 
 # ------------- reduction -------------
@@ -836,33 +979,40 @@ def _expand_offers(threads: tuple[PiTerm, ...]) -> list[_Offer]:
     return offers
 
 
-def _successor(state: PiState, send: _Offer, recv: _Offer) -> PiState:
-    components: list[PiTerm] = []
+def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiState:
+    """The state after send meets recv: the state's other threads, the
+    unconsumed parts of every replication copy either offer opened (with its
+    restrictions), and the two continuations, the received name substituted
+    for the parameter."""
+    parts: list[PiTerm] = []
     consumed_top = {o.top for o in (send, recv) if not o.levels}
     for i, th in enumerate(state.threads):
         if i not in consumed_top:
-            components.append(th)
+            parts.append(th)
     # materialize every unfolded copy touched by either offer
     levels: dict[int, tuple[_CopyLevel, set[int]]] = {}
     for o in (send, recv):
         for lv in o.levels:
             info = levels.setdefault(lv.cid, (lv, set()))
             info[1].add(lv.part)
-    extra_nus: list[str] = []
+    nus = list(state.restricted)
     for cid in sorted(levels):
         lv, opened = levels[cid]
-        extra_nus.extend(lv.nus)
+        nus.extend(lv.nus)
         for j, p in enumerate(lv.parts):
             if j not in opened:
-                components.append(p)
+                parts.append(p)
             elif isinstance(p, Repl):
-                components.append(p)  # the replication itself persists
-    components.append(send.cont)
-    components.append(subst_names(recv.cont, {recv.param: send.msg}))
-    return normal_form(_assemble(list(state.restricted) + extra_nus, components))
+                parts.append(p)  # the replication itself persists
+    parts.append(send.cont)
+    parts.append(canon.subst(recv.cont, recv.param, send.msg))
+    return canon.state(nus, parts)
 
 
-def reduce_once(state: PiState) -> list[PiState]:
+def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
+    """The successors of state, in key order.  explore passes its own canon,
+    so that every successor it makes shares one memo."""
+    canon = _canon or _Canon()
     offers = _expand_offers(state.threads)
     sends = [o for o in offers if o.kind == "send"]
     recvs = [o for o in offers if o.kind == "recv"]
@@ -870,7 +1020,7 @@ def reduce_once(state: PiState) -> list[PiState]:
     for s in sends:
         for r in recvs:
             if s.chan == r.chan:
-                nxt = _successor(state, s, r)
+                nxt = _successor(canon, state, s, r)
                 succs.setdefault(nxt.key, nxt)
     return [succs[k] for k in sorted(succs)]
 
@@ -994,9 +1144,13 @@ class ReductionGraph:
 
 
 def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
+    """The reduction graph of t, breadth first with each frontier in key
+    order, up to budget states.  One canon normalizes the root and every
+    successor, so a thread met again is neither renormalized nor rekeyed."""
     if budget < 1:
         raise PiError("budget must be >= 1")
-    root = t if isinstance(t, PiState) else normal_form(t)
+    canon = _Canon()
+    root = t if isinstance(t, PiState) else canon.state([], [t])
     pvs = set()
     for th in root.threads:
         pvs |= process_vars(th)
@@ -1011,7 +1165,7 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
         nxt: list[tuple] = []
         for key in sorted(frontier):
             succ_keys = []
-            for s in reduce_once(states[key]):
+            for s in reduce_once(states[key], canon):
                 if s.key not in states:
                     if len(states) >= budget:
                         complete = False

@@ -316,6 +316,23 @@ def test_deeply_nested_term_is_usage_error(cli):
     assert err == "error: input nested too deeply to process\n"
 
 
+def test_wide_parallel_composition_gets_an_answer(cli):
+    # width is not nesting: 2,000 parallel threads are processed, not refused
+    term = " | ".join(["x!a"] * 2000)
+    code, out, err = cli("pi", "print", term)
+    assert (code, out, err) == (OK, term + "\n", "")
+    code, out, err = cli("pi", "explore", term, "--budget", "5")
+    assert (code, err) == (OK, "")
+    assert out == f"states: 1 (complete)\n0: {term}  barbs[x!]  -> -\ndivergent: none\n"
+
+
+@pytest.mark.parametrize("barb", ["!", "@", "x y!", "X!"])
+def test_malformed_barb_is_usage_error(cli, barb):
+    code, out, err = cli("pi", "weak-barb", "x!a", barb)
+    assert (code, out) == (USAGE, "")
+    assert err.startswith(f"error: barb {barb!r}: ")
+
+
 def test_open_subject_is_usage_error(cli):
     code, _, err = cli("pi", "weak-barb", "X | x(u).u!v", "v",
                        "--context", "Y | x!a")
@@ -464,6 +481,19 @@ def test_language_with_a_duplicate_operator_name_is_rejected(cli, tmp_path):
     assert (code, out) == (FAIL, f"invalid: {message}\n")
     code, out, err = cli("closure", "--lang", lang, "--relation", "negtop/sim.json")
     assert (code, out, err) == (USAGE, "", f"error: {message}\n")
+
+
+def test_carrier_or_values_that_are_not_lists_are_rejected(cli, tmp_path):
+    rel = _write_json(tmp_path / "rel.json", {"name": "r", "kind": "equivalence",
+                                              "carrier": 5, "pairs": []})
+    code, out, err = cli("closure", "--lang", "negtop/L.json", "--relation", rel)
+    assert (code, out, err) == (USAGE, "", "error: relation carrier is not a JSON list of values\n")
+    data = json.loads((FIXTURES / "negtop" / "L.json").read_text())
+    lang = _write_json(tmp_path / "L.json", {**data, "values": 5})
+    code, out, _ = cli("lang", "validate", "--lang", lang)
+    assert (code, out) == (FAIL, "invalid: language values are not a JSON list of values\n")
+    code, out, err = cli("closure", "--lang", lang, "--relation", "negtop/sim.json")
+    assert (code, out, err) == (USAGE, "", "error: language values are not a JSON list of values\n")
 
 
 def test_translation_without_heads_is_usage_error(cli, tmp_path):

@@ -188,6 +188,19 @@ def test_load_relation_rejects_malformed_pairs():
         load_relation({**base, "pairs": 5})
 
 
+def test_load_relation_and_language_reject_malformed_value_lists():
+    rel = {"name": "r", "kind": "preorder", "pairs": []}
+    for carrier in (5, "ab", {"L.a": 1}, ["L.a", ["L.b"]]):
+        with pytest.raises(InputError, match="^relation carrier is not a JSON list of values$"):
+            load_relation({**rel, "carrier": carrier})
+    lang = json.loads((FIXTURES / "negtop" / "L.json").read_text())
+    for values in (5, "01", ["0", {"1": 1}]):
+        with pytest.raises(InputError, match="^language values are not a JSON list of values$"):
+            load_language({**lang, "values": values})
+    with pytest.raises(InputError, match="^language operators are not a JSON list$"):
+        load_language({**lang, "operators": 5})
+
+
 def test_load_language_roundtrip():
     data = json.loads((FIXTURES / "mod3" / "Lp.json").read_text())
     lang = load_language(data)

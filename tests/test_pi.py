@@ -224,6 +224,13 @@ def test_barb_printing_and_parsing():
     assert barb_from_text("@done") == Barb("ext", "done")
 
 
+@pytest.mark.parametrize("text", ["!", "@", "x y!", "X!", "@W", "x!!", "", "  "])
+def test_malformed_barb_is_rejected(text):
+    # an empty name, an empty id, a space, a process variable: bad input, never "no"
+    with pytest.raises(PiError):
+        barb_from_text(text)
+
+
 def test_strong_barbs_hide_restricted_subjects():
     assert strong_barbs(nf("new x. (x!z | y!z)")) == {Barb("out", "y")}
     assert strong_barbs(nf("x!z.y!w")) == {Barb("out", "x")}  # not the continuation

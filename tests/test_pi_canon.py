@@ -1,18 +1,23 @@
 """Canonical process states: the individualization-refinement key against the
-brute-force permutation key it replaced, and the state-space frontier."""
+brute-force permutation key it replaced, the incremental successors of explore
+against successors normalized from scratch, and the state-space frontier."""
 
 import random
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transcheck.encodings import boudol_translate
+from transcheck import pi
+from transcheck.encodings import boudol_translate, load_pairs
 from transcheck.pi import (ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
-                           Res, explore, normal_form, parse_pi, print_state,
-                           subst_names)
+                           Res, _expand_offers, explore, normal_form, parse_pi,
+                           print_state, reduce_once, strong_barbs, subst_names)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ------------- the brute-force key (oracle) -------------
@@ -353,3 +358,200 @@ def test_boudol_frontier_closes(n):
     # multiset of their three protocol phases: C(n+3, 3) states
     states, _ = counts(boudol(n))
     assert states == comb(n + 3, 3)
+
+
+# ------------- successors from scratch (oracle) -------------
+
+def old_uniquify(t):
+    """The recursive binder renaming normal_form did on the whole term: a
+    binder keeps its spelling unless it also occurs free, as an input
+    parameter, or on another restriction."""
+    scan = pi._scan(t)
+    clash = scan.free | scan.params | {n for n, c in scan.binders.items() if c > 1}
+    if clash.isdisjoint(scan.binders):
+        return t
+    avoid = scan.names
+
+    def go(u, ren):
+        match u:
+            case Nil() | PVar(_) | ExtBarb(_):
+                return u
+            case Out(x, y, k):
+                return Out(ren.get(x, x), ren.get(y, y), go(k, ren))
+            case In(x, z, k):
+                return In(ren.get(x, x), z, go(k, {a: b for a, b in ren.items() if a != z}))
+            case Res(n, b):
+                m = n if n not in clash else pi._fresh_name(n, avoid)
+                clash.add(m)
+                avoid.add(m)
+                return Res(m, go(b, {**ren, n: m}))
+            case Par(l, r):
+                return Par(go(l, ren), go(r, ren))
+            case Repl(b):
+                return Repl(go(b, ren))
+
+    return go(t, {})
+
+
+def scratch_successor(state, send, recv):
+    """The successor as one term, normalized from scratch by normal_form."""
+    components = [th for i, th in enumerate(state.threads)
+                  if i not in {o.top for o in (send, recv) if not o.levels}]
+    levels = {}
+    for o in (send, recv):
+        for lv in o.levels:
+            levels.setdefault(lv.cid, (lv, set()))[1].add(lv.part)
+    nus = list(state.restricted)
+    for cid in sorted(levels):
+        lv, opened = levels[cid]
+        nus.extend(lv.nus)
+        components += [p for j, p in enumerate(lv.parts) if j not in opened or isinstance(p, Repl)]
+    components += [send.cont, subst_names(recv.cont, {recv.param: send.msg})]
+    core = components[0]
+    for c in components[1:]:
+        core = Par(core, c)
+    for n in reversed(nus):
+        core = Res(n, core)
+    return normal_form(old_uniquify(core))
+
+
+def scratch_reduce(state):
+    offers = _expand_offers(state.threads)
+    succs = {}
+    for s in offers:
+        for r in offers:
+            if s.kind == "send" and r.kind == "recv" and s.chan == r.chan:
+                nxt = scratch_successor(state, s, r)
+                succs.setdefault(nxt.key, nxt)
+    return [succs[k] for k in sorted(succs)]
+
+
+def reaches_cycle(edges):
+    """The states from which an infinite run starts."""
+    def reach(k):
+        seen, stack = set(), list(edges[k])
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(edges[u])
+        return seen
+
+    on_cycle = {k for k in edges if k in reach(k)}
+    return frozenset(k for k in edges if k in on_cycle or reach(k) & on_cycle)
+
+
+def scratch_explore(t, budget, input_barbs=False):
+    """explore as it was: breadth first in key order, each successor
+    normalized from scratch."""
+    root = normal_form(old_uniquify(t))
+    states, edges = {root.key: root}, {}
+    barbs = {root.key: strong_barbs(root, input_barbs)}
+    frontier, complete = [root.key], True
+    while frontier:
+        nxt = []
+        for key in sorted(frontier):
+            succ_keys = []
+            for s in scratch_reduce(states[key]):
+                if s.key not in states:
+                    if len(states) >= budget:
+                        complete = False
+                        continue
+                    states[s.key] = s
+                    barbs[s.key] = strong_barbs(s, input_barbs)
+                    nxt.append(s.key)
+                succ_keys.append(s.key)
+            edges[key] = tuple(sorted(set(succ_keys)))
+        frontier = nxt
+    return root.key, states, edges, barbs, complete, (
+        reaches_cycle(edges) if complete else frozenset())
+
+
+def assert_explore_matches_scratch(t, budget):
+    for input_barbs in (False, True):
+        g = explore(t, budget, input_barbs)
+        root, states, edges, barbs, complete, divergent = scratch_explore(t, budget, input_barbs)
+        assert g.root == root
+        assert list(g.states) == list(states)
+        assert [print_state(s) for s in g.states.values()] == [
+            print_state(s) for s in states.values()]
+        assert g.edges == edges and list(g.edges) == list(edges)
+        assert g.barbs == barbs
+        assert g.complete == complete and g.divergent == divergent
+
+
+def pair_family(k):
+    return parse_pi(" | ".join(f"c{i}!a | c{i}(y).d{i}!y" for i in range(k)))
+
+
+# replication copies whose restrictions meet the state's own, so that binders
+# are respelled on the way up
+RESPELLED = [
+    "new t. (x!z | t!c | !t(y).t!y)",
+    "!new a. (x!a | a(y).y!b) | x(u).u!c | x(u).new a. a!u",
+    "new a. (a!b | !new a. (x!a | a(v).v!a)) | x(u).u!u | x(a).a!a",
+    "!x(u).new v. (u!v | !v(w).new u. w!u) | new v. x!v | x!v",
+    "new u. (x!u | u(v).v!z) | x(u).u!v | !new u. x!u",
+    "new y. x!y | x(y).y!b | !x(v).new v. v!v",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels())
+def test_binders_are_respelled_as_on_the_whole_term(t):
+    for u in (t, Par(t, parse_pi("new y. x!y | x(y).(y!b | new b. y!b)"))):
+        s, again = normal_form(u), normal_form(old_uniquify(u))
+        assert s.key == again.key and print_state(s) == print_state(again)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels(), st.sampled_from([1, 5, 17, 40]))
+def test_explore_matches_successors_from_scratch(t, budget):
+    assert_explore_matches_scratch(t, budget)
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (boudol, [1, 2, 3, 4]), (product, [1, 2, 3]), (pair_family, [1, 2, 3, 4, 5, 6]),
+], ids=["boudol", "product", "pairs"])
+@pytest.mark.parametrize("budget", [1, 5, 17, 2000])
+def test_explore_matches_scratch_on_the_families(make, sizes, budget):
+    for n in sizes:
+        assert_explore_matches_scratch(make(n), budget)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 17, 60])
+def test_explore_matches_scratch_where_copies_are_respelled(budget):
+    pairs = load_pairs((FIXTURES / "pi" / "lattice_pairs.txt").read_text())
+    for text in RESPELLED + [side for pair in pairs for side in pair]:
+        assert_explore_matches_scratch(parse_pi(text), budget)
+
+
+def test_reduce_once_matches_scratch_on_hand_built_states():
+    # threads that are not in normal form, and a level whose restriction is
+    # not at its top, as a caller may build them
+    state = normal_form(parse_pi("x!a | x(y).(y!b | new y. y!y) | !x(z).new z. z!z"))
+    odd = pi.PiState(("a",), (
+        In("x", "y", Par(Out("y", "a", Nil()), Res("a", Out("a", "y", Nil())))),
+        Out("x", "a", Res("b", Par(Out("b", "a", Nil()), Nil()))),
+        Repl(Par(In("x", "a", Out("a", "a", Nil())), Res("a", Out("x", "a", Nil())))),
+    ), ())
+    for s in (state, odd):
+        got, want = reduce_once(s), scratch_reduce(s)
+        assert [x.key for x in got] == [x.key for x in want]
+        assert [print_state(x) for x in got] == [print_state(x) for x in want]
+
+
+def test_explore_normalizes_each_thread_structure_once(monkeypatch):
+    # the pair family at k=6 has about 20 distinct threads; normalizing the
+    # whole of each successor from scratch took 2,130 thread normalizations
+    calls = []
+    work = pi._Canon.normalize_thread
+
+    def counted(self, t):
+        calls.append(t)
+        return work(self, t)
+
+    monkeypatch.setattr(pi._Canon, "normalize_thread", counted)
+    g = explore(pair_family(6), 1000)
+    assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
+    assert len(calls) <= 100
