@@ -82,7 +82,7 @@ def _fmt_item(item, langs=()) -> str:
     if isinstance(item, dict):
         inner = " ".join(f"{k}={_fmt_item(v, langs)}" for k, v in sorted(item.items()))
         return "{" + inner + "}"
-    if isinstance(item, (Term,)) or type(item).__name__ in ("Var", "App"):
+    if isinstance(item, Term):
         return print_term(item)
     if isinstance(item, tuple):
         return "(" + ", ".join(_fmt_item(x, langs) for x in item) + ")"

@@ -10,13 +10,14 @@ the two routes are required to agree up to renaming of bound names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable
 
 from .finlang import FiniteLanguage, denote
-from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError,
-                 PiTerm, PVar, Repl, Res, all_names, alpha_eq_pi, bisim,
-                 free_names, is_async, process_vars, weak_barb, _fresh_name)
+from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiTerm, PVar, Repl, Res,
+                 all_names, alpha_eq_pi, bisim, free_names, is_async, process_vars,
+                 weak_barb, _fold, _fresh_name, _map_names)
 from .terms import (App, Construct, Signature, Term, TermError, Translation,
                     Var, complete_compositional, free_vars, parse_term,
                     translation)
@@ -34,8 +35,7 @@ def boudol_translate(p: PiTerm) -> PiTerm:
     first and left to right; T(X) = X and the translation is homomorphic on
     0, |, !, new.
     """
-    used = all_names(p)
-    ctr = count()
+    used, ctr, nil = all_names(p), count(), Nil()
 
     def fresh() -> str:
         while True:
@@ -43,27 +43,26 @@ def boudol_translate(p: PiTerm) -> PiTerm:
             if n not in used:
                 return n
 
-    def go(t: PiTerm) -> PiTerm:
+    def visit(t: PiTerm, _):
         match t:
-            case Nil() | PVar(_) | ExtBarb(_):
-                return t
             case Out(x, z, k):
                 u, v = fresh(), fresh()
-                return Res(u, Par(Out(x, u, Nil()),
-                                  In(u, v, Par(Out(v, z, Nil()), go(k)))))
+                return (lambda c: Res(u, Par(Out(x, u, nil),
+                                             In(u, v, Par(Out(v, z, nil), c))))), ((k, None),)
             case In(x, y, k):
                 u, v = fresh(), fresh()
-                return In(x, u, Res(v, Par(Out(u, v, Nil()),
-                                           In(v, y, go(k)))))
+                return (lambda c: In(x, u, Res(v, Par(Out(u, v, nil), In(v, y, c))))), ((k, None),)
+            case Nil() | PVar(_) | ExtBarb(_):
+                return (lambda: t), ()
             case Par(l, r):
-                return Par(go(l), go(r))
+                return Par, ((l, None), (r, None))
             case Res(n, b):
-                return Res(n, go(b))
+                return partial(Res, n), ((b, None),)
             case Repl(b):
-                return Repl(go(b))
+                return Repl, ((b, None),)
         raise PiError(f"not a process: {t!r}")
 
-    out = go(p)
+    out = _fold(p, None, visit)
     if not is_async(out):
         raise AssertionError("translation left a guarded output continuation")
     return out
@@ -117,53 +116,60 @@ def pi_to_term(t: PiTerm) -> Term:
 
     Names and process variables both become term variables; observation
     constants have no term form."""
-    match t:
-        case Nil():
-            return App("Nil", (), ())
-        case PVar(x):
-            return Var(x)
-        case ExtBarb(_):
-            raise PiError("observation constants have no term-language form")
-        case Out(x, y, k):
-            return App("Out", (), (Var(x), Var(y), pi_to_term(k)))
-        case In(x, z, k):
-            return App("In", (z,), (Var(x), pi_to_term(k)))
-        case Par(l, r):
-            return App("Par", (), (pi_to_term(l), pi_to_term(r)))
-        case Res(n, b):
-            return App("Res", (n,), (pi_to_term(b),))
-        case Repl(b):
-            return App("Repl", (), (pi_to_term(b),))
-    raise PiError(f"not a process: {t!r}")
+    def visit(u: PiTerm, _):
+        match u:
+            case Nil():
+                return (lambda: App("Nil", (), ())), ()
+            case PVar(x):
+                return (lambda: Var(x)), ()
+            case ExtBarb(_):
+                raise PiError("observation constants have no term-language form")
+            case Out(x, y, k):
+                return (lambda c: App("Out", (), (Var(x), Var(y), c))), ((k, None),)
+            case In(x, z, k):
+                return (lambda c: App("In", (z,), (Var(x), c))), ((k, None),)
+            case Par(l, r):
+                return (lambda a, b: App("Par", (), (a, b))), ((l, None), (r, None))
+            case Res(n, b):
+                return (lambda c: App("Res", (n,), (c,))), ((b, None),)
+            case Repl(b):
+                return (lambda c: App("Repl", (), (c,))), ((b, None),)
+        raise PiError(f"not a process: {u!r}")
+
+    return _fold(t, None, visit)
 
 
 def term_to_pi(t: Term) -> PiTerm:
-    """Read a process-shaped term back; output arity picks the sublanguage."""
+    """Read a process-shaped term back; output arity picks the sublanguage.
+    A construct with too few arguments or binders is a PiError."""
     def name_of(u: Term) -> str:
         if not isinstance(u, Var):
             raise PiError(f"name position holds a non-variable term: {u!r}")
         return u.name
 
-    match t:
-        case Var(x):
-            if x[:1].isupper():
-                return PVar(x)
-            raise PiError(f"free lowercase variable {x!r} is not a process")
-        case App("Nil", _, _):
-            return Nil()
-        case App("Out", _, args) if len(args) == 3:
-            return Out(name_of(args[0]), name_of(args[1]), term_to_pi(args[2]))
-        case App("Out", _, args) if len(args) == 2:
-            return Out(name_of(args[0]), name_of(args[1]), Nil())
-        case App("In", bound, args):
-            return In(name_of(args[0]), bound[0], term_to_pi(args[1]))
-        case App("Par", _, args):
-            return Par(term_to_pi(args[0]), term_to_pi(args[1]))
-        case App("Res", bound, args):
-            return Res(bound[0], term_to_pi(args[0]))
-        case App("Repl", _, args):
-            return Repl(term_to_pi(args[0]))
-    raise PiError(f"not a process-shaped term: {t!r}")
+    def visit(u: Term, _):
+        match u:
+            case Var(x):
+                if x[:1].isupper():
+                    return (lambda: PVar(x)), ()
+                raise PiError(f"free lowercase variable {x!r} is not a process")
+            case App("Nil", _, _):
+                return Nil, ()
+            case App("Out", _, (x, y)):
+                return partial(Out, name_of(x), name_of(y), Nil()), ()
+            case App("Out", _, (x, y, k)):
+                return partial(Out, name_of(x), name_of(y)), ((k, None),)
+            case App("In", (z, *_), (x, k, *_)):
+                return partial(In, name_of(x), z), ((k, None),)
+            case App("Par", _, (l, r, *_)):
+                return Par, ((l, None), (r, None))
+            case App("Res", (n, *_), (b, *_)):
+                return partial(Res, n), ((b, None),)
+            case App("Repl", _, (b, *_)):
+                return Repl, ((b, None),)
+        raise PiError(f"not a process-shaped term: {u!r}")
+
+    return _fold(t, None, visit)
 
 
 @dataclass(frozen=True)
@@ -197,38 +203,14 @@ def _subst_pvar(context: PiTerm, var: str, p: PiTerm) -> PiTerm:
     fnp = free_names(p)
     avoid = set(all_names(context)) | set(fnp)
 
-    def go(t: PiTerm, ren: dict[str, str]) -> PiTerm:
-        match t:
-            case Nil() | ExtBarb(_):
-                return t
-            case PVar(x):
-                return p if x == var else t
-            case Out(x, y, k):
-                return Out(ren.get(x, x), ren.get(y, y), go(k, ren))
-            case In(x, z, k):
-                chan = ren.get(x, x)
-                inner = {a: b for a, b in ren.items() if a != z}
-                if z in fnp:
-                    z2 = _fresh_name(z, avoid)
-                    avoid.add(z2)
-                    inner[z] = z2
-                    z = z2
-                return In(chan, z, go(k, inner))
-            case Res(n, b):
-                inner = {a: b for a, b in ren.items() if a != n}
-                if n in fnp:
-                    n2 = _fresh_name(n, avoid)
-                    avoid.add(n2)
-                    inner[n] = n2
-                    n = n2
-                return Res(n, go(b, inner))
-            case Par(l, r):
-                return Par(go(l, ren), go(r, ren))
-            case Repl(b):
-                return Repl(go(b, ren))
-        raise PiError(f"not a process: {t!r}")
+    def bind(_, z: str, body: PiTerm, ren: dict[str, str]):
+        inner = {a: b for a, b in ren.items() if a != z}
+        if z in fnp:  # respell z, so that it does not capture a free name of p
+            inner[z] = _fresh_name(z, avoid)
+            avoid.add(inner[z])
+        return inner.get(z, z), body, inner
 
-    return go(context, {})
+    return _map_names(context, {}, bind, {PVar(var): p})
 
 
 def plug(context: PiTerm, p: PiTerm) -> PiTerm:

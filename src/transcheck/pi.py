@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
 
@@ -178,64 +178,100 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     raise AssertionError
 
 
+def _fold(t: PiTerm, ctx, visit: Callable) -> object:
+    """Fold t with explicit stacks, so a term of any depth or width is
+    walked.  visit(u, ctx) is called on each node in pre-order, left before
+    right, and returns the node's builder and its children as (child, ctx)
+    pairs.  Then the builders are called post-order, each on its children's
+    results."""
+    builds: list = []  # a builder and its number of children, per node in pre-order
+    work: list = [(t, ctx)]
+    while work:
+        u, c = work.pop()
+        build, kids = visit(u, c)
+        builds.append(build)
+        builds.append(len(kids))
+        work.extend(reversed(kids))
+    done: list = []
+    for i in range(len(builds) - 2, -1, -2):
+        build, n = builds[i], builds[i + 1]
+        if n:  # the first child's result is on top
+            kids = done[-n:]
+            del done[-n:]
+            done.append(build(*reversed(kids)))
+        else:
+            done.append(build())
+    return done[0]
+
+
+def _map_names(t: PiTerm, ren: dict[str, str], bind: Callable, plug: dict) -> PiTerm:
+    """t with ren applied to its free names and each leaf that is a key of
+    plug replaced by its process.  bind(cls, z, body, ren) gives the spelling
+    of the In or Res binder z, its body and the renaming under it; binders
+    are met in pre-order, left before right."""
+    def visit(u: PiTerm, ren: dict[str, str]):
+        cls = type(u)
+        if cls is Out:
+            return partial(Out, ren.get(u.chan, u.chan), ren.get(u.msg, u.msg)), ((u.cont, ren),)
+        if cls is In:
+            z, k, inner = bind(In, u.param, u.cont, ren)
+            return partial(In, ren.get(u.chan, u.chan), z), ((k, inner),)
+        if cls is Res:
+            z, k, inner = bind(Res, u.name, u.body, ren)
+            return partial(Res, z), ((k, inner),)
+        if cls is Par:
+            return Par, ((u.left, ren), (u.right, ren))
+        if cls is Repl:
+            return Repl, ((u.body, ren),)
+        if cls is Nil or cls is PVar or cls is ExtBarb:
+            return (lambda: plug.get(u, u)), ()
+        raise PiError(f"not a process: {u!r}")
+
+    return _fold(t, ren, visit)
+
+
 def subst_names(t: PiTerm, mapping: dict[str, str]) -> PiTerm:
     """Capture-avoiding renaming of free name occurrences (barb ids untouched)."""
+    def bind(_, z: str, k: PiTerm, live: dict[str, str]):
+        inner = {a: b for a, b in live.items() if a != z}
+        if z in inner.values():  # respell z, to a name fresh for k
+            z2 = _fresh_name(z, all_names(k) | set(inner) | set(inner.values()))
+            return z2, subst_names(k, {z: z2}), inner
+        return z, k, inner
+
     live = {a: b for a, b in mapping.items() if a != b}
-    if not live:
-        return t
-    match t:
-        case Nil() | PVar(_) | ExtBarb(_):
-            return t
-        case Out(x, y, k):
-            return Out(live.get(x, x), live.get(y, y), subst_names(k, live))
-        case In(x, z, k):
-            chan = live.get(x, x)
-            inner = {a: b for a, b in live.items() if a != z}
-            if z in inner.values():
-                z2 = _fresh_name(z, all_names(k) | set(inner) | set(inner.values()))
-                k = subst_names(k, {z: z2})
-                z = z2
-            return In(chan, z, subst_names(k, inner))
-        case Res(n, b):
-            inner = {a: b for a, b in live.items() if a != n}
-            if n in inner.values():
-                n2 = _fresh_name(n, all_names(b) | set(inner) | set(inner.values()))
-                b = subst_names(b, {n: n2})
-                n = n2
-            return Res(n, subst_names(b, inner))
-        case Par(l, r):
-            return Par(subst_names(l, live), subst_names(r, live))
-        case Repl(b):
-            return Repl(subst_names(b, live))
-    raise PiError(f"not a process: {t!r}")
+    return _map_names(t, live, bind, {}) if live else t
 
 
 def alpha_key(t: PiTerm) -> tuple:
     """Structure key invariant exactly under renaming of bound names."""
-    def go(u: PiTerm, env: dict[str, int], depth: int) -> tuple:
-        def tok(n: str):
-            return env[n] if n in env else f"f:{n}"
+    def key(*parts) -> tuple:
+        return parts
 
-        match u:
-            case Nil():
-                return ("nil",)
-            case PVar(x):
-                return ("pvar", x)
-            case ExtBarb(w):
-                return ("ext", w)
-            case Out(x, y, k):
-                return ("out", tok(x), tok(y), go(k, env, depth))
-            case In(x, z, k):
-                return ("in", tok(x), go(k, {**env, z: depth}, depth + 1))
-            case Res(n, b):
-                return ("res", go(b, {**env, n: depth}, depth + 1))
-            case Par(l, r):
-                return ("par", go(l, env, depth), go(r, env, depth))
-            case Repl(b):
-                return ("repl", go(b, env, depth))
+    def visit(u: PiTerm, ctx: tuple[dict[str, int], int]):
+        env, depth = ctx
+        cls = type(u)
+        if cls is Out:
+            x, y = env.get(u.chan, f"f:{u.chan}"), env.get(u.msg, f"f:{u.msg}")
+            return partial(key, "out", x, y), ((u.cont, ctx),)
+        if cls is In:
+            x = env.get(u.chan, f"f:{u.chan}")
+            return partial(key, "in", x), ((u.cont, ({**env, u.param: depth}, depth + 1)),)
+        if cls is Res:
+            return partial(key, "res"), ((u.body, ({**env, u.name: depth}, depth + 1)),)
+        if cls is Par:
+            return partial(key, "par"), ((u.left, ctx), (u.right, ctx))
+        if cls is Repl:
+            return partial(key, "repl"), ((u.body, ctx),)
+        if cls is Nil:
+            return partial(key, "nil"), ()
+        if cls is PVar:
+            return partial(key, "pvar", u.name), ()
+        if cls is ExtBarb:
+            return partial(key, "ext", u.ident), ()
         raise PiError(f"not a process: {u!r}")
 
-    return go(t, {}, 0)
+    return _fold(t, ({}, 0), visit)
 
 
 def alpha_eq_pi(a: PiTerm, b: PiTerm) -> bool:
@@ -267,20 +303,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_pi(text: str, allow_reserved: bool = False) -> PiTerm:
-    toks = _tokenize(text)
+    """Read a process.  One loop with an explicit stack of open parentheses
+    and of prefixes awaiting their factor, so a term of any depth is read."""
+    toks = _tokenize(text) + [("eof", "", len(text))]
     idx = 0
-
-    def peek():
-        return toks[idx] if idx < len(toks) else ("eof", "", len(text))
 
     def take(kind, value=None):
         nonlocal idx
-        k, v, p = peek()
+        k, v, p = toks[idx]
         if k != kind or (value is not None and v != value):
             want = value or kind
             raise PiError(f"expected {want!r} at position {p}, found {v or 'end of input'!r}")
         idx += 1
         return v
+
+    def accept(sym: str) -> bool:
+        nonlocal idx
+        if toks[idx][:2] == ("sym", sym):
+            idx += 1
+            return True
+        return False
 
     def name():
         v = take("name")
@@ -290,105 +332,115 @@ def parse_pi(text: str, allow_reserved: bool = False) -> PiTerm:
             raise PiError(f"name {v!r} is in the reserved namespace (names starting with _)")
         return v
 
-    def factor() -> PiTerm:
-        k, v, p = peek()
+    # the prefixes read whose factor is still open, as (class, fields), and
+    # each open parenthesis, as (None, the par before it at its level)
+    stack: list = []
+    left = None  # the par read so far at the innermost open level
+    while True:
+        k, v, p = toks[idx]
+        t = None  # the factor, once its last token is read
         if k == "zero":
             take("zero")
-            return Nil()
-        if k == "sym" and v == "!":
-            take("sym", "!")
-            return Repl(factor())
-        if k == "sym" and v == "(":
-            take("sym", "(")
-            t = par()
-            take("sym", ")")
-            return t
-        if k == "sym" and v == "@":
-            take("sym", "@")
-            return ExtBarb(name())
-        if k == "pvar":
-            return PVar(take("pvar"))
-        if k == "name" and v == "new":
+            t = Nil()
+        elif accept("!"):
+            stack.append((Repl, ()))
+        elif accept("("):
+            stack.append((None, left))
+            left = None
+        elif accept("@"):
+            t = ExtBarb(name())
+        elif k == "pvar":
+            t = PVar(take("pvar"))
+        elif (k, v) == ("name", "new"):
             take("name")
-            names = [name()]
-            while peek()[:2] == ("sym", ","):
-                take("sym", ",")
-                names.append(name())
+            stack.append((Res, (name(),)))
+            while accept(","):
+                stack.append((Res, (name(),)))
             take("sym", ".")
-            body = factor()
-            for n in reversed(names):
-                body = Res(n, body)
-            return body
-        if k == "name":
+        elif k == "name":
             x = name()
-            k2, v2, p2 = peek()
-            if k2 == "sym" and v2 == "!":
-                take("sym", "!")
+            if accept("!"):
                 y = name()
-                if peek()[:2] == ("sym", "."):
-                    take("sym", ".")
-                    return Out(x, y, factor())
-                return Out(x, y, Nil())
-            if k2 == "sym" and v2 == "(":
-                take("sym", "(")
+                if accept("."):
+                    stack.append((Out, (x, y)))
+                else:
+                    t = Out(x, y, Nil())
+            elif accept("("):
                 z = name()
                 take("sym", ")")
                 take("sym", ".")
-                return In(x, z, factor())
-            raise PiError(f"expected '!' or '(' after name {x!r} at position {p2}")
-        raise PiError(f"unexpected {v or 'end of input'!r} at position {p}")
-
-    def par() -> PiTerm:
-        t = factor()
-        while peek()[:2] == ("sym", "|"):
-            take("sym", "|")
-            t = Par(t, factor())
-        return t
-
-    out = par()
-    if idx != len(toks):
-        raise PiError(f"trailing input at position {peek()[2]}")
-    return out
+                stack.append((In, (x, z)))
+            else:
+                raise PiError(f"expected '!' or '(' after name {x!r} at position {toks[idx][2]}")
+        else:
+            raise PiError(f"unexpected {v or 'end of input'!r} at position {p}")
+        # wrap the factor in its prefixes and add it to its level; a level
+        # that ends here is closed and is itself the factor
+        while t is not None:
+            while stack and stack[-1][0] is not None:
+                cls, fields = stack.pop()
+                t = cls(*fields, t)
+            left = t if left is None else Par(left, t)
+            if accept("|"):
+                break  # the level goes on with another factor
+            if not stack:
+                if idx != len(toks) - 1:
+                    raise PiError(f"trailing input at position {toks[idx][2]}")
+                return left
+            take("sym", ")")
+            t, left = left, stack.pop()[1]
 
 
 def print_pi(t: PiTerm) -> str:
-    def fac(u: PiTerm) -> str:
-        s = go(u)
-        return f"({s})" if isinstance(u, Par) else s
+    """The concrete syntax of t.  The walk writes the text in order, and the
+    pieces are joined once, so a term of any depth prints in linear time."""
+    out: list[str] = []
 
-    def go(u: PiTerm) -> str:
-        match u:
-            case Nil():
-                return "0"
-            case PVar(x):
-                return x
-            case ExtBarb(w):
-                return f"@{w}"
-            case Out(x, y, Nil()):
-                return f"{x}!{y}"
-            case Out(x, y, k):
-                return f"{x}!{y}.{fac(k)}"
-            case In(x, z, k):
-                return f"{x}({z}).{fac(k)}"
-            case Repl(b):
-                return f"!{fac(b)}"
-            case Res(_, _):
+    def skip(*_) -> None:
+        pass
+
+    def visit(u: PiTerm, trail: str):
+        # write u's prefixes down to a Par or a leaf; trail is the text after
+        # u's last leaf: the separators and closing brackets of the nodes that
+        # end with u
+        while True:
+            cls = type(u)
+            if cls is Par:
+                bracket = type(u.right) is Par
+                return skip, ((u.left, " | " + "(" * bracket), (u.right, ")" * bracket + trail))
+            k = None  # the prefix's continuation, a factor
+            if cls is Res:
                 names = []
-                while isinstance(u, Res):
+                while type(u) is Res:
                     names.append(u.name)
                     u = u.body
-                return f"new {', '.join(names)}. {fac(u)}"
-            case Par(_, _):
-                # a left-nested spine of any length, without recursion
-                rights = []
-                while isinstance(u, Par):
-                    rights.append(fac(u.right))
-                    u = u.left
-                rights.append(go(u))
-                return " | ".join(reversed(rights))
-        raise PiError(f"not a process: {u!r}")
+                text, k = f"new {', '.join(names)}. ", u
+            elif cls is In:
+                text, k = f"{u.chan}({u.param}).", u.cont
+            elif cls is Out:
+                text, k = f"{u.chan}!{u.msg}.", u.cont
+                if type(k) is Nil:
+                    text, k = text[:-1], None
+            elif cls is Repl:
+                text, k = "!", u.body
+            elif cls is Nil:
+                text = "0"
+            elif cls is PVar:
+                text = u.name
+            elif cls is ExtBarb:
+                text = "@" + u.ident
+            else:
+                raise PiError(f"not a process: {u!r}")
+            if k is None:
+                out.append(text + trail)
+                return skip, ()
+            if type(k) is Par:  # bracketed
+                text, trail = text + "(", ")" + trail
+            out.append(text)
+            u = k
 
-    return go(t)
+    _fold(t, "", visit)
+    return "".join(out)
 
 
 # ------------- canonical states -------------
@@ -418,57 +470,20 @@ def print_state(s: PiState) -> str:
     return print_pi(s.term())
 
 
-class _Build(NamedTuple):
-    """Stack entry that rebuilds a node of class cls from fields and the last
-    arity results."""
-    cls: type
-    fields: tuple
-    arity: int
-
-
 def _rename(t: PiTerm, ren: dict[str, str], clash: set[str], avoid: set[str]) -> PiTerm:
     """t with ren applied to its free names and each restriction binder in
     clash respelled afresh, avoiding avoid.  Binders are visited in
     pre-order, left before right, and each spelling joins clash and avoid,
-    so the spellings chosen depend only on that order.  One walk with an
-    explicit stack, so a term of any width or depth is renamed."""
-    done: list[PiTerm] = []
-    work: list = [(t, ren)]
-    while work:
-        item = work.pop()
-        if type(item) is _Build:
-            kids = done[len(done) - item.arity:]
-            del done[len(done) - item.arity:]
-            done.append(item.cls(*item.fields, *kids))
-            continue
-        u, ren = item
-        cls = type(u)
-        if cls is Out:
-            work.append(_Build(Out, (ren.get(u.chan, u.chan), ren.get(u.msg, u.msg)), 1))
-            work.append((u.cont, ren))
-        elif cls is In:
-            z = u.param
-            work.append(_Build(In, (ren.get(u.chan, u.chan), z), 1))
-            work.append((u.cont, {a: b for a, b in ren.items() if a != z} if z in ren else ren))
-        elif cls is Res:
-            n = u.name
-            m = n if n not in clash else _fresh_name(n, avoid)
-            clash.add(m)
-            avoid.add(m)
-            work.append(_Build(Res, (m,), 1))
-            work.append((u.body, {**ren, n: m}))
-        elif cls is Par:
-            work.append(_Build(Par, (), 2))
-            work.append((u.right, ren))
-            work.append((u.left, ren))
-        elif cls is Repl:
-            work.append(_Build(Repl, (), 1))
-            work.append((u.body, ren))
-        elif cls is Nil or cls is PVar or cls is ExtBarb:
-            done.append(u)
-        else:
-            raise PiError(f"not a process: {u!r}")
-    return done[0]
+    so the spellings chosen depend only on that order."""
+    def bind(cls: type, n: str, body: PiTerm, ren: dict[str, str]):
+        if cls is In:
+            return n, body, {a: b for a, b in ren.items() if a != n} if n in ren else ren
+        m = n if n not in clash else _fresh_name(n, avoid)
+        clash.add(m)
+        avoid.add(m)
+        return m, body, {**ren, n: m}
+
+    return _map_names(t, ren, bind, {})
 
 
 def _split_level(t: PiTerm) -> tuple[list[str], list[PiTerm]]:

@@ -1,4 +1,5 @@
-"""Shared fixtures plus the acceptance-criteria summary lines."""
+"""Shared fixtures and expected texts, plus the acceptance-criteria summary
+lines."""
 
 from pathlib import Path
 
@@ -20,6 +21,18 @@ def cli(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     return run
+
+
+def chain_text(n: int, msg: str = "a") -> str:
+    """How n nested x!msg. prefixes over 0 print."""
+    return f"x!{msg}." * (n - 1) + f"x!{msg}"
+
+
+def translated_chain_text(n: int) -> str:
+    """How the translation of n nested x!a. prefixes over 0 prints:
+    T(x!a.P) = new u. (x!u | u(v).(v!a | T(P))), with u, v = _b0, _b1, ..."""
+    return "".join(f"new _b{i}. (x!_b{i} | _b{i}(_b{i + 1}).(_b{i + 1}!a | "
+                   for i in range(0, 2 * n, 2)) + "0" + "))" * n
 
 
 # one PASS/FAIL line per acceptance criterion at the end of the run

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, chain_text, translated_chain_text
 
 from transcheck.cli import main
 
@@ -310,10 +310,20 @@ def test_bad_term_is_usage_error(cli):
     assert err == "error: expected 'name' at position 2, found '('\n"
 
 
-def test_deeply_nested_term_is_usage_error(cli):
-    code, out, err = cli("pi", "parse", "x!a." * 1500 + "0")
-    assert (code, out) == (USAGE, "")
-    assert err == "error: input nested too deeply to process\n"
+def test_deeply_nested_term_gets_an_answer(cli):
+    # parse, translate and plug walk a term of any depth
+    term = "x!a." * 1500 + "0"
+    assert cli("pi", "parse", term) == (OK, chain_text(1500) + "\n", "")
+    assert cli("pi", "translate", term) == (OK, translated_chain_text(1500) + "\n", "")
+    assert cli("pi", "plug", term, "--context", "a(b).X") == (OK, f"a(b).{chain_text(1500)}\n", "")
+
+
+def test_recursion_error_is_an_input_error(cli, monkeypatch):
+    def too_deep(*_):
+        raise RecursionError
+
+    monkeypatch.setattr("transcheck.cli.print_pi", too_deep)
+    assert cli("pi", "parse", "x!a") == (USAGE, "", "error: input nested too deeply to process\n")
 
 
 def test_wide_parallel_composition_gets_an_answer(cli):
@@ -324,6 +334,14 @@ def test_wide_parallel_composition_gets_an_answer(cli):
     code, out, err = cli("pi", "explore", term, "--budget", "5")
     assert (code, err) == (OK, "")
     assert out == f"states: 1 (complete)\n0: {term}  barbs[x!]  -> -\ndivergent: none\n"
+    # nor is it under a prefix, for the commands that do not normalize
+    term = "x(y).(" + " | ".join(["a!b"] * 1200) + ")"
+    assert cli("pi", "parse", term) == (OK, term + "\n", "")
+    assert cli("pi", "plug", term, "--context", "a(b).X") == (OK, f"a(b2).{term}\n", "")
+    threads = " | ".join(f"new _b{i}. (a!_b{i} | _b{i}(_b{i + 1}).(_b{i + 1}!b | 0))"
+                         for i in range(2, 2402, 2))
+    out = f"x(_b0).new _b1. (_b0!_b1 | _b1(y).({threads}))\n"
+    assert cli("pi", "translate", term) == (OK, out, "")
 
 
 @pytest.mark.parametrize("barb", ["!", "@", "x y!", "X!"])

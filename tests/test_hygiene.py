@@ -3,7 +3,8 @@ every module-level function, class and method is named somewhere in src/,
 tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
 module, so comments and docstrings do not count as uses.  A method that
 overrides one of a base class (argparse calls _Parser.error) is used by the
-base class's callers."""
+base class's callers.  And no walker of pi terms recurses, so a term of any
+depth is walked."""
 
 import ast
 import importlib
@@ -77,3 +78,23 @@ def test_every_definition_is_used():
             if everywhere[node.name] - _mentions(node)[node.name] == 0:
                 dead.append(f"{path}: {node.name}")
     assert dead == []
+
+
+# the functions of the pi modules allowed to call themselves, with the reason
+RECURSION_ALLOWED = {
+    "src/transcheck/pi.py: subst_names": "respells a binder by renaming it in its body to a "
+    "name fresh for that body, a call that respells no binder and so does not call again",
+}
+
+
+def test_pi_walkers_do_not_recurse():
+    recursive = set()
+    for path in ("src/transcheck/pi.py", "src/transcheck/encodings.py"):
+        for fn in ast.walk(PACKAGE_TREES[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and fn.name in (getattr(call.func, "id", None),
+                                                              getattr(call.func, "attr", None)):
+                    recursive.add(f"{path}: {fn.name}")
+    assert recursive == set(RECURSION_ALLOWED)

@@ -1,23 +1,35 @@
-"""The one name scan and the one active-thread walk of pi terms, against the
-recursive walkers they replace.
+"""The pi-term walkers against the walkers they replace.
 
-The oracles below are the earlier recursive definitions: the four name
-collectors, the external-barb walk of the command line, the scan inside
-_uniquify, the barb walk behind strong_barbs and the offer walk of
-reduce_once.  Each new result must equal its oracle on random terms over all
-eight constructors.
+The name collectors, the external-barb walk of the command line, the scan
+inside _uniquify, the barb walk behind strong_barbs and the offer walk of
+reduce_once became the one name scan (pi._scan) and the one active-thread walk
+(pi._active).  The renaming and printing walkers, the alpha key, the parser
+and the walkers of encodings.py became walks on the one explicit-stack fold
+(pi._fold).  The oracles below are their earlier definitions, recursive but
+for the explicit-stack binder renaming.  Each new result must equal its
+oracle on random terms over all eight constructors, and the parser must agree
+with its oracle on random strings.  Deep terms are compared as printed text:
+the frozen dataclasses compare and hash recursively.
 """
 
 from itertools import count
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_text, translated_chain_text
+
+from transcheck.encodings import (boudol_translate, pi_to_term, plug,
+                                  plug_var, term_to_pi)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiState,
-                           PVar, Repl, Res, _CopyLevel, _expand_offers, _scan,
-                           _split_level, all_names, free_names, is_async,
-                           normal_form, process_vars, strong_barbs)
+                           PiTerm, PVar, Repl, Res, _CopyLevel, _expand_offers,
+                           _fresh_name, _rename, _scan, _split_level,
+                           _tokenize, all_names, alpha_key, free_names,
+                           is_async, normal_form, parse_pi, print_pi,
+                           process_vars, strong_barbs, subst_names)
+from transcheck.terms import App, Term, Var
 
 # ------------- the recursive walkers, kept as oracles -------------
 
@@ -164,6 +176,386 @@ def old_offers(threads):
     return offers
 
 
+# ------------- the walkers that now run on the fold, kept as oracles -------------
+
+_RESERVED_PREFIX = "_b"
+
+
+def old_subst_names(t: PiTerm, mapping: dict[str, str]) -> PiTerm:
+    """Capture-avoiding renaming of free name occurrences (barb ids untouched)."""
+    live = {a: b for a, b in mapping.items() if a != b}
+    if not live:
+        return t
+    match t:
+        case Nil() | PVar(_) | ExtBarb(_):
+            return t
+        case Out(x, y, k):
+            return Out(live.get(x, x), live.get(y, y), old_subst_names(k, live))
+        case In(x, z, k):
+            chan = live.get(x, x)
+            inner = {a: b for a, b in live.items() if a != z}
+            if z in inner.values():
+                z2 = _fresh_name(z, all_names(k) | set(inner) | set(inner.values()))
+                k = old_subst_names(k, {z: z2})
+                z = z2
+            return In(chan, z, old_subst_names(k, inner))
+        case Res(n, b):
+            inner = {a: b for a, b in live.items() if a != n}
+            if n in inner.values():
+                n2 = _fresh_name(n, all_names(b) | set(inner) | set(inner.values()))
+                b = old_subst_names(b, {n: n2})
+                n = n2
+            return Res(n, old_subst_names(b, inner))
+        case Par(l, r):
+            return Par(old_subst_names(l, live), old_subst_names(r, live))
+        case Repl(b):
+            return Repl(old_subst_names(b, live))
+    raise PiError(f"not a process: {t!r}")
+
+
+def old_alpha_key(t: PiTerm) -> tuple:
+    """Structure key invariant exactly under renaming of bound names."""
+    def go(u: PiTerm, env: dict[str, int], depth: int) -> tuple:
+        def tok(n: str):
+            return env[n] if n in env else f"f:{n}"
+
+        match u:
+            case Nil():
+                return ("nil",)
+            case PVar(x):
+                return ("pvar", x)
+            case ExtBarb(w):
+                return ("ext", w)
+            case Out(x, y, k):
+                return ("out", tok(x), tok(y), go(k, env, depth))
+            case In(x, z, k):
+                return ("in", tok(x), go(k, {**env, z: depth}, depth + 1))
+            case Res(n, b):
+                return ("res", go(b, {**env, n: depth}, depth + 1))
+            case Par(l, r):
+                return ("par", go(l, env, depth), go(r, env, depth))
+            case Repl(b):
+                return ("repl", go(b, env, depth))
+        raise PiError(f"not a process: {u!r}")
+
+    return go(t, {}, 0)
+
+
+def old_parse_pi(text: str, allow_reserved: bool = False) -> PiTerm:
+    toks = _tokenize(text)
+    idx = 0
+
+    def peek():
+        return toks[idx] if idx < len(toks) else ("eof", "", len(text))
+
+    def take(kind, value=None):
+        nonlocal idx
+        k, v, p = peek()
+        if k != kind or (value is not None and v != value):
+            want = value or kind
+            raise PiError(f"expected {want!r} at position {p}, found {v or 'end of input'!r}")
+        idx += 1
+        return v
+
+    def name():
+        v = take("name")
+        if v == "new":
+            raise PiError("'new' is a reserved word, not a name")
+        if v.startswith("_") and not allow_reserved:
+            raise PiError(f"name {v!r} is in the reserved namespace (names starting with _)")
+        return v
+
+    def factor() -> PiTerm:
+        k, v, p = peek()
+        if k == "zero":
+            take("zero")
+            return Nil()
+        if k == "sym" and v == "!":
+            take("sym", "!")
+            return Repl(factor())
+        if k == "sym" and v == "(":
+            take("sym", "(")
+            t = par()
+            take("sym", ")")
+            return t
+        if k == "sym" and v == "@":
+            take("sym", "@")
+            return ExtBarb(name())
+        if k == "pvar":
+            return PVar(take("pvar"))
+        if k == "name" and v == "new":
+            take("name")
+            names = [name()]
+            while peek()[:2] == ("sym", ","):
+                take("sym", ",")
+                names.append(name())
+            take("sym", ".")
+            body = factor()
+            for n in reversed(names):
+                body = Res(n, body)
+            return body
+        if k == "name":
+            x = name()
+            k2, v2, p2 = peek()
+            if k2 == "sym" and v2 == "!":
+                take("sym", "!")
+                y = name()
+                if peek()[:2] == ("sym", "."):
+                    take("sym", ".")
+                    return Out(x, y, factor())
+                return Out(x, y, Nil())
+            if k2 == "sym" and v2 == "(":
+                take("sym", "(")
+                z = name()
+                take("sym", ")")
+                take("sym", ".")
+                return In(x, z, factor())
+            raise PiError(f"expected '!' or '(' after name {x!r} at position {p2}")
+        raise PiError(f"unexpected {v or 'end of input'!r} at position {p}")
+
+    def par() -> PiTerm:
+        t = factor()
+        while peek()[:2] == ("sym", "|"):
+            take("sym", "|")
+            t = Par(t, factor())
+        return t
+
+    out = par()
+    if idx != len(toks):
+        raise PiError(f"trailing input at position {peek()[2]}")
+    return out
+
+
+def old_print_pi(t: PiTerm) -> str:
+    def fac(u: PiTerm) -> str:
+        s = go(u)
+        return f"({s})" if isinstance(u, Par) else s
+
+    def go(u: PiTerm) -> str:
+        match u:
+            case Nil():
+                return "0"
+            case PVar(x):
+                return x
+            case ExtBarb(w):
+                return f"@{w}"
+            case Out(x, y, Nil()):
+                return f"{x}!{y}"
+            case Out(x, y, k):
+                return f"{x}!{y}.{fac(k)}"
+            case In(x, z, k):
+                return f"{x}({z}).{fac(k)}"
+            case Repl(b):
+                return f"!{fac(b)}"
+            case Res(_, _):
+                names = []
+                while isinstance(u, Res):
+                    names.append(u.name)
+                    u = u.body
+                return f"new {', '.join(names)}. {fac(u)}"
+            case Par(_, _):
+                # a left-nested spine of any length, without recursion
+                rights = []
+                while isinstance(u, Par):
+                    rights.append(fac(u.right))
+                    u = u.left
+                rights.append(go(u))
+                return " | ".join(reversed(rights))
+        raise PiError(f"not a process: {u!r}")
+
+    return go(t)
+
+
+class _OldBuild(NamedTuple):
+    """Stack entry that rebuilds a node of class cls from fields and the last
+    arity results."""
+    cls: type
+    fields: tuple
+    arity: int
+
+
+def old_rename(t: PiTerm, ren: dict[str, str], clash: set[str], avoid: set[str]) -> PiTerm:
+    """t with ren applied to its free names and each restriction binder in
+    clash respelled afresh, avoiding avoid.  Binders are visited in
+    pre-order, left before right, and each spelling joins clash and avoid,
+    so the spellings chosen depend only on that order.  One walk with an
+    explicit stack, so a term of any width or depth is renamed."""
+    done: list[PiTerm] = []
+    work: list = [(t, ren)]
+    while work:
+        item = work.pop()
+        if type(item) is _OldBuild:
+            kids = done[len(done) - item.arity:]
+            del done[len(done) - item.arity:]
+            done.append(item.cls(*item.fields, *kids))
+            continue
+        u, ren = item
+        cls = type(u)
+        if cls is Out:
+            work.append(_OldBuild(Out, (ren.get(u.chan, u.chan), ren.get(u.msg, u.msg)), 1))
+            work.append((u.cont, ren))
+        elif cls is In:
+            z = u.param
+            work.append(_OldBuild(In, (ren.get(u.chan, u.chan), z), 1))
+            work.append((u.cont, {a: b for a, b in ren.items() if a != z} if z in ren else ren))
+        elif cls is Res:
+            n = u.name
+            m = n if n not in clash else _fresh_name(n, avoid)
+            clash.add(m)
+            avoid.add(m)
+            work.append(_OldBuild(Res, (m,), 1))
+            work.append((u.body, {**ren, n: m}))
+        elif cls is Par:
+            work.append(_OldBuild(Par, (), 2))
+            work.append((u.right, ren))
+            work.append((u.left, ren))
+        elif cls is Repl:
+            work.append(_OldBuild(Repl, (), 1))
+            work.append((u.body, ren))
+        elif cls is Nil or cls is PVar or cls is ExtBarb:
+            done.append(u)
+        else:
+            raise PiError(f"not a process: {u!r}")
+    return done[0]
+
+
+def old_boudol_translate(p: PiTerm) -> PiTerm:
+    """Protocol translation into the asynchronous sublanguage.
+
+    Auxiliary names are drawn deterministically from the reserved namespace
+    _b0, _b1, ... (least unused), skipping any that occur in p, outermost
+    first and left to right; T(X) = X and the translation is homomorphic on
+    0, |, !, new.
+    """
+    used = all_names(p)
+    ctr = count()
+
+    def fresh() -> str:
+        while True:
+            n = f"{_RESERVED_PREFIX}{next(ctr)}"
+            if n not in used:
+                return n
+
+    def go(t: PiTerm) -> PiTerm:
+        match t:
+            case Nil() | PVar(_) | ExtBarb(_):
+                return t
+            case Out(x, z, k):
+                u, v = fresh(), fresh()
+                return Res(u, Par(Out(x, u, Nil()),
+                                  In(u, v, Par(Out(v, z, Nil()), go(k)))))
+            case In(x, y, k):
+                u, v = fresh(), fresh()
+                return In(x, u, Res(v, Par(Out(u, v, Nil()),
+                                           In(v, y, go(k)))))
+            case Par(l, r):
+                return Par(go(l), go(r))
+            case Res(n, b):
+                return Res(n, go(b))
+            case Repl(b):
+                return Repl(go(b))
+        raise PiError(f"not a process: {t!r}")
+
+    out = go(p)
+    if not is_async(out):
+        raise AssertionError("translation left a guarded output continuation")
+    return out
+
+
+def old_pi_to_term(t: PiTerm) -> Term:
+    """Embed a process as a term over the process signature.
+
+    Names and process variables both become term variables; observation
+    constants have no term form."""
+    match t:
+        case Nil():
+            return App("Nil", (), ())
+        case PVar(x):
+            return Var(x)
+        case ExtBarb(_):
+            raise PiError("observation constants have no term-language form")
+        case Out(x, y, k):
+            return App("Out", (), (Var(x), Var(y), old_pi_to_term(k)))
+        case In(x, z, k):
+            return App("In", (z,), (Var(x), old_pi_to_term(k)))
+        case Par(l, r):
+            return App("Par", (), (old_pi_to_term(l), old_pi_to_term(r)))
+        case Res(n, b):
+            return App("Res", (n,), (old_pi_to_term(b),))
+        case Repl(b):
+            return App("Repl", (), (old_pi_to_term(b),))
+    raise PiError(f"not a process: {t!r}")
+
+
+def old_term_to_pi(t: Term) -> PiTerm:
+    """Read a process-shaped term back; output arity picks the sublanguage."""
+    def name_of(u: Term) -> str:
+        if not isinstance(u, Var):
+            raise PiError(f"name position holds a non-variable term: {u!r}")
+        return u.name
+
+    match t:
+        case Var(x):
+            if x[:1].isupper():
+                return PVar(x)
+            raise PiError(f"free lowercase variable {x!r} is not a process")
+        case App("Nil", _, _):
+            return Nil()
+        case App("Out", _, args) if len(args) == 3:
+            return Out(name_of(args[0]), name_of(args[1]), old_term_to_pi(args[2]))
+        case App("Out", _, args) if len(args) == 2:
+            return Out(name_of(args[0]), name_of(args[1]), Nil())
+        case App("In", bound, args):
+            return In(name_of(args[0]), bound[0], old_term_to_pi(args[1]))
+        case App("Par", _, args):
+            return Par(old_term_to_pi(args[0]), old_term_to_pi(args[1]))
+        case App("Res", bound, args):
+            return Res(bound[0], old_term_to_pi(args[0]))
+        case App("Repl", _, args):
+            return Repl(old_term_to_pi(args[0]))
+    raise PiError(f"not a process-shaped term: {t!r}")
+
+
+def old_subst_pvar(context: PiTerm, var: str, p: PiTerm) -> PiTerm:
+    """Replace every occurrence of the process variable var by p, renaming
+    context binders off the free names of p so nothing is captured."""
+    fnp = free_names(p)
+    avoid = set(all_names(context)) | set(fnp)
+
+    def go(t: PiTerm, ren: dict[str, str]) -> PiTerm:
+        match t:
+            case Nil() | ExtBarb(_):
+                return t
+            case PVar(x):
+                return p if x == var else t
+            case Out(x, y, k):
+                return Out(ren.get(x, x), ren.get(y, y), go(k, ren))
+            case In(x, z, k):
+                chan = ren.get(x, x)
+                inner = {a: b for a, b in ren.items() if a != z}
+                if z in fnp:
+                    z2 = _fresh_name(z, avoid)
+                    avoid.add(z2)
+                    inner[z] = z2
+                    z = z2
+                return In(chan, z, go(k, inner))
+            case Res(n, b):
+                inner = {a: b for a, b in ren.items() if a != n}
+                if n in fnp:
+                    n2 = _fresh_name(n, avoid)
+                    avoid.add(n2)
+                    inner[n] = n2
+                    n = n2
+                return Res(n, go(b, inner))
+            case Par(l, r):
+                return Par(go(l, ren), go(r, ren))
+            case Repl(b):
+                return Repl(go(b, ren))
+        raise PiError(f"not a process: {t!r}")
+
+    return go(context, {})
+
+
 # ------------- random terms over all eight constructors -------------
 
 NAMES = st.sampled_from(["a", "b", "x", "y"])
@@ -243,3 +635,144 @@ def test_collectors_walk_a_chain_of_100000_prefixes(shape):
     assert all_names(t) == {"out": {"x", "a"}, "in": {"x", "y"}, "both": {"x", "a", "y"}}[shape]
     assert process_vars(t) == set()
     assert is_async(t) is (shape == "in")
+
+
+# ------------- the walkers on the fold, against their oracles -------------
+
+def _outcome(f, *args):
+    """f's result, or the class and message of the error it raises."""
+    try:
+        return f(*args)
+    except (PiError, IndexError) as e:
+        return type(e).__name__, str(e)
+
+
+closed_terms = terms.filter(lambda p: not process_vars(p))
+renamings = st.dictionaries(NAMES, st.sampled_from(["a", "b", "x", "y", "a2", "z"]),
+                            max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, renamings, st.sets(NAMES), closed_terms)
+def test_walkers_match_their_oracles(t, ren, clash, p):
+    assert subst_names(t, ren) == old_subst_names(t, ren)
+    assert alpha_key(t) == old_alpha_key(t)
+    assert print_pi(t) == old_print_pi(t)
+    assert boudol_translate(t) == old_boudol_translate(t)
+    assert plug_var(t, "P", p) == old_subst_pvar(t, "P", p)
+    # _rename grows clash and avoid as it respells: they must grow alike
+    avoid = all_names(t) | set(ren.values())
+    new_sets, old_sets = (set(clash), set(avoid)), (set(clash), set(avoid))
+    assert _rename(t, ren, *new_sets) == old_rename(t, ren, *old_sets)
+    assert new_sets == old_sets
+    term = _outcome(pi_to_term, t)
+    assert term == _outcome(old_pi_to_term, t)
+    if not isinstance(term, tuple):  # no observation constant in t
+        assert term_to_pi(term) == old_term_to_pi(term) == t
+
+
+def _apps(inner):
+    def app(op, arity, binders):
+        return st.builds(lambda args, bound: App(op, tuple(bound), tuple(args)),
+                         st.lists(inner, min_size=arity, max_size=arity),
+                         st.lists(NAMES, min_size=binders, max_size=binders))
+
+    return st.one_of(app("Nil", 0, 0), app("Out", 3, 0), app("Out", 2, 0),
+                     app("In", 2, 1), app("Par", 2, 0), app("Res", 1, 1),
+                     app("Repl", 1, 0), app("Out", 1, 0), app("In", 2, 0),
+                     app("Par", 1, 0), app("Res", 0, 1), app("Spawn", 1, 0))
+
+
+raw_terms = st.recursive(st.builds(Var, st.sampled_from(["a", "x", "P", "Q"])), _apps,
+                         max_leaves=10)
+
+
+# the fewest arguments and binders each construct needs
+LEAST = {"In": (2, 1), "Par": (2, 0), "Res": (1, 1), "Repl": (1, 0)}
+
+
+def _too_few(u) -> bool:
+    """Whether some construct in u lacks an argument or a binder."""
+    if isinstance(u, Var):
+        return False
+    args, binders = LEAST.get(u.op, (0, 0))
+    return len(u.args) < args or len(u.bound) < binders or any(map(_too_few, u.args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_terms)
+def test_term_to_pi_matches_its_oracle_on_any_term(u):
+    got = _outcome(term_to_pi, u)
+    if _too_few(u):
+        # refused as an input error; the oracle raised IndexError, or the
+        # error of a subterm it read first
+        assert got[0] == "PiError"
+    else:
+        assert got == _outcome(old_term_to_pi, u)
+
+
+# strings over the token alphabet, a few prefixes and stray characters, and
+# printed terms
+fuzz_strings = st.one_of(
+    st.lists(st.sampled_from(["x", "y", "a", "new", "_b", "P", "0", "!", "(", ")", ".", "|",
+                              ",", "@", " ", "new a, b. ", "x!y.", "a(b).", "#", "-", "9",
+                              "é", "\n"]),
+             max_size=24).map("".join),
+    terms.map(print_pi))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_strings)
+def test_random_strings_parse_as_before_and_exit_with_a_contract_code(cli, text):
+    for reserved in (False, True):
+        assert _outcome(parse_pi, text, reserved) == _outcome(old_parse_pi, text, reserved)
+    for args in (["parse", text], ["print", text], ["translate", text],
+                 ["plug", text, "--context", "a(b).X"], ["plug", "x!a", "--context", text]):
+        code, _, err = cli("pi", *args)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
+# ------------- terms of any depth -------------
+
+DEEP = 100_000
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return parse_pi("x!a." * DEEP + "0")
+
+
+def test_chain_helpers_match_the_oracles():
+    t = old_parse_pi("x!a." * 5 + "0")
+    assert old_print_pi(t) == chain_text(5)
+    assert old_print_pi(old_boudol_translate(t)) == translated_chain_text(5)
+
+
+def test_a_chain_of_100000_prefixes_prints_renames_and_converts(chain):
+    assert print_pi(chain) == chain_text(DEEP)
+    assert print_pi(subst_names(chain, {"a": "b"})) == chain_text(DEEP, "b")
+    assert print_pi(term_to_pi(pi_to_term(chain))) == chain_text(DEEP)
+    key, depth = alpha_key(chain), 0
+    while key[0] == "out":
+        assert key[1:3] == ("f:x", "f:a")
+        key, depth = key[3], depth + 1
+    assert (key, depth) == (("nil",), DEEP)
+
+
+def test_a_chain_of_100000_prefixes_translates_and_plugs(chain):
+    assert print_pi(boudol_translate(chain)) == translated_chain_text(DEEP)
+    context = PVar("X")
+    for _ in range(DEEP):
+        context = Out("x", "a", context)
+    assert print_pi(plug(context, parse_pi("c!d"))) == "x!a." * DEEP + "c!d"
+
+
+def test_5000_nested_brackets_and_prefixes_parse_and_print():
+    n = 5_000
+    assert print_pi(parse_pi("(" * n + "x!a" + ")" * n)) == "x!a"
+    t = parse_pi("(a!b | " * n + "0" + ")" * n)
+    assert print_pi(t) == "a!b | (" * (n - 1) + "a!b | 0" + ")" * (n - 1)
+    t = parse_pi("!" * n + "new a, b. " * n + "a(b).0")
+    assert print_pi(t) == "!" * n + "new " + "a, b, " * (n - 1) + "a, b. a(b).0"
