@@ -16,7 +16,7 @@ from typing import Callable
 
 from .finlang import FiniteLanguage, denote
 from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiTerm, PVar, Repl, Res,
-                 all_names, alpha_eq_pi, bisim, free_names, is_async, process_vars,
+                 all_names, alpha_eq_pi, bisim, free_names, process_vars,
                  weak_barb, _fold, _fresh_name, _map_names)
 from .terms import (App, Construct, Signature, Term, TermError, Translation,
                     Var, complete_compositional, free_vars, parse_term,
@@ -62,10 +62,7 @@ def boudol_translate(p: PiTerm) -> PiTerm:
                 return Repl, ((b, None),)
         raise PiError(f"not a process: {t!r}")
 
-    out = _fold(p, None, visit)
-    if not is_async(out):
-        raise AssertionError("translation left a guarded output continuation")
-    return out
+    return _fold(p, None, visit)
 
 
 # ------------- the same translation as a head map -------------

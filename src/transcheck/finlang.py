@@ -109,18 +109,6 @@ def load_language(data: dict) -> FiniteLanguage:
     return FiniteLanguage(data["name"], tuple(data["values"]), tuple(ops))
 
 
-def dump_language(lang: FiniteLanguage) -> dict:
-    return {
-        "name": lang.name,
-        "values": list(lang.values),
-        "operators": [
-            {"name": op.name, "arity": op.arity,
-             "table": {",".join(k): v for k, v in sorted(op.table.items())}}
-            for op in lang.operators
-        ],
-    }
-
-
 # ------------- evaluation -------------
 
 Valuation = dict[str, str]
@@ -216,11 +204,6 @@ def load_relation(data: dict) -> Relation:
             raise InputError(f"relation pair {json.dumps(p)} is not a pair of two values")
     return close_relation({tuple(p) for p in data["pairs"]}, data["kind"],
                           tuple(data["carrier"]), data.get("name", "rel"))
-
-
-def dump_relation(rel: Relation) -> dict:
-    return {"name": rel.name, "kind": rel.kind, "carrier": sorted(rel.carrier),
-            "pairs": sorted([a, b] for a, b in rel.pairs)}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
+from weakref import WeakValueDictionary
 
 from .verdict import Verdict
 
@@ -23,49 +24,71 @@ class PiError(Exception):
 
 # ------------- syntax -------------
 
-@dataclass(frozen=True)
-class Nil:
+_INTERNED = WeakValueDictionary()
+_alloc = object.__new__
+
+
+class _Interned:
+    """Base of the term constructors: while a node lives, no other is built
+    with its class and fields, and its fields are set once (Filliâtre and
+    Conchon, Type-safe modular hash-consing, 2006).  So equal terms are one
+    object, and == and hash are the identity's at any depth."""
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = _alloc(cls)
+            node.__dict__.update(zip(cls.__match_args__, fields))
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Nil(_Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Out:
+@dataclass(frozen=True, eq=False, init=False)
+class Out(_Interned):
     chan: str
     msg: str
     cont: "PiTerm"
 
 
-@dataclass(frozen=True)
-class In:
+@dataclass(frozen=True, eq=False, init=False)
+class In(_Interned):
     chan: str
     param: str
     cont: "PiTerm"
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False, init=False)
+class Par(_Interned):
     left: "PiTerm"
     right: "PiTerm"
 
 
-@dataclass(frozen=True)
-class Res:
+@dataclass(frozen=True, eq=False, init=False)
+class Res(_Interned):
     name: str
     body: "PiTerm"
 
 
-@dataclass(frozen=True)
-class Repl:
+@dataclass(frozen=True, eq=False, init=False)
+class Repl(_Interned):
     body: "PiTerm"
 
 
-@dataclass(frozen=True)
-class PVar:
+@dataclass(frozen=True, eq=False, init=False)
+class PVar(_Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class ExtBarb:
+@dataclass(frozen=True, eq=False, init=False)
+class ExtBarb(_Interned):
     ident: str
 
 
@@ -541,43 +564,38 @@ class _Canon:
     the restricted names spelled ``r{depth}.{i}``; input parameters are spelled
     ``p{depth}`` and free names ``f:{name}``.
 
-    A thread is normalized once per structure (equal threads share one
-    entry) and scanned once per object; a normalized thread is keyed once per
+    Terms are interned, so every memo is keyed by the node itself.  A thread
+    is normalized and scanned once; a normalized thread is keyed once per
     depth and spelling of its free names.  So a successor, which shares all
     but a few threads with its parent state, costs the new continuations and
-    the opened replication copies, not the whole state.  Memos keyed by an
-    object's id hold that object, so the id cannot be reused while the canon
-    lives.  No memo key is a level term: a parallel spine of any length is
-    never hashed.
+    the opened replication copies, not the whole state.
     """
 
     def __init__(self) -> None:
-        # normalized continuations by id, and their keys by (id, depth, tokens)
-        self._levels: dict[int, _Level] = {}
-        self._conts: dict[tuple, tuple] = {}
-        # normalized threads with their free names: by structure, then by the
-        # id of each object looked up
+        # by node: normalized continuations (by core), normalized threads
+        # with their free names, and scans of parts; by (node, depth, tokens
+        # of its free names): the keys of continuations and of threads; and
+        # substituted continuations by (part, param, msg)
+        self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
-        self._normal_of: dict[int, tuple[PiTerm, tuple[PiTerm, frozenset[str]]]] = {}
-        # keys of normalized threads by (id, depth, tokens of the free names)
+        self._scans: dict[PiTerm, _Names] = {}
+        self._conts: dict[tuple, tuple] = {}
         self._keys: dict[tuple, tuple] = {}
-        # scans of parts by id, and substituted continuations by (id, param, msg)
-        self._scans: dict[int, tuple[PiTerm, _Names]] = {}
-        self._substs: dict[tuple, tuple[PiTerm, PiTerm]] = {}
+        self._substs: dict[tuple, PiTerm] = {}
 
     def scan(self, t: PiTerm) -> _Names:
-        hit = self._scans.get(id(t))
-        if hit is None:
-            hit = self._scans[id(t)] = (t, _scan(t))
-        return hit[1]
+        names = self._scans.get(t)
+        if names is None:
+            names = self._scans[t] = _scan(t)
+        return names
 
     def subst(self, t: PiTerm, param: str, msg: str) -> PiTerm:
-        """subst_names(t, {param: msg}), one result object per input object."""
-        memo_key = (id(t), param, msg)
-        hit = self._substs.get(memo_key)
-        if hit is None:
-            hit = self._substs[memo_key] = (t, subst_names(t, {param: msg}))
-        return hit[1]
+        """subst_names(t, {param: msg}), memoized."""
+        memo_key = (t, param, msg)
+        out = self._substs.get(memo_key)
+        if out is None:
+            out = self._substs[memo_key] = subst_names(t, {param: msg})
+        return out
 
     def state(self, nus: list[str], parts: list[PiTerm]) -> PiState:
         """The normal form of ``new nus. (parts[0] | parts[1] | ...)``.
@@ -643,7 +661,7 @@ class _Canon:
             list[str], list[PiTerm], list[frozenset[str]]]:
         """The used restrictions, normalized threads and their free names of
         a level with restrictions nus and threads raw."""
-        parts = [self.renorm_thread(th) for th in raw]
+        parts = list(map(self.renorm_thread, raw))  # a comprehension adds a frame per prefix
         used = frozenset().union(*(fn for _, fn in parts))
         return [n for n in nus if n in used], [th for th, _ in parts], [fn for _, fn in parts]
 
@@ -659,21 +677,18 @@ class _Canon:
             fns = [fns[i] for i in perm]
         core = _assemble(nus, threads)
         free = frozenset().union(*fns) - set(nus)
-        lv = self._levels[id(core)] = _Level(core, nus, threads, fns, free)
+        lv = self._levels[core] = _Level(core, nus, threads, fns, free)
         return lv
 
     def renorm_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
         """The thread with normalized continuations, and its free names."""
-        hit = self._normal_of.get(id(t))
-        if hit is None:
-            done = self._normal.get(t)
-            if done is None:
-                done = self._normal[t] = self.normalize_thread(t)
-            hit = self._normal_of[id(t)] = (t, done)
-        return hit[1]
+        done = self._normal.get(t)
+        if done is None:
+            done = self._normal[t] = self.normalize_thread(t)
+        return done
 
     def normalize_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
-        """renorm_thread's work, done once per thread structure."""
+        """renorm_thread's work, done once per thread."""
         match t:
             case Out(x, y, k):
                 lv = self.renorm(k)
@@ -690,7 +705,7 @@ class _Canon:
     def thread(self, t: PiTerm, fn: frozenset[str], env: dict[str, str], depth: int) -> tuple:
         """Key of a normalized thread with free names fn.  It depends on env
         only through the tokens of fn, which key the memo."""
-        memo_key = (id(t), depth, *map(env.get, fn))
+        memo_key = (t, depth, *map(env.get, fn))
         key = self._keys.get(memo_key)
         if key is None:
             key = self._keys[memo_key] = self._thread(t, env, depth)
@@ -717,8 +732,8 @@ class _Canon:
         the tokens of the level's free names, which key the memo."""
         if isinstance(t, Nil):
             return (0, ())
-        lv = self._levels[id(t)]
-        memo_key = (id(t), depth, tuple(map(env.get, lv.free)))
+        lv = self._levels[t]
+        memo_key = (t, depth, tuple(map(env.get, lv.free)))
         key = self._conts.get(memo_key)
         if key is None:
             key = self._conts[memo_key] = self.level(lv.nus, lv.threads, lv.fns, env, depth)[0]
@@ -735,7 +750,6 @@ class _Canon:
         keyed = sorted([(self.thread(th, fn, env2, depth + 1), i)
                         for i, (th, fn) in enumerate(zip(threads, fns))])
         return (len(nus), tuple([k for k, _ in keyed])), list(nus), [i for _, i in keyed]
-
 
 
 class _Search:
@@ -999,11 +1013,8 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     unconsumed parts of every replication copy either offer opened (with its
     restrictions), and the two continuations, the received name substituted
     for the parameter."""
-    parts: list[PiTerm] = []
     consumed_top = {o.top for o in (send, recv) if not o.levels}
-    for i, th in enumerate(state.threads):
-        if i not in consumed_top:
-            parts.append(th)
+    parts = [th for i, th in enumerate(state.threads) if i not in consumed_top]
     # materialize every unfolded copy touched by either offer
     levels: dict[int, tuple[_CopyLevel, set[int]]] = {}
     for o in (send, recv):
@@ -1166,9 +1177,7 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
         raise PiError("budget must be >= 1")
     canon = _Canon()
     root = t if isinstance(t, PiState) else canon.state([], [t])
-    pvs = set()
-    for th in root.threads:
-        pvs |= process_vars(th)
+    pvs = set().union(*map(process_vars, root.threads))
     if pvs:
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     states = {root.key: root}

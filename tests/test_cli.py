@@ -334,9 +334,13 @@ def test_wide_parallel_composition_gets_an_answer(cli):
     code, out, err = cli("pi", "explore", term, "--budget", "5")
     assert (code, err) == (OK, "")
     assert out == f"states: 1 (complete)\n0: {term}  barbs[x!]  -> -\ndivergent: none\n"
-    # nor is it under a prefix, for the commands that do not normalize
+    # nor is it under a prefix or a replication
     term = "x(y).(" + " | ".join(["a!b"] * 1200) + ")"
     assert cli("pi", "parse", term) == (OK, term + "\n", "")
+    assert cli("pi", "print", term) == (OK, term + "\n", "")
+    repl = "!(" + " | ".join(["a!b"] * 1200) + ")"
+    out = f"states: 1 (complete)\n0: {repl}  barbs[a!]  -> -\ndivergent: none\n"
+    assert cli("pi", "explore", repl, "--budget", "3") == (OK, out, "")
     assert cli("pi", "plug", term, "--context", "a(b).X") == (OK, f"a(b2).{term}\n", "")
     threads = " | ".join(f"new _b{i}. (a!_b{i} | _b{i}(_b{i + 1}).(_b{i + 1}!b | 0))"
                          for i in range(2, 2402, 2))

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, ContextProbe,
                                   Encoding, boudol_encoding,
@@ -14,8 +16,9 @@ from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, ContextProbe,
                                   pi_to_term, plug, plug_var, pullback_equiv,
                                   routes_agree, term_to_pi)
 from transcheck.finlang import FiniteLanguage, Operator, load_language
-from transcheck.pi import (Barb, PiError, alpha_eq_pi, bisim, is_async,
-                           normal_form, parse_pi, strong_barbs)
+from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl, Res,
+                           alpha_eq_pi, bisim, is_async, normal_form, parse_pi,
+                           strong_barbs)
 from transcheck.terms import check_compositional, complete_compositional, is_fvr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +54,23 @@ def test_translation_goldens(src, expected):
 def test_translation_lands_in_async_fragment():
     for src, _ in GOLDEN:
         assert is_async(boudol_translate(pp(src)))
+
+
+NAMES = st.sampled_from(["a", "b", "x", "_b0"])
+LEAVES = st.one_of(st.just(Nil()), st.builds(PVar, st.sampled_from(["P", "Q"])),
+                   st.builds(ExtBarb, st.sampled_from(["w", "v"])))
+
+
+def _grow(inner):
+    return st.one_of(st.builds(Out, NAMES, NAMES, inner), st.builds(In, NAMES, NAMES, inner),
+                     st.builds(Par, inner, inner), st.builds(Res, NAMES, inner),
+                     st.builds(Repl, inner))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(LEAVES, _grow, max_leaves=12))
+def test_translation_lands_in_async_fragment_on_random_terms(p):
+    assert is_async(boudol_translate(p))
 
 
 def test_fresh_names_skip_occupied_ones():

@@ -18,7 +18,7 @@ from transcheck.finlang import (FiniteLanguage, InputError, Operator, Relation,
                                 check_respects, check_total, check_valid_upto,
                                 close_relation, closed_terms, compose_semantic,
                                 congruence_closure_1hole, denote, denote_subst,
-                                dump_language, dump_relation, image_congruence_closure_1hole,
+                                image_congruence_closure_1hole,
                                 is_congruence, is_congruence_for_image,
                                 is_one_hole_congruence, load_language,
                                 load_relation, load_semantic_translation,
@@ -199,6 +199,23 @@ def test_load_relation_and_language_reject_malformed_value_lists():
             load_language({**lang, "values": values})
     with pytest.raises(InputError, match="^language operators are not a JSON list$"):
         load_language({**lang, "operators": 5})
+
+
+def dump_language(lang: FiniteLanguage) -> dict:
+    return {
+        "name": lang.name,
+        "values": list(lang.values),
+        "operators": [
+            {"name": op.name, "arity": op.arity,
+             "table": {",".join(k): v for k, v in sorted(op.table.items())}}
+            for op in lang.operators
+        ],
+    }
+
+
+def dump_relation(rel: Relation) -> dict:
+    return {"name": rel.name, "kind": rel.kind, "carrier": sorted(rel.carrier),
+            "pairs": sorted([a, b] for a, b in rel.pairs)}
 
 
 def test_load_language_roundtrip():

@@ -3,8 +3,8 @@ every module-level function, class and method is named somewhere in src/,
 tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
 module, so comments and docstrings do not count as uses.  A method that
 overrides one of a base class (argparse calls _Parser.error) is used by the
-base class's callers.  And no walker of pi terms recurses, so a term of any
-depth is walked."""
+base class's callers.  No walker of pi terms recurses, so a term of any
+depth is walked.  And pi terms are interned, so pi.py keys no memo by id."""
 
 import ast
 import importlib
@@ -98,3 +98,9 @@ def test_pi_walkers_do_not_recurse():
                                                               getattr(call.func, "attr", None)):
                     recursive.add(f"{path}: {fn.name}")
     assert recursive == set(RECURSION_ALLOWED)
+
+
+def test_pi_memos_are_not_keyed_by_id():
+    calls = [f"line {n.lineno}" for n in ast.walk(PACKAGE_TREES["src/transcheck/pi.py"])
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "id"]
+    assert calls == []

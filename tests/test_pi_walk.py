@@ -8,10 +8,13 @@ and the walkers of encodings.py became walks on the one explicit-stack fold
 (pi._fold).  The oracles below are their earlier definitions, recursive but
 for the explicit-stack binder renaming.  Each new result must equal its
 oracle on random terms over all eight constructors, and the parser must agree
-with its oracle on random strings.  Deep terms are compared as printed text:
-the frozen dataclasses compare and hash recursively.
+with its oracle on random strings.
 """
 
+import copy
+import gc
+import pickle
+import weakref
 from itertools import count
 from typing import NamedTuple
 
@@ -767,6 +770,29 @@ def test_a_chain_of_100000_prefixes_translates_and_plugs(chain):
     for _ in range(DEEP):
         context = Out("x", "a", context)
     assert print_pi(plug(context, parse_pi("c!d"))) == "x!a." * DEEP + "c!d"
+
+
+def test_a_chain_of_100000_prefixes_is_one_object_and_compares_in_constant_time(chain):
+    again = parse_pi("x!a." * DEEP + "0")
+    assert again is chain
+    assert again == chain and hash(again) == hash(chain) and again in {chain}
+    assert Out("x", "a", chain) != chain and Out("x", "a", chain) not in {chain}
+
+
+def test_the_intern_table_does_not_keep_a_term_alive():
+    t = Out("lifetime", "probe", Par(Nil(), PVar("P")))
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert Out("lifetime", "probe", Par(Nil(), PVar("P"))).cont == Par(Nil(), PVar("P"))
+
+
+def test_a_copied_or_unpickled_term_is_the_term_itself():
+    t = parse_pi("new a. (x!a.a(y).y!b | !P | @w)")
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert print_pi(copy.copy(Out("x", "c", Nil()))) == "x!c"
 
 
 def test_5000_nested_brackets_and_prefixes_parse_and_print():
