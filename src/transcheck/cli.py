@@ -110,7 +110,7 @@ def _report(label: str, v: Verdict, langs=(), show=None) -> int:
     print(f"{label}: {v.status}")
     if v.status == "no":
         _print_witness(v.witness, langs)
-    elif v.holds and show is not None:
+    elif v.status == "yes" and show is not None:
         print("witness: " + show(v.witness))
     if v.note:
         print(f"note: {v.note}")

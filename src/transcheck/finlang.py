@@ -843,27 +843,28 @@ def property_suite(seed: int, trials: int) -> PropertyReport:
 
         rel12 = rel.restricted(set(l1.qualified_values) | set(l2.qualified_values))
         v1 = check_valid_upto(t1, l1, l2, rel12)
+        valid1 = v1.status == "yes"
 
         # (a) Thm: correct up to ~  <=>  valid up to ~ and congruence on U
         checks["valid-correct"] += 1
-        correct = check_correct_upto(t1, l1, l2, rel12).holds
+        correct = check_correct_upto(t1, l1, l2, rel12).status == "yes"
         u_set = tuple(upward_closed_targets(l1, l2, rel12))
-        cong = is_congruence_for_image(t1, l1, l2, rel12, u_set).holds
-        if correct != (v1.holds and cong):
-            note("valid-correct", (trial, correct, v1.holds, cong))
+        cong = is_congruence_for_image(t1, l1, l2, rel12, u_set).status == "yes"
+        if correct != (valid1 and cong):
+            note("valid-correct", (trial, correct, valid1, cong))
 
         # (b) Thm: composition of valid translations, witness R2 . R1
         v2 = check_valid_upto(t2, l2, l3, rel.restricted(
             set(l2.qualified_values) | set(l3.qualified_values)))
-        if v1.holds and v2.holds:
+        if valid1 and v2.status == "yes":
             checks["composition"] += 1
             tc = compose_translations(t1, t2)
             rc = compose_semantic(v2.witness, v1.witness)
-            if not check_correct_wrt(tc, l1, l3, rc).holds:
+            if check_correct_wrt(tc, l1, l3, rc).status != "yes":
                 note("composition", (trial,))
 
         # (c) Thm: combined closure, clauses (1)-(3)
-        if v1.holds:
+        if valid1:
             checks["closure-clauses"] += 1
             try:
                 lr = lr_closure(l1, rel12, v1.witness)
@@ -889,17 +890,18 @@ def property_suite(seed: int, trials: int) -> PropertyReport:
                 note("closure-clauses", (trial, str(err)))
 
         pres = check_preserves(t1, l1, l2, rel12, depth=3)
+        preserves = pres.status == "yes"
 
         # (d) Prop: valid implies preserves (depth 3)
-        if v1.holds:
+        if valid1:
             checks["preservation"] += 1
-            if not pres.holds:
+            if not preserves:
                 note("preservation", (trial,))
 
         # (e) Thm: preserving fvr head maps are valid
-        if pres.holds and pres.note == "preserves":
+        if preserves and pres.note == "preserves":
             checks["preservation-is-valid"] += 1
-            if not v1.holds:
+            if not valid1:
                 note("preservation-is-valid", (trial, pres.witness))
 
     return PropertyReport(seed, trials, checks, violations)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Callable, Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
@@ -828,23 +828,24 @@ class _Search:
             return self.leaf(root)
         first = best = first_path = None
         autos: list[dict[str, str]] = []
-        # the open path: frames[k] = [cells, path of k names, target cell, next child, tried]
-        frames = [[root, (), _first_cell(root), 0, []]]
+        # the open path: frames[k] = [cells, path of k names, target cell, next child,
+        # tried, orbits of the automorphisms fixing the path]
+        frames = [[root, (), _first_cell(root), 0, [], _Orbits(())]]
         while frames:
-            cells, path, t, nxt, tried = frame = frames[-1]
+            cells, path, t, nxt, tried, orbits = frame = frames[-1]
             if nxt == len(cells[t]):
                 frames.pop()
                 continue
             frame[3] += 1
             w = cells[t][nxt]
-            if tried and _same_orbit(w, tried, path, autos):
+            if tried and orbits.same(w, tried, autos):
                 continue
             tried.append(w)
             child = self.refine(
                 cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1:])
             here = path + (w,)
             if len(child) < n:
-                frames.append([child, here, _first_cell(child), 0, []])
+                frames.append([child, here, _first_cell(child), 0, [], _Orbits(here)])
                 continue
             leaf = self.leaf(child)
             if first is None:
@@ -870,25 +871,37 @@ def _first_cell(cells: list[list[str]]) -> int:
     return next(i for i, cell in enumerate(cells) if len(cell) > 1)
 
 
-def _same_orbit(w: str, tried: list[str], path: tuple[str, ...],
-                autos: list[dict[str, str]]) -> bool:
-    """Whether some automorphism fixing path maps a tried name to w, in the
-    group generated by the automorphisms found so far that fix path."""
-    parent: dict[str, str] = {}
+class _Orbits:
+    """The orbits of the group generated by the automorphisms found so far
+    that fix path, as a union-find over the names.  Each search frame keeps
+    one and extends it by the automorphisms found since its last question."""
 
-    def find(n: str) -> str:
-        while parent.get(n, n) != n:
-            n = parent[n]
-        return n
+    def __init__(self, path: tuple[str, ...]) -> None:
+        self.path = path
+        self.parent: dict[str, str] = {}
+        self.read = 0  # autos[:read] are joined in
 
-    for g in autos:
-        if all(g[v] == v for v in path):
-            for a, b in g.items():
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    root = find(w)
-    return any(find(u) == root for u in tried)
+    def find(self, n: str) -> str:
+        parent = self.parent
+        root = n
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while n != root:  # path compression
+            parent[n], n = root, parent[n]
+        return root
+
+    def same(self, w: str, tried: list[str], autos: list[dict[str, str]]) -> bool:
+        """Whether some automorphism fixing path maps a tried name to w."""
+        find, parent, path = self.find, self.parent, self.path
+        for g in islice(autos, self.read, None):
+            if all(g[v] == v for v in path):
+                for a, b in g.items():
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[ra] = rb
+        self.read = len(autos)
+        root = find(w)
+        return any(find(u) == root for u in tried)
 
 
 def normal_form(t: PiTerm) -> PiState:

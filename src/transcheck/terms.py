@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Callable, Iterator
+from weakref import WeakValueDictionary
 
 from .verdict import Verdict
 
@@ -428,27 +429,60 @@ def complete_compositional(tr: Translation,
     T(E_i), re-binding slot-labelled binders to (freshened copies of) the
     source's bound names.  Binder names in keep_binders survive unrenamed; that
     is how composition keeps slot labels meaningful in composed images.
+
+    The function keeps a counter for the fresh _wN names and a memo, so that
+    it translates each subterm once.  A term holding no name that starts
+    with _w always consumes the same number n of fresh names, and its image
+    at counter c is its image at counter c0 with each _wK respelled
+    _w(K + c - c0), since no other name in it is spelled from the counter.
+    The memo maps such a term to (image, c0, n); terms holding a _w name, and
+    all terms when a head holds one, take the plain path.  Arguments are
+    memoized as they are translated, and a term passed in from outside only
+    when the same object comes a second time, so a stream of distinct terms
+    costs no memory.  The memo is keyed by the term object: a structural key
+    would hash each argument's whole subtree, quadratic time and deep
+    recursion on a deep term.  It lives as long as the function.
     """
     state = {"next": 0}
     w_pattern = re.compile(r"_w([0-9]+)$")
+    # a head binder spelled _w... may be freshened to a _wN that depends on
+    # the counter; a kept binder matters only in a term that holds it, and
+    # such a term takes the plain path
+    memo_ok = not any(nm.startswith("_w") for _, img in tr.heads for nm in _names(img))
+    # id(term) -> (term, which keeps the id taken; image, counter at, names used)
+    memo: dict[int, tuple[Term, Term, int, int]] = {}
+    seen: WeakValueDictionary[int, Term] = WeakValueDictionary()  # outside terms met once
 
     def fresh_w() -> str:
         name = f"_w{state['next']}"
         state["next"] += 1
         return name
 
-    def apply(t: Term) -> Term:
+    def apply(t: Term, clear: bool, keep: bool = True) -> Term:
+        """Image of t.  clear says that t holds no _w name and the memo
+        applies; keep, that a new image goes into the memo."""
         match t:
             case Var(_):
                 return t
             case App(op, bound, args):
+                start = state["next"]
+                if clear:
+                    hit = memo.get(id(t))
+                    if hit is not None:
+                        _, image, at, used = hit
+                        state["next"] += used
+                        if start == at or not used:
+                            return image
+                        return _respell_w(image, at, used, start - at)
                 c = tr.source[op]
                 image = tr.head(op)
                 w = [b if b in keep_binders else fresh_w() for b in bound]  # per slot
                 new_args = []
                 for a, scope in zip(args, c.scopes):
                     ren = {bound[k]: Var(w[k]) for k in scope if bound[k] != w[k]}
-                    new_args.append(apply(substitute(tr.source, a, ren) if ren else a))
+                    a2 = substitute(tr.source, a, ren) if ren else a
+                    # a renamed argument holds a _wN
+                    new_args.append(apply(a2, clear and a2 is a))
                 image = _rename_slot_binders(tr.target, image,
                                              {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm})
                 plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
@@ -456,17 +490,57 @@ def complete_compositional(tr: Translation,
                 leaked = _fv(tr.target, out) & set(w)
                 if leaked:
                     raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
+                if clear and keep:
+                    memo[id(t)] = (t, out, start, state["next"] - start)
                 return out
         raise TermError(f"not a term: {t!r}")
 
     def translate(t: Term) -> Term:
+        clear = memo_ok
         for nm in _names(t):
-            m = w_pattern.match(nm)
-            if m:  # keep internal names clear of any _wN already in the input
-                state["next"] = max(state["next"], int(m.group(1)) + 1)
-        return apply(t)
+            if nm.startswith("_w"):
+                clear = False
+                m = w_pattern.match(nm)
+                if m:  # keep internal names clear of any _wN already in the input
+                    state["next"] = max(state["next"], int(m.group(1)) + 1)
+        if not clear or isinstance(t, Var):
+            return apply(t, clear)
+        repeat = seen.get(id(t)) is t
+        if not repeat:
+            seen[id(t)] = t
+        return apply(t, True, keep=repeat)
 
     return translate
+
+
+def _respell_w(t: Term, at: int, used: int, shift: int) -> Term:
+    """t with _wK renamed _w(K + shift) for at <= K < at + used."""
+    ren = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
+    # post-order on an explicit stack, so an image of any depth is respelled
+    done: list[Term] = []
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if isinstance(u, Var):
+            nm = ren.get(u.name)
+            done.append(u if nm is None else Var(nm))
+        elif ready:  # its arguments are the last len(u.args) entries of done
+            cut = len(done) - len(u.args)
+            args = tuple(done[cut:])
+            del done[cut:]
+            bound = tuple([ren.get(b, b) for b in u.bound])
+            if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
+                done.append(u)
+                continue
+            node = App(u.op, bound, args)
+            if u._fv_memo is not None:  # as the plain path leaves it, so no deep walk follows
+                sig, fv = u._fv_memo
+                object.__setattr__(node, "_fv_memo", (sig, frozenset([ren.get(n, n) for n in fv])))
+            done.append(node)
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return done[0]
 
 
 def compose_translations(t1: Translation, t2: Translation) -> Translation:

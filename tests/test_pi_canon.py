@@ -3,6 +3,7 @@ brute-force permutation key it replaced, the incremental successors of explore
 against successors normalized from scratch, and the state-space frontier."""
 
 import random
+from contextlib import contextmanager
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -326,6 +327,104 @@ def test_symmetric_levels_are_canonical(g, h, rnd):
         assert normal_form(variant(t, rnd)).key == key
     if max(len(normal_form(t).restricted), len(normal_form(u).restricted)) <= 7:
         assert (normal_form(u).key == key) == (brute_key(u) == brute_key(t))
+
+
+# ------------- the orbit test of the search (oracle) -------------
+
+def old_same_orbit(w, tried, path, autos):
+    """The orbit test the search used before each frame kept its own
+    union-find: rebuilt from every automorphism found so far at each call."""
+    parent = {}
+
+    def find(n):
+        while parent.get(n, n) != n:
+            n = parent[n]
+        return n
+
+    for g in autos:
+        if all(g[v] == v for v in path):
+            for a, b in g.items():
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    root = find(w)
+    return any(find(u) == root for u in tried)
+
+
+def wide(w):
+    """w outputs in parallel under a prefix: Boudol's translation has a
+    level of w restricted names, all symmetric."""
+    return boudol_translate(parse_pi("x(y).(" + " | ".join(["a!b"] * w) + ")"))
+
+
+@contextmanager
+def checked_orbits():
+    """Check each orbit question of the search, answered by the frame's
+    union-find, against the oracle on the same arguments; yield the answers."""
+    answers = []
+    same = pi._Orbits.same
+
+    def checked(self, w, tried, autos):
+        want = old_same_orbit(w, list(tried), self.path, list(autos))
+        got = same(self, w, tried, autos)
+        assert got == want
+        answers.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi._Orbits, "same", checked)
+        yield answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels(), symmetric)
+def test_orbits_match_the_rebuilt_union_find(t, g):
+    with checked_orbits():
+        normal_form(t)
+        normal_form(graph(*g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbits_match_the_rebuilt_union_find_on_random_groups(data):
+    # permutations arriving between questions, some fixing the path and
+    # some not, as the search finds automorphisms between its questions
+    names = [f"n{i}" for i in range(data.draw(st.integers(2, 8)))]
+    path = tuple(data.draw(st.lists(st.sampled_from(names), unique=True, max_size=2)))
+    free = [n for n in names if n not in path]
+    orbits = pi._Orbits(path)
+    autos, tried = [], []
+    for _ in range(data.draw(st.integers(1, 8))):
+        for _ in range(data.draw(st.integers(0, 2))):
+            moved = free if data.draw(st.booleans()) else names
+            g = dict(zip(names, names))
+            g.update(zip(moved, data.draw(st.permutations(moved))))
+            autos.append(g)
+        w = data.draw(st.sampled_from(names))
+        assert orbits.same(w, tried, autos) == old_same_orbit(w, tried, path, autos)
+        tried.append(w)
+
+
+def test_orbits_match_the_rebuilt_union_find_on_wide_levels():
+    with checked_orbits() as answers:
+        for w in range(2, 21):
+            normal_form(wide(w))
+    assert True in answers and False in answers
+
+
+def test_orbit_questions_do_not_rebuild_the_union_find(monkeypatch):
+    # at w = 50 the search asks 3,675 orbit questions; rebuilding the
+    # union-find for each made 12.1M find calls
+    calls = []
+    find = pi._Orbits.find
+
+    def counted(self, n):
+        calls.append(n)
+        return find(self, n)
+
+    monkeypatch.setattr(pi._Orbits, "find", counted)
+    normal_form(wide(50))
+    assert 0 < len(calls) <= 500_000
 
 
 # ------------- the Boudol family -------------

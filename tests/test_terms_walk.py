@@ -9,19 +9,23 @@ only up to alpha: the binder names a walker picks (_wN, freshened names)
 reach printed output.
 """
 
+import gc
 import json
 import re
+import weakref
 from itertools import count, islice
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transcheck.encodings import PI_TERM_SIG, boudol_head_translation
-from transcheck.terms import (App, Construct, Signature, TermError, Var, _fresh,
+from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
+                                  boudol_head_translation, pi_to_term, term_to_pi)
+from transcheck.pi import is_async, parse_pi, print_pi
+from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _fresh,
                               _rename_slot_binders, all_names, canon_key, canonical_binders,
-                              complete_compositional, enumerate_terms, free_vars,
-                              signature_from_dict, substitute, translation)
+                              check_compositional, complete_compositional, enumerate_terms,
+                              free_vars, is_fvr, signature_from_dict, substitute, translation)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -358,6 +362,148 @@ def test_boudol_head_map_matches_on_the_depth_3_pool():
     new, old = complete_compositional(tr), old_complete_compositional(tr)
     for t in islice(enumerate_terms(PI_TERM_SIG, 3), 1000):
         assert new(t) == old(t)
+
+
+
+# ------------- the translation memo -------------
+
+# lam's image drops its bound name: a lam whose body uses it leaks the slot
+LEAK = translation(LAM, LAM, dict(LAM_HEADS, lam=App("app", (), (Var("X1"), App("unit", (), ())))))
+# an auxiliary image binder spelled _w over a plugged image where _w is free:
+# freshening it picks the first of _w1, _w2, ... that the slot's _wN leaves
+# free, which no respelling reproduces, so this route takes the plain path
+W_AUX = translation(LAM, LAM, dict(
+    LAM_HEADS,
+    lam=App("let2", ("v", "_w"), (App("unit", (), ()), App("app", (), (Var("X1"), Var("_w"))))),
+    unit=App("app", (), (Var("_w"), App("unit", (), ())))))
+ROUTES = dict(TRANSLATIONS, leak=LEAK, w_aux=W_AUX)
+TERMS_OF = dict({name: name for name in SIGS}, leak="lam", w_aux="lam")
+
+
+def _outputs(route, calls):
+    """The output or error message of each call, in order, on one route."""
+    out = []
+    for t in calls:
+        try:
+            out.append(route(t))
+        except TermError as e:
+            out.append(str(e))
+    return out
+
+
+@st.composite
+def call_sequences(draw):
+    """A route and a call sequence that repeats its terms."""
+    name = draw(st.sampled_from(sorted(ROUTES)))
+    pool = draw(st.lists(TERMS[TERMS_OF[name]], min_size=1, max_size=4))
+    calls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    keep = draw(st.sampled_from([frozenset(), frozenset(NAMES[:2]), frozenset({"_w1"})]))
+    return ROUTES[name], keep, calls
+
+
+@given(case=call_sequences())
+@settings(max_examples=300, deadline=None)
+def test_memo_matches_the_stateful_translation_on_call_sequences(case):
+    tr, keep, calls = case
+    assert (_outputs(complete_compositional(tr, keep), calls)
+            == _outputs(old_complete_compositional(tr, keep), calls))
+
+
+def test_memo_is_off_where_a_head_holds_a_w_name():
+    t = App("lam", ("x",), (App("unit", (), ()),))
+    got = _outputs(complete_compositional(W_AUX), [t] * 4)
+    assert got == _outputs(old_complete_compositional(W_AUX), [t] * 4)
+    assert [img.bound for img in got] == [("_w0", "_w1"), ("_w1", "_w2"), ("_w2", "_w1"),
+                                          ("_w3", "_w1")]
+
+
+def test_memo_keeps_the_counter_of_a_leaked_slot():
+    # each ok consumes one fresh name, from the memo once it repeats; the
+    # failing call consumes _w2 (lam), _w3 and _w4 (let2) before it raises
+    ok = App("lam", ("x",), (Var("X"),))
+    bad = App("lam", ("x",), (App("let2", ("a", "b"), (Var("x"), Var("a"))),))
+    calls = [ok, ok, bad, ok, App("app", (), (ok, ok)), bad, ok]
+    got = _outputs(complete_compositional(LEAK), calls)
+    assert got == _outputs(old_complete_compositional(LEAK), calls)
+    assert got[2] == "image of lam does not bind slot(s) ['_w2']"
+    assert got[5] == "image of lam does not bind slot(s) ['_w8']"
+    assert got[6] == App("app", (), (Var("X"), App("unit", (), ())))
+
+
+def _both_routes_through_criterion_8(new, old):
+    """check_compositional and is_fvr at the benchmark's caps on one route,
+    each output compared with the stateful translation's; the calls made."""
+    calls = []
+
+    def both(t):
+        got = new(t)
+        assert got == old(t)
+        calls.append(t)
+        return got
+
+    v = check_compositional(PI_TERM_SIG, API_TERM_SIG, both, 3, max_pairs=1000)
+    w = is_fvr(PI_TERM_SIG, API_TERM_SIG, both, 3, max_terms=1000)
+    assert (v.status, v.checked, v.note) == ("yes", 1000, "cap of 1000 pairs reached")
+    assert (w.status, w.checked, w.note) == ("yes", 1000, "cap of 1000 terms reached")
+    return calls
+
+
+def test_memo_matches_on_the_criterion_8_call_sequence():
+    tr = boudol_head_translation()
+    calls = _both_routes_through_criterion_8(complete_compositional(tr),
+                                             old_complete_compositional(tr))
+    assert len(calls) == 4848
+    # a second route from the same head map starts afresh
+    again = complete_compositional(tr)
+    assert [again(t) for t in calls] == _outputs(old_complete_compositional(tr), calls)
+
+
+def test_criterion_8_instantiates_few_heads(monkeypatch):
+    # 12,676 head instantiations when every term was translated from scratch
+    heads = []
+    head = Translation.head
+
+    def counted(self, op):
+        heads.append(op)
+        return head(self, op)
+
+    monkeypatch.setattr(Translation, "head", counted)
+    tr = boudol_head_translation()
+    v = check_compositional(PI_TERM_SIG, API_TERM_SIG, complete_compositional(tr), 3,
+                            max_pairs=1000)
+    w = is_fvr(PI_TERM_SIG, API_TERM_SIG, complete_compositional(tr), 3, max_terms=1000)
+    assert (v.status, v.checked, w.status, w.checked) == ("yes", 1000, "yes", 1000)
+    assert 0 < len(heads) <= 2500
+
+
+def test_memoized_images_die_with_their_route():
+    # COUNT_HEADS bind nothing, so an image served from the memo is the
+    # stored object itself
+    route = complete_compositional(TRANSLATIONS["counters"])
+    t = App("S", (), (App("two", (), (Var("X"),)),))
+    first = route(t)
+    assert route(t) == first and route(t) is route(t)
+    ref = weakref.ref(route(t))
+    del route, first
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_head_map_route_takes_a_deep_term():
+    # a memo keyed by the terms' structure hashes each argument's whole
+    # subtree, recursively: that failed from 500 prefixes, where translating
+    # from scratch takes 900
+    p = parse_pi("x!a." * 800 + "0")
+    out = boudol_encoding().translate_via_heads(p)
+    assert is_async(out) and print_pi(out).count("new") == 800
+    # the third call on one route respells the image memoized by the second:
+    # a recursive respelling, or one that left the free-variable memos
+    # empty, failed on this chain, which translating from scratch takes
+    route = complete_compositional(boudol_head_translation())
+    t = pi_to_term(parse_pi("x(y)." * 600 + "y!a.0"))
+    texts = [print_pi(term_to_pi(route(t))) for _ in range(3)]
+    assert texts[1].count("_w") == 601
+    assert texts[2] == re.sub(r"_w([0-9]+)", lambda m: f"_w{int(m.group(1)) + 600}", texts[1])
 
 
 # ------------- the memos on App nodes -------------
