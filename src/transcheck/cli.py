@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import cache
 
 from .encodings import (boudol_encoding, check_encoding_pairs,
                         full_abstraction_check, load_pairs, plug)
@@ -366,7 +367,10 @@ def _cmd_pi_full_abstraction(ns) -> int:
 
 # ------------- wiring -------------
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and a handler looks up the functions it calls when it runs."""
     top = _Parser(prog="transcheck",
                   description="checkers for translations between system description "
                               "languages, with a pi-calculus workbench")

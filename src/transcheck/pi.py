@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
 from .verdict import Verdict
@@ -298,7 +298,44 @@ def alpha_key(t: PiTerm) -> tuple:
 
 
 def alpha_eq_pi(a: PiTerm, b: PiTerm) -> bool:
-    return alpha_key(a) == alpha_key(b)
+    """alpha_key(a) == alpha_key(b), decided by walking both terms in step
+    with an explicit stack, so that terms of any depth are compared.  A bound
+    name stands for the depth of its binder, a free name for itself."""
+    if a is b:  # terms are interned
+        return True
+    work: list = [(a, b, {}, {}, 0)]
+    while work:
+        u, v, eu, ev, depth = work.pop()
+        cls = type(u)
+        if cls is not type(v):
+            return False
+        if cls is Out:
+            if eu.get(u.chan, u.chan) != ev.get(v.chan, v.chan) \
+                    or eu.get(u.msg, u.msg) != ev.get(v.msg, v.msg):
+                return False
+            work.append((u.cont, v.cont, eu, ev, depth))
+        elif cls is In:
+            if eu.get(u.chan, u.chan) != ev.get(v.chan, v.chan):
+                return False
+            work.append((u.cont, v.cont, {**eu, u.param: depth}, {**ev, v.param: depth},
+                         depth + 1))
+        elif cls is Res:
+            work.append((u.body, v.body, {**eu, u.name: depth}, {**ev, v.name: depth},
+                         depth + 1))
+        elif cls is Par:
+            work.append((u.right, v.right, eu, ev, depth))
+            work.append((u.left, v.left, eu, ev, depth))
+        elif cls is Repl:
+            work.append((u.body, v.body, eu, ev, depth))
+        elif cls is PVar:
+            if u.name != v.name:
+                return False
+        elif cls is ExtBarb:
+            if u.ident != v.ident:
+                return False
+        elif cls is not Nil:
+            raise PiError(f"not a process: {u!r}")
+    return True
 
 
 # ------------- concrete syntax -------------
@@ -896,6 +933,8 @@ class _Orbits:
         for g in islice(autos, self.read, None):
             if all(g[v] == v for v in path):
                 for a, b in g.items():
+                    if a == b:  # a fixed point joins nothing
+                        continue
                     ra, rb = find(a), find(b)
                     if ra != rb:
                         parent[ra] = rb
@@ -1182,10 +1221,17 @@ class ReductionGraph:
         return list(self.states)
 
 
-def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
-    """The reduction graph of t, breadth first with each frontier in key
-    order, up to budget states.  One canon normalizes the root and every
-    successor, so a thread met again is neither renormalized nor rekeyed."""
+def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
+        tuple[PiState, frozenset[Barb]], None,
+        tuple[dict[tuple, PiState], dict[tuple, tuple[tuple, ...]], bool]]:
+    """The breadth-first search of explore, one admitted state at a time.
+
+    Yields each state as it is admitted, with its strong barbs: the root,
+    then each frontier's new successors, the frontier expanded in key order,
+    until budget states are admitted.  One canon normalizes the root and
+    every successor, so a thread met again is neither renormalized nor
+    rekeyed.  Returns the admitted states, the successor keys of each
+    expanded state, and whether no successor was left out for the budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
     canon = _Canon()
@@ -1195,7 +1241,7 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     states = {root.key: root}
     edges: dict[tuple, tuple[tuple, ...]] = {}
-    barbs = {root.key: strong_barbs(root, input_barbs)}
+    yield root, strong_barbs(root, input_barbs)
     frontier = [root.key]
     complete = True
     while frontier:
@@ -1208,24 +1254,43 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
                         complete = False
                         continue
                     states[s.key] = s
-                    barbs[s.key] = strong_barbs(s, input_barbs)
+                    yield s, strong_barbs(s, input_barbs)
                     nxt.append(s.key)
                 succ_keys.append(s.key)
             edges[key] = tuple(sorted(set(succ_keys)))
         frontier = nxt
+    return states, edges, complete
+
+
+def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
+    """The reduction graph of t, breadth first with each frontier in key
+    order, up to budget states (see _bfs)."""
+    search = _bfs(t, budget, input_barbs)
+    barbs: dict[tuple, frozenset[Barb]] = {}
+    try:
+        while True:
+            s, bs = next(search)
+            barbs[s.key] = bs
+    except StopIteration as end:
+        states, edges, complete = end.value
     divergent: frozenset = frozenset()
     if complete:
         g = _Graph(list(states), edges, barbs)
         divergent = frozenset(k for k, d in zip(g.keys, g.divergent) if d)
-    return ReductionGraph(root.key, states, edges, barbs, complete, divergent)
+    return ReductionGraph(next(iter(states)), states, edges, barbs, complete, divergent)
 
 
 def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
-    """'yes' | 'no' | 'inconclusive' for reachability of the barb."""
-    g = explore(t, budget, input_barbs=barb.kind == "in")
-    if any(barb in bs for bs in g.barbs.values()):
-        return "yes"
-    return "no" if g.complete else "inconclusive"
+    """'yes' | 'no' | 'inconclusive' for reachability of the barb.  The
+    search of explore stops at the first admitted state that shows the barb;
+    only a search that admits no such state is run to its end."""
+    search = _bfs(t, budget, input_barbs=barb.kind == "in")
+    try:
+        while True:
+            if barb in next(search)[1]:
+                return "yes"
+    except StopIteration as end:
+        return "no" if end.value[2] else "inconclusive"
 
 
 # ------------- barbed bisimilarities -------------

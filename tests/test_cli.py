@@ -647,3 +647,25 @@ def test_check_valid_decides_parity_z8(cli, tmp_path):
     code, out, _ = cli("check", "valid", *_parity(tmp_path, 8))
     assert code == FAIL
     assert out == "valid: no\nnote: exhausted 4294967295 candidates\n"
+
+
+# ------------- one parser per process -------------
+
+def test_in_process_calls_match_runs_on_their_own(cli, monkeypatch):
+    # the parser is built once and reused: a usage error, help, a finite
+    # check and a pi check in one process each answer as in a process of
+    # their own
+    from transcheck.cli import _build_parser
+    calls = [("pi", "weak-barb", "x!a"), ("--help",), ("check", "valid", *NEGTOP),
+             ("pi", "weak-barb", " | ".join(["x!z"] * 2 + ["x(y).r!y"] * 2), "r",
+              "--boudol", "--budget", "50")]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "COLUMNS": "80", "TRANSCHECK_FIXTURES": str(FIXTURES),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    alone = [subprocess.run([sys.executable, "-m", "transcheck", *argv],
+                            env=env, capture_output=True, text=True) for argv in calls]
+    assert [run.returncode for run in alone] == [USAGE, OK, OK, OK]
+    assert [cli(*argv) for argv in calls] == [
+        (run.returncode, run.stdout, run.stderr) for run in alone]
+    assert _build_parser() is _build_parser()

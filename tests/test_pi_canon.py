@@ -1,9 +1,11 @@
 """Canonical process states: the individualization-refinement key against the
 brute-force permutation key it replaced, the incremental successors of explore
-against successors normalized from scratch, and the state-space frontier."""
+against successors normalized from scratch, the state-space frontier, and
+weak barbs decided on the fly against the whole reduction graph."""
 
 import random
 from contextlib import contextmanager
+from functools import cache
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transcheck import pi
-from transcheck.encodings import boudol_translate, load_pairs
-from transcheck.pi import (ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
+from transcheck.cli import EXIT
+from transcheck.encodings import ContextProbe, boudol_translate, load_pairs
+from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
                            Res, _expand_offers, explore, normal_form, parse_pi,
-                           print_state, reduce_once, strong_barbs, subst_names)
+                           print_state, reduce_once, strong_barbs, subst_names,
+                           weak_barb)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -427,6 +431,21 @@ def test_orbit_questions_do_not_rebuild_the_union_find(monkeypatch):
     assert 0 < len(calls) <= 500_000
 
 
+def test_orbit_questions_skip_the_fixed_points(monkeypatch):
+    # each new automorphism was joined name by name, fixed points included:
+    # 374,550 find calls at w = 50, where the moved names alone make 22,038
+    calls = []
+    find = pi._Orbits.find
+
+    def counted(self, n):
+        calls.append(n)
+        return find(self, n)
+
+    monkeypatch.setattr(pi._Orbits, "find", counted)
+    normal_form(wide(50))
+    assert 0 < len(calls) <= 50_000
+
+
 # ------------- the Boudol family -------------
 
 def boudol(n):
@@ -654,3 +673,86 @@ def test_explore_normalizes_each_thread_structure_once(monkeypatch):
     g = explore(pair_family(6), 1000)
     assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
     assert len(calls) <= 100
+
+
+# ------------- weak barbs on the fly -------------
+
+def old_weak_barb(t, barb, budget, graph=explore):
+    """weak_barb as it was: the whole reduction graph within the budget,
+    then a look for the barb among its states."""
+    g = graph(t, budget, input_barbs=barb.kind == "in")
+    if any(barb in bs for bs in g.barbs.values()):
+        return "yes"
+    return "no" if g.complete else "inconclusive"
+
+
+# external barbs behind a communication and behind a replicated input
+OBSERVERS = parse_pi("x(p).@w | !a(p).@v")
+
+
+def assert_weak_barbs_match(t, budgets):
+    """weak_barb against the oracle at each budget, on every barb that a
+    state within the largest budget shows and on one barb of each kind that
+    none shows."""
+    graph = cache(explore)  # one graph per budget and barb kind for the oracle
+    shown = set().union(*graph(t, max(budgets), input_barbs=True).barbs.values())
+    barbs = sorted(shown | {Barb(kind, "zz") for kind in ("out", "in", "ext")})
+    for budget in budgets:
+        for barb in barbs:
+            assert weak_barb(t, barb, budget) == old_weak_barb(t, barb, budget, graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(levels(), st.booleans())
+def test_weak_barb_matches_the_whole_graph(t, observed):
+    assert_weak_barbs_match(Par(t, OBSERVERS) if observed else t, [1, 2, 5, 17, 40])
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (boudol, [1, 2, 3, 4]), (product, [1, 2, 3]), (pair_family, [1, 2, 3, 4]),
+], ids=["boudol", "product", "pairs"])
+def test_weak_barb_matches_the_whole_graph_on_the_families(make, sizes):
+    for n in sizes:
+        t = make(n)
+        assert explore(t, 2000).complete
+        assert_weak_barbs_match(t, [1, 2, 5, 17, 2000])
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 500])
+def test_observe_and_the_cli_match_the_whole_graph(cli, budget):
+    contexts = ["X | x(u).u!v", "x(y).x(y).r!s | X", "new x. (X | x(p).@w)"]
+    subjects = ["x!z | x!z", "x!z.x!z", "new u. (x!u | u(v).v!z)",
+                " | ".join(["x!z"] * 2 + ["x(y).r!y"] * 2)]
+    barbs = [Barb("out", "r"), Barb("out", "v"), Barb("in", "x"), Barb("ext", "w")]
+    for ctx in contexts:
+        for src in subjects:
+            for barb in barbs:
+                probe = ContextProbe(parse_pi(ctx), boudol_translate(parse_pi(src)), barb)
+                want = old_weak_barb(probe.plugged(), barb, budget)
+                assert probe.observe(budget) == want
+                assert cli("pi", "weak-barb", src, str(barb), "--context", ctx, "--boudol",
+                           "--budget", str(budget)) == (EXIT[want], want + "\n", "")
+
+
+def test_weak_barb_checks_the_root_before_it_looks():
+    shown = parse_pi("x!a | X")
+    with pytest.raises(PiError, match="budget"):
+        weak_barb(parse_pi("x!a"), Barb("out", "x"), 0)
+    with pytest.raises(PiError, match="free process variables"):
+        weak_barb(shown, Barb("out", "x"), 5)
+    with pytest.raises(PiError, match="free process variables"):
+        old_weak_barb(shown, Barb("out", "x"), 5)
+
+
+def test_weak_barb_stops_at_the_first_state_with_the_barb(monkeypatch):
+    # Boudol at n = 6 has C(9, 3) = 84 states; r! shows after 3 expansions
+    calls = []
+    expand = pi.reduce_once
+
+    def counted(state, _canon=None):
+        calls.append(state.key)
+        return expand(state, _canon)
+
+    monkeypatch.setattr(pi, "reduce_once", counted)
+    assert weak_barb(boudol(6), Barb("out", "r"), 2000) == "yes"
+    assert 0 < len(calls) <= 3

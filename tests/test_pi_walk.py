@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 
 from conftest import chain_text, translated_chain_text
 
-from transcheck.encodings import (boudol_translate, pi_to_term, plug,
-                                  plug_var, term_to_pi)
+from transcheck.encodings import (boudol_encoding, boudol_translate, pi_to_term, plug,
+                                  plug_var, routes_agree, term_to_pi)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiState,
                            PiTerm, PVar, Repl, Res, _CopyLevel, _expand_offers,
                            _fresh_name, _rename, _scan, _split_level,
-                           _tokenize, all_names, alpha_key, free_names,
+                           _tokenize, all_names, alpha_eq_pi, alpha_key, free_names,
                            is_async, normal_form, parse_pi, print_pi,
                            process_vars, strong_barbs, subst_names)
 from transcheck.terms import App, Term, Var
@@ -737,6 +737,35 @@ def test_random_strings_parse_as_before_and_exit_with_a_contract_code(cli, text)
         assert "Traceback" not in err
 
 
+def respelled(t: PiTerm, fresh=None) -> PiTerm:
+    """t with every binder spelled afresh: alpha-equivalent to t."""
+    fresh = fresh if fresh is not None else (f"q{i}" for i in count())
+    match t:
+        case Out(x, y, k):
+            return Out(x, y, respelled(k, fresh))
+        case In(x, z, k):
+            z2 = next(fresh)
+            return In(x, z2, subst_names(respelled(k, fresh), {z: z2}))
+        case Res(n, b):
+            n2 = next(fresh)
+            return Res(n2, subst_names(respelled(b, fresh), {n: n2}))
+        case Par(l, r):
+            return Par(respelled(l, fresh), respelled(r, fresh))
+        case Repl(b):
+            return Repl(respelled(b, fresh))
+        case _:
+            return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms, terms, renamings)
+def test_alpha_eq_pi_matches_the_keys(t, u, ren):
+    renamed = subst_names(t, ren)
+    for a, b in ((t, u), (t, t), (t, respelled(t)), (t, renamed), (respelled(t), renamed)):
+        assert alpha_eq_pi(a, b) == (alpha_key(a) == alpha_key(b))
+    assert alpha_eq_pi(t, respelled(t))
+
+
 # ------------- terms of any depth -------------
 
 DEEP = 100_000
@@ -802,3 +831,12 @@ def test_5000_nested_brackets_and_prefixes_parse_and_print():
     assert print_pi(t) == "a!b | (" * (n - 1) + "a!b | 0" + ")" * (n - 1)
     t = parse_pi("!" * n + "new a, b. " * n + "a(b).0")
     assert print_pi(t) == "!" * n + "new " + "a, b, " * (n - 1) + "a, b. a(b).0"
+
+
+def test_alpha_eq_pi_compares_chains_of_any_depth():
+    # the nested keys recursed in their comparison: both raised RecursionError
+    assert routes_agree(boudol_encoding(), [parse_pi("x!a." * 700 + "0")]).status == "yes"
+    n = 3_000
+    assert alpha_eq_pi(parse_pi("x(y)." * n + "0"), parse_pi("x(z)." * n + "0"))
+    assert alpha_eq_pi(parse_pi("x(y)." * n + "y!a"), parse_pi("x(z)." * n + "z!a"))
+    assert not alpha_eq_pi(parse_pi("x(y)." * n + "y!a"), parse_pi("x(z)." * n + "z!b"))
