@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
+from operator import itemgetter
 from typing import Callable, Generator, Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
@@ -508,10 +509,9 @@ def print_pi(t: PiTerm) -> str:
 @dataclass(frozen=True, eq=False)
 class PiState:
     """Structural-congruence normal form (see normal_form): restrictions
-    lifted to the top, parallel threads flattened, both in the order of the
-    canonical key's leaf, and identity by that key.  The key is the minimum,
-    over the leaves of the individualization-refinement search on the
-    restricted names, of the sorted thread keys."""
+    lifted to the top, parallel threads flattened, both in the order that
+    realizes the canonical key, and identity by that key (see
+    _Canon.level)."""
     restricted: tuple[str, ...]
     threads: tuple[PiTerm, ...]
     key: tuple
@@ -598,8 +598,10 @@ class _Canon:
 
     A level is the restricted names and the parallel threads directly under a
     prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
-    the restricted names spelled ``r{depth}.{i}``; input parameters are spelled
-    ``p{depth}`` and free names ``f:{name}``.
+    the restricted names spelled ``r{depth}.{i}``, or, when its names fall into
+    several components, ``(len(nus), sorted entries)`` with one entry per
+    component (see level); input parameters are spelled ``p{depth}`` and free
+    names ``f:{name}``.
 
     Terms are interned, so every memo is keyed by the node itself.  A thread
     is normalized and scanned once; a normalized thread is keyed once per
@@ -618,6 +620,7 @@ class _Canon:
         self._scans: dict[PiTerm, _Names] = {}
         self._conts: dict[tuple, tuple] = {}
         self._keys: dict[tuple, tuple] = {}
+        self._comps: dict[tuple, tuple] = {}
         self._substs: dict[tuple, PiTerm] = {}
 
     def scan(self, t: PiTerm) -> _Names:
@@ -779,7 +782,55 @@ class _Canon:
     def level(self, nus: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
               env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
         """The level's key, and the restriction order and thread order
-        (indices into threads) that realize it."""
+        (indices into threads) that realize it.
+
+        Two restricted names are linked when some thread holds both (see
+        _linked).  A level with at most one name, or whose names form one
+        component, is keyed whole.  Otherwise, as ``new a. (P | Q)`` is
+        congruent to ``P | new a. Q`` when a is not free in P, each component
+        is keyed on its own with component-local tokens, and the key is
+        ``(len(nus), sorted entries)``: a component gives ``("~c", its number
+        of names, its sorted thread keys)`` and a thread holding none of the
+        names its own key.  No thread key starts with "~c", so a split key
+        never equals a whole one, and every entry starts with a string, so
+        any two keys compare.  The orders are the entries' own, joined in
+        entry order."""
+        if len(nus) > 1:
+            comps, outside = _linked(nus, fns)
+            if len(comps) > 1:
+                entries = [(self.thread(threads[i], fns[i], env, depth + 1), [], [i])
+                           for i in outside]
+                for names, tids in comps:
+                    keys, order, perm = self.component(
+                        names, [threads[i] for i in tids], [fns[i] for i in tids], env, depth)
+                    entries.append((("~c", len(names), keys), order, [tids[j] for j in perm]))
+                entries.sort(key=itemgetter(0))
+                return ((len(nus), tuple([e for e, _, _ in entries])),
+                        [n for _, order, _ in entries for n in order],
+                        [i for _, _, perm in entries for i in perm])
+        return self.whole(nus, threads, fns, env, depth)
+
+    def component(self, names: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
+                  env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
+        """The sorted thread keys of one component of a level, keyed whole,
+        and its restriction and thread orders.  They depend on env only
+        through the tokens of the threads' other free names, which key the
+        memo with the thread nodes, so a successor re-keys only the
+        components it changed."""
+        own = set(names)
+        free = sorted(frozenset().union(*fns))
+        memo_key = (depth, tuple(threads), tuple(["" if n in own else env.get(n) for n in free]))
+        done = self._comps.get(memo_key)
+        if done is None:
+            (_, keys), order, perm = self.whole(names, threads, fns, env, depth)
+            done = self._comps[memo_key] = keys, order, perm
+        return done
+
+    def whole(self, nus: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
+              env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
+        """level's answer for the level as one component: ``(len(nus),
+        sorted thread keys)`` with the names spelled ``r{depth}.{i}``, by
+        _Search when there are two names or more."""
         if len(nus) > 1:
             keys, order, perm = _Search(self, nus, threads, fns, env, depth).best()
             return (len(nus), keys), order, perm
@@ -840,9 +891,10 @@ class _Search:
                     continue
                 groups: dict[tuple, list[str]] = {}
                 for n in cell:
-                    tokens = dict(colour)
-                    tokens[n] = f"s{self.depth}"
-                    sig = tuple(sorted(self.key(i, tokens) for i in self.occurs[n]))
+                    # the name marked while its threads are keyed, then restored
+                    own, colour[n] = colour[n], f"s{self.depth}"
+                    sig = tuple(sorted(self.key(i, colour) for i in self.occurs[n]))
+                    colour[n] = own
                     groups.setdefault(sig, []).append(n)
                 out.extend(groups[sig] for sig in sorted(groups))
             if len(out) == len(cells):
@@ -904,6 +956,37 @@ class _Search:
         return best
 
 
+def _linked(nus: list[str], fns: list[frozenset[str]]) -> tuple[
+        list[tuple[list[str], list[int]]], list[int]]:
+    """The components of a level with restricted names nus and thread free
+    names fns: each a list of names and the indices of the threads holding
+    them, two names in one component when some thread holds both; and the
+    indices of the threads holding none of the names."""
+    root = {n: n for n in nus}
+
+    def find(n: str) -> str:
+        while root[n] != n:
+            root[n] = n = root[root[n]]
+        return n
+
+    held = []
+    for fn in fns:
+        mine = [n for n in fn if n in root]
+        held.append(mine)
+        for n in mine[1:]:
+            root[find(n)] = find(mine[0])
+    comps: dict[str, tuple[list[str], list[int]]] = {}
+    for n in nus:
+        comps.setdefault(find(n), ([], []))[0].append(n)
+    outside = []
+    for i, mine in enumerate(held):
+        if mine:
+            comps[find(mine[0])][1].append(i)
+        else:
+            outside.append(i)
+    return list(comps.values()), outside
+
+
 def _first_cell(cells: list[list[str]]) -> int:
     return next(i for i, cell in enumerate(cells) if len(cell) > 1)
 
@@ -948,12 +1031,14 @@ def normal_form(t: PiTerm) -> PiState:
 
     Restriction binders are renamed apart and lifted to the top of each
     level, the parallel spine is flattened, unused restrictions are dropped,
-    and every continuation is normalized the same way.  The key is the
-    minimum thread-key list over the leaves of an individualization-refinement
-    search on each level's restricted names (see _Search).  The leaf set does
-    not depend on how the names are spelled, so two terms get equal keys
-    exactly when they are structurally congruent up to renaming of bound
-    names.  A level with at most one restricted name has a single leaf.
+    and every continuation is normalized the same way.  Each level's
+    restricted names are split into components, two names in one when some
+    thread holds both, and each component is keyed by the minimum thread-key
+    list over the leaves of an individualization-refinement search on its
+    names (see _Canon.level and _Search).  The leaf set does not depend on how
+    the names are spelled, so two terms get equal keys exactly when they are
+    structurally congruent up to renaming of bound names.  A component with
+    one restricted name has a single leaf.
     """
     return _Canon().state([], [t])
 

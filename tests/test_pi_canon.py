@@ -333,6 +333,164 @@ def test_symmetric_levels_are_canonical(g, h, rnd):
         assert (normal_form(u).key == key) == (brute_key(u) == brute_key(t))
 
 
+# ------------- levels split into components -------------
+
+# a thread of a component, over its local names i and j (both may be one)
+SHAPED = {
+    "out": "{i}!{j}",
+    "free": "{i}!x",
+    "in": "{i}(p).p!{j}",
+    "nested": "x(p).new q. (q!{i} | p!q | q(v).v!{j})",
+    "repl": "!{i}(p).(p!{j} | y!p)",
+}
+NAME_FREE = ["x!y", "y!x", "x(p).p!z", "!y(p).new q. p!q"]
+
+
+@st.composite
+def component(draw, size):
+    """Thread shapes over local names 0..size-1: a spanning tree that keeps
+    the names linked, and up to two more threads."""
+    shape = st.sampled_from(sorted(SHAPED))
+    threads = [(draw(shape), i, draw(st.integers(0, i - 1))) for i in range(1, size)]
+    threads += draw(st.lists(st.tuples(shape, st.integers(0, size - 1),
+                                       st.integers(0, size - 1)),
+                             min_size=1 if size == 1 else 0, max_size=2))
+    return size, threads
+
+
+@st.composite
+def split_levels(draw):
+    """2 to 4 components of 1 to 3 names each, at most 5 names in all so
+    that the brute-force key stays cheap, and up to two name-free threads."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(
+        lambda sizes: sum(sizes) <= 5))
+    comps = [draw(component(size)) for size in sizes]
+    return comps, draw(st.lists(st.sampled_from(NAME_FREE), max_size=2))
+
+
+def split_term(comps, extra, spell="n", rnd=None):
+    """new <names>. (threads) with component c's name i spelled
+    f"{spell}{c}_{i}"; with rnd, the components, names and threads are
+    shuffled first."""
+    comps = list(comps)
+    if rnd:
+        rnd.shuffle(comps)
+    names, threads = [], list(extra)
+    for c, (size, shaped) in enumerate(comps):
+        local = [f"{spell}{c}_{i}" for i in range(size)]
+        names += local
+        threads += [SHAPED[kind].format(i=local[i], j=local[j]) for kind, i, j in shaped]
+    if rnd:
+        rnd.shuffle(names)
+        rnd.shuffle(threads)
+    return parse_pi(f"new {', '.join(names)}. ({' | '.join(threads)})")
+
+
+def is_split(key):
+    return any(entry[0] == "~c" for entry in key[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_levels(), st.lists(st.integers(0, 3), min_size=2, max_size=4),
+       st.lists(st.integers(0, 5), min_size=6, max_size=6),
+       st.lists(st.sampled_from(NAME_FREE), max_size=2), st.randoms())
+def test_split_key_equality_matches_brute_force(level, picks, choice, extra2, rnd):
+    comps, extra = level
+    t = split_term(comps, extra)
+    assert is_split(normal_form(t).key)
+    # the components again, some dropped or repeated, at most 5 names; the
+    # names rebound; other name-free threads
+    chosen = []
+    for i in picks:
+        if sum(size for size, _ in chosen) + comps[i % len(comps)][0] <= 5:
+            chosen.append(comps[i % len(comps)])
+    others = [rebind(t, choice), split_term(chosen, extra), split_term(chosen, extra, rnd=rnd),
+              split_term(comps, extra2)]
+    new, old = normal_form(t).key, brute_key(t)
+    for u in others:
+        assert (normal_form(u).key == new) == (brute_key(u) == old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_levels(), st.randoms())
+def test_split_key_ignores_component_order_and_spelling(level, rnd):
+    comps, extra = level
+    s = normal_form(split_term(comps, extra))
+    for spell in ("m", "a"):
+        u = split_term(comps, extra, spell, rnd)
+        assert normal_form(u) == s
+        assert normal_form(variant(u, rnd)) == s
+    assert normal_form(s.term()) == s
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(split_levels(), min_size=1, max_size=3), st.lists(levels(), max_size=2))
+def test_split_and_whole_keys_compare(split, whole):
+    # a split key sorts among whole ones, at the top and under a prefix
+    terms = [split_term(*level) for level in split] + whole + [cycles(3), graph(["edge"])]
+    terms += [In("x", "p", Par(t, Out("p", "a", Nil()))) for t in terms]
+    keys = [normal_form(t).key for t in terms]
+    assert any(map(is_split, keys)) and not all(map(is_split, keys))
+    assert sorted(keys) == sorted(reversed(keys))
+
+
+def test_component_keys_depend_on_their_names_and_outer_tokens():
+    # one canon keys the same threads as components of other names and under
+    # other tokens of their outer names; each answer is a fresh canon's
+    threads = [Out("a", "b", Nil()), Out("c", "c", Nil())]
+    fns = [frozenset("ab"), frozenset("c")]
+    canon = pi._Canon()
+    for nus, env in [(["a", "c"], {}), (["b", "c"], {}), (["a", "c"], {"b": "r0.0"}),
+                     (["a", "c"], {"b": "p0"}), (["b", "c"], {"a": "p0"})]:
+        assert canon.level(nus, threads, fns, env, 1) == pi._Canon().level(
+            nus, threads, fns, env, 1)
+
+
+def old_refine(self, cells):
+    """_Search.refine as it was: the whole colouring copied for each name."""
+    while True:
+        colour = {}
+        pos = 0
+        for cell in cells:
+            for n in cell:
+                colour[n] = f"c{self.depth}.{pos}"
+            pos += len(cell)
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for n in cell:
+                tokens = dict(colour)
+                tokens[n] = f"s{self.depth}"
+                sig = tuple(sorted(self.key(i, tokens) for i in self.occurs[n]))
+                groups.setdefault(sig, []).append(n)
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def assert_refine_matches_the_copying_refine(terms):
+    new = [normal_form(t) for t in terms]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi._Search, "refine", old_refine)
+        old = [normal_form(t) for t in terms]
+    assert [s.key for s in new] == [s.key for s in old]
+    assert [print_state(s) for s in new] == [print_state(s) for s in old]
+
+
+@settings(max_examples=20, deadline=None)
+@given(levels(), symmetric, split_levels())
+def test_refine_matches_the_copying_refine(t, g, level):
+    assert_refine_matches_the_copying_refine([t, graph(*g), split_term(*level)])
+
+
+def test_refine_matches_the_copying_refine_on_hub_levels():
+    assert_refine_matches_the_copying_refine([hub(w) for w in (2, 3, 5, 8, 13)])
+
+
 # ------------- the orbit test of the search (oracle) -------------
 
 def old_same_orbit(w, tried, path, autos):
@@ -357,8 +515,15 @@ def old_same_orbit(w, tried, path, autos):
 
 def wide(w):
     """w outputs in parallel under a prefix: Boudol's translation has a
-    level of w restricted names, all symmetric."""
+    level of w restricted names, all symmetric, no two in one thread."""
     return boudol_translate(parse_pi("x(y).(" + " | ".join(["a!b"] * w) + ")"))
+
+
+def hub(w):
+    """wide(w) with the outputs on one restricted name h: Boudol's
+    translation has a level of w + 1 names, one component through h, whose
+    w names other than h are all symmetric."""
+    return boudol_translate(parse_pi("x(y).new h. (" + " | ".join(["h!b"] * w) + ")"))
 
 
 @contextmanager
@@ -412,13 +577,13 @@ def test_orbits_match_the_rebuilt_union_find_on_random_groups(data):
 def test_orbits_match_the_rebuilt_union_find_on_wide_levels():
     with checked_orbits() as answers:
         for w in range(2, 21):
-            normal_form(wide(w))
+            normal_form(hub(w))
     assert True in answers and False in answers
 
 
 def test_orbit_questions_do_not_rebuild_the_union_find(monkeypatch):
     # at w = 50 the search asks 3,675 orbit questions; rebuilding the
-    # union-find for each made 12.1M find calls
+    # union-find for each made 12.4M find calls
     calls = []
     find = pi._Orbits.find
 
@@ -427,13 +592,13 @@ def test_orbit_questions_do_not_rebuild_the_union_find(monkeypatch):
         return find(self, n)
 
     monkeypatch.setattr(pi._Orbits, "find", counted)
-    normal_form(wide(50))
+    normal_form(hub(50))
     assert 0 < len(calls) <= 500_000
 
 
 def test_orbit_questions_skip_the_fixed_points(monkeypatch):
     # each new automorphism was joined name by name, fixed points included:
-    # 374,550 find calls at w = 50, where the moved names alone make 22,038
+    # 381,894 find calls at w = 50, where the moved names alone make 22,038
     calls = []
     find = pi._Orbits.find
 
@@ -442,8 +607,32 @@ def test_orbit_questions_skip_the_fixed_points(monkeypatch):
         return find(self, n)
 
     monkeypatch.setattr(pi._Orbits, "find", counted)
-    normal_form(wide(50))
+    normal_form(hub(50))
     assert 0 < len(calls) <= 50_000
+
+
+@contextmanager
+def searched():
+    """Yield the number of names of each _Search run in the block."""
+    widths = []
+    best = pi._Search.best
+
+    def counted(self):
+        widths.append(len(self.nus))
+        return best(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi._Search, "best", counted)
+        yield widths
+
+
+def test_wide_levels_are_keyed_without_a_wide_search():
+    # no two of wide(50)'s 50 names share a thread, so each is a component
+    # of its own; searching all 50 at once took about 0.6 s
+    with searched() as widths:
+        s = normal_form(wide(50))
+    assert all(w <= 2 for w in widths)
+    assert normal_form(variant(wide(50), random.Random(0))) == s
 
 
 # ------------- the Boudol family -------------
@@ -673,6 +862,17 @@ def test_explore_normalizes_each_thread_structure_once(monkeypatch):
     g = explore(pair_family(6), 1000)
     assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
     assert len(calls) <= 100
+
+
+def test_explore_searches_only_small_components():
+    # Boudol's pairs never share a thread, so no search holds more than one
+    # pair's names; searching each successor's names all at once took 631
+    # searches of up to 12 names at n = 6
+    with searched() as widths:
+        g = explore(boudol(6), 2000)
+    assert (len(g.states), sum(len(e) for e in g.edges.values())) == (84, 168)
+    assert max(widths) <= 2
+    assert 0 < len(widths) <= 36
 
 
 # ------------- weak barbs on the fly -------------
