@@ -28,7 +28,7 @@ from .pi import (BISIM_KINDS, PiError, PiTerm, barb_from_text, bisim, explore,
                  normal_form, parse_pi, print_pi, print_state, reduce_once,
                  strong_barbs, weak_barb, _scan)
 from .terms import Term, TermError, compose_translations, print_term
-from .verdict import Verdict
+from .verdict import BISIM_WORDS, Verdict
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
 EXIT = {"yes": OK, "no": FAIL, "inconclusive": INCONCLUSIVE}
@@ -341,7 +341,7 @@ def _cmd_pi_check_encoding(ns) -> int:
     terms = [_parse_term_arg(ns, s) for s in texts]
     report = check_encoding_pairs(boudol_encoding(), terms, ns.kind, ns.budget)
     for p, v in report.rows:
-        print(f"{v.result}: {print_pi(p)}")
+        print(f"{BISIM_WORDS[v.status]}: {print_pi(p)}")
     counts = report.counts
     print(f"bisimilar={counts['bisimilar']} not={counts['not']} "
           f"inconclusive={counts['inconclusive']}")
@@ -359,7 +359,7 @@ def _cmd_pi_full_abstraction(ns) -> int:
     report = full_abstraction_check(enc.translate, oracle, oracle, pairs)
     for p, q, sv, tv, status in report.rows:
         print(f"{status}: {print_pi(p)} ;; {print_pi(q)} "
-              f"(source={sv.result}, target={tv.result})")
+              f"(source={BISIM_WORDS[sv.status]}, target={BISIM_WORDS[tv.status]})")
     n = Counter(status for *_, status in report.rows)
     print(f"pass={n['pass']} fail={n['fail']} inconclusive={n['inconclusive']}")
     return _batch_exit(n["fail"], n["inconclusive"])

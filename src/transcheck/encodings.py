@@ -21,7 +21,7 @@ from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiTerm, PVar, Repl, 
 from .terms import (App, Construct, Signature, Term, TermError, Translation,
                     Var, complete_compositional, free_vars, parse_term,
                     translation)
-from .verdict import Verdict
+from .verdict import BISIM_WORDS, Verdict
 
 
 _RESERVED_PREFIX = "_b"
@@ -244,9 +244,9 @@ class EncodingReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"bisimilar": 0, "not": 0, "inconclusive": 0}
+        out = dict.fromkeys(BISIM_WORDS.values(), 0)
         for _, v in self.rows:
-            out[v.result] += 1
+            out[BISIM_WORDS[v.status]] += 1
         return out
 
 

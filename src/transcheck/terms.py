@@ -139,7 +139,10 @@ def validate(sig: Signature, t: Term) -> None:
 
 
 def _fv(sig: Signature, t: Term) -> frozenset[str]:
-    """Free variables of t over sig, memoized on each App node."""
+    """Free variables of t over sig, memoized on each App node.
+
+    A node is filled once its arguments are, on an explicit stack, so a term
+    of any depth is read."""
     if isinstance(t, Var):
         return frozenset((t.name,))
     if not isinstance(t, App):
@@ -147,16 +150,29 @@ def _fv(sig: Signature, t: Term) -> frozenset[str]:
     memo = t._fv_memo
     if memo is not None and memo[0] is sig:
         return memo[1]
-    out: set[str] = set()
-    bound = t.bound
-    for a, scope in zip(t.args, sig[t.op].scopes):
-        if scope:
-            out |= _fv(sig, a) - {bound[k] for k in scope}
-        else:
-            out |= _fv(sig, a)
-    fv = frozenset(out)
-    object.__setattr__(t, "_fv_memo", (sig, fv))
-    return fv
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        bound = u.bound
+        out: set[str] | None = set()  # None once an argument is not filled yet
+        for a, scope in zip(u.args, sig[u.op].scopes):
+            if isinstance(a, Var):
+                fa = {a.name}
+            elif isinstance(a, App):
+                memo = a._fv_memo
+                if memo is None or memo[0] is not sig:
+                    todo.append(a)  # u is read again after a
+                    out = None
+                    continue
+                fa = memo[1]
+            else:
+                raise TermError(f"not a term: {a!r}")
+            if out is not None:
+                out |= fa - {bound[k] for k in scope} if scope else fa
+        if out is not None:
+            todo.pop()
+            object.__setattr__(u, "_fv_memo", (sig, frozenset(out)))
+    return t._fv_memo[1]
 
 
 def _names(t: Term) -> frozenset[str]:
@@ -263,7 +279,51 @@ def canon_key(sig: Signature, t: Term) -> tuple:
 
 
 def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
-    return canon_key(sig, t) == canon_key(sig, u)
+    """t and u are equal up to the spelling of their bound names.
+
+    One walk over both terms in step, on an explicit stack, so a term of any
+    depth gets an answer.  Each side maps a bound name to its binder position
+    (depth + k, as in canon_key); a variable matches when both sides resolve
+    it to one position, or both leave it free under one name.  A pair that is
+    one object is not walked when the two maps agree on its free variables,
+    and its free variables are not read when the maps are the same, so a term
+    compared with itself costs O(1).  The maps stay one object as long as the
+    two sides bind the same names, which is the common case under a
+    translation that hands back one image per subterm.
+    """
+    env: dict[str, int] = {}
+    todo: list[tuple[Term, Term, dict[str, int], dict[str, int], int]] = [(t, u, env, env, 0)]
+    while todo:
+        a, b, ea, eb, depth = todo.pop()
+        if a is b and (ea is eb or all(ea.get(x) == eb.get(x) for x in _fv(sig, a))):
+            continue
+        if isinstance(a, Var) and isinstance(b, Var):
+            if ea.get(a.name, a.name) != eb.get(b.name, b.name):
+                return False
+            continue
+        if not (isinstance(a, App) and isinstance(b, App)):
+            for x in (a, b):
+                if not isinstance(x, (Var, App)):
+                    raise TermError(f"not a term: {x!r}")
+            return False
+        if a.op != b.op or len(a.args) != len(b.args):
+            return False
+        c = sig[a.op]
+        inner = depth + len(c.slots)
+        for x, y, scope in zip(reversed(a.args), reversed(b.args), reversed(c.scopes)):
+            xa, yb = ea, eb
+            if scope:
+                xa = dict(ea)
+                for k in scope:
+                    xa[a.bound[k]] = depth + k
+                if ea is eb and all(a.bound[k] == b.bound[k] for k in scope):
+                    yb = xa
+                else:
+                    yb = dict(eb)
+                    for k in scope:
+                        yb[b.bound[k]] = depth + k
+            todo.append((x, y, xa, yb, inner))
+    return True
 
 
 def canonical_binders(sig: Signature, t: Term, base: str = "B") -> Term:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# a status in the words of the bisimilarities, as the pi commands print it
+BISIM_WORDS = {"yes": "bisimilar", "no": "not", "inconclusive": "inconclusive"}
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -25,4 +28,4 @@ class Verdict:
     def result(self) -> str:
         """The status in the words of the bisimilarities: "bisimilar", "not"
         or "inconclusive"."""
-        return {"yes": "bisimilar", "no": "not"}.get(self.status, self.status)
+        return BISIM_WORDS[self.status]

@@ -4,7 +4,8 @@ tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
 module, so comments and docstrings do not count as uses.  A method that
 overrides one of a base class (argparse calls _Parser.error) is used by the
 base class's callers.  No walker of pi terms recurses, so a term of any
-depth is walked.  And pi terms are interned, so pi.py keys no memo by id."""
+depth is walked.  And pi terms are interned, so pi.py keys no memo by id.
+terms.alpha_eq builds no canonical key and does not call itself."""
 
 import ast
 import importlib
@@ -104,3 +105,14 @@ def test_pi_memos_are_not_keyed_by_id():
     calls = [f"line {n.lineno}" for n in ast.walk(PACKAGE_TREES["src/transcheck/pi.py"])
              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "id"]
     assert calls == []
+
+
+def test_alpha_eq_walks_both_terms_in_step():
+    # comparing two canonical keys built each term's key in full, however
+    # early the terms differ, and recursed once per node
+    fn = next(n for n in PACKAGE_TREES["src/transcheck/terms.py"].body
+              if isinstance(n, ast.FunctionDef) and n.name == "alpha_eq")
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    assert called.isdisjoint({"alpha_eq", "_canon_key", "canon_key"})
+    assert "_fv" in called

@@ -6,7 +6,8 @@ substitute, canon_key, canonical_binders and complete_compositional, with the
 helpers they used (the slot list and _arg_binders).  They recompute at every
 node and read no memo.  Each new result must equal its oracle under ==, not
 only up to alpha: the binder names a walker picks (_wN, freshened names)
-reach printed output.
+reach printed output.  The in-step alpha_eq is held equal to the comparison
+of two canonical keys it replaced.
 """
 
 import gc
@@ -16,16 +17,19 @@ import weakref
 from itertools import count, islice
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transcheck import terms
 from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
                                   boudol_head_translation, pi_to_term, term_to_pi)
 from transcheck.pi import is_async, parse_pi, print_pi
 from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _fresh,
-                              _rename_slot_binders, all_names, canon_key, canonical_binders,
-                              check_compositional, complete_compositional, enumerate_terms,
-                              free_vars, is_fvr, signature_from_dict, substitute, translation)
+                              _rename_slot_binders, all_names, alpha_eq, canon_key,
+                              canonical_binders, check_compositional, complete_compositional,
+                              enumerate_terms, free_vars, is_fvr, signature_from_dict,
+                              substitute, translation)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -121,6 +125,10 @@ def old_canon_key(sig, t, env=None, depth=0):
                 parts.append(old_canon_key(sig, a, env2, depth + len(slots)))
             return ("a", op, tuple(parts))
     raise TermError(f"not a term: {t!r}")
+
+
+def old_alpha_eq(sig, t, u):
+    return canon_key(sig, t) == canon_key(sig, u)
 
 
 def old_canonical_binders(sig, t, base="B"):
@@ -572,3 +580,114 @@ def test_memoized_walks_skip_repeated_work(monkeypatch):
     assert _rename_slot_binders(A_FIRST, t, {}) is t
     assert _rename_slot_binders(A_FIRST, t, {"q": "r"}) is t
     assert lookups == []
+
+
+# ------------- alpha-equivalence in one walk -------------
+
+def _graft(sig, t, shared, ren, env=None):
+    """t with each X replaced by the object shared, and each binder b of t
+    spelled ren[b] along with its bound occurrences; shared is not respelled."""
+    env = env or {}
+    match t:
+        case Var("X"):
+            return shared
+        case Var(x):
+            return Var(env.get(x, x))
+        case App(op, bound, args):
+            return App(op, tuple(ren[b] for b in bound), tuple(
+                _graft(sig, a, shared, ren, {**env, **{bound[k]: ren[bound[k]] for k in scope}})
+                for a, scope in zip(args, sig[op].scopes)))
+
+
+@st.composite
+def shared_pairs(draw):
+    """Two graftings of one subterm object into one skeleton, the second with
+    its binders respelled by a permutation of the binder names, so the shared
+    subterm's free names are bound on both sides, on one side, or on none."""
+    name = draw(st.sampled_from(sorted(SIGS)))
+    skeleton, shared = draw(TERMS[name]), draw(TERMS[name])
+    ren = dict(zip(NAMES, draw(st.permutations(NAMES))))
+    same = dict(zip(NAMES, NAMES))
+    sig = SIGS[name]
+    return sig, _graft(sig, skeleton, shared, same), _graft(sig, skeleton, shared, ren)
+
+
+@given(case=shared_pairs())
+@settings(max_examples=300, deadline=None)
+def test_alpha_eq_matches_the_canon_key_comparison_on_shared_subterms(case):
+    sig, t, u = case
+    assert alpha_eq(sig, t, u) == old_alpha_eq(sig, t, u)
+    assert alpha_eq(sig, u, t) == old_alpha_eq(sig, u, t)
+    assert alpha_eq(sig, t, t) and alpha_eq(sig, u, u)
+
+
+@given(case=st.one_of(*(st.tuples(st.just(SIGS[name]), TERMS[name], TERMS[name])
+                        for name in SIGS)))
+@settings(max_examples=200, deadline=None)
+def test_alpha_eq_matches_the_canon_key_comparison(case):
+    sig, t, u = case
+    assert alpha_eq(sig, t, u) == old_alpha_eq(sig, t, u)
+    v = canonical_binders(sig, t, base="q")
+    assert alpha_eq(sig, t, v) and old_alpha_eq(sig, t, v)
+
+
+def test_a_shared_subterm_counts_only_where_its_free_names_agree():
+    s = App("Out", (), (Var("x"), Var("b"), App("Nil", (), ())))
+    cases = [
+        # x bound on both sides at one position; the In binders differ, so
+        # the two sides' maps differ and the shared Out's free names are read
+        (App("Res", ("x",), (App("In", ("y",), (Var("a"), s)),)),
+         App("Res", ("x",), (App("In", ("z",), (Var("a"), s)),)), True),
+        # x bound on one side only
+        (App("Res", ("x",), (s,)), App("Res", ("w",), (s,)), False),
+        # x bound on both sides, at different positions
+        (App("Res", ("x",), (App("Res", ("v",), (s,)),)),
+         App("Res", ("v",), (App("Res", ("x",), (s,)),)), False),
+    ]
+    for t, u, want in cases:
+        for left, right in ((t, u), (u, t)):
+            assert alpha_eq(PI_TERM_SIG, left, right) == want
+            assert old_alpha_eq(PI_TERM_SIG, left, right) == want
+
+
+def test_alpha_eq_matches_on_the_criterion_8_comparisons(monkeypatch):
+    answers = []
+
+    def both(sig, t, u):
+        got = alpha_eq(sig, t, u)
+        answers.append((got, old_alpha_eq(sig, t, u)))
+        return got
+
+    monkeypatch.setattr(terms, "alpha_eq", both)
+    route = complete_compositional(boudol_head_translation())
+    v = check_compositional(PI_TERM_SIG, API_TERM_SIG, route, 3, max_pairs=1000)
+    assert (v.status, v.checked) == ("yes", 1000)
+    assert len(answers) == 1005 and all(got == want for got, want in answers)
+
+
+def _chain(n, spell, leaf):
+    """In[y](a, Out(y, b, ...)) n times over leaf, the i-th binder spelled spell(i)."""
+    for i in range(n):
+        y = spell(i)
+        leaf = App("In", (y,), (Var("a"), App("Out", (), (Var(y), Var("b"), leaf))))
+    return leaf
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_alpha_eq_answers_on_deep_terms(n):
+    # the comparison of two canonical keys recursed once per node: it failed
+    # from 500 pairs
+    t = _chain(n, lambda i: "y", Var("c"))
+    assert alpha_eq(PI_TERM_SIG, t, _chain(n, lambda i: f"y{i}", Var("c")))
+    assert not alpha_eq(PI_TERM_SIG, t, _chain(n, lambda i: f"y{i}", Var("d")))
+    assert not alpha_eq(PI_TERM_SIG, t, _chain(n, lambda i: "y", App("Nil", (), ())))
+    # a term against itself is one step: no free variables are read
+    assert alpha_eq(PI_TERM_SIG, t, t) and t._fv_memo is None
+    # one chain shared under two spellings of an outer binder p: its free
+    # variables are read, to any depth
+    for leaf, same in ((Var("c"), True), (Var("p"), False)):
+        inner = _chain(n, lambda i: "y", leaf)
+        got = alpha_eq(PI_TERM_SIG, _chain(1, lambda i: "p", inner),
+                       _chain(1, lambda i: "q", inner))
+        assert got == same
+        assert free_vars(PI_TERM_SIG, inner) == {"a", "b", leaf.name}
