@@ -536,6 +536,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return USAGE
+    except MemoryError:  # a resource limit, not an answer: never "fails"
+        print("inconclusive: the check ran out of memory", file=sys.stderr)
+        return INCONCLUSIVE
 
 
 if __name__ == "__main__":

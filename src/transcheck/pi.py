@@ -9,6 +9,7 @@ bound, substituted, or restricted.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
@@ -267,41 +268,11 @@ def subst_names(t: PiTerm, mapping: dict[str, str]) -> PiTerm:
     return _map_names(t, live, bind, {}) if live else t
 
 
-def alpha_key(t: PiTerm) -> tuple:
-    """Structure key invariant exactly under renaming of bound names."""
-    def key(*parts) -> tuple:
-        return parts
-
-    def visit(u: PiTerm, ctx: tuple[dict[str, int], int]):
-        env, depth = ctx
-        cls = type(u)
-        if cls is Out:
-            x, y = env.get(u.chan, f"f:{u.chan}"), env.get(u.msg, f"f:{u.msg}")
-            return partial(key, "out", x, y), ((u.cont, ctx),)
-        if cls is In:
-            x = env.get(u.chan, f"f:{u.chan}")
-            return partial(key, "in", x), ((u.cont, ({**env, u.param: depth}, depth + 1)),)
-        if cls is Res:
-            return partial(key, "res"), ((u.body, ({**env, u.name: depth}, depth + 1)),)
-        if cls is Par:
-            return partial(key, "par"), ((u.left, ctx), (u.right, ctx))
-        if cls is Repl:
-            return partial(key, "repl"), ((u.body, ctx),)
-        if cls is Nil:
-            return partial(key, "nil"), ()
-        if cls is PVar:
-            return partial(key, "pvar", u.name), ()
-        if cls is ExtBarb:
-            return partial(key, "ext", u.ident), ()
-        raise PiError(f"not a process: {u!r}")
-
-    return _fold(t, ({}, 0), visit)
-
-
 def alpha_eq_pi(a: PiTerm, b: PiTerm) -> bool:
-    """alpha_key(a) == alpha_key(b), decided by walking both terms in step
-    with an explicit stack, so that terms of any depth are compared.  A bound
-    name stands for the depth of its binder, a free name for itself."""
+    """Whether a and b are equal up to renaming of bound names, decided by
+    walking both terms in step with an explicit stack, so that terms of any
+    depth are compared.  A bound name stands for the depth of its binder, a
+    free name for itself."""
     if a is b:  # terms are interned
         return True
     work: list = [(a, b, {}, {}, 0)]
@@ -593,8 +564,9 @@ def _assemble(nus, threads) -> PiTerm:
 
 
 class _Canon:
-    """Normalization and canonical keys, memoized for the life of one canon:
-    one explore, or one normal_form call.
+    """Normalization and canonical keys, and the offers and barbs of
+    top-level threads, memoized for the life of one canon: one explore, or
+    one normal_form call.
 
     A level is the restricted names and the parallel threads directly under a
     prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
@@ -605,16 +577,22 @@ class _Canon:
 
     Terms are interned, so every memo is keyed by the node itself.  A thread
     is normalized and scanned once; a normalized thread is keyed once per
-    depth and spelling of its free names.  So a successor, which shares all
-    but a few threads with its parent state, costs the new continuations and
-    the opened replication copies, not the whole state.
+    depth and spelling of its free names.  A successor goes through state,
+    which still scans, gathers and sorts every thread of the state but
+    normalizes and keys only the threads not met before, except where the
+    canon made the parent, the parent has no restricted names, the step
+    opens no replication copy and neither continuation lifts a restriction:
+    then merge keeps the parent's other threads with their keys and order
+    and keys only the new threads, so the successor costs its new
+    continuations, not the whole state.
     """
 
     def __init__(self) -> None:
         # by node: normalized continuations (by core), normalized threads
         # with their free names, and scans of parts; by (node, depth, tokens
-        # of its free names): the keys of continuations and of threads; and
-        # substituted continuations by (part, param, msg)
+        # of its free names): the keys of continuations and of threads;
+        # substituted continuations by (part, param, msg); and by top-level
+        # thread: its offers and barbs
         self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
         self._scans: dict[PiTerm, _Names] = {}
@@ -622,6 +600,36 @@ class _Canon:
         self._keys: dict[tuple, tuple] = {}
         self._comps: dict[tuple, tuple] = {}
         self._substs: dict[tuple, PiTerm] = {}
+        self._acts: dict[PiTerm, _Acts] = {}
+        # the thread keys of each state with no restricted names that state
+        # or merge made, by its threads
+        self._made: dict[tuple[PiTerm, ...], tuple] = {}
+
+    def acts(self, th: PiTerm) -> _Acts:
+        """_acts(th), memoized."""
+        done = self._acts.get(th)
+        if done is None:
+            done = self._acts[th] = _acts(th)
+        return done
+
+    def offers(self, threads: tuple[PiTerm, ...]) -> list[_Offer]:
+        """The offers of the active threads (see _acts), in order."""
+        return [_Offer(kind, chan, msg, param, cont, top, levels)
+                for top, th in enumerate(threads)
+                for kind, chan, msg, param, cont, levels in self.acts(th).offers]
+
+    def barbs(self, s: PiState, input_barbs: bool) -> frozenset[Barb]:
+        """strong_barbs(s, input_barbs), from each thread's memoized barbs."""
+        acc: set[Barb] = set()
+        for th in s.threads:
+            acts = self.acts(th)
+            acc |= acts.barbs
+            if input_barbs:
+                acc |= acts.inputs
+        if s.restricted:
+            hidden = set(s.restricted)
+            return frozenset([b for b in acc if b.kind == "ext" or b.name not in hidden])
+        return frozenset(acc)
 
     def scan(self, t: PiTerm) -> _Names:
         names = self._scans.get(t)
@@ -671,7 +679,40 @@ class _Canon:
                 raw.append(p)
         top, threads, fns = self.gather(top, raw)
         key, order, perm = self.level(top, threads, fns, {}, 0)
-        return PiState(tuple(order), tuple([threads[i] for i in perm]), key)
+        s = PiState(tuple(order), tuple([threads[i] for i in perm]), key)
+        if not order:
+            self._made[s.threads] = key[1]
+        return s
+
+    def merge(self, state: PiState, consumed: tuple[int, ...],
+              parts: tuple[PiTerm, ...]) -> PiState | None:
+        """state([], ...) of the parent's threads but those at the consumed
+        indices, then parts, for a parent with no restrictions whose binders
+        need no respelling (see _successor); None when this canon did not
+        make the parent or a part lifts a restriction.  Only the new threads
+        are normalized and keyed: each goes in after every kept key equal to
+        its own, the order that whole's sort by (key, index) gives."""
+        kept = self._made.get(state.threads)
+        if kept is None:
+            return None
+        raw: list[PiTerm] = []
+        for p in parts:
+            nus, threads = _split_level(p)
+            if nus:
+                return None
+            raw += threads
+        keys, threads = list(kept), list(state.threads)
+        for i in sorted(consumed, reverse=True):
+            del keys[i], threads[i]
+        for t in raw:
+            th, fn = self.renorm_thread(t)
+            key = self.thread(th, fn, {}, 1)
+            at = bisect_right(keys, key)
+            keys.insert(at, key)
+            threads.insert(at, th)
+        s = PiState((), tuple(threads), (0, tuple(keys)))
+        self._made[s.threads] = s.key[1]
+        return s
 
     @staticmethod
     def _respell(nus: list[str], parts: list[PiTerm], scans: list[_Names],
@@ -1087,8 +1128,7 @@ class _CopyLevel:
     part: int
 
 
-@dataclass(frozen=True)
-class _Offer:
+class _Offer(NamedTuple):
     kind: str              # "send" | "recv"
     chan: str
     msg: str | None
@@ -1098,51 +1138,56 @@ class _Offer:
     levels: tuple[_CopyLevel, ...]
 
 
-def _active(threads: tuple[PiTerm, ...]) -> Iterator[tuple[PiTerm, int, tuple[_CopyLevel, ...]]]:
-    """The threads that can act now, in order, each with the index of its
-    top-level thread and the replication copies (outermost first) that
-    unfold to reach it: every top-level thread, and in place of a
-    replication the threads of one copy of its body."""
+class _Acts(NamedTuple):
+    """What one top-level thread can do now (see _acts): its offers as
+    (kind, chan, msg, param, cont, levels) rows, its external barbs with the
+    subjects of its outputs, and the subjects of its inputs, each subject
+    only where no restriction of an unfolded copy hides it."""
+    offers: tuple[tuple, ...]
+    barbs: frozenset[Barb]
+    inputs: frozenset[Barb]
+
+
+def _acts(th: PiTerm) -> _Acts:
+    """The acts of the threads of the top-level thread th that can act now,
+    in order: th itself, or in place of a replication the threads of one
+    copy of its body.  Each offer carries the copies (outermost first) that
+    unfold to reach it, numbered from 0 within th."""
+    offers: list[tuple] = []
+    barbs: set[Barb] = set()
+    inputs: set[Barb] = set()
     cids = count()
-    for top, th in enumerate(threads):
-        stack: list[tuple[PiTerm, tuple[_CopyLevel, ...]]] = [(th, ())]
-        while stack:
-            t, levels = stack.pop()
-            if type(t) is not Repl:
-                yield t, top, levels
-                continue
+    stack: list[tuple[PiTerm, tuple[_CopyLevel, ...]]] = [(th, ())]
+    while stack:
+        t, levels = stack.pop()
+        cls = type(t)
+        if cls is Repl:
             cid = next(cids)
             nus, parts = _split_level(t.body)
             nus, parts = tuple(nus), tuple(parts)
             for i in reversed(range(len(parts))):
                 stack.append((parts[i], levels + (_CopyLevel(cid, nus, parts, i),)))
+        elif cls is ExtBarb:
+            barbs.add(Barb("ext", t.ident))
+        elif cls is Out or cls is In:
+            x = t.chan
+            shown = all(x not in lv.nus for lv in levels)
+            if cls is Out:
+                offers.append(("send", x, t.msg, None, t.cont, levels))
+                if shown:
+                    barbs.add(Barb("out", x))
+            else:
+                offers.append(("recv", x, None, t.param, t.cont, levels))
+                if shown:
+                    inputs.add(Barb("in", x))
+    return _Acts(tuple(offers), frozenset(barbs), frozenset(inputs))
 
 
 def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
-    """The external barbs of the active threads (see _active), and the
+    """The external barbs of the active threads (see _acts), and the
     subjects of their outputs (and of their inputs, with input_barbs) that no
     restriction of the state or of an unfolded copy hides."""
-    acc: set[Barb] = set()
-    for t, _, levels in _active(s.threads):
-        cls = type(t)
-        if cls is ExtBarb:
-            acc.add(Barb("ext", t.ident))
-        elif cls is Out or (cls is In and input_barbs):
-            x = t.chan
-            if x not in s.restricted and all(x not in lv.nus for lv in levels):
-                acc.add(Barb("out" if cls is Out else "in", x))
-    return frozenset(acc)
-
-
-def _expand_offers(threads: tuple[PiTerm, ...]) -> list[_Offer]:
-    offers: list[_Offer] = []
-    for t, top, levels in _active(threads):
-        cls = type(t)
-        if cls is Out:
-            offers.append(_Offer("send", t.chan, t.msg, None, t.cont, top, levels))
-        elif cls is In:
-            offers.append(_Offer("recv", t.chan, None, t.param, t.cont, top, levels))
-    return offers
+    return _Canon().barbs(s, input_barbs)
 
 
 def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiState:
@@ -1150,17 +1195,32 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     unconsumed parts of every replication copy either offer opened (with its
     restrictions), and the two continuations, the received name substituted
     for the parameter."""
+    received = canon.subst(recv.cont, recv.param, send.msg)
+    # merge takes only a parent that this canon's state or merge made, so
+    # each of its binders occurs once and clashes with no free name or input
+    # parameter.  A step that opens no copy adds no binder.  The received
+    # name was free in the parent, so no restriction captures it, and unless
+    # an input of recv.cont binds it too, subst respells no parameter.  So
+    # when the parent has no restricted names and neither continuation
+    # lifts one, state() would respell nothing and lift nothing, and the
+    # successor is the parent's kept threads with the new ones merged in.
+    if not (send.levels or recv.levels or state.restricted) \
+            and send.msg not in canon.scan(recv.cont).params:
+        merged = canon.merge(state, (send.top, recv.top), (send.cont, received))
+        if merged is not None:
+            return merged
     consumed_top = {o.top for o in (send, recv) if not o.levels}
     parts = [th for i, th in enumerate(state.threads) if i not in consumed_top]
-    # materialize every unfolded copy touched by either offer
-    levels: dict[int, tuple[_CopyLevel, set[int]]] = {}
+    # materialize every unfolded copy touched by either offer, in the order
+    # of their top-level threads and, within one, of their numbers
+    levels: dict[tuple[int, int], tuple[_CopyLevel, set[int]]] = {}
     for o in (send, recv):
         for lv in o.levels:
-            info = levels.setdefault(lv.cid, (lv, set()))
+            info = levels.setdefault((o.top, lv.cid), (lv, set()))
             info[1].add(lv.part)
     nus = list(state.restricted)
-    for cid in sorted(levels):
-        lv, opened = levels[cid]
+    for copy in sorted(levels):
+        lv, opened = levels[copy]
         nus.extend(lv.nus)
         for j, p in enumerate(lv.parts):
             if j not in opened:
@@ -1168,7 +1228,7 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
             elif isinstance(p, Repl):
                 parts.append(p)  # the replication itself persists
     parts.append(send.cont)
-    parts.append(canon.subst(recv.cont, recv.param, send.msg))
+    parts.append(received)
     return canon.state(nus, parts)
 
 
@@ -1176,7 +1236,7 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
     """The successors of state, in key order.  explore passes its own canon,
     so that every successor it makes shares one memo."""
     canon = _canon or _Canon()
-    offers = _expand_offers(state.threads)
+    offers = canon.offers(state.threads)
     sends = [o for o in offers if o.kind == "send"]
     recvs = [o for o in offers if o.kind == "recv"]
     succs: dict[tuple, PiState] = {}
@@ -1315,7 +1375,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
     then each frontier's new successors, the frontier expanded in key order,
     until budget states are admitted.  One canon normalizes the root and
     every successor, so a thread met again is neither renormalized nor
-    rekeyed.  Returns the admitted states, the successor keys of each
+    rekeyed, nor walked again for its offers and barbs.  Returns the admitted states, the successor keys of each
     expanded state, and whether no successor was left out for the budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
@@ -1326,7 +1386,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     states = {root.key: root}
     edges: dict[tuple, tuple[tuple, ...]] = {}
-    yield root, strong_barbs(root, input_barbs)
+    yield root, canon.barbs(root, input_barbs)
     frontier = [root.key]
     complete = True
     while frontier:
@@ -1339,7 +1399,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
                         complete = False
                         continue
                     states[s.key] = s
-                    yield s, strong_barbs(s, input_barbs)
+                    yield s, canon.barbs(s, input_barbs)
                     nxt.append(s.key)
                 succ_keys.append(s.key)
             edges[key] = tuple(sorted(set(succ_keys)))

@@ -326,6 +326,23 @@ def test_recursion_error_is_an_input_error(cli, monkeypatch):
     assert cli("pi", "parse", "x!a") == (USAGE, "", "error: input nested too deeply to process\n")
 
 
+@pytest.mark.parametrize("argv, call", [
+    (("check", "preserves", "--source", "cycle4/L.json", "--target", "cycle4/Lp.json",
+      "--translation", "cycle4/T.json", "--relation", "cycle4/sim.json"), "check_preserves"),
+    (("pi", "explore", "x!a | x(y).0"), "explore"),
+])
+def test_memory_error_is_inconclusive(cli, monkeypatch, argv, call):
+    # running out of memory is a resource limit: it must not read as "fails"
+    def exhausted(*_, **__):
+        raise MemoryError
+
+    monkeypatch.setattr(f"transcheck.cli.{call}", exhausted)
+    code, out, err = cli(*argv)
+    assert (code, out) == (INCONCLUSIVE, "")
+    assert err == "inconclusive: the check ran out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_wide_parallel_composition_gets_an_answer(cli):
     # width is not nesting: 2,000 parallel threads are processed, not refused
     term = " | ".join(["x!a"] * 2000)

@@ -18,9 +18,8 @@ from transcheck import pi
 from transcheck.cli import EXIT
 from transcheck.encodings import ContextProbe, boudol_translate, load_pairs
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
-                           Res, _expand_offers, explore, normal_form, parse_pi,
-                           print_state, reduce_once, strong_barbs, subst_names,
-                           weak_barb)
+                           Res, explore, normal_form, parse_pi, print_state,
+                           reduce_once, strong_barbs, subst_names, weak_barb)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -700,20 +699,28 @@ def old_uniquify(t):
     return go(t, {})
 
 
-def scratch_successor(state, send, recv):
-    """The successor as one term, normalized from scratch by normal_form."""
+def successor_parts(state, send, recv):
+    """The restrictions and parts of the successor after send meets recv:
+    the state's other threads, the unconsumed parts of each opened copy, and
+    the two continuations."""
     components = [th for i, th in enumerate(state.threads)
                   if i not in {o.top for o in (send, recv) if not o.levels}]
     levels = {}
     for o in (send, recv):
         for lv in o.levels:
-            levels.setdefault(lv.cid, (lv, set()))[1].add(lv.part)
+            levels.setdefault((o.top, lv.cid), (lv, set()))[1].add(lv.part)
     nus = list(state.restricted)
     for cid in sorted(levels):
         lv, opened = levels[cid]
         nus.extend(lv.nus)
         components += [p for j, p in enumerate(lv.parts) if j not in opened or isinstance(p, Repl)]
     components += [send.cont, subst_names(recv.cont, {recv.param: send.msg})]
+    return nus, components
+
+
+def scratch_successor(state, send, recv):
+    """The successor as one term, normalized from scratch by normal_form."""
+    nus, components = successor_parts(state, send, recv)
     core = components[0]
     for c in components[1:]:
         core = Par(core, c)
@@ -723,7 +730,7 @@ def scratch_successor(state, send, recv):
 
 
 def scratch_reduce(state):
-    offers = _expand_offers(state.threads)
+    offers = pi._Canon().offers(state.threads)
     succs = {}
     for s in offers:
         for r in offers:
@@ -842,7 +849,13 @@ def test_reduce_once_matches_scratch_on_hand_built_states():
         Out("x", "a", Res("b", Par(Out("b", "a", Nil()), Nil()))),
         Repl(Par(In("x", "a", Out("a", "a", Nil())), Res("a", Out("x", "a", Nil())))),
     ), ())
-    for s in (state, odd):
+    # no restricted names, but no canon made it: its successors are not
+    # merged into its threads and its key
+    plain = pi.PiState((), (
+        In("x", "y", Par(Out("y", "b", Nil()), Out("c", "y", Nil()))),
+        Out("x", "a", Nil()), Out("x", "a", Nil()),
+    ), ())
+    for s in (state, odd, plain):
         got, want = reduce_once(s), scratch_reduce(s)
         assert [x.key for x in got] == [x.key for x in want]
         assert [print_state(x) for x in got] == [print_state(x) for x in want]
@@ -873,6 +886,110 @@ def test_explore_searches_only_small_components():
     assert (len(g.states), sum(len(e) for e in g.edges.values())) == (84, 168)
     assert max(widths) <= 2
     assert 0 < len(widths) <= 36
+
+
+# ------------- successors merged into their parent -------------
+
+@contextmanager
+def counting(owner, name):
+    """Yield the list of calls made in the block to owner.name, each as its
+    arguments and result."""
+    calls = []
+    work = getattr(owner, name)
+
+    def counted(*args):
+        out = work(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, counted)
+        yield calls
+
+
+def assert_successors_match_state(t, budget=2000):
+    """Each successor explore builds from t, merged or not, is the one that
+    _Canon().state makes of the same parts: the same restrictions, threads
+    in the same order, and the same key."""
+    with counting(pi, "_successor") as built:
+        explore(t, budget)
+    for (_, state, send, recv), got in built:
+        want = pi._Canon().state(*successor_parts(state, send, recv))
+        assert (got.restricted, got.threads, got.key) == (want.restricted, want.threads, want.key)
+
+
+def unrestricted(t):
+    """t without its top-level restrictions, their names left free."""
+    while isinstance(t, Res):
+        t = t.body
+    return t
+
+
+@st.composite
+def with_repeats(draw, terms):
+    """A drawn term with copies of some of its threads beside it, so that
+    merged threads meet kept ones with equal keys."""
+    t = draw(terms)
+    _, threads = pi._split_level(t)
+    for th in draw(st.lists(st.sampled_from(threads), max_size=4)):
+        t = Par(t, th)
+    return t
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(levels(), with_repeats(levels()), levels().map(unrestricted),
+                 with_repeats(levels(width=0))))
+def test_merged_successors_match_the_full_state(t):
+    assert_successors_match_state(t, 17)
+
+
+@pytest.mark.parametrize("t, budget", [
+    (pair_family(6), 2000), (boudol(3), 2000),
+    # equal threads, and threads with equal keys spelled apart: a merged
+    # e!a.new m. m!m goes after the kept e!a.new n. n!n
+    (parse_pi("x!a | x!a | x(y).(y!b | y!b) | x(y).(y!b | y!b) | c!a.x(y).0 | c(u).x!u"
+              " | e!a.new n. n!n | d!a | d(y).e!a.new m. m!m"), 2000),
+    # one step opens a copy of each of two replications; no end of states
+    (parse_pi("!(x!a | z!b) | !(x(y).y!c | w!d)"), 40),
+], ids=["pairs", "boudol", "ties", "copies"])
+def test_merged_successors_match_the_full_state_on_the_families(t, budget):
+    assert_successors_match_state(t, budget)
+
+
+def test_merged_successors_match_the_full_state_on_the_fixtures():
+    pairs = load_pairs((FIXTURES / "pi" / "lattice_pairs.txt").read_text())
+    lines = (FIXTURES / "pi" / "encoding_terms.txt").read_text().splitlines()
+    terms = [parse_pi(s) for s in lines if s.strip() and not s.startswith("#")]
+    for t in [parse_pi(side) for pair in pairs for side in pair] + terms:
+        for u in (t, boudol_translate(t)):
+            assert_successors_match_state(u, 500)
+
+
+def test_a_respelled_parameter_takes_the_full_path():
+    # m is received where y(m) binds it, so the substitution respells that
+    # parameter m2, which the restriction new m2 already spells: only the
+    # full path respells the restriction too
+    t = parse_pi("x!m | x(z).y(m).z!m | a!b.new m2. m2!c")
+    assert_successors_match_state(t)
+    with counting(pi._Canon, "merge") as merged:
+        succs = reduce_once(normal_form(t))
+    assert merged == []
+    assert [print_state(s) for s in succs] == ["y(m2).m!m2 | a!b.new m22. m22!c"]
+
+
+def test_explore_rekeys_only_the_new_threads_of_unrestricted_states():
+    # the pair family has no restriction anywhere: only the root is
+    # normalized whole, and each of its 192 successors is merged
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+        g = explore(pair_family(6), 1000)
+    assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
+    assert len(whole) == 1 and len(merged) == 192
+    # every Boudol state restricts the names of its protocol, so the root and
+    # each of the 57 successors built are normalized whole
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+        g = explore(boudol(3), 2000)
+    assert (len(g.states), sum(len(e) for e in g.edges.values())) == (20, 30)
+    assert len(whole) == 58 and merged == []
 
 
 # ------------- weak barbs on the fly -------------

@@ -3,9 +3,10 @@
 The name collectors, the external-barb walk of the command line, the scan
 inside _uniquify, the barb walk behind strong_barbs and the offer walk of
 reduce_once became the one name scan (pi._scan) and the one active-thread walk
-(pi._active).  The renaming and printing walkers, the alpha key, the parser
+(pi._acts).  The renaming and printing walkers, the alpha key, the parser
 and the walkers of encodings.py became walks on the one explicit-stack fold
-(pi._fold).  The oracles below are their earlier definitions, recursive but
+(pi._fold); the alpha key on the fold now lives here, as the oracle of
+pi.alpha_eq_pi.  The oracles below are their earlier definitions, recursive but
 for the explicit-stack binder renaming.  Each new result must equal its
 oracle on random terms over all eight constructors, and the parser must agree
 with its oracle on random strings.
@@ -15,6 +16,7 @@ import copy
 import gc
 import pickle
 import weakref
+from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -27,9 +29,9 @@ from conftest import chain_text, translated_chain_text
 from transcheck.encodings import (boudol_encoding, boudol_translate, pi_to_term, plug,
                                   plug_var, routes_agree, term_to_pi)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiState,
-                           PiTerm, PVar, Repl, Res, _CopyLevel, _expand_offers,
-                           _fresh_name, _rename, _scan, _split_level,
-                           _tokenize, all_names, alpha_eq_pi, alpha_key, free_names,
+                           PiTerm, PVar, Repl, Res, _Canon, _CopyLevel,
+                           _fold, _fresh_name, _rename, _scan, _split_level,
+                           _tokenize, all_names, alpha_eq_pi, free_names,
                            is_async, normal_form, parse_pi, print_pi,
                            process_vars, strong_barbs, subst_names)
 from transcheck.terms import App, Term, Var
@@ -160,7 +162,7 @@ def old_strong_barbs(s, input_barbs=False):
 def old_offers(threads):
     """The offer walk of reduce_once, as (kind, chan, msg, param, cont, top,
     levels) rows."""
-    offers, cids = [], count()
+    offers = []
 
     def go(t, top, levels):
         match t:
@@ -175,6 +177,7 @@ def old_offers(threads):
                     go(p, top, levels + (_CopyLevel(cid, tuple(nus), tuple(parts), i),))
 
     for i, th in enumerate(threads):
+        cids = count()  # copies are numbered within their top-level thread
         go(th, i, ())
     return offers
 
@@ -242,6 +245,39 @@ def old_alpha_key(t: PiTerm) -> tuple:
         raise PiError(f"not a process: {u!r}")
 
     return go(t, {}, 0)
+
+
+def alpha_key(t: PiTerm) -> tuple:
+    """Structure key invariant exactly under renaming of bound names, on the
+    explicit-stack fold, so a term of any depth is keyed: the oracle of
+    alpha_eq_pi, which replaced it in the package."""
+    def key(*parts) -> tuple:
+        return parts
+
+    def visit(u: PiTerm, ctx: tuple[dict[str, int], int]):
+        env, depth = ctx
+        cls = type(u)
+        if cls is Out:
+            x, y = env.get(u.chan, f"f:{u.chan}"), env.get(u.msg, f"f:{u.msg}")
+            return partial(key, "out", x, y), ((u.cont, ctx),)
+        if cls is In:
+            x = env.get(u.chan, f"f:{u.chan}")
+            return partial(key, "in", x), ((u.cont, ({**env, u.param: depth}, depth + 1)),)
+        if cls is Res:
+            return partial(key, "res"), ((u.body, ({**env, u.name: depth}, depth + 1)),)
+        if cls is Par:
+            return partial(key, "par"), ((u.left, ctx), (u.right, ctx))
+        if cls is Repl:
+            return partial(key, "repl"), ((u.body, ctx),)
+        if cls is Nil:
+            return partial(key, "nil"), ()
+        if cls is PVar:
+            return partial(key, "pvar", u.name), ()
+        if cls is ExtBarb:
+            return partial(key, "ext", u.ident), ()
+        raise PiError(f"not a process: {u!r}")
+
+    return _fold(t, ({}, 0), visit)
 
 
 def old_parse_pi(text: str, allow_reserved: bool = False) -> PiTerm:
@@ -603,7 +639,7 @@ def test_barbs_and_offers_match_the_recursive_walks(t):
     for inp in (False, True):
         assert strong_barbs(s, inp) == old_strong_barbs(s, inp)
     got = [(o.kind, o.chan, o.msg, o.param, o.cont, o.top, o.levels)
-           for o in _expand_offers(s.threads)]
+           for o in _Canon().offers(s.threads)]
     assert got == old_offers(s.threads)
 
 
