@@ -535,9 +535,16 @@ def _extra_vars(tr: Translation) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
+# the most distinct behaviours _preserve_reps builds before it stops
+BEHAVIOUR_CAP = 20000
+
+
 def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
-                   depth: int, cap: int = 20000):
-    """Distinct (source table, image table) behaviours of terms up to depth.
+                   depth: int, cap: int = BEHAVIOUR_CAP):
+    """Distinct (source table, image table) behaviours of terms up to depth,
+    and whether they are every behaviour of every term: True when the scan
+    reached a fixed point, False when it stopped at depth, None when it was
+    cut at cap behaviours, so that some terms up to depth were not scanned.
 
     A term's two tables are its meaning and its translation's meaning as
     functions of a valuation row.  Enough distinct variables are used that any
@@ -597,7 +604,7 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                 key = combine(op, combo)
                 if key not in reps:
                     if len(reps) >= cap:
-                        return reps, variables, rows_src, img_index, False
+                        return reps, variables, rows_src, img_index, None
                     reps[key] = App(op.name, (), tuple(reps[c] for c in combo))
                     fresh.append(key)
         if not fresh:
@@ -615,7 +622,9 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
 
     Verdict note "preserves" when the claim is unbounded (the behaviour scan
     reached a fixed point, or the homomorphism certificate over heads holds);
-    otherwise "holds-to-depth".
+    otherwise "holds-to-depth", or "inconclusive" when the scan was cut at
+    BEHAVIOUR_CAP behaviours before depth.  A "no" stands even then: the
+    behaviours scanned are those of real terms.
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
@@ -657,8 +666,12 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
             stack.append(iter(cands[d + 1]))
             continue
         found = {v: bt[v] for v in lang.values}
-        certified = exhausted or _homomorphism_certificate(tr, lang, lang2, found)
-        return Verdict("yes", found, "preserves" if certified else f"holds-to-depth {depth}")
+        if exhausted or _homomorphism_certificate(tr, lang, lang2, found):
+            return Verdict("yes", found, "preserves")
+        if exhausted is None:
+            return Verdict("inconclusive", note=f"inconclusive: behaviour cap {BEHAVIOUR_CAP} "
+                                                f"reached before depth {depth}")
+        return Verdict("yes", found, f"holds-to-depth {depth}")
     return Verdict("no")
 
 

@@ -9,12 +9,12 @@ bound, substituted, or restricted.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
 from operator import itemgetter
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
 from .verdict import Verdict
@@ -577,14 +577,17 @@ class _Canon:
 
     Terms are interned, so every memo is keyed by the node itself.  A thread
     is normalized and scanned once; a normalized thread is keyed once per
-    depth and spelling of its free names.  A successor goes through state,
-    which still scans, gathers and sorts every thread of the state but
-    normalizes and keys only the threads not met before, except where the
-    canon made the parent, the parent has no restricted names, the step
-    opens no replication copy and neither continuation lifts a restriction:
-    then merge keeps the parent's other threads with their keys and order
-    and keys only the new threads, so the successor costs its new
-    continuations, not the whole state.
+    depth and spelling of its free names.  A top-level key whose level has
+    no names, or several components, is a list of entries: one per
+    component, and one per thread outside every component.  A successor of
+    such a state that this canon made, by a step that opens no replication
+    copy, goes through merge: the entries the step touched are split and
+    keyed anew, the same step in another state is looked up, and every
+    other entry keeps its key, names and threads.  So a successor costs the
+    entries its step touched, not the whole state.  Every other successor,
+    every root and normal_form go through state, which scans, gathers and
+    sorts every thread but normalizes and keys only the threads not met
+    before.
     """
 
     def __init__(self) -> None:
@@ -601,9 +604,15 @@ class _Canon:
         self._comps: dict[tuple, tuple] = {}
         self._substs: dict[tuple, PiTerm] = {}
         self._acts: dict[PiTerm, _Acts] = {}
-        # the thread keys of each state with no restricted names that state
-        # or merge made, by its threads
-        self._made: dict[tuple[PiTerm, ...], tuple] = {}
+        # the key of each state that state or merge made with a level keyed
+        # entry by entry (see merge), by its restrictions and threads; the
+        # parent merge last took, and where its entries lie
+        self._made: dict[tuple, tuple] = {}
+        self._parent: PiState | None = None
+        self._spans: _Spans
+        # merge's re-keyed entries by the touched names and kept threads and
+        # the step (see rekey)
+        self._steps: dict[tuple, tuple[list[tuple], int, int]] = {}
 
     def acts(self, th: PiTerm) -> _Acts:
         """_acts(th), memoized."""
@@ -680,39 +689,120 @@ class _Canon:
         top, threads, fns = self.gather(top, raw)
         key, order, perm = self.level(top, threads, fns, {}, 0)
         s = PiState(tuple(order), tuple([threads[i] for i in perm]), key)
-        if not order:
-            self._made[s.threads] = key[1]
+        if not order or any(e[0] == "~c" for e in key[1]):
+            self._made[(s.restricted, s.threads)] = key
         return s
 
-    def merge(self, state: PiState, consumed: tuple[int, ...],
-              parts: tuple[PiTerm, ...]) -> PiState | None:
-        """state([], ...) of the parent's threads but those at the consumed
-        indices, then parts, for a parent with no restrictions whose binders
-        need no respelling (see _successor); None when this canon did not
-        make the parent or a part lifts a restriction.  Only the new threads
-        are normalized and keyed: each goes in after every kept key equal to
-        its own, the order that whole's sort by (key, index) gives."""
-        kept = self._made.get(state.threads)
-        if kept is None:
-            return None
-        raw: list[PiTerm] = []
-        for p in parts:
-            nus, threads = _split_level(p)
-            if nus:
+    def merge(self, state: PiState, send: _Offer, recv: _Offer) -> PiState | None:
+        """The successor after send meets recv, both offered by top-level
+        threads of a parent whose binders need no respelling (see
+        _successor), as state would make it of the parent's restrictions, its
+        other threads and the two continuations; None when this canon did not
+        make the parent, or when the successor's level would not be keyed
+        entry by entry (see level).
+
+        Only the entries holding a consumed thread are keyed again (see
+        rekey).  Every other entry keeps its key, names and threads:
+        component, given a component in its own canonical order, returns that
+        order and thread order, since the first leaf _Search reaches
+        individualizes at each frame the name the canonical leaf did there.
+        The entries go in the order of level's stable sort: equal outside
+        threads by index, kept ones first, then the send side's, then the
+        receive side's; equal components by the position of their first name
+        in the parent's restrictions, then the lifted ones."""
+        if state is not self._parent:  # its first successor
+            key = self._made.get((state.restricted, state.threads))
+            if key is None:
                 return None
-            raw += threads
-        keys, threads = list(kept), list(state.threads)
-        for i in sorted(consumed, reverse=True):
-            del keys[i], threads[i]
-        for t in raw:
-            th, fn = self.renorm_thread(t)
-            key = self.thread(th, fn, {}, 1)
+            self._parent, self._spans = state, _Spans.of(key)
+        owner, names_at, threads_at, ties, comps, keys = self._spans
+        restricted, old = state.restricted, state.threads
+        # the touched entries, each to be cut out; the names of those that
+        # are components, with their positions, and their kept threads (an
+        # outside thread is one thread, and consumed)
+        a, b = owner[send.top], owner[recv.top]
+        touched = (a,) if a == b else (a, b) if a < b else (b, a)
+        cuts: list[tuple] = []
+        names: list[str] = []
+        where: list[int] = []
+        kept: list[PiTerm] = []
+        for j in touched:
+            cuts.append((j, 1, None, None, (), ()))
+            lo, hi = names_at[j], names_at[j + 1]
+            if lo < hi:
+                names += restricted[lo:hi]
+                where += range(lo, hi)
+                comps -= 1
+                kept += [old[i] for i in range(threads_at[j], threads_at[j + 1])
+                         if i != send.top and i != recv.top]
+        step = (tuple(names), tuple(kept), send.cont, recv.cont, recv.param, send.msg)
+        done = self._steps.get(step)
+        if done is None:
+            done = self._steps[step] = self.rekey(*step)
+        new, added, linked = done
+        # level keys the successor entry by entry when it has no names, or two
+        # or more in two or more components; otherwise whole, as state does
+        if len(restricted) - len(names) + added and comps + linked < 2:
+            return None
+        # each new entry goes before the parent's first entry with a larger
+        # key, or an equal key and a larger tie: a new thread ties after
+        # every old one, a lifted name after every name of the parent
+        for key, tie, ns, ths in new:
             at = bisect_right(keys, key)
-            keys.insert(at, key)
-            threads.insert(at, th)
-        s = PiState((), tuple(threads), (0, tuple(keys)))
-        self._made[s.threads] = s.key[1]
+            if ns:
+                tie = where[tie] if tie < len(where) else len(restricted) + tie
+                lo = bisect_left(keys, key, 0, at)
+                if lo < at:
+                    at = bisect_right(ties, tie, lo, at)
+            cuts.append((at, 0, key, tie, ns, ths))
+        # edit the parent's orders from the back, a touched entry cut out
+        # before the new ones that go in its place
+        cuts.sort(reverse=True)
+        ekeys, nus, out = list(keys), list(restricted), list(old)
+        for at, cut, key, _, ns, ths in cuts:
+            n, t = names_at[at], threads_at[at]
+            if cut:
+                del ekeys[at], nus[n:names_at[at + 1]], out[t:threads_at[at + 1]]
+            else:
+                ekeys.insert(at, key)
+                nus[n:n] = ns
+                out[t:t] = ths
+        s = PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys)))
+        self._made[(s.restricted, s.threads)] = s.key
         return s
+
+    def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], sent: PiTerm,
+              cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int]:
+        """The entries that replace a successor's touched ones (see merge),
+        with their number of names and of components: the touched entries'
+        names and kept threads, with the threads and restrictions of the
+        sender's continuation sent and of the receiver's cont with msg for
+        param, split into components anew and keyed, unused names dropped.
+        The continuations hold no name of an untouched entry, since each
+        one's free names were its thread's.  Each entry is (key, tie, names,
+        threads) with a local tie: for a component the index of its first
+        name in names and then the lifted ones, for an outside thread its
+        index in kept and then the new threads.  Every outside thread is new,
+        since a kept thread still holds a name of its component."""
+        lifted: list[str] = []
+        raw = list(kept)
+        for p in (sent, self.subst(cont, param, msg)):
+            nus, threads = _split_level(p)
+            lifted += nus
+            raw += threads
+        normal = list(map(self.renorm_thread, raw))
+        threads = [th for th, _ in normal]
+        fns = [fn for _, fn in normal]
+        used = frozenset().union(*fns)
+        index = {n: i for i, n in enumerate(chain(names, lifted))}
+        comps, outside = _linked([n for n in index if n in used], fns)
+        new = [(self.thread(threads[i], fns[i], {}, 1), i, (), (threads[i],)) for i in outside]
+        for cnames, tids in comps:
+            keys, order, perm = self.component(
+                cnames, [threads[i] for i in tids], [fns[i] for i in tids], {}, 0)
+            new.append((("~c", len(cnames), keys), index[cnames[0]], tuple(order),
+                        tuple([threads[tids[j]] for j in perm])))
+        return new, sum(len(c) for c, _ in comps), len(comps)
 
     @staticmethod
     def _respell(nus: list[str], parts: list[PiTerm], scans: list[_Names],
@@ -997,6 +1087,46 @@ class _Search:
         return best
 
 
+class _Spans(NamedTuple):
+    """Where the entries of a level key lie in the level's orders: thread i
+    is in entry owner[i], and entry j holds names names_at[j]:names_at[j + 1]
+    and threads threads_at[j]:threads_at[j + 1]; ties[j] orders entries of
+    equal keys as level's sort does, by the position of a component's first
+    name and of an outside thread; comps counts the components, and entries
+    are the key's own."""
+    owner: Sequence[int]
+    names_at: Sequence[int]
+    threads_at: Sequence[int]
+    ties: Sequence[int]
+    comps: int
+    entries: tuple
+
+    @staticmethod
+    def of(key: tuple) -> _Spans:
+        """The spans of a level key in the split format or with no names: a
+        component entry holds its names and its thread keys, an outside
+        thread none and one."""
+        names, entries = key
+        if not names:  # bytes of zeros: no entry holds a name
+            return _Spans(range(len(entries)), bytes(len(entries) + 1),
+                          range(len(entries) + 1), range(len(entries)), 0, entries)
+        owner: list[int] = []
+        names_at, threads_at, ties = [0], [0], []
+        for j, e in enumerate(entries):
+            n, t = names_at[-1], threads_at[-1]
+            if e[0] == "~c":
+                ties.append(n)
+                names_at.append(n + e[1])
+                threads_at.append(t + len(e[2]))
+            else:
+                ties.append(t)
+                names_at.append(n)
+                threads_at.append(t + 1)
+            owner += [j] * (threads_at[-1] - t)
+        return _Spans(owner, names_at, threads_at, ties, sum(e[0] == "~c" for e in entries),
+                      entries)
+
+
 def _linked(nus: list[str], fns: list[frozenset[str]]) -> tuple[
         list[tuple[list[str], list[int]]], list[int]]:
     """The components of a level with restricted names nus and thread free
@@ -1195,20 +1325,20 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     unconsumed parts of every replication copy either offer opened (with its
     restrictions), and the two continuations, the received name substituted
     for the parameter."""
-    received = canon.subst(recv.cont, recv.param, send.msg)
     # merge takes only a parent that this canon's state or merge made, so
     # each of its binders occurs once and clashes with no free name or input
-    # parameter.  A step that opens no copy adds no binder.  The received
-    # name was free in the parent, so no restriction captures it, and unless
-    # an input of recv.cont binds it too, subst respells no parameter.  So
-    # when the parent has no restricted names and neither continuation
-    # lifts one, state() would respell nothing and lift nothing, and the
-    # successor is the parent's kept threads with the new ones merged in.
-    if not (send.levels or recv.levels or state.restricted) \
-            and send.msg not in canon.scan(recv.cont).params:
-        merged = canon.merge(state, (send.top, recv.top), (send.cont, received))
+    # parameter.  A step that opens no copy adds no binder, and the
+    # continuations' binders, free names and parameters were their threads'.
+    # The received name was free in the parent or restricted at its top, so
+    # no restriction captures it, and unless an input of recv.cont binds it
+    # too, subst respells no parameter.  So state() would respell nothing,
+    # and the successor is the parent's untouched entries with the touched
+    # ones keyed again.
+    if not (send.levels or recv.levels) and send.msg not in canon.scan(recv.cont).params:
+        merged = canon.merge(state, send, recv)
         if merged is not None:
             return merged
+    received = canon.subst(recv.cont, recv.param, send.msg)
     consumed_top = {o.top for o in (send, recv) if not o.levels}
     parts = [th for i, th in enumerate(state.threads) if i not in consumed_top]
     # materialize every unfolded copy touched by either offer, in the order
@@ -1245,7 +1375,7 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
             if s.chan == r.chan:
                 nxt = _successor(canon, state, s, r)
                 succs.setdefault(nxt.key, nxt)
-    return [succs[k] for k in sorted(succs)]
+    return [s for _, s in sorted(succs.items(), key=itemgetter(0))]
 
 
 # ------------- graphs on numbered states -------------
@@ -1402,7 +1532,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
                     yield s, canon.barbs(s, input_barbs)
                     nxt.append(s.key)
                 succ_keys.append(s.key)
-            edges[key] = tuple(sorted(set(succ_keys)))
+            edges[key] = tuple(succ_keys)  # reduce_once gives them sorted, once each
         frontier = nxt
     return states, edges, complete
 

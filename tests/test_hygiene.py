@@ -4,7 +4,8 @@ tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
 module, so comments and docstrings do not count as uses.  A method that
 overrides one of a base class (argparse calls _Parser.error) is used by the
 base class's callers.  No walker of pi terms recurses, so a term of any
-depth is walked.  And pi terms are interned, so pi.py keys no memo by id.
+depth is walked: every call cycle of pi.py, encodings.py and terms.py is a
+known one.  And pi terms are interned, so pi.py keys no memo by id.
 terms.alpha_eq builds no canonical key and does not call itself."""
 
 import ast
@@ -81,24 +82,128 @@ def test_every_definition_is_used():
     assert dead == []
 
 
-# the functions of the pi modules allowed to call themselves, with the reason
-RECURSION_ALLOWED = {
-    "src/transcheck/pi.py: subst_names": "respells a binder by renaming it in its body to a "
-    "name fresh for that body, a call that respells no binder and so does not call again",
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """The functions of a module, methods and nested functions included, each
+    named by its dotted path, with the functions each may call: a name called
+    or passed to a call resolves to the innermost function of that name in
+    scope, or to a class's __init__; an attribute called or passed resolves
+    to every method of that name."""
+    defs: dict[str, ast.AST] = {}
+    methods: dict[str, set[str]] = {}
+
+    def collect(body, prefix: str, in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[prefix + node.name] = node
+                if in_class:
+                    methods.setdefault(node.name, set()).add(prefix + node.name)
+                collect(node.body, f"{prefix}{node.name}.", False)
+            elif isinstance(node, ast.ClassDef):
+                defs[prefix + node.name] = node
+                collect(node.body, f"{prefix}{node.name}.", True)
+
+    collect(tree.body, "", False)
+    graph = {}
+    for path, fn in defs.items():
+        if isinstance(fn, ast.ClassDef):
+            continue
+        scope = path.split(".")
+        callees = set()
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            for f in [call.func, *call.args, *(k.value for k in call.keywords)]:
+                if isinstance(f, ast.Attribute):
+                    callees |= methods.get(f.attr, set())
+                elif isinstance(f, ast.Name):
+                    found = next((".".join(scope[:k] + [f.id]) for k in range(len(scope), -1, -1)
+                                  if ".".join(scope[:k] + [f.id]) in defs), None)
+                    if found is not None and isinstance(defs[found], ast.ClassDef):
+                        found = f"{found}.__init__" if f"{found}.__init__" in defs else None
+                    if found is not None:
+                        callees.add(found)
+        graph[path] = callees
+    return graph
+
+
+def _cycles(graph: dict[str, set[str]]) -> set[str]:
+    """The call cycles of a graph, each as its functions joined by ", " in
+    sorted order: the functions reachable from themselves, grouped by
+    mutual reachability."""
+    reach = {}
+    for f in graph:
+        seen, stack = set(), list(graph[f])
+        while stack:
+            g = stack.pop()
+            if g not in seen:
+                seen.add(g)
+                stack.extend(graph.get(g, ()))
+        reach[f] = seen
+    return {", ".join(sorted(g for g in reach[f] if f in reach[g]))
+            for f in graph if f in reach[f]}
+
+
+# the call cycles allowed in the modules that walk terms, with the reason; the
+# list may only shrink
+_WALKS = "recurses once per node of the term it walks, so a deep term raises RecursionError"
+CYCLES_ALLOWED = {
+    "src/transcheck/pi.py: subst_names, subst_names.bind": "respells a binder by renaming it "
+    "in its body to a name fresh for that body, a call that respells no binder and so does "
+    "not call again",
+    "src/transcheck/pi.py: _Canon.gather, _Canon.normalize_thread, _Canon.renorm, "
+    "_Canon.renorm_thread": "normalizes a continuation inside the thread it follows, one "
+    "round per prefix of nesting, so normalizing commands refuse deeply nested terms",
+    "src/transcheck/pi.py: _Canon._thread, _Canon.component, _Canon.cont, _Canon.level, "
+    "_Canon.thread, _Canon.whole, _Search.best, _Search.key, _Search.leaf, _Search.refine":
+    "keys a continuation inside the thread it follows, one round per prefix of nesting",
+    **{f"src/transcheck/terms.py: {walker}": _WALKS for walker in (
+        "_canon_key", "_names", "_rename_slot_binders", "canonical_binders.go",
+        "complete_compositional.apply", "head_decompose.keep", "is_prefix.go",
+        "parse_term.term", "print_term", "substitute", "validate")},
 }
 
 
 def test_pi_walkers_do_not_recurse():
-    recursive = set()
-    for path in ("src/transcheck/pi.py", "src/transcheck/encodings.py"):
-        for fn in ast.walk(PACKAGE_TREES[path]):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for call in ast.walk(fn):
-                if isinstance(call, ast.Call) and fn.name in (getattr(call.func, "id", None),
-                                                              getattr(call.func, "attr", None)):
-                    recursive.add(f"{path}: {fn.name}")
-    assert recursive == set(RECURSION_ALLOWED)
+    # every call cycle of the term modules is a known one; a self-call check
+    # alone missed the canon's cycles through several methods
+    cycles = {f"{path}: {cycle}"
+              for path in ("src/transcheck/pi.py", "src/transcheck/encodings.py",
+                           "src/transcheck/terms.py")
+              for cycle in _cycles(_call_graph(PACKAGE_TREES[path]))}
+    assert cycles == set(CYCLES_ALLOWED)
+
+
+def test_the_call_graph_finds_cycles_through_methods_and_passed_functions():
+    tree = ast.parse("""
+def walk(t):
+    return list(map(walk, t))
+
+class A:
+    def f(self):
+        return self.g()
+
+    def g(self):
+        return sorted([], key=self.f)
+
+    def h(self):
+        return B().run()
+
+class B:
+    def __init__(self):
+        self.x = helper(0)
+
+    def run(self):
+        return 1
+
+def helper(n):
+    def inner(m):
+        return inner(m - 1) if m else outer()
+    return inner(n)
+
+def outer():
+    return 0
+""")
+    assert _cycles(_call_graph(tree)) == {"walk", "A.f, A.g", "helper.inner"}
 
 
 def test_pi_memos_are_not_keyed_by_id():

@@ -984,12 +984,66 @@ def test_explore_rekeys_only_the_new_threads_of_unrestricted_states():
         g = explore(pair_family(6), 1000)
     assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
     assert len(whole) == 1 and len(merged) == 192
-    # every Boudol state restricts the names of its protocol, so the root and
-    # each of the 57 successors built are normalized whole
+    # every Boudol state restricts the names of its protocol, and each
+    # successor's level stays split into one component per pair: only the
+    # root is normalized whole, and each successor built is merged
+    for n, states, edges, built in ((3, 20, 30, 57), (6, 84, 168, 630)):
+        with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+            g = explore(boudol(n), 2000)
+        assert (len(g.states), sum(len(e) for e in g.edges.values())) == (states, edges)
+        assert len(whole) == 1 and len(merged) == built
+        assert all(out is not None for _, out in merged)
+
+
+def split(level):
+    return split_term(*level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(split_levels().map(split), with_repeats(split_levels().map(split))))
+def test_merged_successors_of_split_levels_match_the_full_state(t):
+    assert_successors_match_state(t, 17)
+
+
+def assert_merged(t, budget=2000):
+    """assert_successors_match_state, where some successor is merged."""
+    with counting(pi._Canon, "merge") as merged:
+        assert_successors_match_state(t, budget)
+    assert any(out is not None for _, out in merged)
+
+
+@pytest.mark.parametrize("t", [
+    # equal components: ties go by the position of each one's first name
+    boudol(4), product(3),
+    # x!a meets x(u).b!u: a is extruded into b's component, which then holds
+    # a and b; c!g meets c(w).0 and leaves c unused
+    parse_pi("new a, b, c. (x!a | a!e | x(u).b!u | b(v).v!f | c!g | c(w).0)"),
+    # x!a.b!e meets x(u).0: a and b, linked only by the sender, split apart
+    parse_pi("new a, b, c. (x!a.b!e | a!f | b!g | x(u).0 | c!h | c(w).0 | c!h)"),
+    # a continuation that lifts two restrictions into two components, one
+    # of them with a name of the sender's component
+    parse_pi("new a, c. (x!a | x(u).new p, q. (p!u | q!q | q(v).0) | a!e | c!e | c(w).0)"),
+    # a lifted component equal to c's goes after it
+    parse_pi("new a, c. (x!e | x(u).new p. (p!u | p(w).0) | a!e | c!e | c(w).0)"),
+    # a's kept threads have equal keys, and keep their order
+    parse_pi("new a, c. (x!a | x(u).0 | a!e.new n. n!n | a!e.new m. m!m | c!e | c(w).0)"),
+], ids=["boudol4", "product3", "extruded", "split", "lifted", "lifted-tie", "kept-ties"])
+def test_merged_successors_match_the_full_state_on_split_levels(t):
+    assert_merged(t)
+
+
+def test_a_respelled_parameter_of_a_split_level_takes_the_full_path():
+    # m is received where y(m) binds it, so subst respells that parameter
+    # m2, which the restriction new m2 in a's component already spells: only
+    # state respells that restriction too
+    t = parse_pi("new a, d. (x!m | x(z).y(m).z!m | a!b.new m2. m2!a | d!e)")
+    assert is_split(normal_form(t).key)
     with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
-        g = explore(boudol(3), 2000)
-    assert (len(g.states), sum(len(e) for e in g.edges.values())) == (20, 30)
-    assert len(whole) == 58 and merged == []
+        g = explore(t, 2000)
+    assert merged == [] and len(whole) == 2
+    assert [print_state(s) for s in g.states.values()][1] == (
+        "new a, d. (y(m2).m!m2 | a!b.new m22. m22!a | d!e)")
+    assert_successors_match_state(t)
 
 
 # ------------- weak barbs on the fly -------------

@@ -224,3 +224,42 @@ def test_behaviour_tables_are_meanings():
             image = translate(term)
             assert img_tbl == tuple(denote(tgt, image, dict(zip(variables, row)))
                                     for row in rows_img)
+
+
+def binary_pair():
+    """One binary f over 0, 1, 2 on each side, every value related to every
+    other, and the head f -> f(X1, X2): its behaviour scan at depth 5 meets
+    the cap, and the homomorphism certificate fails."""
+    def lang(name, rows):
+        return {"name": name, "values": ["0", "1", "2"], "operators": [
+            {"name": "f", "arity": 2,
+             "table": {f"{a},{b}": rows[a][b] for a in range(3) for b in range(3)}}]}
+    src = lang("S", ["111", "121", "011"])
+    tgt = lang("T", ["200", "102", "110"])
+    carrier = [f"{n}.{v}" for n in "ST" for v in "012"]
+    rel = {"kind": "equivalence", "carrier": carrier,
+           "pairs": [[a, b] for a in carrier for b in carrier]}
+    return src, tgt, {"source": "S", "target": "T", "heads": {"f": "f(X1,X2)"}}, rel
+
+
+def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli):
+    # the scan stopped at the cap, and the answer was yes, holds-to-depth 5
+    src, tgt, tr, rel = map(json.dumps, binary_pair())
+    lang, lang2 = load_language(json.loads(src)), load_language(json.loads(tgt))
+    inst = (load_translation(json.loads(tr), lang, lang2), lang, lang2,
+            load_relation(json.loads(rel)))
+    reps, *_, exhausted = finlang._preserve_reps(*inst[:3], 5)
+    assert (len(reps), exhausted) == (finlang.BEHAVIOUR_CAP, None)
+    v = check_preserves(*inst, depth=5)
+    note = f"inconclusive: behaviour cap {finlang.BEHAVIOUR_CAP} reached before depth 5"
+    assert (v.status, v.note) == ("inconclusive", note)
+    # an uncut scan still answers as the product-order search does
+    assert check_preserves(*inst, depth=3) == product_preserves(*inst, depth=3)
+    assert check_preserves(*inst, depth=3).note == "holds-to-depth 3"
+    for name, text in zip(("src", "tgt", "tr", "rel"), (src, tgt, tr, rel)):
+        (tmp_path / f"{name}.json").write_text(text)
+    code, out, _ = cli("check", "preserves", "--source", str(tmp_path / "src.json"),
+                       "--target", str(tmp_path / "tgt.json"),
+                       "--translation", str(tmp_path / "tr.json"),
+                       "--relation", str(tmp_path / "rel.json"), "--depth", "5")
+    assert (code, out) == (2, f"preserves: inconclusive\nnote: {note}\n")
