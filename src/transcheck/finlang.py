@@ -537,14 +537,20 @@ def _extra_vars(tr: Translation) -> tuple[str, ...]:
 
 # the most distinct behaviours _preserve_reps builds before it stops
 BEHAVIOUR_CAP = 20000
+# the most table cells _preserve_reps materializes: a valuation row of either
+# side holds one cell per variable, and a behaviour one per row of each side
+CELL_BOUND = 4_000_000
 
 
 def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
-                   depth: int, cap: int = BEHAVIOUR_CAP):
+                   depth: int, cap: int = BEHAVIOUR_CAP, cells: int = CELL_BOUND):
     """Distinct (source table, image table) behaviours of terms up to depth,
     and whether they are every behaviour of every term: True when the scan
     reached a fixed point, False when it stopped at depth, None when it was
-    cut at cap behaviours, so that some terms up to depth were not scanned.
+    cut at cap behaviours or at `cells` table cells, so that some terms up to
+    depth were not scanned.  When the valuation rows alone would pass
+    `cells`, no row is built: the scan answers no behaviour and no row, and
+    None.
 
     A term's two tables are its meaning and its translation's meaning as
     functions of a valuation row.  Enough distinct variables are used that any
@@ -558,6 +564,11 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     pool = [v for v in ("X", "Y", "Z", "W") if v not in extras]
     pool += [f"x{i}" for i in range(4, 4 + len(lang.values)) if f"x{i}" not in extras]
     variables = tuple(pool[:len(lang.values)]) + extras
+    rows = len(lang.values) ** len(variables) + len(lang2.values) ** len(variables)
+    if rows * len(variables) > cells:
+        return {}, variables, [], {}, None
+    # the behaviours that fit beside the rows, and within the cap
+    cap = min(cap, (cells - rows * len(variables)) // rows)
     rows_src = [tuple(r[v] for v in variables)
                 for r in valuations(variables, lang.values)]
     rows_img = [tuple(r[v] for v in variables)
@@ -595,6 +606,8 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     for op in lang.operators:
         if op.arity == 0:
             reps.setdefault(combine(op, ()), App(op.name, (), ()))
+    if len(reps) > cap:
+        return reps, variables, rows_src, img_index, None
     current = list(reps)
     composite = [op for op in lang.operators if op.arity > 0]
     for _ in range(depth - 1):  # leaves and constants have height 1
@@ -623,15 +636,23 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     Verdict note "preserves" when the claim is unbounded (the behaviour scan
     reached a fixed point, or the homomorphism certificate over heads holds);
     otherwise "holds-to-depth", or "inconclusive" when the scan was cut at
-    BEHAVIOUR_CAP behaviours before depth.  A "no" stands even then: the
-    behaviours scanned are those of real terms.
+    BEHAVIOUR_CAP behaviours or CELL_BOUND table cells before depth.  A "no"
+    stands even then: the behaviours scanned are those of real terms.  When
+    the valuation rows alone would pass CELL_BOUND the answer is
+    "inconclusive" before any scan.
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict("yes", {}, "preserves")
     if not lang2.values:
         return Verdict("no")
-    reps, variables, rows_src, img_index, exhausted = _preserve_reps(tr, lang, lang2, depth)
+    reps, variables, rows_src, img_index, exhausted = _preserve_reps(tr, lang, lang2, depth,
+                                                                     cells=CELL_BOUND)
+    if not rows_src:
+        rows = len(lang.values) ** len(variables) + len(lang2.values) ** len(variables)
+        return Verdict("inconclusive", note=f"inconclusive: table bound {CELL_BOUND} cells "
+                                            f"exceeded by {rows} valuation rows of "
+                                            f"{len(variables)} cells")
     related = {(w, v) for w in lang2.values for v in lang.values
                if rel.related(lang2.qualify(w), lang.qualify(v))}
     cands = [[w for w in lang2.values if (w, v) in related] for v in lang.values]
@@ -669,8 +690,10 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
         if exhausted or _homomorphism_certificate(tr, lang, lang2, found):
             return Verdict("yes", found, "preserves")
         if exhausted is None:
-            return Verdict("inconclusive", note=f"inconclusive: behaviour cap {BEHAVIOUR_CAP} "
-                                                f"reached before depth {depth}")
+            bound = (f"behaviour cap {BEHAVIOUR_CAP}" if len(reps) >= BEHAVIOUR_CAP
+                     else f"table bound {CELL_BOUND} cells")
+            return Verdict("inconclusive",
+                           note=f"inconclusive: {bound} reached before depth {depth}")
         return Verdict("yes", found, f"holds-to-depth {depth}")
     return Verdict("no")
 

@@ -257,25 +257,40 @@ def substitute(sig: Signature, t: Term, subst: dict[str, Term],
     raise TermError(f"not a term: {t!r}")
 
 
-def _canon_key(sig: Signature, t: Term, env: dict[str, int], depth: int) -> tuple:
-    match t:
-        case Var(x):
-            return ("b", env[x]) if x in env else ("f", x)
-        case App(op, bound, args):
-            c = sig[op]
-            parts = []
-            for a, scope in zip(args, c.scopes):
-                env2 = dict(env)
-                for k in scope:
-                    env2[bound[k]] = depth + k
-                parts.append(_canon_key(sig, a, env2, depth + len(c.slots)))
-            return ("a", op, tuple(parts))
-    raise TermError(f"not a term: {t!r}")
-
-
 def canon_key(sig: Signature, t: Term) -> tuple:
-    """Hashable key identical for alpha-equivalent terms."""
-    return _canon_key(sig, t, {}, 0)
+    """Hashable key identical for alpha-equivalent terms.
+
+    A variable bound at slot k of a node at binder depth d keys as
+    ("b", d + k), a free one as ("f", name).  A fold on an explicit stack, so
+    a term of any depth gets a key."""
+    done: list[tuple] = []
+    # (term, env, depth); env None marks an App whose parts are the last
+    # `depth` entries of done
+    todo: list[tuple[Term, dict[str, int] | None, int]] = [(t, {}, 0)]
+    while todo:
+        u, env, depth = todo.pop()
+        if env is None:
+            cut = len(done) - depth
+            parts = tuple(done[cut:])
+            del done[cut:]
+            done.append(("a", u.op, parts))
+        elif isinstance(u, Var):
+            done.append(("b", env[u.name]) if u.name in env else ("f", u.name))
+        elif isinstance(u, App):
+            c = sig[u.op]
+            pairs = list(zip(u.args, c.scopes))
+            todo.append((u, None, len(pairs)))
+            inner = depth + len(c.slots)
+            for a, scope in reversed(pairs):
+                env2 = env
+                if scope:
+                    env2 = dict(env)
+                    for k in scope:
+                        env2[u.bound[k]] = depth + k
+                todo.append((a, env2, inner))
+        else:
+            raise TermError(f"not a term: {u!r}")
+    return done[0]
 
 
 def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
@@ -481,6 +496,101 @@ def _rename_slot_binders(sig: Signature, t: Term, ren: dict[str, str]) -> Term:
     raise TermError(f"not a term: {t!r}")
 
 
+# the kinds of step in a head plan
+_KEEP, _PLUG, _SLOT, _NODE = range(4)
+
+
+@dataclass(frozen=True)
+class _HeadPlan:
+    """How to instantiate one head image: a post-order program over its nodes.
+
+    Each step pushes one term: (_KEEP, t) pushes the image subterm t, which
+    holds no placeholder, no slot-labelled binder and no name one binds;
+    (_PLUG, i) the image of argument i; (_SLOT, k) Var(w[k]), an occurrence
+    bound by the binder of slot k; (_NODE, op, spelled, n) rebuilds a node
+    from the last n terms pushed, spelled giving each binder by name or, for
+    a slot-labelled one, by its slot index k (spelled w[k]).  aux pairs each
+    argument index i with the auxiliary binders of the nodes above an
+    occurrence of its placeholder, where there are any."""
+    steps: tuple[tuple, ...]
+    aux: tuple[tuple[int, frozenset[str]], ...]
+
+
+def _head_plan(c: Construct, target: Signature, image: Term) -> _HeadPlan | None:
+    """The plan of image as the head of c, or None when image binds a name
+    spelled like a placeholder or starting with _w.  Built on an explicit
+    stack, so an image of any depth is read."""
+    labels = {lbl: k for k, lbl in enumerate(c.slots)}
+    plugs = {f"X{i + 1}": i for i in range(c.args)}
+    steps: list[tuple] = []
+    aux: dict[int, set[str]] = {}
+    kept: list[tuple[bool, frozenset[int]]] = []  # per subterm read: kept whole, plugs under it
+    # (term, names bound above it -> slot index or None, None or where its steps start)
+    todo: list[tuple[Term, dict[str, int | None], int | None]] = [(image, {}, None)]
+    while todo:
+        u, env, start = todo.pop()
+        if isinstance(u, Var):
+            x = u.name
+            if env.get(x) is not None:
+                steps.append((_SLOT, env[x]))
+                kept.append((False, frozenset()))
+            elif x in plugs:
+                steps.append((_PLUG, plugs[x]))
+                kept.append((False, frozenset((plugs[x],))))
+            else:
+                steps.append((_KEEP, u))
+                kept.append((True, frozenset()))
+        elif start is None:
+            if any(_PLACEHOLDER.match(b) or b.startswith("_w") for b in u.bound):
+                return None
+            todo.append((u, env, len(steps)))
+            for a, scope in reversed(list(zip(u.args, target[u.op].scopes))):
+                inner = env
+                if scope:
+                    inner = dict(env)
+                    for k in scope:
+                        inner[u.bound[k]] = labels.get(u.bound[k])
+                todo.append((a, inner, None))
+        else:
+            n = len(u.args)  # the image is valid over target
+            below = kept[len(kept) - n:]
+            del kept[len(kept) - n:]
+            if all(whole for whole, _ in below) and not any(b in labels for b in u.bound):
+                del steps[start:]
+                steps.append((_KEEP, u))
+                kept.append((True, frozenset()))
+                continue
+            holes = frozenset().union(*(h for _, h in below))
+            steps.append((_NODE, u.op, tuple(labels.get(b, b) for b in u.bound), n))
+            kept.append((False, holes))
+            for i in holes:
+                aux.setdefault(i, set()).update(b for b in u.bound if b not in labels)
+    return _HeadPlan(tuple(steps), tuple((i, frozenset(names))
+                                         for i, names in sorted(aux.items()) if names))
+
+
+def _run_plan(plan: _HeadPlan, w: list[str], images: list[Term]) -> Term:
+    """The head instantiated: slot k's binders spelled w[k], placeholder X(i+1)
+    replaced by images[i].  A loop over the steps, so no recursion."""
+    done: list[Term] = []
+    for step in plan.steps:
+        kind = step[0]
+        if kind == _KEEP:
+            done.append(step[1])
+        elif kind == _PLUG:
+            done.append(images[step[1]])
+        elif kind == _SLOT:
+            done.append(Var(w[step[1]]))
+        else:
+            _, op, spelled, n = step
+            cut = len(done) - n
+            args = tuple(done[cut:])
+            del done[cut:]
+            bound = tuple([w[s] if isinstance(s, int) else s for s in spelled])
+            done.append(App(op, bound, args))
+    return done[0]
+
+
 def complete_compositional(tr: Translation,
                            keep_binders: frozenset[str] = frozenset()) -> Callable[[Term], Term]:
     """Total translation function induced by a head map.
@@ -502,6 +612,13 @@ def complete_compositional(tr: Translation,
     costs no memory.  The memo is keyed by the term object: a structural key
     would hash each argument's whole subtree, quadratic time and deep
     recursion on a deep term.  It lives as long as the function.
+
+    Each head is instantiated from its _HeadPlan, built once per construct on
+    first use, unless respelling the slot binders and then substituting
+    would rename or capture a name (see the test in apply); those
+    instantiations, and every one of a head _head_plan refuses, take that
+    route instead.  An image is searched for leaked slot names only when its
+    construct has a slot.
     """
     state = {"next": 0}
     w_pattern = re.compile(r"_w([0-9]+)$")
@@ -512,6 +629,7 @@ def complete_compositional(tr: Translation,
     # id(term) -> (term, which keeps the id taken; image, counter at, names used)
     memo: dict[int, tuple[Term, Term, int, int]] = {}
     seen: WeakValueDictionary[int, Term] = WeakValueDictionary()  # outside terms met once
+    plans: dict[str, _HeadPlan | None] = {}  # construct name -> plan of its head, built on use
 
     def fresh_w() -> str:
         name = f"_w{state['next']}"
@@ -543,11 +661,29 @@ def complete_compositional(tr: Translation,
                     a2 = substitute(tr.source, a, ren) if ren else a
                     # a renamed argument holds a _wN
                     new_args.append(apply(a2, clear and a2 is a))
-                image = _rename_slot_binders(tr.target, image,
-                                             {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm})
-                plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
-                out = substitute(tr.target, image, plugs, _capture=frozenset(w))
-                leaked = _fv(tr.target, out) & set(w)
+                if op not in plans:
+                    plans[op] = _head_plan(c, tr.target, image)
+                plan = plans[op]
+                ren = {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm}
+                slot_names = frozenset(w)
+                # The plan builds what _rename_slot_binders and substitute
+                # build unless one of them renames or captures a name: the
+                # first captures an occurrence it substitutes under a binder
+                # spelled like a slot label it respells; a slot binder spelled
+                # like a placeholder shadows it; and substitute renames an
+                # auxiliary binder not in slot_names and free in the image
+                # of a placeholder under its node.
+                if (plan is not None
+                        and not any(nm in ren or _PLACEHOLDER.match(nm) for nm in w)
+                        and not any((names & _fv(tr.target, new_args[i])) - slot_names
+                                    for i, names in plan.aux)):
+                    out = _run_plan(plan, w, new_args)
+                else:
+                    image = _rename_slot_binders(tr.target, image, ren)
+                    plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
+                    out = substitute(tr.target, image, plugs, _capture=slot_names)
+                # with no slot, slot_names is empty and nothing can leak
+                leaked = _fv(tr.target, out) & slot_names if slot_names else None
                 if leaked:
                     raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
                 if clear and keep:
@@ -634,27 +770,39 @@ def enumerate_terms(sig: Signature, depth: int,
                     binder_names: tuple[str, ...] = ("z1", "z2")) -> Iterator[Term]:
     """Terms of height <= depth in canonical order: height level, construct
     declaration order, then argument order over the previous levels' pool.
-    Lazy, and deduplicated up to alpha-equivalence."""
-    seen: set[tuple] = set()
+    Lazy, and deduplicated up to alpha-equivalence past the leaves, which
+    are yielded as given.
+
+    Semi-naive: a level combines only the argument tuples that hold a term
+    of the level before, in product order over the pool; every other tuple
+    builds a term an earlier level built.  So no key is needed to drop
+    duplicates: the pool holds no two alpha-equivalent terms (leaves are
+    made unique by ==, and a level's terms are higher than every earlier
+    one), and two terms with one construct and one spelling of its binders
+    are alpha-equivalent exactly when their arguments are, pair by pair,
+    since under one binder environment canon_key is an injective
+    relabelling of its value under the empty one."""
     level: list[Term] = [Var(x) for x in leaf_vars]
     level += [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
-    for t in level:
-        seen.add(canon_key(sig, t))
-        yield t
-    pool = list(level)
+    yield from level
+    pool = list(dict.fromkeys(level))
+    lo = 0  # where the level before begins in pool
     for _ in range(depth - 1):
+        newest = pool[lo:]
+        numbered = list(enumerate(pool))
         fresh_level: list[Term] = []
         for c in sig.constructs:
             if c.args == 0:
                 continue
             bound = tuple(binder_names[k % len(binder_names)] for k in range(len(c.slots)))
-            for args in product(pool, repeat=c.args):
-                t = App(c.name, bound, args)
-                key = canon_key(sig, t)
-                if key not in seen:
-                    seen.add(key)
-                    fresh_level.append(t)
-                    yield t
+            # the last argument may be any term once an earlier one is new
+            for head in product(numbered, repeat=c.args - 1):
+                first = tuple(t for _, t in head)
+                for t in pool if any(i >= lo for i, _ in head) else newest:
+                    new = App(c.name, bound, first + (t,))
+                    fresh_level.append(new)
+                    yield new
+        lo = len(pool)
         pool += fresh_level
 
 

@@ -157,7 +157,7 @@ CYCLES_ALLOWED = {
     "_Canon.thread, _Canon.whole, _Search.best, _Search.key, _Search.leaf, _Search.refine":
     "keys a continuation inside the thread it follows, one round per prefix of nesting",
     **{f"src/transcheck/terms.py: {walker}": _WALKS for walker in (
-        "_canon_key", "_names", "_rename_slot_binders", "canonical_binders.go",
+        "_names", "_rename_slot_binders", "canonical_binders.go",
         "complete_compositional.apply", "head_decompose.keep", "is_prefix.go",
         "parse_term.term", "print_term", "substitute", "validate")},
 }

@@ -2,19 +2,21 @@
 looked the scoping binders up by slot label at every node.
 
 The oracles below are the earlier definitions of free_vars, all_names,
-substitute, canon_key, canonical_binders and complete_compositional, with the
-helpers they used (the slot list and _arg_binders).  They recompute at every
+substitute, canon_key, canonical_binders, complete_compositional and
+enumerate_terms, with the helpers they used (the slot list and _arg_binders).  They recompute at every
 node and read no memo.  Each new result must equal its oracle under ==, not
 only up to alpha: the binder names a walker picks (_wN, freshened names)
 reach printed output.  The in-step alpha_eq is held equal to the comparison
-of two canonical keys it replaced.
+of two canonical keys it replaced, the head plans of complete_compositional
+to the respelling and substitution they replaced, and the semi-naive
+enumerate_terms to the enumeration that dropped repeats by canonical key.
 """
 
 import gc
 import json
 import re
 import weakref
-from itertools import count, islice
+from itertools import count, islice, product
 from pathlib import Path
 
 import pytest
@@ -28,8 +30,8 @@ from transcheck.pi import is_async, parse_pi, print_pi
 from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _fresh,
                               _rename_slot_binders, all_names, alpha_eq, canon_key,
                               canonical_binders, check_compositional, complete_compositional,
-                              enumerate_terms, free_vars, is_fvr, signature_from_dict,
-                              substitute, translation)
+                              compose_translations, enumerate_terms, free_vars, is_fvr,
+                              signature_from_dict, substitute, translation)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -223,6 +225,30 @@ def old_complete_compositional(tr, keep_binders=frozenset()):
         return apply(t)
 
     return translate
+
+
+def old_enumerate_terms(sig, depth, leaf_vars=("X", "Y"), binder_names=("z1", "z2")):
+    seen = set()
+    level = [Var(x) for x in leaf_vars]
+    level += [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
+    for t in level:
+        seen.add(canon_key(sig, t))
+        yield t
+    pool = list(level)
+    for _ in range(depth - 1):
+        fresh_level = []
+        for c in sig.constructs:
+            if c.args == 0:
+                continue
+            bound = tuple(binder_names[k % len(binder_names)] for k in range(len(c.slots)))
+            for args in product(pool, repeat=c.args):
+                t = App(c.name, bound, args)
+                key = canon_key(sig, t)
+                if key not in seen:
+                    seen.add(key)
+                    fresh_level.append(t)
+                    yield t
+        pool += fresh_level
 
 
 # ------------- signatures and random terms -------------
@@ -514,6 +540,216 @@ def test_the_head_map_route_takes_a_deep_term():
     assert texts[2] == re.sub(r"_w([0-9]+)", lambda m: f"_w{int(m.group(1)) + 600}", texts[1])
 
 
+# ------------- head plans -------------
+
+BOUDOL = boudol_head_translation()
+NIL = App("Nil", (), ())
+
+
+def _planned(monkeypatch):
+    """Counts of the head instantiations made and of those built from a plan."""
+    counts = {"heads": 0, "planned": 0}
+    head, run = Translation.head, terms._run_plan
+
+    def counted_head(self, op):
+        counts["heads"] += 1
+        return head(self, op)
+
+    def counted_run(*args):
+        counts["planned"] += 1
+        return run(*args)
+
+    monkeypatch.setattr(Translation, "head", counted_head)
+    monkeypatch.setattr(terms, "_run_plan", counted_run)
+    return counts
+
+
+def _same_route(tr, calls, keep=frozenset()):
+    """The outputs of a new route, which must equal the stateful translation's."""
+    got = _outputs(complete_compositional(tr, keep), calls)
+    assert got == _outputs(old_complete_compositional(tr, keep), calls)
+    return got
+
+
+def test_an_argument_name_an_auxiliary_binder_captures_takes_the_substitution_path(monkeypatch):
+    # Out's image binds u over its three plugs and v over the last two; In's
+    # binds u over both and v over the second
+    counts = _planned(monkeypatch)
+    _same_route(BOUDOL, [App("Out", (), (Var("a"), Var("b"), NIL))])
+    assert counts["heads"] == counts["planned"] == 2
+    out_u = App("Out", (), (Var("a"), Var("b"), App("Out", (), (Var("u"), Var("c"), NIL))))
+    out_v = App("Out", (), (Var("a"), Var("v"), NIL))
+    in_v = App("In", ("y",), (Var("a"), App("Out", (), (Var("y"), Var("v"), NIL))))
+    for t, renamed in ((out_u, "u1"), (out_v, "v1"), (in_v, "v1")):
+        counts.update(heads=0, planned=0)
+        (image,) = _same_route(BOUDOL, [t])
+        assert counts["planned"] < counts["heads"]
+        assert renamed in all_names(API_TERM_SIG, image)
+
+
+def test_criterion_8_builds_every_head_from_its_plan(monkeypatch):
+    counts = _planned(monkeypatch)
+    v = check_compositional(PI_TERM_SIG, API_TERM_SIG, complete_compositional(BOUDOL), 3,
+                            max_pairs=1000)
+    w = is_fvr(PI_TERM_SIG, API_TERM_SIG, complete_compositional(BOUDOL), 3, max_terms=1000)
+    assert (v.status, v.checked, w.status, w.checked) == ("yes", 1000, "yes", 1000)
+    assert counts["heads"] == counts["planned"] > 0
+    # u, free in the second argument, is bound by Out's image: Out falls back
+    counts.update(heads=0, planned=0)
+    complete_compositional(BOUDOL)(App("Out", (), (Var("a"), Var("u"), NIL)))
+    assert (counts["heads"], counts["planned"]) == (2, 1)
+
+
+# a head map of the process signature into itself whose In image binds its
+# slot label y over a plugged argument and over an occurrence of y
+ECHO = translation(PI_TERM_SIG, PI_TERM_SIG, {
+    "Nil": NIL, "Out": App("Out", (), (Var("X1"), Var("X2"), Var("X3"))),
+    "In": App("In", ("y",), (Var("X1"), App("Par", (), (
+        App("Out", (), (Var("y"), Var("y"), NIL)), Var("X2"))))),
+    "Par": App("Par", (), (Var("X1"), Var("X2"))), "Res": App("Res", ("x",), (Var("X1"),)),
+    "Repl": App("Repl", (), (Var("X1"),)),
+})
+
+
+def test_kept_binders_through_composition_match(monkeypatch):
+    counts = _planned(monkeypatch)
+    for tr in (ECHO, TRANSLATIONS["counters"]):
+        composed = compose_translations(tr, tr)
+        images = dict(composed.heads)
+        for op, img in tr.heads:
+            keep = frozenset(tr.source[op].slots)
+            assert images[op] == old_complete_compositional(tr, keep_binders=keep)(img)
+        _same_route(composed, list(islice(enumerate_terms(tr.source, 3), 300)))
+    assert dict(compose_translations(ECHO, ECHO).heads)["In"].bound == ("y",)
+    assert counts["heads"] == counts["planned"] > 0
+    # let2's image binds b and a where the source binds a and b: kept, they
+    # spell one slot with the other's label, and fall back
+    counts.update(heads=0, planned=0)
+    keep = frozenset(LAM["let2"].slots)
+    (image,) = _same_route(TRANSLATIONS["lam"], [LAM_HEADS["let2"]], keep)
+    assert image.bound == ("a", "b")
+    assert (counts["heads"], counts["planned"]) == (2, 1)
+
+
+def test_a_head_binding_a_w_name_takes_the_substitution_path(monkeypatch):
+    assert terms._head_plan(LAM["lam"], LAM, W_AUX.head("lam")) is None
+    # a free _w is read like any free name
+    assert terms._head_plan(LAM["unit"], LAM, W_AUX.head("unit")) is not None
+    counts = _planned(monkeypatch)
+    _same_route(W_AUX, [App("lam", ("x",), (App("unit", (), ()),))] * 2)
+    assert (counts["heads"], counts["planned"]) == (4, 2)
+
+
+def test_an_image_binder_spelled_like_a_placeholder_takes_the_substitution_path(monkeypatch):
+    # lam's image binds X1 over X1, so the argument's image is never plugged
+    image = App("lam", ("X1",), (App("app", (), (Var("X1"), App("unit", (), ()))),))
+    tr = translation(LAM, LAM, dict(LAM_HEADS, lam=image))
+    assert terms._head_plan(LAM["lam"], LAM, image) is None
+    counts = _planned(monkeypatch)
+    t = App("lam", ("x",), (App("app", (), (Var("x"), Var("X"))),))
+    assert _same_route(tr, [t]) == [image]
+    assert (counts["heads"], counts["planned"]) == (2, 1)
+
+
+@pytest.mark.parametrize("image", [
+    # a slot-labelled binder inside another: each occurrence takes the nearer
+    App("lam", ("v",), (App("app", (), (App("lam", ("v",), (App("app", (), (
+        Var("X1"), Var("v"))),)), Var("v"))),)),
+    # a slot label occurring free stays as it is
+    App("app", (), (Var("v"), App("lam", ("v",), (Var("X1"),)))),
+], ids=["nested", "free"])
+def test_slot_labels_nested_or_free_are_built_from_the_plan(monkeypatch, image):
+    tr = translation(LAM, LAM, dict(LAM_HEADS, lam=image))
+    calls = list(islice(enumerate_terms(LAM, 3), 400))
+    counts = _planned(monkeypatch)
+    for keep in (frozenset(), frozenset({"z1"}), frozenset({"v"})):
+        _same_route(tr, calls, keep)
+    assert counts["heads"] == counts["planned"] > 0
+
+
+def test_a_kept_name_spelled_like_a_respelled_slot_label_takes_the_substitution_path(
+        monkeypatch):
+    # two's image binds p, then q over an occurrence of p.  A source two[q;z]
+    # with q kept spells slot p as q, and respelling the occurrence of p
+    # to q puts it under the binder of q, which is respelled _w0 with it
+    tr = translation(SWAP, SWAP, dict(SWAP_HEADS, two=App("two", ("p", "c"), (
+        App("two", ("q", "c"), (Var("p"), Var("X1"))), Var("X2")))))
+    t = App("two", ("q", "z"), (Var("X"), Var("Y")))
+    counts = _planned(monkeypatch)
+    assert _same_route(tr, [t], frozenset({"q"})) == [App("two", ("q", "c"), (
+        App("two", ("_w0", "c"), (Var("_w0"), Var("X"))), Var("Y")))]
+    assert (counts["heads"], counts["planned"]) == (1, 0)
+    assert _same_route(tr, [t]) == [App("two", ("_w0", "c"), (
+        App("two", ("_w1", "c"), (Var("_w0"), Var("X"))), Var("Y")))]
+    assert (counts["heads"], counts["planned"]) == (2, 1)
+
+
+def test_a_kept_name_spelled_like_a_placeholder_takes_the_substitution_path(monkeypatch):
+    # lam's image binds slot v over X1: kept, a source binder X1 spells that
+    # binder X1, which shadows the placeholder, so the body is never plugged
+    counts = _planned(monkeypatch)
+    t = App("lam", ("X1",), (Var("Y"),))
+    assert _same_route(TRANSLATIONS["lam"], [t], frozenset({"X1"})) == [App("let2", ("X1", "w"), (
+        App("unit", (), ()), App("app", (), (Var("X1"), Var("w")))))]
+    assert (counts["heads"], counts["planned"]) == (1, 0)
+
+
+def test_a_leaked_slot_raises_from_the_plan(monkeypatch):
+    counts = _planned(monkeypatch)
+    bad = App("lam", ("x",), (App("let2", ("a", "b"), (Var("x"), Var("a"))),))
+    assert _same_route(LEAK, [bad]) == ["image of lam does not bind slot(s) ['_w0']"]
+    assert counts["heads"] == counts["planned"] == 2
+
+
+# binder names of the source terms and images below: slot labels of LAM and
+# SWAP, auxiliary names, a placeholder and a _w name, so that kept names meet
+# image binders
+HEAD_NAMES = ("x", "a", "b", "p", "q", "v", "u", "c", "X1", "_w1")
+
+
+def _terms_binding(sig, names, leaves, max_leaves):
+    nullary = [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
+
+    def node(c, sub):
+        bound = st.tuples(*[st.sampled_from(names)] * len(c.slots)).filter(
+            lambda b: _distinct_per_arg(c, b))
+        return st.builds(lambda b, a: App(c.name, b, a), bound, st.tuples(*[sub] * c.args))
+
+    composite = [c for c in sig.constructs if c.args]
+    return st.recursive(st.sampled_from(leaves + nullary),
+                        lambda sub: st.one_of([node(c, sub) for c in composite]),
+                        max_leaves=max_leaves)
+
+
+def _head_images(sig):
+    return {c.name: _terms_binding(sig, HEAD_NAMES, [Var(f"X{i + 1}") for i in range(c.args)]
+                                   + [Var(x) for x in HEAD_NAMES + ("X9",)], 6)
+            for c in sig.constructs}
+
+
+HEAD_IMAGES = {sig.name: _head_images(sig) for sig in (LAM, SWAP)}
+HEAD_SOURCES = {sig.name: _terms_binding(sig, HEAD_NAMES,
+                                         [Var(x) for x in ("X", "x", "u", "a", "c")], 8)
+                for sig in (LAM, SWAP)}
+
+
+@st.composite
+def head_maps(draw):
+    """A random head map of LAM or SWAP into itself, some source terms and a
+    set of kept names."""
+    sig = draw(st.sampled_from([LAM, SWAP]))
+    heads = {op: draw(images) for op, images in HEAD_IMAGES[sig.name].items()}
+    calls = draw(st.lists(HEAD_SOURCES[sig.name], min_size=1, max_size=3))
+    return translation(sig, sig, heads), calls, draw(st.frozensets(st.sampled_from(HEAD_NAMES)))
+
+
+@given(case=head_maps())
+@settings(max_examples=300, deadline=None)
+def test_plans_match_the_substitution_path_on_random_head_maps(case):
+    tr, calls, keep = case
+    _same_route(tr, calls, keep)
+
+
 # ------------- the memos on App nodes -------------
 
 # one construct name, two binding profiles: f's slot a scopes its first
@@ -691,3 +927,71 @@ def test_alpha_eq_answers_on_deep_terms(n):
                        _chain(1, lambda i: "q", inner))
         assert got == same
         assert free_vars(PI_TERM_SIG, inner) == {"a", "b", leaf.name}
+
+
+def _flat(key):
+    """A key's atoms and tuple lengths in pre-order, read on a stack: == on
+    two deep keys recurses in the interpreter."""
+    out, todo = [], [key]
+    while todo:
+        k = todo.pop()
+        if isinstance(k, tuple):
+            out.append(("len", len(k)))
+            todo.extend(reversed(k))
+        else:
+            out.append(k)
+    return out
+
+
+def test_canon_key_answers_on_deep_terms():
+    # the recursive key failed from 500 pairs
+    assert (canon_key(PI_TERM_SIG, _chain(50, lambda i: f"y{i}", Var("c")))
+            == old_canon_key(PI_TERM_SIG, _chain(50, lambda i: "y", Var("c"))))
+    key = _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: "y", Var("c"))))
+    assert key == _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: f"y{i}", Var("c"))))
+    assert key != _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: "y", Var("d"))))
+    # one binder position per In, the innermost at 1999
+    assert 1999 in key and 2000 not in key
+
+
+# ------------- the semi-naive enumeration -------------
+
+@pytest.mark.parametrize("sig", [PI_TERM_SIG, API_TERM_SIG], ids=["pi", "api"])
+def test_enumeration_matches_the_keyed_one_on_the_depth_3_pools(sig):
+    got = list(islice(enumerate_terms(sig, 3), 30000))
+    assert len(got) == {"pi": 30000, "api": 3963}[sig.name]
+    assert got == list(islice(old_enumerate_terms(sig, 3), 30000))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"leaf_vars": ("X", "Y", "X")}, {"leaf_vars": ()}, {"binder_names": ("z",)},
+    {"leaf_vars": ("X", "X"), "binder_names": ("z",)},
+], ids=["default", "repeated-leaf", "no-leaves", "one-binder-name", "both"])
+@pytest.mark.parametrize("sig", [LAM, SWAP], ids=["lam", "swap"])
+def test_enumeration_matches_the_keyed_one_on_odd_leaves_and_binders(sig, kwargs):
+    got = list(islice(enumerate_terms(sig, 3, **kwargs), 5000))
+    assert got == list(islice(old_enumerate_terms(sig, 3, **kwargs), 5000))
+
+
+@st.composite
+def signatures(draw):
+    """One to four constructs of arity 0 to 3, each with 0 to 3 slots."""
+    constructs = []
+    for j in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(0, 3))
+        labels = ("a", "b", "c")[:draw(st.integers(0, 3))]
+        binders = tuple(tuple(draw(st.lists(st.sampled_from(labels), unique=True)) if labels
+                              else ()) for _ in range(arity))
+        constructs.append(Construct(f"f{j}", arity, binders))
+    return Signature("random", tuple(constructs))
+
+
+@given(sig=signatures(), depth=st.integers(1, 3),
+       leaf_vars=st.sampled_from([("X", "Y"), ("X", "X", "Y"), (), ("X",)]),
+       binder_names=st.sampled_from([("z1", "z2"), ("z",), ("z1", "z2", "z3")]))
+@settings(max_examples=100, deadline=None)
+def test_enumeration_matches_the_keyed_one_on_random_signatures(sig, depth, leaf_vars,
+                                                                binder_names):
+    args = (sig, depth, leaf_vars, binder_names)
+    assert (list(islice(enumerate_terms(*args), 3000))
+            == list(islice(old_enumerate_terms(*args), 3000)))

@@ -3,6 +3,7 @@ check_preserves against the exhaustive searches they replaced."""
 
 import json
 import random
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -263,3 +264,58 @@ def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli):
                        "--translation", str(tmp_path / "tr.json"),
                        "--relation", str(tmp_path / "rel.json"), "--depth", "5")
     assert (code, out) == (2, f"preserves: inconclusive\nnote: {note}\n")
+
+
+# ---------- the table bound of the behaviour scan ----------
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_parity_preserves_answers_under_the_table_bound(n):
+    # Z_6 builds 2 x 46,656 valuation rows and 18 behaviours: 2.24M cells
+    assert check_preserves(*parity(n), depth=3).status == "no"
+
+
+def test_parity_z8_preserves_is_refused_before_the_scan(tmp_path, cli):
+    # 8^8 valuation rows per side ran out of memory
+    note = ("inconclusive: table bound 4000000 cells exceeded by 33554432 valuation rows "
+            "of 8 cells")
+    start = time.perf_counter()
+    v = check_preserves(*parity(8), depth=3)
+    assert (v.status, v.note) == ("inconclusive", note)
+    vals = [str(i) for i in range(8)]
+    for name in ("z8", "z8p"):
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "name": name, "values": vals, "operators": [
+                {"name": "s", "arity": 1, "table": {v: str((int(v) + 1) % 8) for v in vals}}]}))
+    (tmp_path / "T.json").write_text(json.dumps(
+        {"source": "z8", "target": "z8p", "heads": {"s": "s(s(X1))"}}))
+    (tmp_path / "sim.json").write_text(json.dumps({
+        "kind": "equivalence",
+        "carrier": [f"{lang}.{v}" for lang in ("z8", "z8p") for v in vals],
+        "pairs": [[f"z8.{v}", f"z8p.{v}"] for v in vals]
+        + [[f"z8.{i}", f"z8.{i + 2}"] for i in range(6)]}))
+    code, out, _ = cli("check", "preserves", *(
+        x for name, f in (("source", "z8"), ("target", "z8p"), ("translation", "T"),
+                          ("relation", "sim"))
+        for x in (f"--{name}", str(tmp_path / f"{f}.json"))))
+    assert (code, out) == (2, f"preserves: inconclusive\nnote: {note}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_a_scan_cut_at_the_table_bound_keeps_a_no(monkeypatch):
+    # binary_pair at depth 5 holds to depth 3 and is cut at the behaviour
+    # cap; 500 behaviours of 54 cells beside its 162 row cells cut it first
+    src, tgt, tr, rel = binary_pair()
+    lang, lang2 = load_language(src), load_language(tgt)
+    inst = (load_translation(tr, lang, lang2), lang, lang2, load_relation(rel))
+    reps, *_, exhausted = finlang._preserve_reps(*inst[:3], 5, cells=162 + 54 * 500)
+    assert (len(reps), exhausted) == (500, None)
+    monkeypatch.setattr(finlang, "CELL_BOUND", 162 + 54 * 500)
+    v = check_preserves(*inst, depth=5)
+    assert (v.status, v.note) == (
+        "inconclusive", f"inconclusive: table bound {162 + 54 * 500} cells reached before depth 5")
+    # Z_6 is refuted within 10 of its 18 behaviours: a cut scan's no stands
+    rows = 2 * 6 ** 6
+    monkeypatch.setattr(finlang, "CELL_BOUND", rows * 6 + rows * 10)
+    reps, *_, exhausted = finlang._preserve_reps(*parity(6)[:3], 3, cells=rows * 16)
+    assert (len(reps), exhausted) == (10, None)
+    assert check_preserves(*parity(6), depth=3).status == "no"
