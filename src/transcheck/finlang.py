@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator
 
 from .terms import (App, Construct, Signature, Term, Translation, Var,
@@ -545,12 +545,17 @@ CELL_BOUND = 4_000_000
 def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                    depth: int, cap: int = BEHAVIOUR_CAP, cells: int = CELL_BOUND):
     """Distinct (source table, image table) behaviours of terms up to depth,
-    and whether they are every behaviour of every term: True when the scan
-    reached a fixed point, False when it stopped at depth, None when it was
-    cut at cap behaviours or at `cells` table cells, so that some terms up to
-    depth were not scanned.  When the valuation rows alone would pass
-    `cells`, no row is built: the scan answers no behaviour and no row, and
-    None.
+    built level by level: the leaves and constants (height 1), then each
+    height up to depth.  Yields (reps, variables, rows_src, img_index,
+    exhausted) after each completed level, with exhausted False, and once
+    more when the scan ends.  The last yield's exhausted tells whether reps
+    then holds every behaviour of every term: True when the scan reached a
+    fixed point, False when it stopped at depth, None when it was cut at cap
+    behaviours or at `cells` table cells, so that some terms up to depth
+    were not scanned.  Every yield holds the one reps dict, which each level
+    extends.  When the valuation rows alone would pass `cells`, no row is
+    built: the one yield has no behaviour, no row and exhausted None.  A
+    consumer that stops early leaves the later levels unbuilt.
 
     A term's two tables are its meaning and its translation's meaning as
     functions of a valuation row.  Enough distinct variables are used that any
@@ -566,13 +571,14 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     variables = tuple(pool[:len(lang.values)]) + extras
     rows = len(lang.values) ** len(variables) + len(lang2.values) ** len(variables)
     if rows * len(variables) > cells:
-        return {}, variables, [], {}, None
+        yield {}, variables, [], {}, None
+        return
     # the behaviours that fit beside the rows, and within the cap
     cap = min(cap, (cells - rows * len(variables)) // rows)
-    rows_src = [tuple(r[v] for v in variables)
-                for r in valuations(variables, lang.values)]
-    rows_img = [tuple(r[v] for v in variables)
-                for r in valuations(variables, lang2.values)]
+    # rows_src[i][k] is variables[k]'s value in row i: the rows of
+    # valuations(variables, lang.values), in its order
+    rows_src = list(product(lang.values, repeat=len(variables)))
+    rows_img = list(product(lang2.values, repeat=len(variables)))
     img_index = {row: i for i, row in enumerate(rows_img)}
     ext_rows = [row[len(variables) - len(extras):] if extras else ()
                 for row in rows_img]
@@ -607,7 +613,9 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
         if op.arity == 0:
             reps.setdefault(combine(op, ()), App(op.name, (), ()))
     if len(reps) > cap:
-        return reps, variables, rows_src, img_index, None
+        yield reps, variables, rows_src, img_index, None
+        return
+    yield reps, variables, rows_src, img_index, False
     current = list(reps)
     composite = [op for op in lang.operators if op.arity > 0]
     for _ in range(depth - 1):  # leaves and constants have height 1
@@ -617,15 +625,18 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                 key = combine(op, combo)
                 if key not in reps:
                     if len(reps) >= cap:
-                        return reps, variables, rows_src, img_index, None
+                        yield reps, variables, rows_src, img_index, None
+                        return
                     reps[key] = App(op.name, (), tuple(reps[c] for c in combo))
                     fresh.append(key)
         if not fresh:
-            return reps, variables, rows_src, img_index, True
+            yield reps, variables, rows_src, img_index, True
+            return
         current += fresh
+        yield reps, variables, rows_src, img_index, False
     exhausted = all(combine(op, combo) in reps
                     for op in composite for combo in product(current, repeat=op.arity))
-    return reps, variables, rows_src, img_index, exhausted
+    yield reps, variables, rows_src, img_index, exhausted
 
 
 def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
@@ -640,14 +651,20 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     stands even then: the behaviours scanned are those of real terms.  When
     the valuation rows alone would pass CELL_BOUND the answer is
     "inconclusive" before any scan.
+
+    The scan stops after the first completed level that settles the answer,
+    which is then the answer of the full scan: when no bT survives the
+    behaviours built so far, or when the first survivor in product order
+    holds the certificate (see the invariant beside the stop).
     """
     _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict("yes", {}, "preserves")
     if not lang2.values:
         return Verdict("no")
-    reps, variables, rows_src, img_index, exhausted = _preserve_reps(tr, lang, lang2, depth,
-                                                                     cells=CELL_BOUND)
+    levels = _preserve_reps(tr, lang, lang2, depth, cells=CELL_BOUND)
+    first = next(levels)
+    _, variables, rows_src, img_index, _ = first
     if not rows_src:
         rows = len(lang.values) ** len(variables) + len(lang2.values) ** len(variables)
         return Verdict("inconclusive", note=f"inconclusive: table bound {CELL_BOUND} cells "
@@ -663,39 +680,58 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     due: list[list[int]] = [[] for _ in lang.values]
     for i, row in enumerate(rows_src):
         due[max(last[v] for v in row)].append(i)
-    items = list(reps)
-    bt: dict[str, str] = {}
 
-    def rows_hold(d: int) -> bool:
-        for i in due[d]:
-            theta = img_index[tuple(bt[v] for v in rows_src[i])]
-            if any((img[theta], src[i]) not in related for src, img in items):
-                return False
-        return True
+    def first_survivor(items: list[tuple]) -> dict[str, str] | None:
+        """The first bT in product order that every behaviour of items keeps."""
+        bt: dict[str, str] = {}
 
-    stack = [iter(cands[0])]
-    while stack:
-        d = len(stack) - 1
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
+        def rows_hold(d: int) -> bool:
+            for i in due[d]:
+                theta = img_index[tuple(bt[v] for v in rows_src[i])]
+                if any((img[theta], src[i]) not in related for src, img in items):
+                    return False
+            return True
+
+        stack = [iter(cands[0])]
+        while stack:
+            d = len(stack) - 1
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                continue
+            bt[lang.values[d]] = w
+            if not rows_hold(d):
+                continue
+            if d + 1 < len(lang.values):
+                stack.append(iter(cands[d + 1]))
+                continue
+            return {v: bt[v] for v in lang.values}
+        return None
+
+    searched = -1  # len(reps) at the last search; reps only grows
+    for reps, *_, exhausted in chain([first], levels):
+        if len(reps) == searched:
             continue
-        bt[lang.values[d]] = w
-        if not rows_hold(d):
-            continue
-        if d + 1 < len(lang.values):
-            stack.append(iter(cands[d + 1]))
-            continue
-        found = {v: bt[v] for v in lang.values}
-        if exhausted or _homomorphism_certificate(tr, lang, lang2, found):
+        searched = len(reps)
+        found = first_survivor(list(reps))
+        # Invariant: reps holds real terms' behaviours only, and every later
+        # level, and so the full scan, cut or not, keeps all of them.  A bT
+        # that fails here fails there: with no survivor the full scan answers
+        # "no", and every map before found in product order is out.  A
+        # certified map keeps every term's meaning, so found is the full
+        # scan's first survivor too, and the full scan answers "preserves"
+        # with it.  So a stop never changes an answer.
+        if found is None:
+            return Verdict("no")
+        if _homomorphism_certificate(tr, lang, lang2, found):
             return Verdict("yes", found, "preserves")
-        if exhausted is None:
-            bound = (f"behaviour cap {BEHAVIOUR_CAP}" if len(reps) >= BEHAVIOUR_CAP
-                     else f"table bound {CELL_BOUND} cells")
-            return Verdict("inconclusive",
-                           note=f"inconclusive: {bound} reached before depth {depth}")
-        return Verdict("yes", found, f"holds-to-depth {depth}")
-    return Verdict("no")
+    if exhausted:
+        return Verdict("yes", found, "preserves")
+    if exhausted is None:
+        bound = (f"behaviour cap {BEHAVIOUR_CAP}" if len(reps) >= BEHAVIOUR_CAP
+                 else f"table bound {CELL_BOUND} cells")
+        return Verdict("inconclusive", note=f"inconclusive: {bound} reached before depth {depth}")
+    return Verdict("yes", found, f"holds-to-depth {depth}")
 
 
 def _homomorphism_certificate(tr: Translation, lang: FiniteLanguage,

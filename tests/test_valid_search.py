@@ -45,13 +45,20 @@ def subset_search(tr, lang, lang2, rel, cap=2 ** 20) -> Verdict:
     return Verdict("no", note=f"exhausted {considered} candidates")
 
 
+def full_scan(tr, lang, lang2, depth, **bounds):
+    """The last yield of _preserve_reps: the scan with every level built,
+    where check_preserves stops at the first level that settles."""
+    *_, last = finlang._preserve_reps(tr, lang, lang2, depth, **bounds)
+    return last
+
+
 def product_preserves(tr, lang, lang2, rel, depth) -> Verdict:
     """check_preserves trying every bT in product order, each on all rows."""
     if not lang.values:
         return Verdict("yes", {}, "preserves")
     if not lang2.values:
         return Verdict("no")
-    reps, _, rows_src, img_index, exhausted = finlang._preserve_reps(tr, lang, lang2, depth)
+    reps, _, rows_src, img_index, exhausted = full_scan(tr, lang, lang2, depth)
     cands = [[w for w in lang2.values if rel.related(lang2.qualify(w), lang.qualify(v))]
              for v in lang.values]
     for combo in product(*cands):
@@ -66,6 +73,24 @@ def product_preserves(tr, lang, lang2, rel, depth) -> Verdict:
 
 def same_answer(new: Verdict, old: Verdict) -> bool:
     return (new.status, new.witness, new.note) == (old.status, old.witness, old.note)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Each behaviour scan run from now on, as the list of its levels that
+    were pulled, each as (behaviours built so far, exhausted flag)."""
+    out = []
+    real = finlang._preserve_reps
+
+    def recording(*args, **kwargs):
+        levels = []
+        out.append(levels)
+        for level in real(*args, **kwargs):
+            levels.append((len(level[0]), level[4]))
+            yield level
+
+    monkeypatch.setattr(finlang, "_preserve_reps", recording)
+    return out
 
 
 # ---------- instances ----------
@@ -88,6 +113,22 @@ def suite_instances(seed: int, trials: int):
 
 
 SUITE = list(suite_instances(7, 1000))
+
+
+def two_valued(src_ops, tgt_ops, heads, pairs):
+    """S and T over the values 0 and 1 with operators (name, arity, table as
+    in a language file), the head map heads, and the preorder relating T.w
+    to S.v for each (w, v) in pairs."""
+    def lang(name, ops):
+        return load_language({"name": name, "values": ["0", "1"], "operators": [
+            {"name": n, "arity": a, "table": t} for n, a, t in ops]})
+    src, tgt = lang("S", src_ops), lang("T", tgt_ops)
+    carrier = src.qualified_values + tgt.qualified_values
+    rel = Relation("sim", "preorder", tuple(sorted(carrier)),
+                   frozenset((f"T.{w}", f"S.{v}") for w, v in pairs)
+                   | {(c, c) for c in carrier})
+    tr = load_translation({"source": "S", "target": "T", "heads": heads}, src, tgt)
+    return tr, src, tgt, rel
 
 
 def fixture(name):
@@ -206,17 +247,87 @@ def test_depth_first_bt_matches_product_order_on_suite_instances():
     assert found >= 50
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_early_stop_matches_the_full_scan_on_suite_seeds(seed):
+    # the scan stops at the first level that settles; the oracle scans to
+    # the end and tries every bT in product order
+    statuses = set()
+    for inst in suite_instances(seed, 100):
+        new = check_preserves(*inst, depth=3)
+        assert same_answer(new, product_preserves(*inst, depth=3)), inst
+        statuses.add((new.status, new.note))
+    assert {("no", ""), ("yes", "preserves")} <= statuses
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_depth_first_bt_matches_product_order_with_image_only_variables(inst):
     assert same_answer(check_preserves(*inst, depth=2), product_preserves(*inst, depth=2))
 
 
+@settings(max_examples=50, deadline=None)
+@given(instances())
+def test_early_stop_matches_the_full_scan_at_depth_3_with_image_only_variables(inst):
+    assert same_answer(check_preserves(*inst, depth=3), product_preserves(*inst, depth=3))
+
+
+def test_a_no_at_the_leaves_stops_the_scan_there(scans):
+    # S's constant c means 0 and T's means 1, which is not related to 0
+    ops = [("s", 1, {"0": "1", "1": "0"})]
+    inst = two_valued([("c", 0, {"": "0"})] + ops, [("c", 0, {"": "1"})] + ops,
+                      {"c": "c", "s": "s(X1)"}, [("0", "0"), ("1", "1")])
+    assert check_preserves(*inst, depth=3) == Verdict("no")
+    assert scans == [[(3, False)]]  # X, Y and c; no height was built
+    assert product_preserves(*inst, depth=3) == Verdict("no")
+
+
+def test_a_certified_map_settles_in_product_order(scans):
+    # S: s(v) = 0.  T: s(w) = w.  bT(0) is 1, bT(1) is 0 or 1.  The leaves
+    # keep the first map, {0: 1, 1: 0}, which fails the certificate; s(X)
+    # drops it (s(bT 1) = 0 is not related to s(1) = 0), and the next map
+    # holds the certificate: it is the answer after two levels of three
+    inst = two_valued([("s", 1, {"0": "0", "1": "0"})], [("s", 1, {"0": "0", "1": "1"})],
+                      {"s": "s(X1)"}, [("1", "0"), ("0", "1"), ("1", "1")])
+    first = {"0": "1", "1": "0"}
+    assert check_preserves(*inst, depth=1) == Verdict("yes", first, "holds-to-depth 1")
+    assert not finlang._homomorphism_certificate(*inst[:3], first)
+    scans.clear()
+    v = check_preserves(*inst, depth=3)
+    assert v == Verdict("yes", {"0": "1", "1": "1"}, "preserves")
+    assert scans == [[(2, False), (4, False)]]
+    assert same_answer(v, product_preserves(*inst, depth=3))
+
+
+def test_a_fixed_point_before_depth_ends_the_scan(scans):
+    # S: s(v) = v.  T: s(w) = 1.  The first map {0: 0, 1: 1} fails the
+    # certificate (s(bT 0) = 1, bT(s 0) = 0), yet every term keeps its
+    # meaning: s(s(X)) behaves as s(X), a fixed point at height 3.  At
+    # depth 10 the scan stops there; at depth 2 the probe of height 3
+    # after the last level finds it
+    inst = two_valued([("s", 1, {"0": "0", "1": "1"})], [("s", 1, {"0": "1", "1": "1"})],
+                      {"s": "s(X1)"}, [("0", "0"), ("1", "0"), ("1", "1")])
+    for depth in (10, 2):
+        scans.clear()
+        v = check_preserves(*inst, depth=depth)
+        assert v == Verdict("yes", {"0": "0", "1": "1"}, "preserves")
+        assert scans == [[(2, False), (4, False), (4, True)]]
+        assert same_answer(v, product_preserves(*inst, depth=depth))
+    assert not finlang._homomorphism_certificate(*inst[:3], v.witness)
+
+
+def test_the_suites_preservation_scans_stop_early(scans):
+    # the full scans of the same 100 instances build 7,098 behaviours
+    finlang.property_suite(1, 200)
+    assert (len(scans), sum(levels[-1][0] for levels in scans)) == (100, 290)
+    t1s = list(suite_instances(1, 200))[::2]
+    assert sum(len(full_scan(*inst[:3], 3)[0]) for inst in t1s) == 7098
+
+
 def test_behaviour_tables_are_meanings():
     """Each behaviour's two tables are its term's meaning and its
     translation's meaning, row by row."""
     for tr, src, tgt, _ in SUITE[:50]:
-        reps, variables, rows_src, img_index, _ = finlang._preserve_reps(tr, src, tgt, 3)
+        reps, variables, rows_src, img_index, _ = full_scan(tr, src, tgt, 3)
         rows_img = sorted(img_index, key=img_index.get)
         translate = complete_compositional(tr)
         for (src_tbl, img_tbl), term in reps.items():
@@ -243,17 +354,19 @@ def binary_pair():
     return src, tgt, {"source": "S", "target": "T", "heads": {"f": "f(X1,X2)"}}, rel
 
 
-def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli):
+def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli, scans):
     # the scan stopped at the cap, and the answer was yes, holds-to-depth 5
     src, tgt, tr, rel = map(json.dumps, binary_pair())
     lang, lang2 = load_language(json.loads(src)), load_language(json.loads(tgt))
     inst = (load_translation(json.loads(tr), lang, lang2), lang, lang2,
             load_relation(json.loads(rel)))
-    reps, *_, exhausted = finlang._preserve_reps(*inst[:3], 5)
+    reps, *_, exhausted = full_scan(*inst[:3], 5)
     assert (len(reps), exhausted) == (finlang.BEHAVIOUR_CAP, None)
     v = check_preserves(*inst, depth=5)
     note = f"inconclusive: behaviour cap {finlang.BEHAVIOUR_CAP} reached before depth 5"
     assert (v.status, v.note) == ("inconclusive", note)
+    # no completed level settled it, so the scan went on to the cap
+    assert scans[-1] == [(3, False), (12, False), (147, False), (finlang.BEHAVIOUR_CAP, None)]
     # an uncut scan still answers as the product-order search does
     assert check_preserves(*inst, depth=3) == product_preserves(*inst, depth=3)
     assert check_preserves(*inst, depth=3).note == "holds-to-depth 3"
@@ -270,7 +383,7 @@ def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_parity_preserves_answers_under_the_table_bound(n):
-    # Z_6 builds 2 x 46,656 valuation rows and 18 behaviours: 2.24M cells
+    # Z_6 builds 2 x 46,656 valuation rows, and its full scan 18 behaviours: 2.24M cells
     assert check_preserves(*parity(n), depth=3).status == "no"
 
 
@@ -301,21 +414,24 @@ def test_parity_z8_preserves_is_refused_before_the_scan(tmp_path, cli):
     assert time.perf_counter() - start < 1
 
 
-def test_a_scan_cut_at_the_table_bound_keeps_a_no(monkeypatch):
+def test_a_scan_cut_at_the_table_bound_keeps_a_no(monkeypatch, scans):
     # binary_pair at depth 5 holds to depth 3 and is cut at the behaviour
     # cap; 500 behaviours of 54 cells beside its 162 row cells cut it first
     src, tgt, tr, rel = binary_pair()
     lang, lang2 = load_language(src), load_language(tgt)
     inst = (load_translation(tr, lang, lang2), lang, lang2, load_relation(rel))
-    reps, *_, exhausted = finlang._preserve_reps(*inst[:3], 5, cells=162 + 54 * 500)
+    reps, *_, exhausted = full_scan(*inst[:3], 5, cells=162 + 54 * 500)
     assert (len(reps), exhausted) == (500, None)
     monkeypatch.setattr(finlang, "CELL_BOUND", 162 + 54 * 500)
     v = check_preserves(*inst, depth=5)
     assert (v.status, v.note) == (
         "inconclusive", f"inconclusive: table bound {162 + 54 * 500} cells reached before depth 5")
+    assert scans[-1] == [(3, False), (12, False), (147, False), (500, None)]
     # Z_6 is refuted within 10 of its 18 behaviours: a cut scan's no stands
     rows = 2 * 6 ** 6
     monkeypatch.setattr(finlang, "CELL_BOUND", rows * 6 + rows * 10)
-    reps, *_, exhausted = finlang._preserve_reps(*parity(6)[:3], 3, cells=rows * 16)
+    reps, *_, exhausted = full_scan(*parity(6)[:3], 3, cells=rows * 16)
     assert (len(reps), exhausted) == (10, None)
     assert check_preserves(*parity(6), depth=3).status == "no"
+    # the leaves did not settle it, and the cut came within the next level
+    assert scans[-1] == [(6, False), (10, None)]
