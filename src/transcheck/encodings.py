@@ -17,10 +17,10 @@ from typing import Callable
 from .finlang import FiniteLanguage, denote
 from .pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiTerm, PVar, Repl, Res,
                  all_names, alpha_eq_pi, bisim, free_names, process_vars,
-                 weak_barb, _fold, _fresh_name, _map_names)
+                 weak_barb, _fresh_name, _map_names)
 from .terms import (App, Construct, Signature, Term, TermError, Translation,
                     Var, complete_compositional, free_vars, parse_term,
-                    translation)
+                    translation, _fold)
 from .verdict import BISIM_WORDS, Verdict
 
 

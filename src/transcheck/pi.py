@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
+from .terms import _fold, _skip
 from .verdict import Verdict
 
 
@@ -201,32 +202,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
         if cand not in taken:
             return cand
     raise AssertionError
-
-
-def _fold(t: PiTerm, ctx, visit: Callable) -> object:
-    """Fold t with explicit stacks, so a term of any depth or width is
-    walked.  visit(u, ctx) is called on each node in pre-order, left before
-    right, and returns the node's builder and its children as (child, ctx)
-    pairs.  Then the builders are called post-order, each on its children's
-    results."""
-    builds: list = []  # a builder and its number of children, per node in pre-order
-    work: list = [(t, ctx)]
-    while work:
-        u, c = work.pop()
-        build, kids = visit(u, c)
-        builds.append(build)
-        builds.append(len(kids))
-        work.extend(reversed(kids))
-    done: list = []
-    for i in range(len(builds) - 2, -1, -2):
-        build, n = builds[i], builds[i + 1]
-        if n:  # the first child's result is on top
-            kids = done[-n:]
-            del done[-n:]
-            done.append(build(*reversed(kids)))
-        else:
-            done.append(build())
-    return done[0]
 
 
 def _map_names(t: PiTerm, ren: dict[str, str], bind: Callable, plug: dict) -> PiTerm:
@@ -428,9 +403,6 @@ def print_pi(t: PiTerm) -> str:
     pieces are joined once, so a term of any depth prints in linear time."""
     out: list[str] = []
 
-    def skip(*_) -> None:
-        pass
-
     def visit(u: PiTerm, trail: str):
         # write u's prefixes down to a Par or a leaf; trail is the text after
         # u's last leaf: the separators and closing brackets of the nodes that
@@ -439,7 +411,7 @@ def print_pi(t: PiTerm) -> str:
             cls = type(u)
             if cls is Par:
                 bracket = type(u.right) is Par
-                return skip, ((u.left, " | " + "(" * bracket), (u.right, ")" * bracket + trail))
+                return _skip, ((u.left, " | " + "(" * bracket), (u.right, ")" * bracket + trail))
             k = None  # the prefix's continuation, a factor
             if cls is Res:
                 names = []
@@ -465,7 +437,7 @@ def print_pi(t: PiTerm) -> str:
                 raise PiError(f"not a process: {u!r}")
             if k is None:
                 out.append(text + trail)
-                return skip, ()
+                return _skip, ()
             if type(k) is Par:  # bracketed
                 text, trail = text + "(", ")" + trail
             out.append(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count, product
 from typing import Callable, Iterator
 from weakref import WeakValueDictionary
@@ -114,28 +115,100 @@ class App:
 
 Term = Var | App
 
+_DONE, _BUILD = object(), object()  # the contexts of a child folded already, of a builder
+
+
+def _fold(t, ctx, visit: Callable) -> object:
+    """Fold t, a term or a pi term, on an explicit stack, so that any depth
+    and width is walked.  visit(u, ctx) is called on each node in pre-order,
+    left before right, and gives the node's builder and its children as
+    (child, ctx) pairs, (value, _DONE) for one folded already.  The builder
+    is called on the children's values right after the last of them, before
+    the node's next sibling is visited."""
+    build, kids = visit(t, ctx)
+    if not kids:
+        return build()
+    done: list = []
+    starts: list[int] = [0]  # per node waiting on its children: where their values begin in done
+    work: list = [(build, _BUILD)]
+    work.extend(reversed(kids))
+    push, pop, put = work.append, work.pop, done.append
+    while work:
+        u, c = pop()
+        if c is _DONE:
+            put(u)
+        elif c is _BUILD:  # u is the builder of the last node that waits
+            start = starts.pop()
+            args = done[start:]
+            del done[start:]
+            put(u(*args))
+        else:
+            build, kids = visit(u, c)
+            if kids:
+                starts.append(len(done))
+                push((build, _BUILD))
+                work.extend(reversed(kids))
+            else:
+                put(build())
+    return done[0]
+
+
+def _skip(*_) -> None:
+    """The builder of a visitor that folds to nothing."""
+
+
+def _node(op: str, bound: tuple[str, ...], *args: Term) -> App:
+    return App(op, bound, args)
+
+
+def _map(t: Term, ren: dict[str, Term], bind: Callable) -> Term:
+    """t with each free variable x replaced by ren.get(x, Var(x)), each node
+    spelled by bind, the policy: a visitor of _fold, called with the
+    replacements at the node, that gives its builder and its arguments as
+    children (_arg makes one), or (lambda: u), () to keep the node u."""
+    if isinstance(t, Var):
+        return ren.get(t.name, t)
+    if not isinstance(t, App):
+        raise TermError(f"not a term: {t!r}")
+    return _fold(t, ren, bind)
+
+
+def _arg(a: Term, ren: dict[str, Term] | None) -> tuple:
+    """Argument a of a mapped node as a child for _fold: a variable is
+    replaced at once, and with ren None the argument is kept as it is."""
+    if ren is None:
+        return a, _DONE
+    if isinstance(a, Var):
+        return ren.get(a.name, a), _DONE
+    if not isinstance(a, App):
+        raise TermError(f"not a term: {a!r}")
+    return a, ren
+
 
 def validate(sig: Signature, t: Term) -> None:
     """Raise TermError unless t is well formed over sig."""
-    match t:
-        case Var(x):
-            if not _IDENT.match(x):
-                raise TermError(f"bad variable name {x!r}")
-        case App(op, bound, args):
-            c = sig[op]
-            if len(args) != c.args:
-                raise TermError(f"{op}: expected {c.args} arguments, got {len(args)}")
-            if len(bound) != len(c.slots):
-                raise TermError(f"{op}: expected {len(c.slots)} binder names, got {len(bound)}")
-            for b in bound:
-                if not _IDENT.match(b):
-                    raise TermError(f"{op}: bad binder name {b!r}")
-            for scope in c.scopes:
-                names = [bound[k] for k in scope]
-                if len(set(names)) != len(names):
-                    raise TermError(f"{op}: equal binder names scope the same argument")
-            for a in args:
-                validate(sig, a)
+    def visit(u: Term, _):
+        if isinstance(u, Var):
+            if not _IDENT.match(u.name):
+                raise TermError(f"bad variable name {u.name!r}")
+            return _skip, ()
+        if not isinstance(u, App):
+            raise TermError(f"not a term: {u!r}")
+        op, bound, args, c = u.op, u.bound, u.args, sig[u.op]
+        if len(args) != c.args:
+            raise TermError(f"{op}: expected {c.args} arguments, got {len(args)}")
+        if len(bound) != len(c.slots):
+            raise TermError(f"{op}: expected {len(c.slots)} binder names, got {len(bound)}")
+        for b in bound:
+            if not _IDENT.match(b):
+                raise TermError(f"{op}: bad binder name {b!r}")
+        for scope in c.scopes:
+            names = [bound[k] for k in scope]
+            if len(set(names)) != len(names):
+                raise TermError(f"{op}: equal binder names scope the same argument")
+        return _skip, [(a, None) for a in args]
+
+    _fold(t, None, visit)
 
 
 def _fv(sig: Signature, t: Term) -> frozenset[str]:
@@ -181,14 +254,19 @@ def _names(t: Term) -> frozenset[str]:
         return frozenset((t.name,))
     if not isinstance(t, App):
         raise TermError(f"not a term: {t!r}")
-    memo = t._names_memo
-    if memo is None:
-        out = set(t.bound)
-        for a in t.args:
-            out |= _names(a)
-        memo = frozenset(out)
-        object.__setattr__(t, "_names_memo", memo)
-    return memo
+    if t._names_memo is None:  # fill the nodes that lack one, arguments first
+        _fold(t, None, lambda u, _: (partial(_name, u), [
+            (a, None) for a in u.args if isinstance(a, App) and a._names_memo is None]))
+    return t._names_memo
+
+
+def _name(u: App, *_) -> None:
+    out = set(u.bound)
+    for a in u.args:
+        if not isinstance(a, (Var, App)):
+            raise TermError(f"not a term: {a!r}")
+        out |= {a.name} if isinstance(a, Var) else a._names_memo
+    object.__setattr__(u, "_names_memo", frozenset(out))
 
 
 def free_vars(sig: Signature, t: Term) -> set[str]:
@@ -211,101 +289,89 @@ def _fresh(base: str, avoid: set[str]) -> str:
     raise AssertionError
 
 
-def substitute(sig: Signature, t: Term, subst: dict[str, Term],
-               _capture: frozenset[str] = frozenset()) -> Term:
-    """Simultaneously replace free occurrences, renaming binders to avoid capture.
+def _avoiding(sig: Signature, exempt: frozenset[str]) -> Callable:
+    """The bind policy of substitution: a binder free in the replacement of a
+    variable it scopes is respelled fresh, unless exempt, where it captures.
+    A node free of the variables replaced is kept, looking up no construct."""
+    def bind(u: App, subst: dict[str, Term]):
+        fv = _fv(sig, u)
+        active = {x: r for x, r in subst.items() if x in fv}
+        if not active:
+            return (lambda: u), ()
+        range_fv = set().union(*[_fv(sig, r) for r in active.values()])
+        bound = u.bound
+        renamed: dict[int, Term] = {}  # slot index -> its new name, as a variable
+        for k, b in enumerate(u.bound):
+            if b in range_fv and b not in exempt:
+                if not renamed:
+                    avoid = range_fv | _names(u) | set(active)
+                    bound = list(bound)
+                bound[k] = _fresh(b, avoid)
+                avoid.add(bound[k])
+                renamed[k] = Var(bound[k])
+        kids = []
+        for a, scope in zip(u.args, sig[u.op].scopes):
+            inner = active
+            if scope:
+                here = {u.bound[k] for k in scope}
+                inner = {x: r for x, r in active.items() if x not in here}
+                for k in scope:
+                    if k in renamed:
+                        inner[u.bound[k]] = renamed[k]
+            if isinstance(a, Var):
+                kids.append((inner.get(a.name, a), _DONE))
+            elif not inner or _fv(sig, a).isdisjoint(inner):
+                kids.append((a, _DONE))  # a holds none of the variables replaced
+            else:
+                kids.append((a, inner))
+        return partial(_node, u.op, tuple(bound) if renamed else bound), kids
 
-    Names in _capture are exempt from capture-avoidance; they are used
-    internally to graft subterms under binders on purpose.
-    """
-    match t:
-        case Var(x):
-            return subst.get(x, t)
-        case App(op, bound, args):
-            fv = _fv(sig, t)
-            active = {x: r for x, r in subst.items() if x in fv}
-            if not active:
-                return t
-            range_fv: set[str] = set()
-            for r in active.values():
-                range_fv |= _fv(sig, r)
-            avoid: set[str] | None = None  # built only when a binder is renamed
-            renamed_slot: dict[int, str] = {}
-            new_bound = list(bound)
-            for k, b in enumerate(bound):
-                if b in range_fv and b not in _capture:
-                    if avoid is None:
-                        avoid = range_fv | _names(t) | set(active)
-                    nb = _fresh(b, avoid)
-                    avoid.add(nb)
-                    renamed_slot[k] = nb
-                    new_bound[k] = nb
-            new_args = []
-            for a, scope in zip(args, sig[op].scopes):
-                if scope:
-                    here = {bound[k] for k in scope}
-                    inner = {x: r for x, r in active.items() if x not in here}
-                    inner.update({bound[k]: Var(renamed_slot[k])
-                                  for k in scope if k in renamed_slot})
-                else:
-                    inner = active
-                if isinstance(a, Var):
-                    new_args.append(inner.get(a.name, a))
-                else:
-                    new_args.append(substitute(sig, a, inner, _capture) if inner else a)
-            return App(op, tuple(new_bound), tuple(new_args))
-    raise TermError(f"not a term: {t!r}")
+    return bind
+
+
+def substitute(sig: Signature, t: Term, subst: dict[str, Term]) -> Term:
+    """Simultaneously replace free occurrences, renaming binders to avoid
+    capture.  A subterm free of the variables replaced is returned as it is,
+    so a substitution that changes nothing returns t itself."""
+    if isinstance(t, App) and _fv(sig, t).isdisjoint(subst):
+        return t
+    return _map(t, subst, _avoiding(sig, frozenset()))
 
 
 def canon_key(sig: Signature, t: Term) -> tuple:
     """Hashable key identical for alpha-equivalent terms.
 
-    A variable bound at slot k of a node at binder depth d keys as
-    ("b", d + k), a free one as ("f", name).  A fold on an explicit stack, so
-    a term of any depth gets a key."""
-    done: list[tuple] = []
-    # (term, env, depth); env None marks an App whose parts are the last
-    # `depth` entries of done
-    todo: list[tuple[Term, dict[str, int] | None, int]] = [(t, {}, 0)]
-    while todo:
-        u, env, depth = todo.pop()
-        if env is None:
-            cut = len(done) - depth
-            parts = tuple(done[cut:])
-            del done[cut:]
-            done.append(("a", u.op, parts))
-        elif isinstance(u, Var):
-            done.append(("b", env[u.name]) if u.name in env else ("f", u.name))
-        elif isinstance(u, App):
-            c = sig[u.op]
-            pairs = list(zip(u.args, c.scopes))
-            todo.append((u, None, len(pairs)))
-            inner = depth + len(c.slots)
-            for a, scope in reversed(pairs):
-                env2 = env
-                if scope:
-                    env2 = dict(env)
-                    for k in scope:
-                        env2[u.bound[k]] = depth + k
-                todo.append((a, env2, inner))
-        else:
+    One token per node, in pre-order: ("a", op, n) for a node of n
+    arguments, which keeps the key injective, ("b", d + k) for a variable
+    bound at slot k of a node at binder depth d, ("f", name) for a free one.
+    A flat key compares and hashes without recursion, at any depth."""
+    out: list[tuple] = []
+
+    def visit(u: Term, ctx: tuple[dict[str, int], int]):
+        env, depth = ctx
+        if isinstance(u, Var):
+            out.append(("b", env[u.name]) if u.name in env else ("f", u.name))
+            return _skip, ()
+        if not isinstance(u, App):
             raise TermError(f"not a term: {u!r}")
-    return done[0]
+        c = sig[u.op]
+        kids = [(a, ({**env, **{u.bound[k]: depth + k for k in scope}} if scope else env,
+                     depth + len(c.slots))) for a, scope in zip(u.args, c.scopes)]
+        out.append(("a", u.op, len(kids)))
+        return _skip, kids
+
+    _fold(t, ({}, 0), visit)
+    return tuple(out)
 
 
 def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
     """t and u are equal up to the spelling of their bound names.
 
-    One walk over both terms in step, on an explicit stack, so a term of any
-    depth gets an answer.  Each side maps a bound name to its binder position
-    (depth + k, as in canon_key); a variable matches when both sides resolve
-    it to one position, or both leave it free under one name.  A pair that is
-    one object is not walked when the two maps agree on its free variables,
-    and its free variables are not read when the maps are the same, so a term
-    compared with itself costs O(1).  The maps stay one object as long as the
-    two sides bind the same names, which is the common case under a
-    translation that hands back one image per subterm.
-    """
+    One walk over both terms in step, on an explicit stack.  Each side maps a
+    bound name to its binder position (depth + k, as in canon_key).  A pair
+    that is one object is skipped when the maps agree on its free variables,
+    read only when the maps differ: they stay one object while the two sides
+    bind the same names, as under a translation that shares its images."""
     env: dict[str, int] = {}
     todo: list[tuple[Term, Term, dict[str, int], dict[str, int], int]] = [(t, u, env, env, 0)]
     while todo:
@@ -328,15 +394,9 @@ def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
         for x, y, scope in zip(reversed(a.args), reversed(b.args), reversed(c.scopes)):
             xa, yb = ea, eb
             if scope:
-                xa = dict(ea)
-                for k in scope:
-                    xa[a.bound[k]] = depth + k
-                if ea is eb and all(a.bound[k] == b.bound[k] for k in scope):
-                    yb = xa
-                else:
-                    yb = dict(eb)
-                    for k in scope:
-                        yb[b.bound[k]] = depth + k
+                xa = {**ea, **{a.bound[k]: depth + k for k in scope}}
+                yb = xa if ea is eb and all(a.bound[k] == b.bound[k] for k in scope) else {
+                    **eb, **{b.bound[k]: depth + k for k in scope}}
             todo.append((x, y, xa, yb, inner))
     return True
 
@@ -353,22 +413,13 @@ def canonical_binders(sig: Signature, t: Term, base: str = "B") -> Term:
                 avoid.add(cand)
                 return cand
 
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        match t:
-            case Var(x):
-                return Var(ren.get(x, x))
-            case App(op, bound, args):
-                fresh_slot = [next_name() for _ in bound]
-                new_args = []
-                for a, scope in zip(args, sig[op].scopes):
-                    ren2 = dict(ren)
-                    for k in scope:
-                        ren2[bound[k]] = fresh_slot[k]
-                    new_args.append(go(a, ren2))
-                return App(op, tuple(fresh_slot), tuple(new_args))
-        raise TermError(f"not a term: {t!r}")
+    def bind(u: App, ren: dict[str, Term]):
+        fresh = tuple([next_name() for _ in u.bound])
+        return partial(_node, u.op, fresh), [
+            _arg(a, {**ren, **{u.bound[k]: Var(fresh[k]) for k in scope}} if scope else ren)
+            for a, scope in zip(u.args, sig[u.op].scopes)]
 
-    return go(t, {})
+    return _map(t, {}, bind)
 
 
 def compose_subst(sig: Signature, xi: dict[str, Term], sigma: dict[str, Term]) -> dict[str, Term]:
@@ -379,35 +430,34 @@ def compose_subst(sig: Signature, xi: dict[str, Term], sigma: dict[str, Term]) -
 # ------------- prefixes and heads -------------
 
 def is_prefix(sig: Signature, e: Term, f: Term) -> bool:
-    """True iff f is e with its free variables consistently instantiated (modulo alpha)."""
+    """True iff f is e with its free variables consistently instantiated (modulo
+    alpha).  One walk over both terms in step, on an explicit stack; env maps
+    a name e binds to the one f binds there, fbound holds all f binds above."""
     assignment: dict[str, Term] = {}
-
-    def go(e: Term, f: Term, env: dict[str, str], fbound: set[str]) -> bool:
-        match e:
-            case Var(x):
-                if x in env:
-                    return isinstance(f, Var) and f.name == env[x]
-                if not _fv(sig, f).isdisjoint(fbound):
-                    return False  # would need to capture a bound name
-                if x in assignment:
-                    return alpha_eq(sig, assignment[x], f)
-                assignment[x] = f
-                return True
-            case App(op, bound, args):
-                if not isinstance(f, App) or f.op != op:
+    todo: list[tuple[Term, Term, dict[str, str], frozenset[str]]] = [(e, f, {}, frozenset())]
+    while todo:
+        e, f, env, fbound = todo.pop()
+        if isinstance(e, Var):
+            x = e.name
+            if x in env:
+                if not (isinstance(f, Var) and f.name == env[x]):
                     return False
-                for i, scope in enumerate(sig[op].scopes):
-                    env2 = dict(env)
-                    fb2 = set(fbound)
-                    for k in scope:
-                        env2[bound[k]] = f.bound[k]
-                        fb2.add(f.bound[k])
-                    if not go(args[i], f.args[i], env2, fb2):
-                        return False
-                return True
-        raise TermError(f"not a term: {e!r}")
-
-    return go(e, f, {}, set())
+            elif not _fv(sig, f).isdisjoint(fbound):
+                return False  # would need to capture a bound name
+            elif x not in assignment:
+                assignment[x] = f
+            elif not alpha_eq(sig, assignment[x], f):
+                return False
+        elif isinstance(e, App):
+            if not isinstance(f, App) or f.op != e.op:
+                return False
+            for i, scope in reversed(list(enumerate(sig[e.op].scopes))):
+                todo.append((e.args[i], f.args[i],
+                             {**env, **{e.bound[k]: f.bound[k] for k in scope}} if scope else env,
+                             fbound | {f.bound[k] for k in scope} if scope else fbound))
+        else:
+            raise TermError(f"not a term: {e!r}")
+    return True
 
 
 def head_decompose(sig: Signature, t: Term) -> tuple[Term, dict[str, Term]]:
@@ -423,24 +473,20 @@ def head_decompose(sig: Signature, t: Term) -> tuple[Term, dict[str, Term]]:
     fresh = count(1)
     sigma: dict[str, Term] = {}
 
-    def keep(t: Term, above: set[str]) -> Term:
-        match t:
-            case Var(_):
-                return t  # an occurrence bound above; free ones were abstracted
-            case App(op, bound, args):
-                new_args = []
-                for a, scope in zip(args, sig[op].scopes):
-                    inner = above | {bound[k] for k in scope}
-                    if not _fv(sig, a).isdisjoint(inner):
-                        new_args.append(keep(a, inner))
-                    else:
-                        x = f"X{next(fresh)}"
-                        sigma[x] = canonical_binders(sig, a)
-                        new_args.append(Var(x))
-                return App(op, bound, tuple(new_args))
-        raise TermError(f"not a term: {t!r}")
+    def keep(u: Term, above: frozenset[str] | None):  # above: bound above u; None at t
+        if above is not None and _fv(sig, u).isdisjoint(above):
+            x = f"X{next(fresh)}"
+            sigma[x] = canonical_binders(sig, u)
+            return (lambda: Var(x)), ()
+        if isinstance(u, Var):
+            return (lambda: u), ()  # an occurrence bound above
+        if not isinstance(u, App):
+            raise TermError(f"not a term: {u!r}")
+        above = above or frozenset()
+        return (lambda *args: App(u.op, u.bound, args)), [
+            (a, above | {u.bound[k] for k in scope}) for a, scope in zip(u.args, sig[u.op].scopes)]
 
-    head = canonical_binders(sig, keep(t, set()))
+    head = canonical_binders(sig, _fold(t, None, keep))
     return head, sigma
 
 
@@ -480,20 +526,21 @@ def translation(source: Signature, target: Signature, heads: dict[str, Term]) ->
 
 
 def _rename_slot_binders(sig: Signature, t: Term, ren: dict[str, str]) -> Term:
-    """Rename every binder site whose bound name is a key of ren, plus its occurrences."""
-    if isinstance(t, Var) or ren.keys().isdisjoint(_names(t)):
-        return t
-    match t:
-        case App(op, bound, args):
-            new_bound = tuple(ren.get(b, b) for b in bound)
-            new_args = []
-            for a, scope in zip(args, sig[op].scopes):
-                here = {bound[k] for k in scope}
-                occ = {b: Var(ren[b]) for b in here if b in ren}
-                a2 = substitute(sig, a, occ, _capture=frozenset(ren.values())) if occ else a
-                new_args.append(_rename_slot_binders(sig, a2, ren))
-            return App(op, new_bound, tuple(new_args))
-    raise TermError(f"not a term: {t!r}")
+    """Rename every binder site whose bound name is a key of ren, plus its
+    occurrences.  A node's occurrences are respelled before the binders below
+    it, which capture them, and respell them too, where they share a name."""
+    capturing = _avoiding(sig, frozenset(ren.values()))  # respells no binder: all capture
+
+    def bind(u: App, _):
+        if ren.keys().isdisjoint(_names(u)):
+            return (lambda: u), ()
+        kids = []
+        for a, scope in zip(u.args, sig[u.op].scopes):
+            occ = {u.bound[k]: Var(ren[u.bound[k]]) for k in scope if u.bound[k] in ren}
+            kids.append(_arg(_map(a, occ, capturing) if occ else a, {}))
+        return partial(_node, u.op, tuple([ren.get(b, b) for b in u.bound])), kids
+
+    return _map(t, {}, bind)
 
 
 # the kinds of step in a head plan
@@ -518,55 +565,43 @@ class _HeadPlan:
 
 def _head_plan(c: Construct, target: Signature, image: Term) -> _HeadPlan | None:
     """The plan of image as the head of c, or None when image binds a name
-    spelled like a placeholder or starting with _w.  Built on an explicit
-    stack, so an image of any depth is read."""
+    spelled like a placeholder or starting with _w.  Written on the fold:
+    each subterm folds to whether it is kept whole and the plugs under it."""
     labels = {lbl: k for k, lbl in enumerate(c.slots)}
     plugs = {f"X{i + 1}": i for i in range(c.args)}
     steps: list[tuple] = []
     aux: dict[int, set[str]] = {}
-    kept: list[tuple[bool, frozenset[int]]] = []  # per subterm read: kept whole, plugs under it
-    # (term, names bound above it -> slot index or None, None or where its steps start)
-    todo: list[tuple[Term, dict[str, int | None], int | None]] = [(image, {}, None)]
-    while todo:
-        u, env, start = todo.pop()
+    refused = []
+
+    def visit(u: Term, env: dict[str, int | None]):  # env: names bound above u -> slot or None
         if isinstance(u, Var):
-            x = u.name
-            if env.get(x) is not None:
-                steps.append((_SLOT, env[x]))
-                kept.append((False, frozenset()))
-            elif x in plugs:
-                steps.append((_PLUG, plugs[x]))
-                kept.append((False, frozenset((plugs[x],))))
-            else:
-                steps.append((_KEEP, u))
-                kept.append((True, frozenset()))
-        elif start is None:
-            if any(_PLACEHOLDER.match(b) or b.startswith("_w") for b in u.bound):
-                return None
-            todo.append((u, env, len(steps)))
-            for a, scope in reversed(list(zip(u.args, target[u.op].scopes))):
-                inner = env
-                if scope:
-                    inner = dict(env)
-                    for k in scope:
-                        inner[u.bound[k]] = labels.get(u.bound[k])
-                todo.append((a, inner, None))
-        else:
-            n = len(u.args)  # the image is valid over target
-            below = kept[len(kept) - n:]
-            del kept[len(kept) - n:]
-            if all(whole for whole, _ in below) and not any(b in labels for b in u.bound):
-                del steps[start:]
-                steps.append((_KEEP, u))
-                kept.append((True, frozenset()))
-                continue
-            holes = frozenset().union(*(h for _, h in below))
-            steps.append((_NODE, u.op, tuple(labels.get(b, b) for b in u.bound), n))
-            kept.append((False, holes))
-            for i in holes:
-                aux.setdefault(i, set()).update(b for b in u.bound if b not in labels)
-    return _HeadPlan(tuple(steps), tuple((i, frozenset(names))
-                                         for i, names in sorted(aux.items()) if names))
+            if env.get(u.name) is not None:
+                steps.append((_SLOT, env[u.name]))
+                return (lambda: (False, frozenset())), ()
+            if u.name in plugs:
+                steps.append((_PLUG, plugs[u.name]))
+                return (lambda: (False, frozenset((plugs[u.name],)))), ()
+            steps.append((_KEEP, u))
+            return (lambda: (True, frozenset())), ()
+        refused.extend(b for b in u.bound if _PLACEHOLDER.match(b) or b.startswith("_w"))
+        return partial(node, u, len(steps)), [
+            (a, {**env, **{u.bound[k]: labels.get(u.bound[k]) for k in scope}} if scope else env)
+            for a, scope in zip(u.args, target[u.op].scopes)]
+
+    def node(u: App, start: int, *below: tuple[bool, frozenset[int]]):
+        if all(whole for whole, _ in below) and not any(b in labels for b in u.bound):
+            del steps[start:]
+            steps.append((_KEEP, u))
+            return True, frozenset()
+        holes = frozenset().union(*(h for _, h in below))
+        steps.append((_NODE, u.op, tuple(labels.get(b, b) for b in u.bound), len(below)))
+        for i in holes:
+            aux.setdefault(i, set()).update(b for b in u.bound if b not in labels)
+        return False, holes
+
+    _fold(image, {}, visit)
+    return None if refused else _HeadPlan(tuple(steps), tuple(
+        (i, frozenset(names)) for i, names in sorted(aux.items()) if names))
 
 
 def _run_plan(plan: _HeadPlan, w: list[str], images: list[Term]) -> Term:
@@ -596,30 +631,24 @@ def complete_compositional(tr: Translation,
     """Total translation function induced by a head map.
 
     Satisfies T(X) = X, maps f(E1,..,En) to the image of f with X_i replaced by
-    T(E_i), re-binding slot-labelled binders to (freshened copies of) the
-    source's bound names.  Binder names in keep_binders survive unrenamed; that
-    is how composition keeps slot labels meaningful in composed images.
+    T(E_i), re-binding slot-labelled binders to fresh _wN names, or to the
+    source's bound names in keep_binders (how composition keeps slot labels).
 
-    The function keeps a counter for the fresh _wN names and a memo, so that
-    it translates each subterm once.  A term holding no name that starts
-    with _w always consumes the same number n of fresh names, and its image
-    at counter c is its image at counter c0 with each _wK respelled
-    _w(K + c - c0), since no other name in it is spelled from the counter.
-    The memo maps such a term to (image, c0, n); terms holding a _w name, and
-    all terms when a head holds one, take the plain path.  Arguments are
-    memoized as they are translated, and a term passed in from outside only
-    when the same object comes a second time, so a stream of distinct terms
-    costs no memory.  The memo is keyed by the term object: a structural key
-    would hash each argument's whole subtree, quadratic time and deep
-    recursion on a deep term.  It lives as long as the function.
+    A term is translated by one _fold: a node's _wN names are drawn when it
+    is visited, in pre-order, and its image is built right after its
+    arguments', before its next sibling is visited, as under recursion.  A
+    term holding no _w name always draws the same number n of names, and its
+    image at counter c is the one at c0 with each _wK respelled _w(K + c - c0).
+    So the memo, keyed by the term object (a structural key would hash whole
+    subtrees), maps such a term to (image, c0, n); terms holding a _w name,
+    and all when a head holds one, take the plain path.  Arguments are
+    memoized as they are translated, a term passed in only when the same
+    object comes a second time, so a stream of distinct terms costs no memory.
 
-    Each head is instantiated from its _HeadPlan, built once per construct on
-    first use, unless respelling the slot binders and then substituting
-    would rename or capture a name (see the test in apply); those
-    instantiations, and every one of a head _head_plan refuses, take that
-    route instead.  An image is searched for leaked slot names only when its
-    construct has a slot.
-    """
+    Each head is instantiated from its _HeadPlan, built on first use, unless
+    respelling the slot binders and then substituting would rename or capture
+    a name (see build); those instantiations, and all of a head _head_plan
+    refuses, take that route.  Only a construct with a slot can leak one."""
     state = {"next": 0}
     w_pattern = re.compile(r"_w([0-9]+)$")
     # a head binder spelled _w... may be freshened to a _wN that depends on
@@ -636,60 +665,59 @@ def complete_compositional(tr: Translation,
         state["next"] += 1
         return name
 
-    def apply(t: Term, clear: bool, keep: bool = True) -> Term:
-        """Image of t.  clear says that t holds no _w name and the memo
-        applies; keep, that a new image goes into the memo."""
-        match t:
-            case Var(_):
-                return t
-            case App(op, bound, args):
-                start = state["next"]
-                if clear:
-                    hit = memo.get(id(t))
-                    if hit is not None:
-                        _, image, at, used = hit
-                        state["next"] += used
-                        if start == at or not used:
-                            return image
-                        return _respell_w(image, at, used, start - at)
-                c = tr.source[op]
-                image = tr.head(op)
-                w = [b if b in keep_binders else fresh_w() for b in bound]  # per slot
-                new_args = []
-                for a, scope in zip(args, c.scopes):
-                    ren = {bound[k]: Var(w[k]) for k in scope if bound[k] != w[k]}
-                    a2 = substitute(tr.source, a, ren) if ren else a
-                    # a renamed argument holds a _wN
-                    new_args.append(apply(a2, clear and a2 is a))
-                if op not in plans:
-                    plans[op] = _head_plan(c, tr.target, image)
-                plan = plans[op]
-                ren = {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm}
-                slot_names = frozenset(w)
-                # The plan builds what _rename_slot_binders and substitute
-                # build unless one of them renames or captures a name: the
-                # first captures an occurrence it substitutes under a binder
-                # spelled like a slot label it respells; a slot binder spelled
-                # like a placeholder shadows it; and substitute renames an
-                # auxiliary binder not in slot_names and free in the image
-                # of a placeholder under its node.
-                if (plan is not None
-                        and not any(nm in ren or _PLACEHOLDER.match(nm) for nm in w)
-                        and not any((names & _fv(tr.target, new_args[i])) - slot_names
-                                    for i, names in plan.aux)):
-                    out = _run_plan(plan, w, new_args)
-                else:
-                    image = _rename_slot_binders(tr.target, image, ren)
-                    plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
-                    out = substitute(tr.target, image, plugs, _capture=slot_names)
-                # with no slot, slot_names is empty and nothing can leak
-                leaked = _fv(tr.target, out) & slot_names if slot_names else None
-                if leaked:
-                    raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
-                if clear and keep:
-                    memo[id(t)] = (t, out, start, state["next"] - start)
-                return out
-        raise TermError(f"not a term: {t!r}")
+    def visit(t: Term, keep: bool | None):
+        """keep: None on the plain path, else whether t's image is memoized."""
+        if not isinstance(t, App):
+            raise TermError(f"not a term: {t!r}")
+        start = state["next"]
+        if keep is not None:
+            hit = memo.get(id(t))
+            if hit is not None:
+                _, image, at, used = hit
+                state["next"] += used
+                if start != at and used:
+                    image = _respell_w(image, at, used, start - at)
+                return (lambda: image), ()
+        c = tr.source[t.op]
+        w = [b if b in keep_binders else fresh_w() for b in t.bound]  # per slot
+        kids = []
+        for a, scope in zip(t.args, c.scopes):
+            ren = {t.bound[k]: Var(w[k]) for k in scope if t.bound[k] != w[k]}
+            a2 = substitute(tr.source, a, ren) if ren else a
+            # a renamed argument holds a _wN
+            kids.append((a2, _DONE) if isinstance(a2, Var)
+                        else (a2, True if keep is not None and a2 is a else None))
+        return partial(build, t, c, w, start, keep), kids
+
+    def build(t: App, c: Construct, w: list[str], start: int, keep: bool | None,
+              *new_args: Term) -> Term:
+        op, image = t.op, tr.head(t.op)
+        if op not in plans:
+            plans[op] = _head_plan(c, tr.target, image)
+        plan = plans[op]
+        ren = {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm}
+        slot_names = frozenset(w)
+        # The plan builds what the other route builds unless that captures an
+        # occurrence under a binder spelled like a slot label it respells, a
+        # slot binder shadows a placeholder, or it renames an auxiliary
+        # binder, not in slot_names, free in a plugged image under it.
+        if (plan is not None
+                and not any(nm in ren or _PLACEHOLDER.match(nm) for nm in w)
+                and not any((names & _fv(tr.target, new_args[i])) - slot_names
+                            for i, names in plan.aux)):
+            out = _run_plan(plan, w, new_args)
+        else:
+            image = _rename_slot_binders(tr.target, image, ren)
+            plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
+            # the slot binders capture the images plugged under them
+            out = _map(image, plugs, _avoiding(tr.target, slot_names))
+        # with no slot, slot_names is empty and nothing can leak
+        leaked = _fv(tr.target, out) & slot_names if slot_names else None
+        if leaked:
+            raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
+        if keep:
+            memo[id(t)] = (t, out, start, state["next"] - start)
+        return out
 
     def translate(t: Term) -> Term:
         clear = memo_ok
@@ -699,44 +727,35 @@ def complete_compositional(tr: Translation,
                 m = w_pattern.match(nm)
                 if m:  # keep internal names clear of any _wN already in the input
                     state["next"] = max(state["next"], int(m.group(1)) + 1)
-        if not clear or isinstance(t, Var):
-            return apply(t, clear)
+        if isinstance(t, Var):
+            return t
+        if not clear:
+            return _fold(t, None, visit)
         repeat = seen.get(id(t)) is t
         if not repeat:
             seen[id(t)] = t
-        return apply(t, True, keep=repeat)
+        return _fold(t, repeat, visit)
 
     return translate
 
 
 def _respell_w(t: Term, at: int, used: int, shift: int) -> Term:
-    """t with _wK renamed _w(K + shift) for at <= K < at + used."""
-    ren = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
-    # post-order on an explicit stack, so an image of any depth is respelled
-    done: list[Term] = []
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        u, ready = todo.pop()
-        if isinstance(u, Var):
-            nm = ren.get(u.name)
-            done.append(u if nm is None else Var(nm))
-        elif ready:  # its arguments are the last len(u.args) entries of done
-            cut = len(done) - len(u.args)
-            args = tuple(done[cut:])
-            del done[cut:]
-            bound = tuple([ren.get(b, b) for b in u.bound])
-            if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
-                done.append(u)
-                continue
-            node = App(u.op, bound, args)
-            if u._fv_memo is not None:  # as the plain path leaves it, so no deep walk follows
-                sig, fv = u._fv_memo
-                object.__setattr__(node, "_fv_memo", (sig, frozenset([ren.get(n, n) for n in fv])))
-            done.append(node)
-        else:
-            todo.append((u, True))
-            todo.extend((a, False) for a in reversed(u.args))
-    return done[0]
+    """t with _wK renamed _w(K + shift) for at <= K < at + used, bound or
+    free.  A subterm that holds none of them comes back as it is."""
+    names = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
+    ren: dict[str, Term] = {old: Var(new) for old, new in names.items()}
+
+    def build(u: App, *args: Term) -> Term:
+        bound = tuple([names.get(b, b) for b in u.bound])
+        if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
+            return u
+        node = App(u.op, bound, args)
+        if u._fv_memo is not None:  # as the plain path leaves it, so no walk for them follows
+            sig, fv = u._fv_memo
+            object.__setattr__(node, "_fv_memo", (sig, frozenset([names.get(n, n) for n in fv])))
+        return node
+
+    return _map(t, ren, lambda u, _: (partial(build, u), [_arg(a, ren) for a in u.args]))
 
 
 def compose_translations(t1: Translation, t2: Translation) -> Translation:
@@ -774,14 +793,10 @@ def enumerate_terms(sig: Signature, depth: int,
     are yielded as given.
 
     Semi-naive: a level combines only the argument tuples that hold a term
-    of the level before, in product order over the pool; every other tuple
-    builds a term an earlier level built.  So no key is needed to drop
-    duplicates: the pool holds no two alpha-equivalent terms (leaves are
-    made unique by ==, and a level's terms are higher than every earlier
-    one), and two terms with one construct and one spelling of its binders
-    are alpha-equivalent exactly when their arguments are, pair by pair,
-    since under one binder environment canon_key is an injective
-    relabelling of its value under the empty one."""
+    of the level before, in product order; every other tuple builds a term
+    an earlier level built.  So no key is needed: the pool holds no two
+    alpha-equivalent terms, and two terms with one construct and one spelling
+    of its binders are alpha-equivalent exactly when their arguments are."""
     level: list[Term] = [Var(x) for x in leaf_vars]
     level += [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
     yield from level
@@ -930,12 +945,22 @@ def parse_term(sig: Signature, text: str) -> Term:
 
 
 def print_term(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case App(op, bound, args):
-            b = f"[{';'.join(bound)}]" if bound else ""
-            if not args and not bound:
-                return op
-            return f"{op}{b}({', '.join(print_term(a) for a in args)})"
-    raise TermError(f"not a term: {t!r}")
+    """The concrete syntax of t, written in order on the fold: a node opens
+    on its visit, after its separator, and closes after its arguments."""
+    out: list[str] = []
+
+    def visit(u: Term, before: str):
+        if isinstance(u, Var):
+            out.append(before + u.name)
+            return _skip, ()
+        if not isinstance(u, App):
+            raise TermError(f"not a term: {u!r}")
+        if not u.args and not u.bound:
+            out.append(before + u.op)
+            return _skip, ()
+        b = f"[{';'.join(u.bound)}]" if u.bound else ""
+        out.append(f"{before}{u.op}{b}(")
+        return (lambda *_: out.append(")")), [(a, ", " if i else "") for i, a in enumerate(u.args)]
+
+    _fold(t, "", visit)
+    return "".join(out)

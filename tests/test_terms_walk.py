@@ -15,6 +15,7 @@ enumerate_terms to the enumeration that dropped repeats by canonical key.
 import gc
 import json
 import re
+import sys
 import weakref
 from itertools import count, islice, product
 from pathlib import Path
@@ -27,11 +28,12 @@ from transcheck import terms
 from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
                                   boudol_head_translation, pi_to_term, term_to_pi)
 from transcheck.pi import is_async, parse_pi, print_pi
-from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _fresh,
-                              _rename_slot_binders, all_names, alpha_eq, canon_key,
+from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _avoiding,
+                              _fresh, _map, _rename_slot_binders, all_names, alpha_eq, canon_key,
                               canonical_binders, check_compositional, complete_compositional,
-                              compose_translations, enumerate_terms, free_vars, is_fvr,
-                              signature_from_dict, substitute, translation)
+                              compose_translations, enumerate_terms, free_vars, head_decompose,
+                              is_fvr, is_prefix, print_term, signature_from_dict, substitute,
+                              translation, validate)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -127,6 +129,20 @@ def old_canon_key(sig, t, env=None, depth=0):
                 parts.append(old_canon_key(sig, a, env2, depth + len(slots)))
             return ("a", op, tuple(parts))
     raise TermError(f"not a term: {t!r}")
+
+
+def old_flat_key(key):
+    """A nested key of old_canon_key as the flat pre-order key of canon_key:
+    each node's parts follow its token, which gives their count."""
+    out, todo = [], [key]
+    while todo:
+        k = todo.pop()
+        if k[0] == "a":
+            out.append(("a", k[1], len(k[2])))
+            todo.extend(reversed(k[2]))
+        else:
+            out.append(k)
+    return tuple(out)
 
 
 def old_alpha_eq(sig, t, u):
@@ -251,6 +267,125 @@ def old_enumerate_terms(sig, depth, leaf_vars=("X", "Y"), binder_names=("z1", "z
         pool += fresh_level
 
 
+# ------------- the recursive walkers, kept as oracles of the fold -------------
+
+
+def old_validate(sig, t):
+    match t:
+        case Var(x):
+            if not terms._IDENT.match(x):
+                raise TermError(f"bad variable name {x!r}")
+        case App(op, bound, args):
+            c = sig[op]
+            if len(args) != c.args:
+                raise TermError(f"{op}: expected {c.args} arguments, got {len(args)}")
+            if len(bound) != len(c.slots):
+                raise TermError(f"{op}: expected {len(c.slots)} binder names, got {len(bound)}")
+            for b in bound:
+                if not terms._IDENT.match(b):
+                    raise TermError(f"{op}: bad binder name {b!r}")
+            for scope in c.scopes:
+                names = [bound[k] for k in scope]
+                if len(set(names)) != len(names):
+                    raise TermError(f"{op}: equal binder names scope the same argument")
+            for a in args:
+                old_validate(sig, a)
+
+
+def old_print_term(t):
+    match t:
+        case Var(x):
+            return x
+        case App(op, bound, args):
+            b = f"[{';'.join(bound)}]" if bound else ""
+            if not args and not bound:
+                return op
+            return f"{op}{b}({', '.join(old_print_term(a) for a in args)})"
+    raise TermError(f"not a term: {t!r}")
+
+
+def old_is_prefix(sig, e, f):
+    assignment = {}
+
+    def go(e, f, env, fbound):
+        match e:
+            case Var(x):
+                if x in env:
+                    return isinstance(f, Var) and f.name == env[x]
+                if not free_vars(sig, f).isdisjoint(fbound):
+                    return False
+                if x in assignment:
+                    return alpha_eq(sig, assignment[x], f)
+                assignment[x] = f
+                return True
+            case App(op, bound, args):
+                if not isinstance(f, App) or f.op != op:
+                    return False
+                for i, scope in enumerate(sig[op].scopes):
+                    env2 = dict(env)
+                    fb2 = set(fbound)
+                    for k in scope:
+                        env2[bound[k]] = f.bound[k]
+                        fb2.add(f.bound[k])
+                    if not go(args[i], f.args[i], env2, fb2):
+                        return False
+                return True
+        raise TermError(f"not a term: {e!r}")
+
+    return go(e, f, {}, set())
+
+
+def old_head_decompose(sig, t):
+    if isinstance(t, Var):
+        raise TermError("a variable has no head")
+    fresh = count(1)
+    sigma = {}
+
+    def keep(t, above):
+        match t:
+            case Var(_):
+                return t
+            case App(op, bound, args):
+                new_args = []
+                for a, scope in zip(args, sig[op].scopes):
+                    inner = above | {bound[k] for k in scope}
+                    if not free_vars(sig, a).isdisjoint(inner):
+                        new_args.append(keep(a, inner))
+                    else:
+                        x = f"X{next(fresh)}"
+                        sigma[x] = old_canonical_binders(sig, a)
+                        new_args.append(Var(x))
+                return App(op, bound, tuple(new_args))
+        raise TermError(f"not a term: {t!r}")
+
+    return old_canonical_binders(sig, keep(t, set())), sigma
+
+
+def old_respell_w(t, at, used, shift):
+    """The respelling on its own post-order stack, before the fold."""
+    ren = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
+    done = []
+    todo = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if isinstance(u, Var):
+            nm = ren.get(u.name)
+            done.append(u if nm is None else Var(nm))
+        elif ready:
+            cut = len(done) - len(u.args)
+            args = tuple(done[cut:])
+            del done[cut:]
+            bound = tuple([ren.get(b, b) for b in u.bound])
+            if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
+                done.append(u)
+                continue
+            done.append(App(u.op, bound, args))
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return done[0]
+
+
 # ------------- signatures and random terms -------------
 
 LAM = Signature("lam", (
@@ -317,7 +452,7 @@ def test_free_vars_canon_key_and_canonical_binders_match(case):
     sig, t = case
     assert free_vars(sig, t) == old_free_vars(sig, t)
     assert all_names(sig, t) == old_all_names(t)
-    assert canon_key(sig, t) == old_canon_key(sig, t)
+    assert canon_key(sig, t) == old_flat_key(old_canon_key(sig, t))
     assert canonical_binders(sig, t) == old_canonical_binders(sig, t)
     assert canonical_binders(sig, t, base="q") == old_canonical_binders(sig, t, base="q")
 
@@ -328,7 +463,7 @@ def test_substitute_matches(case):
     sig, t, sigma = case
     assert substitute(sig, t, sigma) == old_substitute(sig, t, sigma)
     capture = frozenset(NAMES[:2])
-    assert substitute(sig, t, sigma, capture) == old_substitute(sig, t, sigma, capture)
+    assert _map(t, sigma, _avoiding(sig, capture)) == old_substitute(sig, t, sigma, capture)
 
 
 LAM_HEADS = {
@@ -946,12 +1081,162 @@ def _flat(key):
 def test_canon_key_answers_on_deep_terms():
     # the recursive key failed from 500 pairs
     assert (canon_key(PI_TERM_SIG, _chain(50, lambda i: f"y{i}", Var("c")))
-            == old_canon_key(PI_TERM_SIG, _chain(50, lambda i: "y", Var("c"))))
+            == old_flat_key(old_canon_key(PI_TERM_SIG, _chain(50, lambda i: "y", Var("c")))))
     key = _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: "y", Var("c"))))
     assert key == _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: f"y{i}", Var("c"))))
     assert key != _flat(canon_key(PI_TERM_SIG, _chain(2000, lambda i: "y", Var("d"))))
     # one binder position per In, the innermost at 1999
     assert 1999 in key and 2000 not in key
+
+
+def test_deep_canon_keys_compare_and_hash():
+    # a nested key of 2,000 pairs raised RecursionError under ==, and a set
+    # of such keys on any hash collision; a flat key is one tuple of tokens
+    key = canon_key(PI_TERM_SIG, _chain(20000, lambda i: "y", Var("c")))
+    same = canon_key(PI_TERM_SIG, _chain(20000, lambda i: "z", Var("c")))
+    other = key[:-1] + (("f", "d"),)  # the key of the chain over d
+    assert key == same and key != other
+    assert len({key, same, other}) == 2 and same in {key}
+    assert len(key) == 5 * 20000 + 1  # In, a, Out, the bound y and b per pair, then c
+
+
+# ------------- the walkers on one fold -------------
+
+def _outcome(f, *args):
+    """f's answer, or its error message."""
+    try:
+        return f(*args)
+    except TermError as e:
+        return str(e)
+
+
+@given(case=SIG_AND_TERM)
+@settings(max_examples=100, deadline=None)
+def test_the_walkers_on_the_fold_match_their_recursive_oracles(case):
+    sig, t = case
+    assert print_term(t) == old_print_term(t)
+    # under every signature, so that the first error met in pre-order is compared
+    for other in SIGS.values():
+        assert _outcome(validate, other, t) == _outcome(old_validate, other, t)
+    if isinstance(t, App):
+        assert head_decompose(sig, t) == old_head_decompose(sig, t)
+    got = terms._respell_w(t, 1, 2, 3)
+    assert got == old_respell_w(t, 1, 2, 3)
+    if all_names(sig, t).isdisjoint({"_w1", "_w2"}):
+        assert got is t
+
+
+@given(case=SIG_TERM_AND_SUBST)
+@settings(max_examples=100, deadline=None)
+def test_is_prefix_matches(case):
+    sig, t, sigma = case
+    u = substitute(sig, t, sigma)
+    for e, f in ((t, u), (u, t), (t, canonical_binders(sig, t, base="q")), (t, t)):
+        assert is_prefix(sig, e, f) == old_is_prefix(sig, e, f)
+    if isinstance(t, App):
+        head, _ = head_decompose(sig, t)
+        assert is_prefix(sig, head, t) and old_is_prefix(sig, head, t)
+
+
+def _recursing(f, *args):
+    """f(*args) with room for the oracles' recursion."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        return f(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _bound_chain(n):
+    """Res[x] over n pairs In[y](x, Out(y, x, ...)) ending in Out(x, c, Nil):
+    only c and Nil hold no name bound above them, so the head keeps the rest."""
+    t = App("Out", (), (Var("x"), Var("c"), NIL))
+    for _ in range(n):
+        t = App("In", ("y",), (Var("x"), App("Out", (), (Var("y"), Var("x"), t))))
+    return App("Res", ("x",), (t,))
+
+
+def _one_spelling(n, leaf):
+    """The chain of n pairs with every binder spelled y, over Var(leaf)."""
+    return _chain(n, lambda i: "y", Var(leaf))
+
+
+def _deep_answer(walker, n):
+    """What a walker moved onto the fold answers on chains of n pairs with
+    one binder spelling, and the answer expected, terms as printed text:
+    == on terms this deep recurses in the interpreter."""
+    t = _one_spelling(n, "c")
+    if walker == "print_term":
+        return print_term(t), "In[y](a, Out(y, b, " * n + "c" + "))" * n
+    if walker == "all_names":
+        return all_names(PI_TERM_SIG, t), {"y", "a", "b", "c"}
+    if walker == "validate":
+        return validate(PI_TERM_SIG, t), None
+    if walker == "substitute":
+        # c -> y: each binder y would capture it, so each is respelled y1
+        return (print_term(substitute(PI_TERM_SIG, t, {"c": Var("y")})),
+                "In[y1](a, Out(y1, b, " * n + "y" + "))" * n)
+    if walker == "canonical_binders":
+        return (print_term(canonical_binders(PI_TERM_SIG, t)),
+                "".join(f"In[B{k}](a, Out(B{k}, b, " for k in range(1, n + 1)) + "c" + "))" * n)
+    if walker == "head_decompose":
+        head, sigma = head_decompose(PI_TERM_SIG, _bound_chain(n))
+        return (print_term(head), sigma), (
+            "Res[B1](" + "".join(f"In[B{k}](B1, Out(B{k}, B1, " for k in range(2, n + 2))
+            + "Out(B1, X1, X2)" + "))" * n + ")", {"X1": Var("c"), "X2": NIL})
+    if walker == "is_prefix":
+        # the second would instantiate X by a name its own binder captures
+        x = _one_spelling(n, "X")
+        return (is_prefix(PI_TERM_SIG, x, _chain(n, lambda i: "z", NIL)),
+                is_prefix(PI_TERM_SIG, x, _one_spelling(n, "y")),
+                is_prefix(PI_TERM_SIG, x, t)), (True, False, True)
+    assert walker == "complete_compositional"
+    # each In's slot is spelled _wK, K counted from the outside
+    return (print_term(complete_compositional(boudol_head_translation())(t)),
+            "".join(f"In[u](a, Res[v](Par(Out(u, v), In[_w{k}](v, Res[u](Par(Out(_w{k}, u), "
+                    f"In[v](u, Par(Out(v, b), " for k in range(n)) + "c" + ")" * (8 * n))
+
+
+MOVED = ("print_term", "all_names", "validate", "substitute", "canonical_binders",
+         "head_decompose", "is_prefix", "complete_compositional")
+
+
+# 6,000 levels of nesting, six times the interpreter's recursion limit and
+# ten times the depth where the recursive walkers failed; each walker answers
+# at 20,000 pairs too, in 0.5 to 6 s (the head-map route)
+DEEP = 3000
+
+
+@pytest.mark.parametrize("walker", MOVED)
+def test_the_moved_walkers_answer_on_deep_terms(walker):
+    # each recursed once per node and failed from 500 pairs, print_term from 300
+    got, want = _deep_answer(walker, DEEP)
+    assert got == want
+
+
+def test_the_moved_walkers_match_their_oracles_at_300_pairs():
+    for walker in MOVED:
+        got, want = _deep_answer(walker, 300)
+        assert got == want, walker
+    t = _chain(300, lambda i: "y", Var("c"))
+    x = _chain(300, lambda i: "y", Var("X"))
+    for new, old, args in (
+            (print_term, old_print_term, (t,)),
+            (all_names, lambda sig, t: old_all_names(t), (PI_TERM_SIG, t)),
+            (validate, old_validate, (PI_TERM_SIG, t)),
+            (canonical_binders, old_canonical_binders, (PI_TERM_SIG, t)),
+            (head_decompose, old_head_decompose, (PI_TERM_SIG, _bound_chain(300))),
+            (is_prefix, old_is_prefix, (PI_TERM_SIG, x, _chain(300, lambda i: "z", NIL))),
+            (is_prefix, old_is_prefix, (PI_TERM_SIG, x, _chain(300, lambda i: "y", Var("y"))))):
+        assert _recursing(lambda: new(*args) == old(*args))
+    # the oracles of substitute and of the route read every free variable
+    # afresh at every node, so they are held to 60 pairs
+    t = _chain(60, lambda i: "y", Var("c"))
+    assert substitute(PI_TERM_SIG, t, {"c": Var("y")}) == old_substitute(
+        PI_TERM_SIG, t, {"c": Var("y")})
+    tr = boudol_head_translation()
+    assert _recursing(lambda: complete_compositional(tr)(t) == old_complete_compositional(tr)(t))
 
 
 # ------------- the semi-naive enumeration -------------
