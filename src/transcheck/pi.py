@@ -537,8 +537,8 @@ def _assemble(nus, threads) -> PiTerm:
 
 class _Canon:
     """Normalization and canonical keys, and the offers and barbs of
-    top-level threads, memoized for the life of one canon: one explore, or
-    one normal_form call.
+    top-level threads, memoized for the life of one canon: one bisim call
+    (both of its graphs), one explore, or one normal_form call.
 
     A level is the restricted names and the parallel threads directly under a
     prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
@@ -1353,15 +1353,12 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
 # ------------- graphs on numbered states -------------
 
 class _Graph:
-    """A reduction graph with its state keys numbered once: state i is
-    keys[i], succ[i] its successors in the order of edges and barbs[i] its
-    strong barbs."""
+    """A reduction graph on states numbered 0..n-1: succ[i] the successors of
+    state i in key order and barbs[i] its strong barbs."""
 
-    def __init__(self, keys: list, edges: dict, barbs: dict) -> None:
-        self.keys = keys
-        self.index = {k: i for i, k in enumerate(keys)}
-        self.succ = [[self.index[v] for v in edges[k]] for k in keys]
-        self.barbs = [barbs[k] for k in keys]
+    def __init__(self, succ: list[list[int]], barbs: list[frozenset[Barb]]) -> None:
+        self.succ = succ
+        self.barbs = barbs
 
     @cached_property
     def divergent(self) -> list[bool]:
@@ -1454,77 +1451,116 @@ def _gather(succ: list[list[int]], own: list[frozenset],
 
 # ------------- exploration -------------
 
-@dataclass
 class ReductionGraph:
-    root: tuple
-    states: dict[tuple, PiState]
-    edges: dict[tuple, tuple[tuple, ...]]
-    barbs: dict[tuple, frozenset[Barb]]
-    complete: bool
-    divergent: frozenset = frozenset()
+    """The states explore admitted, numbered in discovery order, with the
+    successors and strong barbs of each.  The numbered graph is what explore
+    builds; the dicts by state key and the divergent states are computed on
+    first read."""
+
+    def __init__(self, nodes: list[PiState], index: dict[tuple, int], graph: _Graph,
+                 expanded: list[int], complete: bool) -> None:
+        self.root: tuple = nodes[0].key
+        self.complete = complete
+        self._nodes = nodes  # the admitted states, by number
+        self._index = index  # the number of each state key
+        self._graph = graph
+        self._expanded = expanded  # the states' numbers in the order they were expanded
 
     def order(self) -> list[tuple]:
         """Stable state order: BFS discovery."""
-        return list(self.states)
+        return [s.key for s in self._nodes]
+
+    @cached_property
+    def states(self) -> dict[tuple, PiState]:
+        """Each state by its key, in discovery order."""
+        return {s.key: s for s in self._nodes}
+
+    @cached_property
+    def edges(self) -> dict[tuple, tuple[tuple, ...]]:
+        """The successor keys of each state, in the order of expansion."""
+        keys, succ = self.order(), self._graph.succ
+        return {keys[i]: tuple([keys[j] for j in succ[i]]) for i in self._expanded}
+
+    @cached_property
+    def barbs(self) -> dict[tuple, frozenset[Barb]]:
+        """The strong barbs of each state, in discovery order."""
+        numbered = self._graph.barbs
+        return dict(zip(self.order(), numbered))
+
+    @cached_property
+    def divergent(self) -> frozenset:
+        """The states where an infinite run starts; none when the graph did
+        not close."""
+        if not self.complete:
+            return frozenset()
+        div = self._graph.divergent
+        return frozenset([s.key for s, d in zip(self._nodes, div) if d])
 
 
-def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
+def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,
+         _canon: _Canon | None = None) -> Generator[
         tuple[PiState, frozenset[Barb]], None,
-        tuple[dict[tuple, PiState], dict[tuple, tuple[tuple, ...]], bool]]:
+        tuple[list[PiState], dict[tuple, int], list[list[int]], list[int], bool]]:
     """The breadth-first search of explore, one admitted state at a time.
 
     Yields each state as it is admitted, with its strong barbs: the root,
     then each frontier's new successors, the frontier expanded in key order,
     until budget states are admitted.  One canon normalizes the root and
     every successor, so a thread met again is neither renormalized nor
-    rekeyed, nor walked again for its offers and barbs.  Returns the admitted states, the successor keys of each
-    expanded state, and whether no successor was left out for the budget."""
+    rekeyed, nor walked again for its offers and barbs.  Each state is
+    numbered as it is admitted.  Returns the admitted states by number, the number of each
+    state key, the successor numbers of each state, the states' numbers in
+    the order they were expanded, and whether no successor was left out for
+    the budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
-    canon = _Canon()
+    canon = _canon or _Canon()
     root = t if isinstance(t, PiState) else canon.state([], [t])
     pvs = set().union(*map(process_vars, root.threads))
     if pvs:
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
-    states = {root.key: root}
-    edges: dict[tuple, tuple[tuple, ...]] = {}
+    nodes = [root]
+    index = {root.key: 0}
+    succ: list[list[int]] = [[]]
+    expanded: list[int] = []
     yield root, canon.barbs(root, input_barbs)
-    frontier = [root.key]
+    frontier = [(root.key, 0)]
     complete = True
     while frontier:
-        nxt: list[tuple] = []
-        for key in sorted(frontier):
-            succ_keys = []
-            for s in reduce_once(states[key], canon):
-                if s.key not in states:
-                    if len(states) >= budget:
+        nxt: list[tuple[tuple, int]] = []
+        for _, i in sorted(frontier, key=itemgetter(0)):
+            expanded.append(i)
+            out = succ[i]
+            for s in reduce_once(nodes[i], canon):  # sorted, once each
+                n = len(nodes)
+                j = index.setdefault(s.key, n)
+                if j == n:
+                    if n >= budget:
+                        del index[s.key]
                         complete = False
                         continue
-                    states[s.key] = s
+                    nodes.append(s)
+                    succ.append([])
                     yield s, canon.barbs(s, input_barbs)
-                    nxt.append(s.key)
-                succ_keys.append(s.key)
-            edges[key] = tuple(succ_keys)  # reduce_once gives them sorted, once each
+                    nxt.append((s.key, j))
+                out.append(j)
         frontier = nxt
-    return states, edges, complete
+    return nodes, index, succ, expanded, complete
 
 
-def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
+def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False,
+            _canon: _Canon | None = None) -> ReductionGraph:
     """The reduction graph of t, breadth first with each frontier in key
-    order, up to budget states (see _bfs)."""
-    search = _bfs(t, budget, input_barbs)
-    barbs: dict[tuple, frozenset[Barb]] = {}
+    order, up to budget states (see _bfs).  bisim passes one canon for both
+    of its graphs, so that the second reuses the first one's memos."""
+    search = _bfs(t, budget, input_barbs, _canon)
+    barbs: list[frozenset[Barb]] = []
     try:
         while True:
-            s, bs = next(search)
-            barbs[s.key] = bs
+            barbs.append(next(search)[1])
     except StopIteration as end:
-        states, edges, complete = end.value
-    divergent: frozenset = frozenset()
-    if complete:
-        g = _Graph(list(states), edges, barbs)
-        divergent = frozenset(k for k, d in zip(g.keys, g.divergent) if d)
-    return ReductionGraph(next(iter(states)), states, edges, barbs, complete, divergent)
+        nodes, index, succ, expanded, complete = end.value
+    return ReductionGraph(nodes, index, _Graph(succ, barbs), expanded, complete)
 
 
 def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
@@ -1537,7 +1573,7 @@ def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
             if barb in next(search)[1]:
                 return "yes"
     except StopIteration as end:
-        return "no" if end.value[2] else "inconclusive"
+        return "no" if end.value[-1] else "inconclusive"
 
 
 # ------------- barbed bisimilarities -------------
@@ -1566,7 +1602,7 @@ def _refinement(g: _Graph, kind: str) -> Iterator[list[int]]:
     The inert steps and the weak closure are gathered once per round over
     their strongly connected components.
     """
-    n = len(g.keys)
+    n = len(g.succ)
     succ, marks = g.succ, g.marks
     everything = _components(succ) if kind == "weak-barbed" else None
     block = [0] * n
@@ -1648,18 +1684,42 @@ def _violation(g: _Graph, kind: str, u: int, v: int, related: Callable[[int, int
     return None
 
 
+def _union(g1: ReductionGraph, g2: ReductionGraph) -> tuple[_Graph, list[PiState], int]:
+    """The union of two closed graphs: g1's states numbered as in g1, then
+    g2's other states in g2's order, a state both hold shown as g2 shows it;
+    and the number of g2's root.  A state both hold has one successor list,
+    since its successors' keys depend on its key alone."""
+    nodes = list(g1._nodes)
+    succ, barbs = list(g1._graph.succ), list(g1._graph.barbs)
+    at: list[int] = []  # the union's number of each state of g2
+    for s in g2._nodes:
+        i = g1._index.get(s.key)
+        if i is None:
+            i = len(nodes)
+            nodes.append(s)
+        else:
+            nodes[i] = s
+        at.append(i)
+    for i, out in enumerate(g2._graph.succ):
+        if at[i] >= len(g1._nodes):
+            succ.append([at[j] for j in out])
+            barbs.append(g2._graph.barbs[i])
+    return _Graph(succ, barbs), nodes, at[0]
+
+
 def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
           input_barbs: bool = False) -> Verdict:
     """Decide whether p and q are bisimilar of the given kind.
 
-    Both reduction graphs are explored within the state budget, once when p
-    and q have one normal form (they are then bisimilar); if either does not
-    close, the verdict is inconclusive.  On the union of the two graphs, with
-    state keys numbered once, _refinement splits blocks by the kind's
-    signature until the partition is stable; the roots are bisimilar iff they
-    end in one block.  Divergence (some infinite run, or for
-    dp-branching an infinite run of inert steps) comes from one pass of
-    Tarjan's strongly connected components.
+    Both reduction graphs are explored within the state budget by one canon,
+    so the second reuses the first one's memos, and once when p and q have
+    one normal form (they are then bisimilar); if either does not close, the
+    verdict is inconclusive.  On the union of the two numbered graphs (see
+    _union), _refinement splits blocks by the kind's signature until the
+    partition is stable; the roots are bisimilar iff they end in one block.
+    Divergence (some infinite run, or for dp-branching an infinite run of
+    inert steps) comes from one pass of Tarjan's strongly connected
+    components, made only for the kinds that read it.
 
     A "not" verdict stops at the round that separates the roots.  Its reason
     is the first failure of the bisimulation conditions (see _violation) for
@@ -1672,16 +1732,16 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     """
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
-    g1 = explore(p, budget, input_barbs)
-    root2 = normal_form(q)
-    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
+    canon = _Canon()
+    g1 = explore(canon.state([], [p]), budget, input_barbs, canon)
+    root2 = canon.state([], [q])
+    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs, canon)
     if not (g1.complete and g2.complete):
         return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
     if g1 is g2:
         return Verdict("yes")
-    states = {**g1.states, **g2.states}
-    g = _Graph(list(states), {**g1.edges, **g2.edges}, {**g1.barbs, **g2.barbs})
-    a, b = (g.index[k] for k in sorted((g1.root, g2.root)))
+    g, nodes, r2 = _union(g1, g2)
+    a, b = (0, r2) if g1.root < g2.root else (r2, 0)
     rounds = _refinement(g, kind)
     before = next(rounds)
     for block in rounds:
@@ -1692,7 +1752,7 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
         return Verdict("yes")
 
     def show(i: int) -> str:
-        return print_state(states[g.keys[i]])
+        return print_state(nodes[i])
 
     for part in chain((before, block), rounds):
         def related(x: int, y: int) -> bool:

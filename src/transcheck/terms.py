@@ -789,15 +789,15 @@ def enumerate_terms(sig: Signature, depth: int,
                     binder_names: tuple[str, ...] = ("z1", "z2")) -> Iterator[Term]:
     """Terms of height <= depth in canonical order: height level, construct
     declaration order, then argument order over the previous levels' pool.
-    Lazy, and deduplicated up to alpha-equivalence past the leaves, which
-    are yielded as given.
+    Lazy, and deduplicated up to alpha-equivalence: a repeated leaf
+    variable is yielded once, where it first occurs.
 
     Semi-naive: a level combines only the argument tuples that hold a term
     of the level before, in product order; every other tuple builds a term
     an earlier level built.  So no key is needed: the pool holds no two
     alpha-equivalent terms, and two terms with one construct and one spelling
     of its binders are alpha-equivalent exactly when their arguments are."""
-    level: list[Term] = [Var(x) for x in leaf_vars]
+    level: list[Term] = [Var(x) for x in dict.fromkeys(leaf_vars)]
     level += [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
     yield from level
     pool = list(dict.fromkeys(level))

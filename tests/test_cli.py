@@ -318,6 +318,21 @@ def test_deeply_nested_term_gets_an_answer(cli):
     assert cli("pi", "plug", term, "--context", "a(b).X") == (OK, f"a(b).{chain_text(1500)}\n", "")
 
 
+def test_bisim_takes_the_chains_print_takes():
+    # bisim normalizes both roots itself, at the depth print does: two chains
+    # of 165 nested x!a. prefixes, the second ending in x!b, are compared
+    # (each state shows only the barb x!, and no state moves)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    p, q = chain_text(165), chain_text(164) + ".x!b"
+    runs = [subprocess.run([sys.executable, "-m", "transcheck", "pi", *argv],
+                           env=env, capture_output=True, text=True)
+            for argv in (("print", p), ("bisim", p, q))]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [
+        (OK, p + "\n", ""), (OK, "bisimilar\n", "")]
+
+
 def test_recursion_error_is_an_input_error(cli, monkeypatch):
     def too_deep(*_):
         raise RecursionError

@@ -138,7 +138,8 @@ def pairwise(keys, edges, barbs, kind):
 
 
 def final_partition(keys, edges, barbs, kind):
-    g = _Graph(keys, edges, barbs)
+    index = {k: i for i, k in enumerate(keys)}
+    g = _Graph([[index[v] for v in edges[k]] for k in keys], [barbs[k] for k in keys])
     *_, last = _refinement(g, kind)
     return {k: last[i] for i, k in enumerate(keys)}
 
@@ -224,6 +225,26 @@ def test_explore_divergence_matches_old_loop(t):
         assert g.divergent == old_divergent(list(g.states), g.edges)
     else:
         assert g.divergent == frozenset()
+
+
+def test_explore_computes_divergence_on_first_read(monkeypatch):
+    calls = []
+    tarjan = pi._components
+
+    def counted(succ):
+        calls.append(len(succ))
+        return tarjan(succ)
+
+    monkeypatch.setattr(pi, "_components", counted)
+    g = explore(parse_pi("new t. (x!z | t!c | !t(y).t!y) | x(y).0"), 100)
+    assert g.complete and calls == []
+    div = g.divergent
+    assert g.divergent is div and len(calls) == 1
+    assert div == old_divergent(list(g.states), g.edges) and div
+    # neither graph's divergence is computed for a kind that does not read it
+    p, q = (parse_pi(s) for s in ("new t. (x!z | t!c | !t(y).t!y)", "x!z"))
+    assert bisim(p, q, "strong-barbed", 100).result == "not"
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)

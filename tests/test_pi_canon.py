@@ -6,7 +6,7 @@ weak barbs decided on the fly against the whole reduction graph."""
 import random
 from contextlib import contextmanager
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 from pathlib import Path
 
@@ -18,8 +18,9 @@ from transcheck import pi
 from transcheck.cli import EXIT
 from transcheck.encodings import ContextProbe, boudol_translate, load_pairs
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PVar, Repl,
-                           Res, explore, normal_form, parse_pi, print_state,
+                           Res, bisim, explore, normal_form, parse_pi, print_state,
                            reduce_once, strong_barbs, subst_names, weak_barb)
+from transcheck.verdict import Verdict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1044,6 +1045,104 @@ def test_a_respelled_parameter_of_a_split_level_takes_the_full_path():
     assert [print_state(s) for s in g.states.values()][1] == (
         "new a, d. (y(m2).m!m2 | a!b.new m22. m22!a | d!e)")
     assert_successors_match_state(t)
+
+
+# ------------- one canon for both sides of bisim -------------
+
+def per_side_bisim(p, q, kind, budget, input_barbs=False):
+    """bisim as it was: a canon for each graph and one for q's root, and the
+    union built from the two graphs' dicts by state key."""
+    g1 = explore(p, budget, input_barbs)
+    root2 = normal_form(q)
+    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
+    if not (g1.complete and g2.complete):
+        return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
+    if g1 is g2:
+        return Verdict("yes")
+    states = {**g1.states, **g2.states}
+    keys = list(states)
+    index = {k: i for i, k in enumerate(keys)}
+    edges, barbs = {**g1.edges, **g2.edges}, {**g1.barbs, **g2.barbs}
+    g = pi._Graph([[index[v] for v in edges[k]] for k in keys], [barbs[k] for k in keys])
+    a, b = (index[k] for k in sorted((g1.root, g2.root)))
+    rounds = pi._refinement(g, kind)
+    before = next(rounds)
+    for block in rounds:
+        if block[a] != block[b]:
+            break
+        before = block
+    else:
+        return Verdict("yes")
+
+    def show(i):
+        return print_state(states[keys[i]])
+
+    for part in chain((before, block), rounds):
+        def related(x, y):
+            return part[x] == part[y] or (x, y) in ((a, b), (b, a))
+
+        msg = (pi._violation(g, kind, a, b, related, show)
+               or pi._violation(g, kind, b, a, related, show))
+        if msg:
+            return Verdict("no", note=msg)
+    return Verdict("no", note="root states distinguished")
+
+
+def assert_one_canon_matches_fresh_ones(p, q, budget, input_barbs=False):
+    """explore of q by a canon that explored p first, from a root that canon
+    made, is explore of q by a fresh canon; and bisim, which explores both
+    by one canon, gives per_side_bisim's verdicts and reasons."""
+    canon = pi._Canon()
+    explore(p, budget, input_barbs, canon)
+    shared = explore(canon.state([], [q]), budget, input_barbs, canon)
+    fresh = explore(q, budget, input_barbs)
+    assert shared.root == fresh.root and list(shared.states) == list(fresh.states)
+    assert shared.order() == fresh.order() == list(fresh.states)
+    assert ([print_state(s) for s in shared.states.values()]
+            == [print_state(s) for s in fresh.states.values()])
+    assert shared.edges == fresh.edges and list(shared.edges) == list(fresh.edges)
+    assert shared.barbs == fresh.barbs
+    assert shared.complete == fresh.complete and shared.divergent == fresh.divergent
+    for kind in pi.BISIM_KINDS:
+        got, want = bisim(p, q, kind, budget, input_barbs), per_side_bisim(
+            p, q, kind, budget, input_barbs)
+        assert (got.status, got.note) == (want.status, want.note)
+
+
+def renamed_last_pair(k):
+    """pair_family(k) with its last d renamed to e."""
+    comps = [f"c{i}!a | c{i}(y).d{i}!y" for i in range(k)]
+    return parse_pi(" | ".join(comps[:-1] + [f"c{k - 1}!a | c{k - 1}(y).e!y"]))
+
+
+def one_canon_pairs():
+    """The lattice pairs, k pairs against k pairs with one output renamed and
+    against k - 1 pairs (k <= 6), n Boudol senders and receivers against
+    their source (n <= 3), and a pair whose sides spell one state apart: the
+    strong reason shows it as the second side spells it."""
+    pairs = [tuple(map(parse_pi, pair)) for pair in
+             load_pairs((FIXTURES / "pi" / "lattice_pairs.txt").read_text())]
+    pairs.append((parse_pi("new x. (x!a | x(y).new n. n!y)"), parse_pi("new m. m!a")))
+    for k in range(1, 7):
+        fewer = pair_family(k - 1) if k > 1 else parse_pi("0")
+        pairs += [(pair_family(k), renamed_last_pair(k)), (pair_family(k), fewer)]
+    for n in range(1, 4):
+        source = parse_pi(" | ".join(["x!z"] * n + ["x(y).r!y"] * n))
+        pairs.append((boudol_translate(source), source))
+    return pairs
+
+
+def test_one_canon_matches_fresh_ones_on_the_families():
+    for p, q in one_canon_pairs():
+        assert_one_canon_matches_fresh_ones(p, q, 300)
+        assert_one_canon_matches_fresh_ones(q, p, 300, input_barbs=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(levels(), with_repeats(levels())), st.one_of(levels(), levels().map(unrestricted)),
+       st.sampled_from([5, 40]), st.booleans())
+def test_one_canon_matches_fresh_ones(p, q, budget, input_barbs):
+    assert_one_canon_matches_fresh_ones(p, q, budget, input_barbs)
 
 
 # ------------- weak barbs on the fly -------------

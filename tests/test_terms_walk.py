@@ -1248,6 +1248,10 @@ def test_enumeration_matches_the_keyed_one_on_the_depth_3_pools(sig):
     assert got == list(islice(old_enumerate_terms(sig, 3), 30000))
 
 
+def unique(leaf_vars):
+    return tuple(dict.fromkeys(leaf_vars))
+
+
 @pytest.mark.parametrize("kwargs", [
     {}, {"leaf_vars": ("X", "Y", "X")}, {"leaf_vars": ()}, {"binder_names": ("z",)},
     {"leaf_vars": ("X", "X"), "binder_names": ("z",)},
@@ -1255,7 +1259,16 @@ def test_enumeration_matches_the_keyed_one_on_the_depth_3_pools(sig):
 @pytest.mark.parametrize("sig", [LAM, SWAP], ids=["lam", "swap"])
 def test_enumeration_matches_the_keyed_one_on_odd_leaves_and_binders(sig, kwargs):
     got = list(islice(enumerate_terms(sig, 3, **kwargs), 5000))
-    assert got == list(islice(old_enumerate_terms(sig, 3, **kwargs), 5000))
+    # the oracle yields a repeated leaf once per repeat; enumerate_terms once
+    once = dict(kwargs, leaf_vars=unique(kwargs.get("leaf_vars", ("X", "Y"))))
+    assert got == list(islice(old_enumerate_terms(sig, 3, **once), 5000))
+
+
+@pytest.mark.parametrize("sig", [LAM, SWAP], ids=["lam", "swap"])
+def test_enumeration_yields_a_repeated_leaf_once(sig):
+    got = list(enumerate_terms(sig, 1, leaf_vars=("X", "Y", "X", "X")))
+    assert [t for t in got if isinstance(t, Var)] == [Var("X"), Var("Y")]
+    assert len(got) == len(set(got))
 
 
 @st.composite
@@ -1277,6 +1290,6 @@ def signatures(draw):
 @settings(max_examples=100, deadline=None)
 def test_enumeration_matches_the_keyed_one_on_random_signatures(sig, depth, leaf_vars,
                                                                 binder_names):
-    args = (sig, depth, leaf_vars, binder_names)
-    assert (list(islice(enumerate_terms(*args), 3000))
-            == list(islice(old_enumerate_terms(*args), 3000)))
+    assert (list(islice(enumerate_terms(sig, depth, leaf_vars, binder_names), 3000))
+            == list(islice(old_enumerate_terms(sig, depth, unique(leaf_vars), binder_names),
+                           3000)))
