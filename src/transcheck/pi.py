@@ -593,12 +593,6 @@ class _Canon:
             done = self._acts[th] = _acts(th)
         return done
 
-    def offers(self, threads: tuple[PiTerm, ...]) -> list[_Offer]:
-        """The offers of the active threads (see _acts), in order."""
-        return [_Offer(kind, chan, msg, param, cont, top, levels)
-                for top, th in enumerate(threads)
-                for kind, chan, msg, param, cont, levels in self.acts(th).offers]
-
     def barbs(self, s: PiState, input_barbs: bool) -> frozenset[Barb]:
         """strong_barbs(s, input_barbs), from each thread's memoized barbs."""
         acc: set[Barb] = set()
@@ -1338,15 +1332,29 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
     """The successors of state, in key order.  explore passes its own canon,
     so that every successor it makes shares one memo."""
     canon = _canon or _Canon()
-    offers = canon.offers(state.threads)
-    sends = [o for o in offers if o.kind == "send"]
-    recvs = [o for o in offers if o.kind == "recv"]
+    # the offers of the active threads (see _acts) as (top, row): the sends
+    # in order, the receives in order per channel; an _Offer is made only
+    # for a send and a receive that meet, each once
+    sends: list[tuple[int, tuple]] = []
+    recvs: dict[str, list[tuple[int, tuple]]] = {}
+    for top, th in enumerate(state.threads):
+        for row in canon.acts(th).offers:
+            if row[0] == "send":
+                sends.append((top, row))
+            else:
+                recvs.setdefault(row[1], []).append((top, row))
+    met: dict[str, list[_Offer]] = {}
     succs: dict[tuple, PiState] = {}
-    for s in sends:
-        for r in recvs:
-            if s.chan == r.chan:
-                nxt = _successor(canon, state, s, r)
-                succs.setdefault(nxt.key, nxt)
+    for top, (kind, chan, msg, param, cont, levels) in sends:
+        rows = recvs.get(chan)
+        if rows is None:
+            continue
+        if chan not in met:
+            met[chan] = [_Offer(*row[:5], at, row[5]) for at, row in rows]
+        s = _Offer(kind, chan, msg, param, cont, top, levels)
+        for r in met[chan]:
+            nxt = _successor(canon, state, s, r)
+            succs.setdefault(nxt.key, nxt)
     return [s for _, s in sorted(succs.items(), key=itemgetter(0))]
 
 

@@ -298,17 +298,18 @@ def _avoiding(sig: Signature, exempt: frozenset[str]) -> Callable:
         active = {x: r for x, r in subst.items() if x in fv}
         if not active:
             return (lambda: u), ()
-        range_fv = set().union(*[_fv(sig, r) for r in active.values()])
         bound = u.bound
         renamed: dict[int, Term] = {}  # slot index -> its new name, as a variable
-        for k, b in enumerate(u.bound):
-            if b in range_fv and b not in exempt:
-                if not renamed:
-                    avoid = range_fv | _names(u) | set(active)
-                    bound = list(bound)
-                bound[k] = _fresh(b, avoid)
-                avoid.add(bound[k])
-                renamed[k] = Var(bound[k])
+        if bound:  # only a binder can clash with the replacements' free names
+            range_fv = set().union(*[_fv(sig, r) for r in active.values()])
+            for k, b in enumerate(u.bound):
+                if b in range_fv and b not in exempt:
+                    if not renamed:
+                        avoid = range_fv | _names(u) | set(active)
+                        bound = list(bound)
+                    bound[k] = _fresh(b, avoid)
+                    avoid.add(bound[k])
+                    renamed[k] = Var(bound[k])
         kids = []
         for a, scope in zip(u.args, sig[u.op].scopes):
             inner = active
@@ -828,29 +829,35 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
 
     Clause (1) T(E[sigma]) =alpha T(E)[T.sigma] is checked for pairs (E, sigma)
     in canonical order until the pool or the budget is exhausted; the budget
-    keeps large signatures tractable, and the note says which ran out.
+    keeps large signatures tractable, and the note says which ran out.  Each
+    pool term E and each range term is translated once per call: T(E) for
+    clause (2), reused by every pair of E, and a range term on the first pair
+    that holds it.
     """
     if depth < 1:
         raise TermError("depth must be >= 1")
+    if max_pairs < 1:
+        raise TermError("max_pairs must be >= 1")
     for x in ("X", "Y"):
         got = translate(Var(x))
         if got != Var(x):
             return Verdict("no", ("clause-3", Var(x), got))
     ranges = list(enumerate_terms(sig_src, max(depth - 1, 1)))
+    images: list[Term | None] = [None] * len(ranges)  # T(ranges[i]), made on first use
     checked = 0
     for e in enumerate_terms(sig_src, depth):
         variant = canonical_binders(sig_src, e, base="q")
-        if not alpha_eq(sig_tgt, translate(e), translate(variant)):
+        image = translate(e)
+        if not alpha_eq(sig_tgt, image, translate(variant)):
             return Verdict("no", ("clause-2", e, variant), checked=checked)
         fv = sorted(_fv(sig_src, e))
-        if not fv:
-            domains: list[dict[str, Term]] = [{}]
-        else:
-            domains = ({x: r for x, r in zip(fv, combo)}
-                       for combo in product(ranges, repeat=len(fv)))
-        for sigma in domains:
+        for combo in product(range(len(ranges)), repeat=len(fv)):
+            sigma = {x: ranges[i] for x, i in zip(fv, combo)}
             lhs = translate(substitute(sig_src, e, sigma))
-            rhs = substitute(sig_tgt, translate(e), {x: translate(r) for x, r in sigma.items()})
+            for i in combo:
+                if images[i] is None:
+                    images[i] = translate(ranges[i])
+            rhs = substitute(sig_tgt, image, {x: images[i] for x, i in zip(fv, combo)})
             checked += 1
             if not alpha_eq(sig_tgt, lhs, rhs):
                 return Verdict("no", (e, sigma, lhs, rhs), checked=checked)
@@ -865,6 +872,8 @@ def is_fvr(sig_src: Signature, sig_tgt: Signature,
     """Free-variable respecting to depth: fv(T(E)) is a subset of fv(E)."""
     if depth < 1:
         raise TermError("depth must be >= 1")
+    if max_terms < 1:
+        raise TermError("max_terms must be >= 1")
     checked = 0
     for e in enumerate_terms(sig_src, depth):
         if not _fv(sig_tgt, translate(e)) <= _fv(sig_src, e):

@@ -1,6 +1,7 @@
 """No dead code in src/transcheck: every import is used in its module, and
-every module-level function, class and method is named somewhere in src/,
-tests/ or perfbench/ outside its own definition.  Read with the stdlib ast
+every module-level function, class and method is named in src/ outside its
+own definition, or, when README.md's Library section names it as public
+API, somewhere in src/, tests/ or perfbench/.  Read with the stdlib ast
 module, so comments and docstrings do not count as uses.  A method that
 overrides one of a base class (argparse calls _Parser.error) is used by the
 base class's callers.  No walker of pi terms or of terms recurses outside
@@ -12,6 +13,7 @@ itself."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -72,14 +74,27 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _library_names() -> set[str]:
+    """The identifiers in the code spans of README.md's Library section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return {name for span in re.findall(r"`([^`]*)`", section)
+            for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)}
+
+
 def test_every_definition_is_used():
-    everywhere = Counter()
-    for tree in ALL_TREES.values():
-        everywhere += _mentions(tree)
+    in_src, everywhere = Counter(), Counter()
+    for path, tree in ALL_TREES.items():
+        mentions = _mentions(tree)
+        everywhere += mentions
+        if path.startswith("src/"):
+            in_src += mentions
+    public = _library_names()
     dead = []
     for path, tree in PACKAGE_TREES.items():
         for node in _definitions(path, tree):
-            if everywhere[node.name] - _mentions(node)[node.name] == 0:
+            uses = everywhere if node.name in public else in_src
+            if uses[node.name] - _mentions(node)[node.name] == 0:
                 dead.append(f"{path}: {node.name}")
     assert dead == []
 

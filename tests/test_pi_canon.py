@@ -731,7 +731,9 @@ def scratch_successor(state, send, recv):
 
 
 def scratch_reduce(state):
-    offers = pi._Canon().offers(state.threads)
+    offers = [pi._Offer(kind, chan, msg, param, cont, top, levels)
+              for top, th in enumerate(state.threads)
+              for kind, chan, msg, param, cont, levels in pi._acts(th).offers]
     succs = {}
     for s in offers:
         for r in offers:

@@ -9,7 +9,8 @@ and the walkers of encodings.py became walks on the one explicit-stack fold
 pi.alpha_eq_pi.  The oracles below are their earlier definitions, recursive but
 for the explicit-stack binder renaming.  Each new result must equal its
 oracle on random terms over all eight constructors, and the parser must agree
-with its oracle on random strings.
+with its oracle on random strings.  reduce_once, which makes an offer only for
+a send and a receive that meet, is held to the loop over every pair of offers.
 """
 
 import copy
@@ -29,11 +30,11 @@ from conftest import chain_text, translated_chain_text
 from transcheck.encodings import (boudol_encoding, boudol_translate, pi_to_term, plug,
                                   plug_var, routes_agree, term_to_pi)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiState,
-                           PiTerm, PVar, Repl, Res, _Canon, _CopyLevel,
+                           PiTerm, PVar, Repl, Res, _Canon, _CopyLevel, _Offer,
                            _fold, _fresh_name, _rename, _scan, _split_level,
-                           _tokenize, all_names, alpha_eq_pi, free_names,
-                           is_async, normal_form, parse_pi, print_pi,
-                           process_vars, strong_barbs, subst_names)
+                           _successor, _tokenize, all_names, alpha_eq_pi,
+                           free_names, is_async, normal_form, parse_pi, print_pi,
+                           process_vars, reduce_once, strong_barbs, subst_names)
 from transcheck.terms import App, Term, Var
 
 # ------------- the recursive walkers, kept as oracles -------------
@@ -638,9 +639,54 @@ def test_barbs_and_offers_match_the_recursive_walks(t):
     s = normal_form(t)
     for inp in (False, True):
         assert strong_barbs(s, inp) == old_strong_barbs(s, inp)
-    got = [(o.kind, o.chan, o.msg, o.param, o.cont, o.top, o.levels)
-           for o in _Canon().offers(s.threads)]
+    got = [(kind, chan, msg, param, cont, top, levels)
+           for top, th in enumerate(s.threads)
+           for kind, chan, msg, param, cont, levels in _Canon().acts(th).offers]
     assert got == old_offers(s.threads)
+
+
+def old_reduce_once(state, canon):
+    """reduce_once as it was: an _Offer for every offer of every thread, and
+    each send tried against every receive, in offer order."""
+    offers = [_Offer(kind, chan, msg, param, cont, top, levels)
+              for top, th in enumerate(state.threads)
+              for kind, chan, msg, param, cont, levels in canon.acts(th).offers]
+    succs = {}
+    for s in offers:
+        for r in offers:
+            if s.kind == "send" and r.kind == "recv" and s.chan == r.chan:
+                nxt = _successor(canon, state, s, r)
+                succs.setdefault(nxt.key, nxt)
+    return [succs[k] for k in sorted(succs)]
+
+
+def _same_successors_as_all_pairs(t):
+    """reduce_once and the all-pairs loop give the same representative of
+    each successor key, by the same pair: from a root its canon made (so
+    successors merge) and from one it did not."""
+    for made in (True, False):
+        canons = _Canon(), _Canon()
+        roots = [c.state([], [t]) if made else normal_form(t) for c in canons]
+        got = reduce_once(roots[0], canons[0])
+        want = old_reduce_once(roots[1], canons[1])
+        assert ([(s.key, s.restricted, s.threads) for s in got]
+                == [(s.key, s.restricted, s.threads) for s in want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms)
+def test_reduce_once_matches_the_all_pairs_loop(t):
+    _same_successors_as_all_pairs(t)
+
+
+def test_the_first_receive_in_order_gives_the_representative():
+    # both receives give one successor key, spelled by the receive met first
+    t = parse_pi("x!a | x(y).new b. b!y | x(y).new c. c!y")
+    _same_successors_as_all_pairs(t)
+    for canon in (_Canon(), None):
+        root = canon.state([], [t]) if canon else normal_form(t)
+        (s,) = reduce_once(root, canon)
+        assert print_pi(s.term()) == "new b. (x(y).new c. c!y | b!a)"
 
 
 def test_barbs_under_nested_replication_copies():

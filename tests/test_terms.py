@@ -315,29 +315,35 @@ def test_enumerate_terms_dedup_and_order():
     assert "lam[z1](X)" in heights and "app(X, Y)" in heights
 
 
+def counters_norm(t):
+    """A map of counters terms that is not compositional: clause (1) fails
+    at the 17th pair."""
+    i, j = 0, 0
+    while isinstance(t, App):
+        if t.op == "S":
+            i += 2 ** j
+        else:
+            j += 1
+        t = t.args[0]
+    if i == 0:
+        return t
+    out = t
+    if j:
+        out = App(f"G{j}", (), (out,))
+        i -= 1
+    for _ in range(i):
+        out = App("S", (), (out,))
+    return out
+
+
+def counters_signatures():
+    return tuple(signature_from_dict(json.loads((FIXTURES / "counters" / name).read_text()))
+                 for name in ("src.json", "tgt.json"))
+
+
 def test_counter_translation_not_compositional():
-    src = signature_from_dict(json.loads((FIXTURES / "counters" / "src.json").read_text()))
-    tgt = signature_from_dict(json.loads((FIXTURES / "counters" / "tgt.json").read_text()))
-
-    def norm(t):
-        i, j = 0, 0
-        while isinstance(t, App):
-            if t.op == "S":
-                i += 2 ** j
-            else:
-                j += 1
-            t = t.args[0]
-        if i == 0:
-            return t
-        out = t
-        if j:
-            out = App(f"G{j}", (), (out,))
-            i -= 1
-        for _ in range(i):
-            out = App("S", (), (out,))
-        return out
-
-    v = check_compositional(src, tgt, norm, depth=3)
+    src, tgt = counters_signatures()
+    v = check_compositional(src, tgt, counters_norm, depth=3)
     assert not v.holds
     assert v.checked == 17
     e, sigma, lhs, rhs = v.witness
@@ -345,7 +351,7 @@ def test_counter_translation_not_compositional():
     assert {k: print_term(r) for k, r in sigma.items()} == {"X": "two(X)"}
     assert print_term(lhs) == "G1(X)"
     assert print_term(rhs) == "S(X)"
-    fv = is_fvr(src, tgt, norm, depth=3)
+    fv = is_fvr(src, tgt, counters_norm, depth=3)
     assert fv.holds and fv.note == "exhausted to depth 3"
 
 
@@ -361,6 +367,24 @@ def test_compositional_accepts_homomorphic_map():
 def test_compositional_clause3_detected():
     v = check_compositional(TOY, TOY, lambda t: App("Nil", (), ()), depth=2)
     assert not v.holds and v.witness[0] == "clause-3"
+
+
+@pytest.mark.parametrize("cap", [0, -1, -10000])
+def test_caps_below_one_are_refused(cap):
+    # a cap of 0 pairs or terms answered yes, with checked 1
+    f = complete_compositional(translation(TOY, TOY, TOY_HEADS))
+    with pytest.raises(TermError, match="max_pairs must be >= 1"):
+        check_compositional(TOY, TOY, f, depth=2, max_pairs=cap)
+    with pytest.raises(TermError, match="max_terms must be >= 1"):
+        is_fvr(TOY, TOY, f, depth=2, max_terms=cap)
+
+
+def test_a_cap_of_one_checks_one():
+    f = complete_compositional(translation(TOY, TOY, TOY_HEADS))
+    v = check_compositional(TOY, TOY, f, depth=2, max_pairs=1)
+    w = is_fvr(TOY, TOY, f, depth=2, max_terms=1)
+    assert (v.status, v.checked, v.note) == ("yes", 1, "cap of 1 pairs reached")
+    assert (w.status, w.checked, w.note) == ("yes", 1, "cap of 1 terms reached")
 
 
 # ---------- concrete syntax ----------

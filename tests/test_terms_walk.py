@@ -8,8 +8,10 @@ node and read no memo.  Each new result must equal its oracle under ==, not
 only up to alpha: the binder names a walker picks (_wN, freshened names)
 reach printed output.  The in-step alpha_eq is held equal to the comparison
 of two canonical keys it replaced, the head plans of complete_compositional
-to the respelling and substitution they replaced, and the semi-naive
-enumerate_terms to the enumeration that dropped repeats by canonical key.
+to the respelling and substitution they replaced, the semi-naive
+enumerate_terms to the enumeration that dropped repeats by canonical key,
+and check_compositional, which translates each term once per call, to the
+loop that translated T(E) and every range term again for every pair.
 """
 
 import gc
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_terms import TOY, TOY_HEADS, counters_norm, counters_signatures
 from transcheck import terms
 from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
                                   boudol_head_translation, pi_to_term, term_to_pi)
@@ -34,6 +37,7 @@ from transcheck.terms import (App, Construct, Signature, TermError, Translation,
                               compose_translations, enumerate_terms, free_vars, head_decompose,
                               is_fvr, is_prefix, print_term, signature_from_dict, substitute,
                               translation, validate)
+from transcheck.verdict import Verdict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -621,7 +625,8 @@ def test_memo_matches_on_the_criterion_8_call_sequence():
     tr = boudol_head_translation()
     calls = _both_routes_through_criterion_8(complete_compositional(tr),
                                              old_complete_compositional(tr))
-    assert len(calls) == 4848
+    # 4,848 when T(E) and every range term were translated again for every pair
+    assert len(calls) == 2066
     # a second route from the same head map starts afresh
     again = complete_compositional(tr)
     assert [again(t) for t in calls] == _outputs(old_complete_compositional(tr), calls)
@@ -883,6 +888,136 @@ def head_maps(draw):
 def test_plans_match_the_substitution_path_on_random_head_maps(case):
     tr, calls, keep = case
     _same_route(tr, calls, keep)
+
+
+# ------------- criterion 8: each term translated once per call -------------
+
+def old_check_compositional(sig_src, sig_tgt, translate, depth, max_pairs=10000):
+    """check_compositional as it was: T(E) and every range term translated
+    again for every pair."""
+    if depth < 1:
+        raise TermError("depth must be >= 1")
+    for x in ("X", "Y"):
+        got = translate(Var(x))
+        if got != Var(x):
+            return Verdict("no", ("clause-3", Var(x), got))
+    ranges = list(enumerate_terms(sig_src, max(depth - 1, 1)))
+    checked = 0
+    for e in enumerate_terms(sig_src, depth):
+        variant = canonical_binders(sig_src, e, base="q")
+        if not alpha_eq(sig_tgt, translate(e), translate(variant)):
+            return Verdict("no", ("clause-2", e, variant), checked=checked)
+        fv = sorted(free_vars(sig_src, e))
+        if not fv:
+            domains = [{}]
+        else:
+            domains = ({x: r for x, r in zip(fv, combo)}
+                       for combo in product(ranges, repeat=len(fv)))
+        for sigma in domains:
+            lhs = translate(substitute(sig_src, e, sigma))
+            rhs = substitute(sig_tgt, translate(e), {x: translate(r) for x, r in sigma.items()})
+            checked += 1
+            if not alpha_eq(sig_tgt, lhs, rhs):
+                return Verdict("no", (e, sigma, lhs, rhs), checked=checked)
+            if checked >= max_pairs:
+                return Verdict("yes", note=f"cap of {max_pairs} pairs reached", checked=checked)
+    return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)
+
+
+def _criterion_8_run(check, sig_src, sig_tgt, make_route, depth, cap):
+    """The verdict, or the message of the TermError raised, with the distinct
+    terms translated in the order they were first translated: a fresh route
+    from make_route, so that both runs start at one counter."""
+    route, inputs = make_route(), []
+
+    def recorded(t):
+        inputs.append(t)
+        return route(t)
+
+    try:
+        got = check(sig_src, sig_tgt, recorded, depth, max_pairs=cap)
+    except TermError as e:
+        got = str(e)
+    return got, list(dict.fromkeys(inputs))
+
+
+def _same_as_per_pair(sig_src, sig_tgt, make_route, depth, cap):
+    """check_compositional against its per-pair oracle: the same terms
+    translated first in the same order, so the same pair, and the same
+    verdict, lhs and rhs up to alpha (their _wN spellings depend on how
+    often the route ran), or the same error up to its _wN names."""
+    new, new_inputs = _criterion_8_run(check_compositional, sig_src, sig_tgt, make_route,
+                                       depth, cap)
+    old, old_inputs = _criterion_8_run(old_check_compositional, sig_src, sig_tgt, make_route,
+                                       depth, cap)
+    assert new_inputs == old_inputs
+    if isinstance(old, str):
+        assert isinstance(new, str)
+        assert re.sub(r"_w[0-9]+", "_w", new) == re.sub(r"_w[0-9]+", "_w", old)
+        return old
+    assert (new.status, new.checked, new.note) == (old.status, old.checked, old.note)
+    if new.status == "no" and new.witness[0] not in ("clause-2", "clause-3"):
+        e, sigma, lhs, rhs = new.witness
+        assert (e, sigma) == old.witness[:2]
+        assert alpha_eq(sig_tgt, lhs, old.witness[2]) and alpha_eq(sig_tgt, rhs, old.witness[3])
+    else:
+        assert new.witness == old.witness
+    return old
+
+
+@pytest.mark.parametrize("cap", [1, 30, 1000, 10000])
+def test_criterion_8_matches_the_per_pair_loop_on_the_boudol_head_map(cap):
+    v = _same_as_per_pair(PI_TERM_SIG, API_TERM_SIG,
+                          lambda: complete_compositional(boudol_head_translation()), 3, cap)
+    assert (v.status, v.checked) == ("yes", cap)
+
+
+def test_criterion_8_matches_the_per_pair_loop_on_small_maps():
+    src, tgt = counters_signatures()
+    v = _same_as_per_pair(src, tgt, lambda: counters_norm, 3, 10000)
+    assert (v.status, v.checked) == ("no", 17)
+
+    def toy():
+        return complete_compositional(translation(TOY, TOY, TOY_HEADS))
+
+    for depth, cap in ((2, 10000), (3, 2000)):
+        v = _same_as_per_pair(TOY, TOY, toy, depth, cap)
+        assert v.status == "yes" and v.checked > 0
+    v = _same_as_per_pair(TOY, TOY, lambda: lambda t: App("Nil", (), ()), 2, 10000)
+    assert v.witness[0] == "clause-3"
+
+    def binder_leak():  # spells In's bound name free, so alpha-variants differ
+        return lambda t: Var(t.bound[0]) if isinstance(t, App) and t.bound else t
+
+    v = _same_as_per_pair(TOY, TOY, binder_leak, 2, 10000)
+    assert v.witness[0] == "clause-2" and v.witness[1].op == "In"
+
+
+@pytest.mark.parametrize("at", [2, 10, -1])
+def test_criterion_8_raises_where_the_per_pair_loop_raises(at):
+    # a translate that raises on one range term raises at the first pair
+    # that holds it, with the same terms translated before
+    bad = list(enumerate_terms(PI_TERM_SIG, 2))[at]
+
+    def make_route():
+        route = complete_compositional(boudol_head_translation())
+
+        def raising(t):
+            if t == bad:
+                raise TermError(f"no image for {print_term(t)}")
+            return route(t)
+        return raising
+
+    got = _same_as_per_pair(PI_TERM_SIG, API_TERM_SIG, make_route, 3, 10000)
+    assert got == f"no image for {print_term(bad)}"
+
+
+@given(case=head_maps())
+@settings(max_examples=60, deadline=None)
+def test_criterion_8_matches_the_per_pair_loop_on_random_head_maps(case):
+    tr, _, _ = case
+    for depth, cap in ((2, 10000), (3, 300)):
+        _same_as_per_pair(tr.source, tr.target, lambda: complete_compositional(tr), depth, cap)
 
 
 # ------------- the memos on App nodes -------------
