@@ -657,6 +657,7 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     behaviours built so far, or when the first survivor in product order
     holds the certificate (see the invariant beside the stop).
     """
+    _need_depth(depth)
     _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict("yes", {}, "preserves")
@@ -746,6 +747,11 @@ def _homomorphism_certificate(tr: Translation, lang: FiniteLanguage,
     return True
 
 
+def _need_depth(depth: int) -> None:
+    if depth < 1:
+        raise InputError("depth must be >= 1")
+
+
 def closed_terms(lang: FiniteLanguage, depth: int) -> Iterator[Term]:
     yield from enumerate_terms(lang.signature, depth, leaf_vars=())
 
@@ -754,6 +760,7 @@ def check_respects(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                    rel: Relation, depth: int) -> Verdict:
     """Every closed source term keeps its meaning under every valuation of the
     image's variables into U (target values related to some source value)."""
+    _need_depth(depth)
     _need_carrier(rel, lang, lang2)
     if not lang.values:
         return Verdict("yes", note="vacuous: no source values")

@@ -1492,8 +1492,7 @@ class ReductionGraph:
     @cached_property
     def barbs(self) -> dict[tuple, frozenset[Barb]]:
         """The strong barbs of each state, in discovery order."""
-        numbered = self._graph.barbs
-        return dict(zip(self.order(), numbered))
+        return dict(zip(self.order(), self._graph.barbs))
 
     @cached_property
     def divergent(self) -> frozenset:
@@ -1501,8 +1500,7 @@ class ReductionGraph:
         not close."""
         if not self.complete:
             return frozenset()
-        div = self._graph.divergent
-        return frozenset([s.key for s, d in zip(self._nodes, div) if d])
+        return frozenset([s.key for s, d in zip(self._nodes, self._graph.divergent) if d])
 
 
 def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,

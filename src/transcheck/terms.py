@@ -365,19 +365,34 @@ def canon_key(sig: Signature, t: Term) -> tuple:
     return tuple(out)
 
 
-def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
-    """t and u are equal up to the spelling of their bound names.
+def alpha_eq(sig: Signature, t: Term, u: Term,
+             subst: dict[str, Term] | None = None) -> bool:
+    """t and u[subst] are equal up to the spelling of their bound names, the
+    substitution simultaneous and capture-avoiding; u itself without subst.
 
     One walk over both terms in step, on an explicit stack.  Each side maps a
     bound name to its binder position (depth + k, as in canon_key).  A pair
     that is one object is skipped when the maps agree on its free variables,
     read only when the maps differ: they stay one object while the two sides
-    bind the same names, as under a translation that shares its images."""
+    bind the same names, as under a translation that shares its images.
+
+    u[subst] is never built.  A free variable x of u in dom(subst) is read as
+    subst[x] under an empty binder map, so the replacement's names stay free
+    whatever u binds there, and the replacement is not substituted again.  A
+    subterm of u free of dom(subst) is walked as it stands."""
     env: dict[str, int] = {}
-    todo: list[tuple[Term, Term, dict[str, int], dict[str, int], int]] = [(t, u, env, env, 0)]
+    todo: list[tuple] = [(t, u, env, env, 0, subst or None)]
     while todo:
-        a, b, ea, eb, depth = todo.pop()
-        if a is b and (ea is eb or all(ea.get(x) == eb.get(x) for x in _fv(sig, a))):
+        a, b, ea, eb, depth, s = todo.pop()
+        if s is not None:  # b is read under s
+            if isinstance(b, Var):
+                if b.name in s and b.name not in eb:
+                    b, eb = s[b.name], {}
+                s = None
+            elif _fv(sig, b).isdisjoint(s):
+                s = None
+        if a is b and s is None and (
+                ea is eb or all(ea.get(x) == eb.get(x) for x in _fv(sig, a))):
             continue
         if isinstance(a, Var) and isinstance(b, Var):
             if ea.get(a.name, a.name) != eb.get(b.name, b.name):
@@ -398,7 +413,7 @@ def alpha_eq(sig: Signature, t: Term, u: Term) -> bool:
                 xa = {**ea, **{a.bound[k]: depth + k for k in scope}}
                 yb = xa if ea is eb and all(a.bound[k] == b.bound[k] for k in scope) else {
                     **eb, **{b.bound[k]: depth + k for k in scope}}
-            todo.append((x, y, xa, yb, inner))
+            todo.append((x, y, xa, yb, inner, s))
     return True
 
 
@@ -797,7 +812,15 @@ def enumerate_terms(sig: Signature, depth: int,
     of the level before, in product order; every other tuple builds a term
     an earlier level built.  So no key is needed: the pool holds no two
     alpha-equivalent terms, and two terms with one construct and one spelling
-    of its binders are alpha-equivalent exactly when their arguments are."""
+    of its binders are alpha-equivalent exactly when their arguments are.
+    A depth below 1 is refused at the call."""
+    if depth < 1:
+        raise TermError("depth must be >= 1")
+    return _enumerate(sig, depth, leaf_vars, binder_names)
+
+
+def _enumerate(sig: Signature, depth: int, leaf_vars: tuple[str, ...],
+               binder_names: tuple[str, ...]) -> Iterator[Term]:
     level: list[Term] = [Var(x) for x in dict.fromkeys(leaf_vars)]
     level += [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
     yield from level
@@ -832,7 +855,9 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
     keeps large signatures tractable, and the note says which ran out.  Each
     pool term E and each range term is translated once per call: T(E) for
     clause (2), reused by every pair of E, and a range term on the first pair
-    that holds it.
+    that holds it.  The right side is compared in one walk, alpha_eq with
+    T.sigma as its subst; T(E)[T.sigma] is built only as a failing pair's
+    witness.
     """
     if depth < 1:
         raise TermError("depth must be >= 1")
@@ -857,10 +882,11 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
             for i in combo:
                 if images[i] is None:
                     images[i] = translate(ranges[i])
-            rhs = substitute(sig_tgt, image, {x: images[i] for x, i in zip(fv, combo)})
+            tsub = {x: images[i] for x, i in zip(fv, combo)}
             checked += 1
-            if not alpha_eq(sig_tgt, lhs, rhs):
-                return Verdict("no", (e, sigma, lhs, rhs), checked=checked)
+            if not alpha_eq(sig_tgt, lhs, image, tsub):
+                return Verdict("no", (e, sigma, lhs, substitute(sig_tgt, image, tsub)),
+                               checked=checked)
             if checked >= max_pairs:
                 return Verdict("yes", note=f"cap of {max_pairs} pairs reached", checked=checked)
     return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)

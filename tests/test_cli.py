@@ -92,6 +92,17 @@ def test_check_respects_cycle_fails(cli):
     assert out == "respects: no\nwitness: c0 | {X0=2} | 3 | a\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+@pytest.mark.parametrize("command", ["preserves", "respects"])
+def test_check_refuses_a_depth_below_1(cli, command, depth):
+    # respects at --depth -2 answered no and exited 1
+    code, out, err = cli("check", command,
+                         "--source", "cycle4/L.json", "--target", "cycle4/Lp.json",
+                         "--translation", "cycle4/T.json", "--relation", "cycle4/sim.json",
+                         "--depth", depth)
+    assert (code, out, err) == (USAGE, "", "error: depth must be >= 1\n")
+
+
 def test_lr_closure_straight(cli):
     code, out, _ = cli("lr-closure", "--lang", "samecopy/L.json",
                        "--relation", "samecopy/sim.json", "--semtrans", "samecopy/R.json")

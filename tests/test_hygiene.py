@@ -103,10 +103,12 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
     """The functions of a module, methods and nested functions included, each
     named by its dotted path, with the functions each may call: a name called
     or passed to a call resolves to the innermost function of that name in
-    scope, or to a class's __init__; an attribute called or passed resolves
-    to every method of that name."""
+    scope, or to a class's __init__; an attribute called resolves to every
+    method of that name, and an attribute passed to every such method but
+    the properties: a property read counts as no call, passed or not."""
     defs: dict[str, ast.AST] = {}
     methods: dict[str, set[str]] = {}
+    properties: set[str] = set()
 
     def collect(body, prefix: str, in_class: bool) -> None:
         for node in body:
@@ -114,6 +116,9 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
                 defs[prefix + node.name] = node
                 if in_class:
                     methods.setdefault(node.name, set()).add(prefix + node.name)
+                    if any((getattr(d, "id", None) or getattr(d, "attr", None))
+                           in ("property", "cached_property") for d in node.decorator_list):
+                        properties.add(prefix + node.name)
                 collect(node.body, f"{prefix}{node.name}.", False)
             elif isinstance(node, ast.ClassDef):
                 defs[prefix + node.name] = node
@@ -131,7 +136,8 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
                 continue
             for f in [call.func, *call.args, *(k.value for k in call.keywords)]:
                 if isinstance(f, ast.Attribute):
-                    callees |= methods.get(f.attr, set())
+                    named = methods.get(f.attr, set())
+                    callees |= named if f is call.func else named - properties
                 elif isinstance(f, ast.Name):
                     found = next((".".join(scope[:k] + [f.id]) for k in range(len(scope), -1, -1)
                                   if ".".join(scope[:k] + [f.id]) in defs), None)
@@ -221,6 +227,35 @@ def outer():
     return 0
 """)
     assert _cycles(_call_graph(tree)) == {"walk", "A.f, A.g", "helper.inner"}
+
+
+def test_the_call_graph_reads_a_passed_property_as_a_value():
+    # a property passed to a call is read, not called: zip(self._graph.size)
+    # inside the property size is no cycle; a method passed, as in
+    # map(self.walk, xs) inside walk, is one, and so is a property called
+    tree = ast.parse("""
+from functools import cached_property
+
+class Graph:
+    @property
+    def size(self):
+        return len(self.nodes)
+
+class View:
+    @cached_property
+    def size(self):
+        return sum(zip(self._graph.size, self.other))
+
+    @property
+    def count(self):
+        return self.count()
+
+    def walk(self, xs):
+        return list(map(self.walk, xs))
+""")
+    graph = _call_graph(tree)
+    assert graph["View.size"] == set()
+    assert _cycles(graph) == {"View.count", "View.walk"}
 
 
 def test_pi_memos_are_not_keyed_by_id():

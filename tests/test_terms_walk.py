@@ -7,7 +7,8 @@ enumerate_terms, with the helpers they used (the slot list and _arg_binders).  T
 node and read no memo.  Each new result must equal its oracle under ==, not
 only up to alpha: the binder names a walker picks (_wN, freshened names)
 reach printed output.  The in-step alpha_eq is held equal to the comparison
-of two canonical keys it replaced, the head plans of complete_compositional
+of two canonical keys it replaced, and under a substitution to the
+comparison with the term substitute builds, the head plans of complete_compositional
 to the respelling and substitution they replaced, the semi-naive
 enumerate_terms to the enumeration that dropped repeats by canonical key,
 and check_compositional, which translates each term once per call, to the
@@ -1020,6 +1021,40 @@ def test_criterion_8_matches_the_per_pair_loop_on_random_head_maps(case):
         _same_as_per_pair(tr.source, tr.target, lambda: complete_compositional(tr), depth, cap)
 
 
+def _monotone_in_the_cap(check, sig_src, sig_tgt, make_route, depth, cap):
+    """A "no", an error or an exhausted pool at cap b is check's answer at 2b
+    and 10b, witness and count included; a capped "yes" went through b cases,
+    and a larger cap goes through at least as many.  Each run on a fresh
+    route from make_route, so that every run starts at one counter."""
+    first, *larger = [_outcome(check, sig_src, sig_tgt, make_route(), depth, b)
+                      for b in (cap, 2 * cap, 10 * cap)]
+    if isinstance(first, str) or first.status == "no" or first.note.startswith("exhausted"):
+        assert larger == [first, first]
+    else:
+        assert (first.status, first.checked) == ("yes", cap)
+        assert first.note.startswith("cap of")
+        assert all(isinstance(v, str) or v.checked >= cap for v in larger)
+    return first
+
+
+@given(case=head_maps(), cap=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_criterion_8_answers_are_monotone_in_the_cap_on_random_head_maps(case, cap):
+    tr, _, _ = case
+    for check in (check_compositional, is_fvr):
+        for depth in (1, 2, 3):
+            _monotone_in_the_cap(check, tr.source, tr.target, lambda: complete_compositional(tr),
+                                 depth, cap)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 16, 17, 100])
+def test_criterion_8_answers_are_monotone_in_the_cap_on_the_counters_map(cap):
+    src, tgt = counters_signatures()
+    v = _monotone_in_the_cap(check_compositional, src, tgt, lambda: counters_norm, 3, cap)
+    assert (v.status, v.checked) == (("yes", cap) if cap < 17 else ("no", 17))
+    _monotone_in_the_cap(is_fvr, src, tgt, lambda: counters_norm, 3, cap)
+
+
 # ------------- the memos on App nodes -------------
 
 # one construct name, two binding profiles: f's slot a scopes its first
@@ -1159,9 +1194,9 @@ def test_a_shared_subterm_counts_only_where_its_free_names_agree():
 def test_alpha_eq_matches_on_the_criterion_8_comparisons(monkeypatch):
     answers = []
 
-    def both(sig, t, u):
-        got = alpha_eq(sig, t, u)
-        answers.append((got, old_alpha_eq(sig, t, u)))
+    def both(sig, t, u, subst=None):
+        got = alpha_eq(sig, t, u, subst)
+        answers.append((got, old_alpha_eq(sig, t, substitute(sig, u, subst) if subst else u)))
         return got
 
     monkeypatch.setattr(terms, "alpha_eq", both)
@@ -1197,6 +1232,89 @@ def test_alpha_eq_answers_on_deep_terms(n):
                        _chain(1, lambda i: "q", inner))
         assert got == same
         assert free_vars(PI_TERM_SIG, inner) == {"a", "b", leaf.name}
+
+
+# ------------- alpha-equivalence under a substitution -------------
+
+SUBST_SIGS = {"lam": LAM, "pi": PI_TERM_SIG, "api": API_TERM_SIG}
+SUBST_TERMS = {"lam": TERMS["lam"], "pi": TERMS["pi"], "api": terms_over(API_TERM_SIG)}
+
+
+@st.composite
+def subst_cases(draw):
+    """A term u, a substitution s whose replacements may hold u's binder
+    names free, and a term t: u[s], its canonical binders, u[s] built letting
+    u's binders capture, so that a replacement object sits where t binds its
+    names, u under another substitution, or any term."""
+    sig, terms_over_sig = draw(st.sampled_from(
+        [(SUBST_SIGS[name], SUBST_TERMS[name]) for name in sorted(SUBST_SIGS)]))
+    substs = st.dictionaries(st.sampled_from(LEAVES + NAMES), terms_over_sig, max_size=3)
+    u, s = draw(terms_over_sig), draw(substs)
+    image = substitute(sig, u, s)
+    t = draw(st.sampled_from([
+        image, canonical_binders(sig, image, base="q"),
+        _map(u, s, _avoiding(sig, frozenset(NAMES))),
+        substitute(sig, u, draw(substs)), draw(terms_over_sig)]))
+    return sig, t, u, s
+
+
+@given(case=subst_cases())
+@settings(max_examples=500, deadline=None)
+def test_alpha_eq_under_a_substitution_matches_the_built_image(case):
+    sig, t, u, s = case
+    image = substitute(sig, u, s)
+    assert alpha_eq(sig, t, u, s) == alpha_eq(sig, t, image) == old_alpha_eq(sig, t, image)
+    assert alpha_eq(sig, u, t, s) == alpha_eq(sig, u, substitute(sig, t, s))
+    assert alpha_eq(sig, image, u, s)
+    assert alpha_eq(sig, canonical_binders(sig, image), u, s)
+    # no substitution is the comparison without one
+    assert alpha_eq(sig, t, u, {}) == alpha_eq(sig, t, u, None) == alpha_eq(sig, t, u)
+
+
+def _lam(b, body):
+    return App("lam", (b,), (body,))
+
+
+def _app(f, a):
+    return App("app", (), (f, a))
+
+
+X_, Y_, x_, y_, z_ = (Var(n) for n in ("X", "Y", "x", "y", "z"))
+SHARED = _app(y_, y_)
+
+
+@pytest.mark.parametrize("t, u, s, want", [
+    # u's binder y is free in the replacement, so u[s] respells it
+    (_lam("z", _app(y_, z_)), _lam("y", _app(X_, y_)), {"X": y_}, True),
+    (_lam("y", _app(y_, y_)), _lam("y", _app(X_, y_)), {"X": y_}, False),
+    # t binds a name the replacement holds free
+    (_lam("y", _app(y_, y_)), _lam("z", _app(X_, z_)), {"X": y_}, False),
+    # the replacement is the object on t's side: one step where t binds none
+    # of its names, read where t binds y
+    (_lam("z", SHARED), _lam("z", X_), {"X": SHARED}, True),
+    (_lam("y", SHARED), _lam("z", X_), {"X": SHARED}, False),
+    # x in dom(s) is bound by u, so it is not replaced
+    (_lam("x", _app(x_, z_)), _lam("x", _app(x_, z_)), {"x": y_}, True),
+    (_lam("x", _app(y_, z_)), _lam("x", _app(x_, z_)), {"x": y_}, False),
+    # x |-> x changes nothing
+    (_lam("y", _app(X_, y_)), _lam("z", _app(X_, z_)), {"X": X_}, True),
+    # simultaneous: a replacement is not substituted again
+    (_app(Y_, X_), _app(X_, Y_), {"X": Y_, "Y": X_}, True),
+    (_app(X_, Y_), _app(X_, Y_), {"X": Y_, "Y": X_}, False),
+])
+def test_alpha_eq_under_a_substitution_avoids_capture(t, u, s, want):
+    assert alpha_eq(LAM, t, u, s) == want
+    assert alpha_eq(LAM, t, substitute(LAM, u, s)) == want
+
+
+def test_alpha_eq_under_a_substitution_answers_on_deep_terms():
+    # the variable replaced sits under 20,000 binders of u; replaced by y,
+    # every one of them is respelled in u[s]
+    u = _chain(20000, lambda i: "y", Var("X"))
+    for leaf, want in ((Var("c"), True), (Var("y"), False)):
+        t, s = _chain(20000, lambda i: "y", leaf), {"X": leaf}
+        assert alpha_eq(PI_TERM_SIG, t, u, s) == want
+        assert alpha_eq(PI_TERM_SIG, t, substitute(PI_TERM_SIG, u, s)) == want
 
 
 def _flat(key):
@@ -1404,6 +1522,14 @@ def test_enumeration_yields_a_repeated_leaf_once(sig):
     got = list(enumerate_terms(sig, 1, leaf_vars=("X", "Y", "X", "X")))
     assert [t for t in got if isinstance(t, Var)] == [Var("X"), Var("Y")]
     assert len(got) == len(set(got))
+
+
+@pytest.mark.parametrize("depth", [0, -1, -5])
+def test_enumeration_refuses_a_depth_below_1(depth):
+    # a depth below 1 yielded the height-1 terms
+    with pytest.raises(TermError, match="depth must be >= 1"):
+        enumerate_terms(LAM, depth)
+    assert list(enumerate_terms(LAM, 1)) == [Var("X"), Var("Y"), App("unit", (), ())]
 
 
 @st.composite

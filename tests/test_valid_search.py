@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transcheck import finlang
-from transcheck.finlang import (FiniteLanguage, Operator, Relation, SemanticTranslation,
-                                check_correct_wrt, check_preserves, check_valid_upto,
-                                denote, load_language, load_relation, load_translation)
+from transcheck.finlang import (FiniteLanguage, InputError, Operator, Relation,
+                                SemanticTranslation, check_correct_wrt, check_preserves,
+                                check_respects, check_valid_upto, denote, load_language,
+                                load_relation, load_translation)
 from transcheck.terms import App, Var, complete_compositional, translation
 from transcheck.verdict import Verdict
 
@@ -385,6 +386,16 @@ def test_a_capped_behaviour_scan_is_inconclusive(tmp_path, cli, scans):
 def test_parity_preserves_answers_under_the_table_bound(n):
     # Z_6 builds 2 x 46,656 valuation rows, and its full scan 18 behaviours: 2.24M cells
     assert check_preserves(*parity(n), depth=3).status == "no"
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_a_depth_below_1_is_refused(depth):
+    # Z_4 answered yes, holds-to-depth -1, where depth 2 answers no
+    inst = parity(4)
+    assert check_preserves(*inst, depth=2).status == "no"
+    for check in (check_preserves, check_respects):
+        with pytest.raises(InputError, match="depth must be >= 1"):
+            check(*inst, depth=depth)
 
 
 def test_parity_z8_preserves_is_refused_before_the_scan(tmp_path, cli):
