@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
@@ -535,6 +535,18 @@ def _assemble(nus, threads) -> PiTerm:
     return core
 
 
+class _Memo(dict):
+    """A dict that fills in a missing key k with make(k), so that a hit
+    costs one lookup and no call."""
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make  # the dict starts empty: dict.__new__ ignores make
+
+    def __missing__(self, k):
+        out = self[k] = self.make(k)
+        return out
+
+
 class _Canon:
     """Normalization and canonical keys, and the offers and barbs of
     top-level threads, memoized for the life of one canon: one bisim call
@@ -559,45 +571,43 @@ class _Canon:
     entries its step touched, not the whole state.  Every other successor,
     every root and normal_form go through state, which scans, gathers and
     sorts every thread but normalizes and keys only the threads not met
-    before.
+    before.  Where such a state's entries lie (see spans) is worked out once,
+    when it is first expanded; state and merge note whether two of its
+    entries may be equal or an entry may hold twins, and only then does
+    spans look for the threads that stand for others, so that reduce_once
+    steps one met pair per orbit.
     """
 
     def __init__(self) -> None:
         # by node: normalized continuations (by core), normalized threads
-        # with their free names, and scans of parts; by (node, depth, tokens
-        # of its free names): the keys of continuations and of threads;
-        # substituted continuations by (part, param, msg); and by top-level
-        # thread: its offers and barbs
+        # with their free names, and scans of parts (scans[t]); by (node,
+        # depth, tokens of its free names): the keys of continuations and of
+        # threads; substituted continuations by (part, param, msg); and by
+        # top-level thread: its offers and barbs (acts[th])
         self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
-        self._scans: dict[PiTerm, _Names] = {}
+        self.scans: dict[PiTerm, _Names] = _Memo(_scan)
         self._conts: dict[tuple, tuple] = {}
         self._keys: dict[tuple, tuple] = {}
         self._comps: dict[tuple, tuple] = {}
         self._substs: dict[tuple, PiTerm] = {}
-        self._acts: dict[PiTerm, _Acts] = {}
+        self.acts: dict[PiTerm, _Acts] = _Memo(_acts)
         # the key of each state that state or merge made with a level keyed
-        # entry by entry (see merge), by its restrictions and threads; the
-        # parent merge last took, and where its entries lie
-        self._made: dict[tuple, tuple] = {}
+        # entry by entry (see merge), by its restrictions and threads, with
+        # whether it may hold equal entries or twins (see _Spans); the state
+        # spans last took, and where its entries lie
+        self._made: dict[tuple, tuple[tuple, bool]] = {}
         self._parent: PiState | None = None
         self._spans: _Spans
         # merge's re-keyed entries by the touched names and kept threads and
         # the step (see rekey)
-        self._steps: dict[tuple, tuple[list[tuple], int, int]] = {}
-
-    def acts(self, th: PiTerm) -> _Acts:
-        """_acts(th), memoized."""
-        done = self._acts.get(th)
-        if done is None:
-            done = self._acts[th] = _acts(th)
-        return done
+        self._steps: dict[tuple, tuple[list[tuple], int, int, bool]] = {}
 
     def barbs(self, s: PiState, input_barbs: bool) -> frozenset[Barb]:
         """strong_barbs(s, input_barbs), from each thread's memoized barbs."""
         acc: set[Barb] = set()
         for th in s.threads:
-            acts = self.acts(th)
+            acts = self.acts[th]
             acc |= acts.barbs
             if input_barbs:
                 acc |= acts.inputs
@@ -605,12 +615,6 @@ class _Canon:
             hidden = set(s.restricted)
             return frozenset([b for b in acc if b.kind == "ext" or b.name not in hidden])
         return frozenset(acc)
-
-    def scan(self, t: PiTerm) -> _Names:
-        names = self._scans.get(t)
-        if names is None:
-            names = self._scans[t] = _scan(t)
-        return names
 
     def subst(self, t: PiTerm, param: str, msg: str) -> PiTerm:
         """subst_names(t, {param: msg}), memoized."""
@@ -629,7 +633,7 @@ class _Canon:
         restriction.  That is decided from the scans of the parts, and only
         a part holding such a binder, or a free occurrence of a renamed name
         of nus, is rebuilt.  Then the levels are flattened and keyed."""
-        scans = [self.scan(p) for p in parts]
+        scans = [self.scans[p] for p in parts]
         count: dict[str, int] = {}
         for n in nus:
             count[n] = count.get(n, 0) + 1
@@ -656,8 +660,20 @@ class _Canon:
         key, order, perm = self.level(top, threads, fns, {}, 0)
         s = PiState(tuple(order), tuple([threads[i] for i in perm]), key)
         if not order or any(e[0] == "~c" for e in key[1]):
-            self._made[(s.restricted, s.threads)] = key
+            self._made[(s.restricted, s.threads)] = key, _symmetric(key[1])
         return s
+
+    def spans(self, state: PiState) -> _Spans | None:
+        """Where the entries of state's key lie (see _Spans), when this
+        canon made state with a level keyed entry by entry; else None.  Built
+        once per parent: reduce_once asks first, and merge asks for each
+        successor."""
+        if state is not self._parent:
+            made = self._made.get((state.restricted, state.threads))
+            if made is None:
+                return None
+            self._parent, self._spans = state, _Spans.of(*made)
+        return self._spans
 
     def merge(self, state: PiState, send: _Offer, recv: _Offer) -> PiState | None:
         """The successor after send meets recv, both offered by top-level
@@ -676,12 +692,9 @@ class _Canon:
         threads by index, kept ones first, then the send side's, then the
         receive side's; equal components by the position of their first name
         in the parent's restrictions, then the lifted ones."""
-        if state is not self._parent:  # its first successor
-            key = self._made.get((state.restricted, state.threads))
-            if key is None:
-                return None
-            self._parent, self._spans = state, _Spans.of(key)
-        owner, names_at, threads_at, ties, comps, keys = self._spans
+        if state is not self._parent and self.spans(state) is None:
+            return None
+        owner, names_at, threads_at, ties, comps, keys, reps = self._spans
         restricted, old = state.restricted, state.threads
         # the touched entries, each to be cut out; the names of those that
         # are components, with their positions, and their kept threads (an
@@ -705,16 +718,22 @@ class _Canon:
         done = self._steps.get(step)
         if done is None:
             done = self._steps[step] = self.rekey(*step)
-        new, added, linked = done
+        new, added, linked, symmetric = done
         # level keys the successor entry by entry when it has no names, or two
         # or more in two or more components; otherwise whole, as state does
         if len(restricted) - len(names) + added and comps + linked < 2:
             return None
         # each new entry goes before the parent's first entry with a larger
         # key, or an equal key and a larger tie: a new thread ties after
-        # every old one, a lifted name after every name of the parent
+        # every old one, a lifted name after every name of the parent.  The
+        # successor may hold equal entries or twins where the parent held
+        # some, where the new entries do among themselves, or where a new
+        # entry equals an entry of the parent (perhaps a touched one)
+        symmetric = symmetric or reps is not None
         for key, tie, ns, ths in new:
             at = bisect_right(keys, key)
+            if not symmetric and at and keys[at - 1] == key:
+                symmetric = True
             if ns:
                 tie = where[tie] if tie < len(where) else len(restricted) + tie
                 lo = bisect_left(keys, key, 0, at)
@@ -734,13 +753,14 @@ class _Canon:
                 nus[n:n] = ns
                 out[t:t] = ths
         s = PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys)))
-        self._made[(s.restricted, s.threads)] = s.key
+        self._made[(s.restricted, s.threads)] = s.key, symmetric
         return s
 
     def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], sent: PiTerm,
-              cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int]:
+              cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int, bool]:
         """The entries that replace a successor's touched ones (see merge),
-        with their number of names and of components: the touched entries'
+        with their number of names and of components, and whether two of
+        them are equal or one holds twins (see _Spans): the touched entries'
         names and kept threads, with the threads and restrictions of the
         sender's continuation sent and of the receiver's cont with msg for
         param, split into components anew and keyed, unused names dropped.
@@ -768,7 +788,8 @@ class _Canon:
                 cnames, [threads[i] for i in tids], [fns[i] for i in tids], {}, 0)
             new.append((("~c", len(cnames), keys), index[cnames[0]], tuple(order),
                         tuple([threads[tids[j]] for j in perm])))
-        return new, sum(len(c) for c, _ in comps), len(comps)
+        return (new, sum(len(c) for c, _ in comps), len(comps),
+                _symmetric(sorted([e[0] for e in new])))
 
     @staticmethod
     def _respell(nus: list[str], parts: list[PiTerm], scans: list[_Names],
@@ -1059,38 +1080,79 @@ class _Spans(NamedTuple):
     and threads threads_at[j]:threads_at[j + 1]; ties[j] orders entries of
     equal keys as level's sort does, by the position of a component's first
     name and of an outside thread; comps counts the components, and entries
-    are the key's own."""
+    are the key's own.
+
+    Two entries with equal keys are interchangeable: mapping the k-th name
+    and the k-th thread of one onto those of the other, and back, is an
+    automorphism of the level.  So is swapping two threads of one entry
+    whose keys are equal under its one labelling (twins): they are one
+    thread spelled twice.  reps[i] is the thread that stands for thread i
+    under these maps: the thread at i's offset in the first entry equal to
+    i's, or the first of its twins there.  reps is None when no two entries
+    are equal and no entry holds twins, so each thread stands for itself."""
     owner: Sequence[int]
     names_at: Sequence[int]
     threads_at: Sequence[int]
     ties: Sequence[int]
     comps: int
     entries: tuple
+    reps: list[int] | None
 
     @staticmethod
-    def of(key: tuple) -> _Spans:
+    def of(key: tuple, symmetric: bool) -> _Spans:
         """The spans of a level key in the split format or with no names: a
         component entry holds its names and its thread keys, an outside
-        thread none and one."""
+        thread none and one.  reps is looked for only where symmetric says
+        that two entries may be equal or an entry may hold twins."""
         names, entries = key
         if not names:  # bytes of zeros: no entry holds a name
-            return _Spans(range(len(entries)), bytes(len(entries) + 1),
-                          range(len(entries) + 1), range(len(entries)), 0, entries)
-        owner: list[int] = []
-        names_at, threads_at, ties = [0], [0], []
-        for j, e in enumerate(entries):
-            n, t = names_at[-1], threads_at[-1]
-            if e[0] == "~c":
-                ties.append(n)
-                names_at.append(n + e[1])
-                threads_at.append(t + len(e[2]))
-            else:
-                ties.append(t)
-                names_at.append(n)
-                threads_at.append(t + 1)
-            owner += [j] * (threads_at[-1] - t)
-        return _Spans(owner, names_at, threads_at, ties, sum(e[0] == "~c" for e in entries),
-                      entries)
+            n = len(entries)
+            spans = _Spans(range(n), bytes(n + 1), range(n + 1), range(n), 0, entries, None)
+        else:
+            owner: list[int] = []
+            names_at, threads_at, ties = [0], [0], []
+            for j, e in enumerate(entries):
+                n, t = names_at[-1], threads_at[-1]
+                if e[0] == "~c":
+                    ties.append(n)
+                    names_at.append(n + e[1])
+                    threads_at.append(t + len(e[2]))
+                else:
+                    ties.append(t)
+                    names_at.append(n)
+                    threads_at.append(t + 1)
+                owner += [j] * (threads_at[-1] - t)
+            spans = _Spans(owner, names_at, threads_at, ties,
+                           sum(e[0] == "~c" for e in entries), entries, None)
+        return spans._replace(reps=_reps(entries, spans.threads_at)) if symmetric else spans
+
+
+def _symmetric(entries: Sequence[tuple]) -> bool:
+    """Whether two entries of a sorted level key are equal, or two thread
+    keys of one component entry: sorted, equal ones are adjacent."""
+    return True in map(eq, islice(entries, 1, None), entries) or any(
+        e[0] == "~c" and True in map(eq, islice(e[2], 1, None), e[2]) for e in entries)
+
+
+def _reps(entries: tuple, threads_at: Sequence[int]) -> list[int] | None:
+    """_Spans.reps, entry by entry: an entry equal to the one before takes
+    its threads' representatives offset by offset, and in any other
+    component entry a thread whose key equals the one before it takes that
+    thread's.  None when every thread stands for itself."""
+    reps = list(range(threads_at[-1]))
+    moved = False
+    for j, e in enumerate(entries):
+        t, end = threads_at[j], threads_at[j + 1]
+        if j and e == entries[j - 1]:
+            reps[t:end] = reps[2 * t - end:t]
+            moved = True
+        elif e[0] == "~c":
+            keys = e[2]
+            for k in range(1, end - t):
+                if keys[k] == keys[k - 1]:
+                    reps[t + k] = reps[t + k - 1]
+                    moved = True
+    return reps if moved else None
 
 
 def _linked(nus: list[str], fns: list[frozenset[str]]) -> tuple[
@@ -1233,6 +1295,14 @@ class _Offer(NamedTuple):
     top: int               # top-level thread index
     levels: tuple[_CopyLevel, ...]
 
+    @property
+    def place(self) -> tuple[int, int] | tuple[()]:
+        """Where the offer sits in its top-level thread: the innermost copy
+        that unfolds to reach it and its part there, or () for the thread
+        itself.  It tells the offers of one thread apart, as their rank in
+        _acts does, and is the same in any thread spelled alike."""
+        return (self.levels[-1].cid, self.levels[-1].part) if self.levels else ()
+
 
 class _Acts(NamedTuple):
     """What one top-level thread can do now (see _acts): its offers as
@@ -1300,7 +1370,7 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     # too, subst respells no parameter.  So state() would respell nothing,
     # and the successor is the parent's untouched entries with the touched
     # ones keyed again.
-    if not (send.levels or recv.levels) and send.msg not in canon.scan(recv.cont).params:
+    if not (send.levels or recv.levels) and send.msg not in canon.scans[recv.cont].params:
         merged = canon.merge(state, send, recv)
         if merged is not None:
             return merged
@@ -1330,21 +1400,36 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
 
 def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
     """The successors of state, in key order.  explore passes its own canon,
-    so that every successor it makes shares one memo."""
+    so that every successor it makes shares one memo.
+
+    Where that canon keyed state entry by entry and some threads stand for
+    others (see _Spans.reps), a met pair and its image under one of those
+    automorphisms lead to successors with equal keys (Emerson and Sistla,
+    Symmetry and model checking, 1996).  So one pair of each orbit is
+    stepped, the first in the order below: the orbit of a pair is each
+    side's representative thread and the offer's place in it (see
+    _Offer.place), and whether the two sides sit in one entry and in one
+    thread.  The first pair that
+    makes a key is the first of its orbit, so the successor kept for each
+    key is the one every pair would keep."""
     canon = _canon or _Canon()
+    spans = canon.spans(state)
+    reps = spans and spans.reps
     # the offers of the active threads (see _acts) as (top, row): the sends
     # in order, the receives in order per channel; an _Offer is made only
     # for a send and a receive that meet, each once
     sends: list[tuple[int, tuple]] = []
     recvs: dict[str, list[tuple[int, tuple]]] = {}
+    acts = canon.acts
     for top, th in enumerate(state.threads):
-        for row in canon.acts(th).offers:
+        for row in acts[th].offers:
             if row[0] == "send":
                 sends.append((top, row))
             else:
                 recvs.setdefault(row[1], []).append((top, row))
     met: dict[str, list[_Offer]] = {}
     succs: dict[tuple, PiState] = {}
+    stepped: set[tuple] = set()
     for top, (kind, chan, msg, param, cont, levels) in sends:
         rows = recvs.get(chan)
         if rows is None:
@@ -1353,6 +1438,12 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
             met[chan] = [_Offer(*row[:5], at, row[5]) for at, row in rows]
         s = _Offer(kind, chan, msg, param, cont, top, levels)
         for r in met[chan]:
+            if reps:
+                orbit = (reps[top], s.place, reps[r.top], r.place,
+                         spans.owner[top] == spans.owner[r.top], top == r.top)
+                if orbit in stepped:
+                    continue
+                stepped.add(orbit)
             nxt = _successor(canon, state, s, r)
             succs.setdefault(nxt.key, nxt)
     return [s for _, s in sorted(succs.items(), key=itemgetter(0))]

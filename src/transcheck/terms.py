@@ -883,10 +883,10 @@ def check_compositional(sig_src: Signature, sig_tgt: Signature,
                 if images[i] is None:
                     images[i] = translate(ranges[i])
             tsub = {x: images[i] for x, i in zip(fv, combo)}
-            checked += 1
             if not alpha_eq(sig_tgt, lhs, image, tsub):
                 return Verdict("no", (e, sigma, lhs, substitute(sig_tgt, image, tsub)),
                                checked=checked)
+            checked += 1
             if checked >= max_pairs:
                 return Verdict("yes", note=f"cap of {max_pairs} pairs reached", checked=checked)
     return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)

@@ -14,7 +14,10 @@ class Verdict:
     "no" (it fails, and witness is the counterexample) or "inconclusive" (a
     resource limit was reached first, and the note says which).  checked
     counts the cases a bounded search went through, where the check counts
-    them."""
+    them.  A check that stops at the first failing case (criterion 8's
+    check_compositional and is_fvr) counts only the cases that passed, so
+    its "no" at the n-th case has checked n - 1; a "no" that exhausts a
+    search (check_valid_upto) counts every case tried."""
     status: str
     witness: object = None
     note: str = ""

@@ -982,19 +982,23 @@ def test_a_respelled_parameter_takes_the_full_path():
 
 def test_explore_rekeys_only_the_new_threads_of_unrestricted_states():
     # the pair family has no restriction anywhere: only the root is
-    # normalized whole, and each of its 192 successors is merged
-    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+    # normalized whole, and each of its 192 successors is merged; no two of
+    # its threads have equal keys, so no state stands one thread for another
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged, \
+            counting(pi, "_reps") as reps:
         g = explore(pair_family(6), 1000)
     assert (len(g.states), sum(len(e) for e in g.edges.values())) == (64, 192)
     assert len(whole) == 1 and len(merged) == 192
+    assert reps == []
     # every Boudol state restricts the names of its protocol, and each
     # successor's level stays split into one component per pair: only the
-    # root is normalized whole, and each successor built is merged
-    for n, states, edges, built in ((3, 20, 30, 57), (6, 84, 168, 630)):
+    # root is normalized whole, and one pair of each orbit is merged, one
+    # per edge (every pair made 57 and 630 merges)
+    for n, states, edges in ((3, 20, 30), (6, 84, 168)):
         with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
             g = explore(boudol(n), 2000)
         assert (len(g.states), sum(len(e) for e in g.edges.values())) == (states, edges)
-        assert len(whole) == 1 and len(merged) == built
+        assert len(whole) == 1 and len(merged) == edges
         assert all(out is not None for _, out in merged)
 
 
@@ -1047,6 +1051,158 @@ def test_a_respelled_parameter_of_a_split_level_takes_the_full_path():
     assert [print_state(s) for s in g.states.values()][1] == (
         "new a, d. (y(m2).m!m2 | a!b.new m22. m22!a | d!e)")
     assert_successors_match_state(t)
+
+
+# ------------- one met pair per orbit -------------
+
+def every_pair_reduce(state, _canon=None):
+    """reduce_once as it was: every met (send, receive) pair stepped, the
+    duplicate keys dropped afterwards."""
+    canon = _canon or pi._Canon()
+    sends, recvs = [], {}
+    for top, th in enumerate(state.threads):
+        for row in canon.acts[th].offers:
+            if row[0] == "send":
+                sends.append((top, row))
+            else:
+                recvs.setdefault(row[1], []).append((top, row))
+    succs = {}
+    for top, (kind, chan, msg, param, cont, levels) in sends:
+        s = pi._Offer(kind, chan, msg, param, cont, top, levels)
+        for at, row in recvs.get(chan, []):
+            nxt = pi._successor(canon, state, s, pi._Offer(*row[:5], at, row[5]))
+            succs.setdefault(nxt.key, nxt)
+    return [succs[k] for k in sorted(succs)]
+
+
+@contextmanager
+def every_pair():
+    """explore and bisim stepping every met pair."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi, "reduce_once", every_pair_reduce)
+        yield
+
+
+def graph_view(g):
+    return (g.root, g.order(), [print_state(s) for s in g.states.values()], g.edges,
+            list(g.edges), g.barbs, g.complete, g.divergent)
+
+
+def assert_orbits_match_every_pair(t, budget=2000):
+    """explore at budget, and at half the states it admits there, is what
+    stepping every met pair gives, with output and with input barbs."""
+    size = len(explore(t, budget).states)
+    for b in sorted({budget, max(1, size // 2)}):
+        for input_barbs in (False, True):
+            got = graph_view(explore(t, b, input_barbs))
+            with every_pair():
+                want = graph_view(explore(t, b, input_barbs))
+            assert got == want
+
+
+def assert_bisim_matches_every_pair(p, q, budget=300):
+    for kind in pi.BISIM_KINDS:
+        got = bisim(p, q, kind, budget)
+        with every_pair():
+            want = bisim(p, q, kind, budget)
+        assert (got.status, got.note) == (want.status, want.note)
+
+
+# the same thread twice, one side of a pair from each copy or both from one:
+# replicated outside threads with no names, replicated twins in a component,
+# equal components whose sender meets its own receiver or the other's, and
+# twin components that are restricted replications
+TWINS = [
+    "x!a | x!a | !x(y).y!b",
+    "!(x!a | x(y).y!b) | !(x!a | x(y).y!b)",
+    "new c, d. (!(c!a | c(y).y!b) | !(c!a | c(y).y!b) | d!e)",
+    "new a. (x!a | x(y).a!y) | new a. (x!a | x(y).a!y)",
+    "new a. (x!a | x(y).a!y | a(z).0) | new a. (x!a | x(y).a!y | a(z).0) | x!c",
+    "new t. (t!c | !t(y).t!y) | new t. (t!c | !t(y).t!y) | x!a | x(y).0",
+]
+
+
+def fixture_terms():
+    pairs = load_pairs((FIXTURES / "pi" / "lattice_pairs.txt").read_text())
+    lines = (FIXTURES / "pi" / "encoding_terms.txt").read_text().splitlines()
+    return [parse_pi(side) for pair in pairs for side in pair] + [
+        parse_pi(s) for s in lines if s.strip() and not s.startswith("#")]
+
+
+def test_twin_threads_and_entries_stand_for_the_first():
+    # sorted, d's component of one thread comes first, then c's, whose two
+    # replications are twins
+    canon = pi._Canon()
+    state = canon.state([], [parse_pi(TWINS[2])])
+    assert canon.spans(state).reps == [0, 1, 1]
+    # two equal components of two threads each: each thread of the second
+    # stands for the thread at its offset in the first
+    state = canon.state([], [parse_pi(TWINS[3])])
+    assert canon.spans(state).reps == [0, 1, 0, 1]
+    # k independent pairs: every thread stands for itself
+    assert canon.spans(canon.state([], [pair_family(3)])).reps is None
+    # a state that no canon made has no spans, so every pair is stepped
+    assert pi._Canon().spans(state) is None
+
+
+@pytest.mark.parametrize("text", TWINS)
+def test_one_pair_per_orbit_matches_every_pair_on_twins(text):
+    t = parse_pi(text)
+    with counting(pi, "_successor") as stepped:
+        explore(t, 60)
+    with every_pair(), counting(pi, "_successor") as every:
+        explore(t, 60)
+    assert len(stepped) < len(every)
+    assert_orbits_match_every_pair(t, 60)
+    assert_orbits_match_every_pair(boudol_translate(t), 60)
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (boudol, [1, 2, 3, 4, 5, 6]), (product, [1, 2, 3]), (pair_family, [6]),
+], ids=["boudol", "product", "pairs"])
+def test_one_pair_per_orbit_matches_every_pair_on_the_families(make, sizes):
+    for n in sizes:
+        assert_orbits_match_every_pair(make(n))
+
+
+def test_one_pair_per_orbit_matches_every_pair_on_the_fixtures():
+    for t in fixture_terms():
+        for u in (t, boudol_translate(t)):
+            assert_orbits_match_every_pair(u, 500)
+
+
+def test_bisim_with_one_pair_per_orbit_matches_every_pair():
+    pairs = [tuple(map(parse_pi, pair)) for pair in
+             load_pairs((FIXTURES / "pi" / "lattice_pairs.txt").read_text())]
+    pairs += [(t, boudol_translate(t)) for t in fixture_terms()]
+    # the twins whose graphs close; the others grow a copy per step
+    pairs += [(parse_pi(text), boudol_translate(parse_pi(text)))
+              for text in TWINS if explore(parse_pi(text), 300).complete]
+    pairs += [(parse_pi(TWINS[0]), parse_pi("x!a | !x(y).y!b")),
+              (parse_pi(TWINS[3]), parse_pi("new a. (x!a | x(y).a!y)")),
+              (product(2), product(3)), (product(2), pair_family(2))]
+    for n in range(1, 5):
+        source = parse_pi(" | ".join(["x!z"] * n + ["x(y).r!y"] * n))
+        pairs += [(boudol(n), source), (boudol(n), boudol(n + 1))]
+    for p, q in pairs:
+        assert_bisim_matches_every_pair(p, q)
+
+
+@st.composite
+def with_twin_components(draw):
+    """A level split into components, with copies of some of them beside
+    the originals under names of their own."""
+    comps, extra = draw(split_levels())
+    twins = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=2))
+    return split_term(comps + twins, extra)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(with_repeats(levels()), with_repeats(levels().map(unrestricted)),
+                 levels().map(lambda t: Par(t, t)), with_twin_components()))
+def test_one_pair_per_orbit_matches_every_pair_on_duplicated_components(t):
+    assert_orbits_match_every_pair(t, 40)
+    assert_bisim_matches_every_pair(t, Par(t, t), 40)
 
 
 # ------------- one canon for both sides of bisim -------------

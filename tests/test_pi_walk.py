@@ -641,7 +641,7 @@ def test_barbs_and_offers_match_the_recursive_walks(t):
         assert strong_barbs(s, inp) == old_strong_barbs(s, inp)
     got = [(kind, chan, msg, param, cont, top, levels)
            for top, th in enumerate(s.threads)
-           for kind, chan, msg, param, cont, levels in _Canon().acts(th).offers]
+           for kind, chan, msg, param, cont, levels in _Canon().acts[th].offers]
     assert got == old_offers(s.threads)
 
 
@@ -650,7 +650,7 @@ def old_reduce_once(state, canon):
     each send tried against every receive, in offer order."""
     offers = [_Offer(kind, chan, msg, param, cont, top, levels)
               for top, th in enumerate(state.threads)
-              for kind, chan, msg, param, cont, levels in canon.acts(th).offers]
+              for kind, chan, msg, param, cont, levels in canon.acts[th].offers]
     succs = {}
     for s in offers:
         for r in offers:

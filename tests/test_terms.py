@@ -345,7 +345,7 @@ def test_counter_translation_not_compositional():
     src, tgt = counters_signatures()
     v = check_compositional(src, tgt, counters_norm, depth=3)
     assert not v.holds
-    assert v.checked == 17
+    assert v.checked == 16  # the 16 pairs before the failing 17th
     e, sigma, lhs, rhs = v.witness
     assert print_term(e) == "S(X)"
     assert {k: print_term(r) for k, r in sigma.items()} == {"X": "two(X)"}
@@ -353,6 +353,31 @@ def test_counter_translation_not_compositional():
     assert print_term(rhs) == "S(X)"
     fv = is_fvr(src, tgt, counters_norm, depth=3)
     assert fv.holds and fv.note == "exhausted to depth 3"
+
+
+def leaks_binder(t):
+    """Spells each binder's bound name free: alpha-variants translate apart
+    (clause 2), and the image has a free name the term lacks (not fvr)."""
+    return Var(t.bound[0]) if isinstance(t, App) and t.bound else t
+
+
+@pytest.mark.parametrize("site", ["clause-1", "clause-2", "fvr"])
+def test_a_no_counts_only_the_cases_that_passed(site):
+    # the failing case is not counted: a cap of `checked` answers yes with
+    # every case it counted, and a cap one larger gives the same no
+    src, tgt = counters_signatures()
+    check, src, tgt, f, depth, passed = {
+        "clause-1": (check_compositional, src, tgt, counters_norm, 3, 16),
+        "clause-2": (check_compositional, TOY, TOY, leaks_binder, 2, 195),
+        "fvr": (is_fvr, TOY, TOY, leaks_binder, 2, 39),
+    }[site]
+    no = check(src, tgt, f, depth)
+    assert (no.status, no.checked) == ("no", passed)
+    assert (no.witness[0] == "clause-2") == (site == "clause-2")
+    capped = check(src, tgt, f, depth, passed)
+    assert (capped.status, capped.checked) == ("yes", passed)
+    assert capped.note.startswith("cap of")
+    assert check(src, tgt, f, depth, passed + 1) == no
 
 
 def test_compositional_accepts_homomorphic_map():

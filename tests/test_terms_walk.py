@@ -917,9 +917,9 @@ def old_check_compositional(sig_src, sig_tgt, translate, depth, max_pairs=10000)
         for sigma in domains:
             lhs = translate(substitute(sig_src, e, sigma))
             rhs = substitute(sig_tgt, translate(e), {x: translate(r) for x, r in sigma.items()})
-            checked += 1
             if not alpha_eq(sig_tgt, lhs, rhs):
                 return Verdict("no", (e, sigma, lhs, rhs), checked=checked)
+            checked += 1
             if checked >= max_pairs:
                 return Verdict("yes", note=f"cap of {max_pairs} pairs reached", checked=checked)
     return Verdict("yes", note=f"exhausted to depth {depth}", checked=checked)
@@ -976,7 +976,7 @@ def test_criterion_8_matches_the_per_pair_loop_on_the_boudol_head_map(cap):
 def test_criterion_8_matches_the_per_pair_loop_on_small_maps():
     src, tgt = counters_signatures()
     v = _same_as_per_pair(src, tgt, lambda: counters_norm, 3, 10000)
-    assert (v.status, v.checked) == ("no", 17)
+    assert (v.status, v.checked) == ("no", 16)
 
     def toy():
         return complete_compositional(translation(TOY, TOY, TOY_HEADS))
@@ -1051,7 +1051,7 @@ def test_criterion_8_answers_are_monotone_in_the_cap_on_random_head_maps(case, c
 def test_criterion_8_answers_are_monotone_in_the_cap_on_the_counters_map(cap):
     src, tgt = counters_signatures()
     v = _monotone_in_the_cap(check_compositional, src, tgt, lambda: counters_norm, 3, cap)
-    assert (v.status, v.checked) == (("yes", cap) if cap < 17 else ("no", 17))
+    assert (v.status, v.checked) == (("yes", cap) if cap < 17 else ("no", 16))
     _monotone_in_the_cap(is_fvr, src, tgt, lambda: counters_norm, 3, cap)
 
 
