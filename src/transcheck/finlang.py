@@ -99,6 +99,9 @@ def load_language(data: dict) -> FiniteLanguage:
     ops = []
     for op in data["operators"]:
         _need_keys(op, ("name", "arity", "table"), "operator")
+        _need_keys(op["table"], (), f"operator {op['name']} table")
+        _need_values(list(op["table"].values()),
+                     f"operator {op['name']} table results are not values")
         table = {}
         for key, out in op["table"].items():
             args = tuple(key.split(",")) if key else ()
@@ -217,6 +220,13 @@ class SemanticTranslation:
 
 
 def load_semantic_translation(data: dict) -> SemanticTranslation:
+    _need_keys(data, ("pairs",), "semantic translation file")
+    if not isinstance(data["pairs"], list):
+        raise InputError("semantic translation pairs are not a JSON list")
+    for p in data["pairs"]:
+        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)):
+            raise InputError(f"semantic translation pair {json.dumps(p)} is not a pair of "
+                             "two value names")
     return SemanticTranslation(data.get("name", "R"),
                                tuple(sorted((a, b) for a, b in data["pairs"])))
 
@@ -235,6 +245,10 @@ def load_translation(data: dict, source: FiniteLanguage | Signature,
     if data["source"] != src.name or data["target"] != tgt.name:
         raise InputError(f"translation is {data['source']} -> {data['target']}, "
                          f"got languages {src.name} -> {tgt.name}")
+    _need_keys(data["heads"], (), "translation head map")
+    for op, img in data["heads"].items():
+        if not isinstance(img, str):
+            raise InputError(f"translation head {op}: {json.dumps(img)} is not a term")
     heads = {op: parse_term(tgt, img) for op, img in data["heads"].items()}
     return translation(src, tgt, heads)
 

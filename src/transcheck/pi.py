@@ -29,6 +29,7 @@ class PiError(Exception):
 
 _INTERNED = WeakValueDictionary()
 _alloc = object.__new__
+_setattr = object.__setattr__
 
 
 class _Interned:
@@ -454,10 +455,23 @@ class PiState:
     """Structural-congruence normal form (see normal_form): restrictions
     lifted to the top, parallel threads flattened, both in the order that
     realizes the canonical key, and identity by that key (see
-    _Canon.level)."""
+    _Canon.level).  A state carries the canon that made it, if any (see
+    _Canon.made), in no field: that is neither compared nor printed."""
     restricted: tuple[str, ...]
     threads: tuple[PiTerm, ...]
     key: tuple
+
+    _canon = None  # set by _Canon.made
+    _note = False
+    _memo = False  # the spans, once worked out
+
+    def _spans(self) -> _Spans | None:
+        """Where the entries of the key lie (see _Spans), when a canon made
+        this state with a level keyed entry by entry; else None.  No
+        cached_property: the instance dict it builds slows every read."""
+        if self._memo is False:
+            _setattr(self, "_memo", self._canon and _Spans.of(self.key, self._note))
+        return self._memo
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PiState) and self.key == other.key
@@ -549,8 +563,8 @@ class _Memo(dict):
 
 class _Canon:
     """Normalization and canonical keys, and the offers and barbs of
-    top-level threads, memoized for the life of one canon: one bisim call
-    (both of its graphs), one explore, or one normal_form call.
+    top-level threads, memoized for the life of one canon, which each state
+    it makes carries (see PiState) and is stepped with (see reduce_once).
 
     A level is the restricted names and the parallel threads directly under a
     prefix (or at the top).  Its key is ``(len(nus), sorted thread keys)`` with
@@ -564,18 +578,18 @@ class _Canon:
     depth and spelling of its free names.  A top-level key whose level has
     no names, or several components, is a list of entries: one per
     component, and one per thread outside every component.  A successor of
-    such a state that this canon made, by a step that opens no replication
+    such a state that a canon made, by a step that opens no replication
     copy, goes through merge: the entries the step touched are split and
     keyed anew, the same step in another state is looked up, and every
     other entry keeps its key, names and threads.  So a successor costs the
     entries its step touched, not the whole state.  Every other successor,
     every root and normal_form go through state, which scans, gathers and
     sorts every thread but normalizes and keys only the threads not met
-    before.  Where such a state's entries lie (see spans) is worked out once,
-    when it is first expanded; state and merge note whether two of its
-    entries may be equal or an entry may hold twins, and only then does
-    spans look for the threads that stand for others, so that reduce_once
-    steps one met pair per orbit.
+    before.  Where such a state's entries lie (see PiState._spans) is worked
+    out once, when it is first expanded; state and merge note whether two of
+    its entries may be equal or an entry may hold twins, and only then are
+    the threads that stand for others looked for, so that reduce_once steps
+    one met pair per orbit.
     """
 
     def __init__(self) -> None:
@@ -592,29 +606,9 @@ class _Canon:
         self._comps: dict[tuple, tuple] = {}
         self._substs: dict[tuple, PiTerm] = {}
         self.acts: dict[PiTerm, _Acts] = _Memo(_acts)
-        # the key of each state that state or merge made with a level keyed
-        # entry by entry (see merge), by its restrictions and threads, with
-        # whether it may hold equal entries or twins (see _Spans); the state
-        # spans last took, and where its entries lie
-        self._made: dict[tuple, tuple[tuple, bool]] = {}
-        self._parent: PiState | None = None
-        self._spans: _Spans
         # merge's re-keyed entries by the touched names and kept threads and
         # the step (see rekey)
         self._steps: dict[tuple, tuple[list[tuple], int, int, bool]] = {}
-
-    def barbs(self, s: PiState, input_barbs: bool) -> frozenset[Barb]:
-        """strong_barbs(s, input_barbs), from each thread's memoized barbs."""
-        acc: set[Barb] = set()
-        for th in s.threads:
-            acts = self.acts[th]
-            acc |= acts.barbs
-            if input_barbs:
-                acc |= acts.inputs
-        if s.restricted:
-            hidden = set(s.restricted)
-            return frozenset([b for b in acc if b.kind == "ext" or b.name not in hidden])
-        return frozenset(acc)
 
     def subst(self, t: PiTerm, param: str, msg: str) -> PiTerm:
         """subst_names(t, {param: msg}), memoized."""
@@ -658,30 +652,23 @@ class _Canon:
                 raw.append(p)
         top, threads, fns = self.gather(top, raw)
         key, order, perm = self.level(top, threads, fns, {}, 0)
-        s = PiState(tuple(order), tuple([threads[i] for i in perm]), key)
-        if not order or any(e[0] == "~c" for e in key[1]):
-            self._made[(s.restricted, s.threads)] = key, _symmetric(key[1])
-        return s
+        return self.made(
+            PiState(tuple(order), tuple([threads[i] for i in perm]), key), _symmetric(key[1]))
 
-    def spans(self, state: PiState) -> _Spans | None:
-        """Where the entries of state's key lie (see _Spans), when this
-        canon made state with a level keyed entry by entry; else None.  Built
-        once per parent: reduce_once asks first, and merge asks for each
-        successor."""
-        if state is not self._parent:
-            made = self._made.get((state.restricted, state.threads))
-            if made is None:
-                return None
-            self._parent, self._spans = state, _Spans.of(*made)
-        return self._spans
+    def made(self, s: PiState, symmetric: bool) -> PiState:
+        """s, noted as made by this canon, with whether two entries of its
+        key may be equal or an entry may hold twins (see _Spans)."""
+        _setattr(s, "_canon", self)
+        _setattr(s, "_note", symmetric)
+        return s
 
     def merge(self, state: PiState, send: _Offer, recv: _Offer) -> PiState | None:
         """The successor after send meets recv, both offered by top-level
         threads of a parent whose binders need no respelling (see
         _successor), as state would make it of the parent's restrictions, its
-        other threads and the two continuations; None when this canon did not
-        make the parent, or when the successor's level would not be keyed
-        entry by entry (see level).
+        other threads and the two continuations; None when no canon made the
+        parent with a level keyed entry by entry, or when the successor's
+        level would not be keyed that way (see level).
 
         Only the entries holding a consumed thread are keyed again (see
         rekey).  Every other entry keeps its key, names and threads:
@@ -692,9 +679,10 @@ class _Canon:
         threads by index, kept ones first, then the send side's, then the
         receive side's; equal components by the position of their first name
         in the parent's restrictions, then the lifted ones."""
-        if state is not self._parent and self.spans(state) is None:
+        spans = state._spans()
+        if spans is None:
             return None
-        owner, names_at, threads_at, ties, comps, keys, reps = self._spans
+        owner, names_at, threads_at, ties, comps, keys, reps = spans
         restricted, old = state.restricted, state.threads
         # the touched entries, each to be cut out; the names of those that
         # are components, with their positions, and their kept threads (an
@@ -752,9 +740,7 @@ class _Canon:
                 ekeys.insert(at, key)
                 nus[n:n] = ns
                 out[t:t] = ths
-        s = PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys)))
-        self._made[(s.restricted, s.threads)] = s.key, symmetric
-        return s
+        return self.made(PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys))), symmetric)
 
     def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], sent: PiTerm,
               cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int, bool]:
@@ -1099,15 +1085,18 @@ class _Spans(NamedTuple):
     reps: list[int] | None
 
     @staticmethod
-    def of(key: tuple, symmetric: bool) -> _Spans:
+    def of(key: tuple, symmetric: bool) -> _Spans | None:
         """The spans of a level key in the split format or with no names: a
         component entry holds its names and its thread keys, an outside
-        thread none and one.  reps is looked for only where symmetric says
-        that two entries may be equal or an entry may hold twins."""
+        thread none and one; None for a key keyed whole.  reps is looked for
+        only where symmetric says that two entries may be equal or an entry
+        may hold twins."""
         names, entries = key
         if not names:  # bytes of zeros: no entry holds a name
             n = len(entries)
             spans = _Spans(range(n), bytes(n + 1), range(n + 1), range(n), 0, entries, None)
+        elif not any(e[0] == "~c" for e in entries):
+            return None
         else:
             owner: list[int] = []
             names_at, threads_at, ties = [0], [0], []
@@ -1352,8 +1341,19 @@ def _acts(th: PiTerm) -> _Acts:
 def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
     """The external barbs of the active threads (see _acts), and the
     subjects of their outputs (and of their inputs, with input_barbs) that no
-    restriction of the state or of an unfolded copy hides."""
-    return _Canon().barbs(s, input_barbs)
+    restriction of the state or of an unfolded copy hides, each thread's
+    read from the memo of the canon that made s."""
+    memo = (s._canon or _Canon()).acts
+    acc: set[Barb] = set()
+    for th in s.threads:
+        acts = memo[th]
+        acc |= acts.barbs
+        if input_barbs:
+            acc |= acts.inputs
+    if s.restricted:
+        hidden = set(s.restricted)
+        return frozenset([b for b in acc if b.kind == "ext" or b.name not in hidden])
+    return frozenset(acc)
 
 
 def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiState:
@@ -1361,7 +1361,7 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     unconsumed parts of every replication copy either offer opened (with its
     restrictions), and the two continuations, the received name substituted
     for the parameter."""
-    # merge takes only a parent that this canon's state or merge made, so
+    # merge takes only a parent that a canon's state or merge made, so
     # each of its binders occurs once and clashes with no free name or input
     # parameter.  A step that opens no copy adds no binder, and the
     # continuations' binders, free names and parameters were their threads'.
@@ -1398,9 +1398,10 @@ def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiS
     return canon.state(nus, parts)
 
 
-def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
-    """The successors of state, in key order.  explore passes its own canon,
-    so that every successor it makes shares one memo.
+def reduce_once(state: PiState) -> list[PiState]:
+    """The successors of state, in key order, made by the canon that made
+    state (a fresh one for a state built by hand), so that every state
+    reached from one root shares one memo.
 
     Where that canon keyed state entry by entry and some threads stand for
     others (see _Spans.reps), a met pair and its image under one of those
@@ -1409,11 +1410,10 @@ def reduce_once(state: PiState, _canon: _Canon | None = None) -> list[PiState]:
     stepped, the first in the order below: the orbit of a pair is each
     side's representative thread and the offer's place in it (see
     _Offer.place), and whether the two sides sit in one entry and in one
-    thread.  The first pair that
-    makes a key is the first of its orbit, so the successor kept for each
-    key is the one every pair would keep."""
-    canon = _canon or _Canon()
-    spans = canon.spans(state)
+    thread.  The first pair that makes a key is the first of its orbit, so
+    the successor kept for each key is the one every pair would keep."""
+    canon = state._canon or _Canon()
+    spans = state._spans()
     reps = spans and spans.reps
     # the offers of the active threads (see _acts) as (top, row): the sends
     # in order, the receives in order per channel; an _Offer is made only
@@ -1594,25 +1594,24 @@ class ReductionGraph:
         return frozenset([s.key for s, d in zip(self._nodes, self._graph.divergent) if d])
 
 
-def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,
-         _canon: _Canon | None = None) -> Generator[
+def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
         tuple[PiState, frozenset[Barb]], None,
         tuple[list[PiState], dict[tuple, int], list[list[int]], list[int], bool]]:
     """The breadth-first search of explore, one admitted state at a time.
 
     Yields each state as it is admitted, with its strong barbs: the root,
     then each frontier's new successors, the frontier expanded in key order,
-    until budget states are admitted.  One canon normalizes the root and
-    every successor, so a thread met again is neither renormalized nor
+    until budget states are admitted.  reduce_once steps each state with the
+    canon that made it, so the root's canon (a fresh one for a term) makes
+    every successor, and a thread met again is neither renormalized nor
     rekeyed, nor walked again for its offers and barbs.  Each state is
-    numbered as it is admitted.  Returns the admitted states by number, the number of each
-    state key, the successor numbers of each state, the states' numbers in
-    the order they were expanded, and whether no successor was left out for
-    the budget."""
+    numbered as it is admitted.  Returns the admitted states by number, the
+    number of each state key, the successor numbers of each state, the
+    states' numbers in the order they were expanded, and whether no
+    successor was left out for the budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
-    canon = _canon or _Canon()
-    root = t if isinstance(t, PiState) else canon.state([], [t])
+    root = t if isinstance(t, PiState) else _Canon().state([], [t])
     pvs = set().union(*map(process_vars, root.threads))
     if pvs:
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
@@ -1620,7 +1619,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,
     index = {root.key: 0}
     succ: list[list[int]] = [[]]
     expanded: list[int] = []
-    yield root, canon.barbs(root, input_barbs)
+    yield root, strong_barbs(root, input_barbs)
     frontier = [(root.key, 0)]
     complete = True
     while frontier:
@@ -1628,7 +1627,7 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,
         for _, i in sorted(frontier, key=itemgetter(0)):
             expanded.append(i)
             out = succ[i]
-            for s in reduce_once(nodes[i], canon):  # sorted, once each
+            for s in reduce_once(nodes[i]):  # sorted, once each
                 n = len(nodes)
                 j = index.setdefault(s.key, n)
                 if j == n:
@@ -1638,19 +1637,18 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool,
                         continue
                     nodes.append(s)
                     succ.append([])
-                    yield s, canon.barbs(s, input_barbs)
+                    yield s, strong_barbs(s, input_barbs)
                     nxt.append((s.key, j))
                 out.append(j)
         frontier = nxt
     return nodes, index, succ, expanded, complete
 
 
-def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False,
-            _canon: _Canon | None = None) -> ReductionGraph:
+def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
     """The reduction graph of t, breadth first with each frontier in key
-    order, up to budget states (see _bfs).  bisim passes one canon for both
-    of its graphs, so that the second reuses the first one's memos."""
-    search = _bfs(t, budget, input_barbs, _canon)
+    order, up to budget states (see _bfs), made by the canon of the root:
+    the canon that made the state t, or a fresh one."""
+    search = _bfs(t, budget, input_barbs)
     barbs: list[frozenset[Barb]] = []
     try:
         while True:
@@ -1808,12 +1806,13 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
           input_barbs: bool = False) -> Verdict:
     """Decide whether p and q are bisimilar of the given kind.
 
-    Both reduction graphs are explored within the state budget by one canon,
-    so the second reuses the first one's memos, and once when p and q have
-    one normal form (they are then bisimilar); if either does not close, the
-    verdict is inconclusive.  On the union of the two numbered graphs (see
-    _union), _refinement splits blocks by the kind's signature until the
-    partition is stable; the roots are bisimilar iff they end in one block.
+    One canon makes both roots, so the second graph reuses the first one's
+    memos.  Both graphs are explored within the state budget, and once when
+    p and q have one normal form (they are then bisimilar); if either does
+    not close, the verdict is inconclusive.  On the union of the two
+    numbered graphs (see _union), _refinement splits blocks by the kind's
+    signature until the partition is stable; the roots are bisimilar iff
+    they end in one block.
     Divergence (some infinite run, or for dp-branching an infinite run of
     inert steps) comes from one pass of Tarjan's strongly connected
     components, made only for the kinds that read it.
@@ -1830,9 +1829,9 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
     canon = _Canon()
-    g1 = explore(canon.state([], [p]), budget, input_barbs, canon)
+    g1 = explore(canon.state([], [p]), budget, input_barbs)
     root2 = canon.state([], [q])
-    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs, canon)
+    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
         return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
     if g1 is g2:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from transcheck.cli import main
+from transcheck.pi import PiState
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,6 +22,12 @@ def cli(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     return run
+
+
+def hand_built(s: PiState) -> PiState:
+    """s as a state that no canon made: one that reduce_once steps with a
+    fresh canon and merges no successor of."""
+    return PiState(s.restricted, s.threads, s.key)
 
 
 def chain_text(n: int, msg: str = "a") -> str:

@@ -601,6 +601,57 @@ def test_relation_error_does_not_depend_on_the_hash_seed(tmp_path):
     assert errs == {"error: pair (neg2.0, zz.a) mentions a value outside the carrier\n"}
 
 
+SAMECOPY = ("--source", "samecopy/L.json", "--target", "samecopy/Lp.json")
+
+
+def assert_input_error(result, message):
+    """A malformed file is an input error (exit 3), reported on stderr, and
+    never a failed check (exit 1) or a traceback."""
+    code, out, err = result
+    assert (code, out, err) == (USAGE, "", f"error: {message}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"name": "R"}, "semantic translation file lacks keys: ['pairs']"),
+    ({"pairs": [["a", "b", "c"]]},
+     'semantic translation pair ["a", "b", "c"] is not a pair of two value names'),
+    ({"pairs": 5}, "semantic translation pairs are not a JSON list"),
+    ([1, 2], "semantic translation file is not a JSON object"),
+], ids=["no-pairs", "three-values", "pairs-not-a-list", "not-an-object"])
+def test_malformed_semantic_translation_is_usage_error(cli, tmp_path, data, message):
+    semtrans = _write_json(tmp_path / "R.json", data)
+    assert_input_error(cli("check", "correct", *SAMECOPY, "--translation", "samecopy/T.json",
+                           "--semtrans", semtrans), message)
+    assert_input_error(cli("lr-closure", "--lang", "samecopy/L.json",
+                           "--relation", "samecopy/sim.json", "--semtrans", semtrans), message)
+
+
+@pytest.mark.parametrize("heads, message", [
+    (5, "translation head map is not a JSON object"),
+    (["a"], "translation head map is not a JSON object"),
+    ({"yes": 5, "no": "no", "same": "same(X1, X2)"}, "translation head yes: 5 is not a term"),
+], ids=["number", "list", "head-not-a-string"])
+def test_malformed_translation_heads_are_usage_error(cli, tmp_path, heads, message):
+    data = json.loads((FIXTURES / "samecopy" / "T.json").read_text())
+    tr = _write_json(tmp_path / "T.json", {**data, "heads": heads})
+    assert_input_error(cli("check", "correct", *SAMECOPY, "--translation", tr,
+                           "--semtrans", "samecopy/R.json"), message)
+
+
+@pytest.mark.parametrize("table, message", [
+    (5, "operator neg table is not a JSON object"),
+    ({"0": ["0"], "1": "0"}, "operator neg table results are not values"),
+], ids=["number", "list-result"])
+def test_malformed_operator_table_is_usage_error(cli, tmp_path, table, message):
+    data = json.loads((FIXTURES / "negtop" / "L.json").read_text())
+    data["operators"][2]["table"] = table
+    lang = _write_json(tmp_path / "L.json", data)
+    assert_input_error(cli("check", "valid", "--source", lang, *NEGTOP[2:]), message)
+    # lang validate reports the same fault as its answer
+    assert cli("lang", "validate", "--lang", lang) == (FAIL, f"invalid: {message}\n", "")
+
+
 def test_table_key_outside_values_is_named(cli, tmp_path):
     lang = _write_json(tmp_path / "L.json", {
         "name": "l", "values": ["0", "1"],

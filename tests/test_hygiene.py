@@ -75,11 +75,42 @@ def test_no_unused_imports():
 
 
 def _library_names() -> set[str]:
-    """The identifiers in the code spans of README.md's Library section."""
+    """The identifiers in the code spans of the bullet list that follows
+    "These public definitions" in README.md's Library section; a mention in
+    the prose around it makes nothing public."""
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return {name for span in re.findall(r"`([^`]*)`", section)
+    after = section.split("\nThese public definitions", 1)[1]
+    bullets = re.search(r"\n\n((?:- .*\n(?:  .*\n)*)+)", after).group(1)
+    return {name for span in re.findall(r"`([^`]*)`", bullets)
             for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)}
+
+
+def test_the_library_names_are_the_bullets():
+    public = _library_names()
+    assert {"canon_key", "check_compositional", "is_async", "result"} <= public
+    # named in the prose after the list only
+    assert public.isdisjoint({"complete_compositional", "alpha_eq", "translate"})
+
+
+def test_public_functions_take_no_private_parameters():
+    # a parameter spelled _x is a knob no caller outside the module should
+    # turn: reduce_once and explore once took the canon that way
+    found = []
+    for path, tree in PACKAGE_TREES.items():
+        for node in tree.body:
+            fns = [node]
+            if isinstance(node, ast.ClassDef):
+                fns = node.body
+            for fn in fns:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or fn.name.startswith("_"):
+                    continue
+                a = fn.args
+                found += [f"{path}: {fn.name}({p.arg})"
+                          for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p is not None and p.arg.startswith("_")]
+    assert found == []
 
 
 def test_every_definition_is_used():

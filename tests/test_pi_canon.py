@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hand_built
+
 from transcheck import pi
 from transcheck.cli import EXIT
 from transcheck.encodings import ContextProbe, boudol_translate, load_pairs
@@ -1055,10 +1057,10 @@ def test_a_respelled_parameter_of_a_split_level_takes_the_full_path():
 
 # ------------- one met pair per orbit -------------
 
-def every_pair_reduce(state, _canon=None):
+def every_pair_reduce(state):
     """reduce_once as it was: every met (send, receive) pair stepped, the
     duplicate keys dropped afterwards."""
-    canon = _canon or pi._Canon()
+    canon = state._canon or pi._Canon()
     sends, recvs = [], {}
     for top, th in enumerate(state.threads):
         for row in canon.acts[th].offers:
@@ -1132,17 +1134,46 @@ def fixture_terms():
 def test_twin_threads_and_entries_stand_for_the_first():
     # sorted, d's component of one thread comes first, then c's, whose two
     # replications are twins
-    canon = pi._Canon()
-    state = canon.state([], [parse_pi(TWINS[2])])
-    assert canon.spans(state).reps == [0, 1, 1]
+    state = normal_form(parse_pi(TWINS[2]))
+    assert state._spans().reps == [0, 1, 1]
     # two equal components of two threads each: each thread of the second
     # stands for the thread at its offset in the first
-    state = canon.state([], [parse_pi(TWINS[3])])
-    assert canon.spans(state).reps == [0, 1, 0, 1]
+    state = normal_form(parse_pi(TWINS[3]))
+    assert state._spans().reps == [0, 1, 0, 1]
     # k independent pairs: every thread stands for itself
-    assert canon.spans(canon.state([], [pair_family(3)])).reps is None
+    assert normal_form(pair_family(3))._spans().reps is None
     # a state that no canon made has no spans, so every pair is stepped
-    assert pi._Canon().spans(state) is None
+    assert hand_built(state)._spans() is None
+
+
+# ------------- a state carries the canon that made it -------------
+
+def test_explore_of_a_normal_form_is_explore_of_its_term():
+    # a normal form carries its canon, so the root's successors are merged
+    # as they are from explore's own root; from a hand-built root they are
+    # keyed whole, and every graph is the same, closed or not
+    terms = ([boudol(n) for n in range(1, 5)] + [pair_family(k) for k in range(1, 7)]
+             + [parse_pi(t) for t in TWINS] + fixture_terms())
+    for t in terms:
+        for input_barbs in (False, True):
+            want = graph_view(explore(t, 100, input_barbs))
+            assert graph_view(explore(normal_form(t), 100, input_barbs)) == want
+            assert graph_view(explore(hand_built(normal_form(t)), 100, input_barbs)) == want
+
+
+def test_the_successors_of_a_normal_form_are_merged():
+    root = normal_form(boudol(3))
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+        succs = reduce_once(root)
+    # the three senders and three receivers of Boudol n = 3 meet in one orbit
+    assert whole == [] and len(merged) == len(succs) == 1
+    assert all(s._canon is root._canon for s in succs)
+    # a hand-built state is never merged: every met pair is keyed whole
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+        again = reduce_once(hand_built(root))
+    assert [out for _, out in merged] == [None] * len(whole) and len(whole) == 9
+    assert ([(s.restricted, s.threads, s.key) for s in again]
+            == [(s.restricted, s.threads, s.key) for s in succs])
 
 
 @pytest.mark.parametrize("text", TWINS)
@@ -1251,8 +1282,8 @@ def assert_one_canon_matches_fresh_ones(p, q, budget, input_barbs=False):
     made, is explore of q by a fresh canon; and bisim, which explores both
     by one canon, gives per_side_bisim's verdicts and reasons."""
     canon = pi._Canon()
-    explore(p, budget, input_barbs, canon)
-    shared = explore(canon.state([], [q]), budget, input_barbs, canon)
+    explore(canon.state([], [p]), budget, input_barbs)
+    shared = explore(canon.state([], [q]), budget, input_barbs)
     fresh = explore(q, budget, input_barbs)
     assert shared.root == fresh.root and list(shared.states) == list(fresh.states)
     assert shared.order() == fresh.order() == list(fresh.states)
@@ -1377,9 +1408,9 @@ def test_weak_barb_stops_at_the_first_state_with_the_barb(monkeypatch):
     calls = []
     expand = pi.reduce_once
 
-    def counted(state, _canon=None):
+    def counted(state):
         calls.append(state.key)
-        return expand(state, _canon)
+        return expand(state)
 
     monkeypatch.setattr(pi, "reduce_once", counted)
     assert weak_barb(boudol(6), Barb("out", "r"), 2000) == "yes"

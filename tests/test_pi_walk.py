@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_text, translated_chain_text
+from conftest import chain_text, hand_built, translated_chain_text
 
 from transcheck.encodings import (boudol_encoding, boudol_translate, pi_to_term, plug,
                                   plug_var, routes_agree, term_to_pi)
@@ -662,13 +662,14 @@ def old_reduce_once(state, canon):
 
 def _same_successors_as_all_pairs(t):
     """reduce_once and the all-pairs loop give the same representative of
-    each successor key, by the same pair: from a root its canon made (so
-    successors merge) and from one it did not."""
+    each successor key, by the same pair: from a root a canon made (so
+    successors merge) and from one built by hand."""
     for made in (True, False):
-        canons = _Canon(), _Canon()
-        roots = [c.state([], [t]) if made else normal_form(t) for c in canons]
-        got = reduce_once(roots[0], canons[0])
-        want = old_reduce_once(roots[1], canons[1])
+        roots = [normal_form(t), normal_form(t)]
+        if not made:
+            roots = list(map(hand_built, roots))
+        got = reduce_once(roots[0])
+        want = old_reduce_once(roots[1], roots[1]._canon or _Canon())
         assert ([(s.key, s.restricted, s.threads) for s in got]
                 == [(s.key, s.restricted, s.threads) for s in want])
 
@@ -683,9 +684,8 @@ def test_the_first_receive_in_order_gives_the_representative():
     # both receives give one successor key, spelled by the receive met first
     t = parse_pi("x!a | x(y).new b. b!y | x(y).new c. c!y")
     _same_successors_as_all_pairs(t)
-    for canon in (_Canon(), None):
-        root = canon.state([], [t]) if canon else normal_form(t)
-        (s,) = reduce_once(root, canon)
+    for root in (normal_form(t), hand_built(normal_form(t))):
+        (s,) = reduce_once(root)
         assert print_pi(s.term()) == "new b. (x(y).new c. c!y | b!a)"
 
 
