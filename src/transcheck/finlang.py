@@ -86,8 +86,10 @@ def _need_keys(data, keys: tuple[str, ...], what: str) -> None:
 
 
 def _need_values(vs, message: str) -> None:
-    """vs must be a JSON list of scalar values; otherwise fail with message."""
-    if not isinstance(vs, list) or any(isinstance(v, (list, dict)) for v in vs):
+    """vs must be a JSON list of value names, which are strings: values are
+    sorted, and a number beside a string does not sort; otherwise fail with
+    message."""
+    if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
         raise InputError(message)
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
@@ -29,7 +29,6 @@ class PiError(Exception):
 
 _INTERNED = WeakValueDictionary()
 _alloc = object.__new__
-_setattr = object.__setattr__
 
 
 class _Interned:
@@ -450,34 +449,41 @@ def print_pi(t: PiTerm) -> str:
 
 # ------------- canonical states -------------
 
-@dataclass(frozen=True, eq=False)
 class PiState:
     """Structural-congruence normal form (see normal_form): restrictions
     lifted to the top, parallel threads flattened, both in the order that
     realizes the canonical key, and identity by that key (see
-    _Canon.level).  A state carries the canon that made it, if any (see
-    _Canon.made), in no field: that is neither compared nor printed."""
-    restricted: tuple[str, ...]
-    threads: tuple[PiTerm, ...]
-    key: tuple
+    _Canon.level), hashed once, here.  A state carries the canon that made
+    it, if any, and whether two entries of its key may be equal or an entry
+    may hold twins (see _Spans): neither is compared nor printed.  Its
+    fields are not set again once it is built."""
+    __slots__ = ("restricted", "threads", "key", "_hash", "_canon", "_note", "_memo")
 
-    _canon = None  # set by _Canon.made
-    _note = False
-    _memo = False  # the spans, once worked out
+    def __init__(self, restricted: tuple[str, ...], threads: tuple[PiTerm, ...], key: tuple,
+                 canon: _Canon | None = None, symmetric: bool = False) -> None:
+        self.restricted, self.threads, self.key = restricted, threads, key
+        self._hash, self._canon, self._note = hash(key), canon, symmetric
+        self._memo = False  # the spans, once worked out
+
+    def __reduce__(self):  # rebuilt, so the key is hashed under the loader's hash seed
+        return PiState, (self.restricted, self.threads, self.key, self._canon, self._note)
+
+    def __repr__(self) -> str:
+        return (f"PiState(restricted={self.restricted!r}, threads={self.threads!r}, "
+                f"key={self.key!r})")
 
     def _spans(self) -> _Spans | None:
         """Where the entries of the key lie (see _Spans), when a canon made
-        this state with a level keyed entry by entry; else None.  No
-        cached_property: the instance dict it builds slows every read."""
+        this state with a level keyed entry by entry; else None."""
         if self._memo is False:
-            _setattr(self, "_memo", self._canon and _Spans.of(self.key, self._note))
+            self._memo = self._canon and _Spans.of(self.key, self._note)
         return self._memo
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PiState) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
 
     def term(self) -> PiTerm:
         return _assemble(self.restricted, self.threads)
@@ -652,23 +658,17 @@ class _Canon:
                 raw.append(p)
         top, threads, fns = self.gather(top, raw)
         key, order, perm = self.level(top, threads, fns, {}, 0)
-        return self.made(
-            PiState(tuple(order), tuple([threads[i] for i in perm]), key), _symmetric(key[1]))
+        return PiState(tuple(order), tuple([threads[i] for i in perm]), key, self,
+                       _symmetric(key[1]))
 
-    def made(self, s: PiState, symmetric: bool) -> PiState:
-        """s, noted as made by this canon, with whether two entries of its
-        key may be equal or an entry may hold twins (see _Spans)."""
-        _setattr(s, "_canon", self)
-        _setattr(s, "_note", symmetric)
-        return s
-
-    def merge(self, state: PiState, send: _Offer, recv: _Offer) -> PiState | None:
+    def merge(self, state: PiState, send: tuple[int, tuple],
+              recv: tuple[int, tuple]) -> PiState | None:
         """The successor after send meets recv, both offered by top-level
-        threads of a parent whose binders need no respelling (see
-        _successor), as state would make it of the parent's restrictions, its
-        other threads and the two continuations; None when no canon made the
-        parent with a level keyed entry by entry, or when the successor's
-        level would not be keyed that way (see level).
+        threads, as (top, row) (see _successor), of a parent whose binders
+        need no respelling, as state would make it of the parent's
+        restrictions, its other threads and the two continuations; None when
+        no canon made the parent with a level keyed entry by entry, or when
+        the successor's level would not be keyed that way (see level).
 
         Only the entries holding a consumed thread are keyed again (see
         rekey).  Every other entry keeps its key, names and threads:
@@ -684,10 +684,12 @@ class _Canon:
             return None
         owner, names_at, threads_at, ties, comps, keys, reps = spans
         restricted, old = state.restricted, state.threads
+        stop, (_, _, msg, _, sent, _, _) = send
+        rtop, (_, _, _, param, cont, _, _) = recv
         # the touched entries, each to be cut out; the names of those that
         # are components, with their positions, and their kept threads (an
         # outside thread is one thread, and consumed)
-        a, b = owner[send.top], owner[recv.top]
+        a, b = owner[stop], owner[rtop]
         touched = (a,) if a == b else (a, b) if a < b else (b, a)
         cuts: list[tuple] = []
         names: list[str] = []
@@ -701,8 +703,8 @@ class _Canon:
                 where += range(lo, hi)
                 comps -= 1
                 kept += [old[i] for i in range(threads_at[j], threads_at[j + 1])
-                         if i != send.top and i != recv.top]
-        step = (tuple(names), tuple(kept), send.cont, recv.cont, recv.param, send.msg)
+                         if i != stop and i != rtop]
+        step = (tuple(names), tuple(kept), sent, cont, param, msg)
         done = self._steps.get(step)
         if done is None:
             done = self._steps[step] = self.rekey(*step)
@@ -740,7 +742,7 @@ class _Canon:
                 ekeys.insert(at, key)
                 nus[n:n] = ns
                 out[t:t] = ths
-        return self.made(PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys))), symmetric)
+        return PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys)), self, symmetric)
 
     def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], sent: PiTerm,
               cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int, bool]:
@@ -1275,29 +1277,15 @@ class _CopyLevel:
     part: int
 
 
-class _Offer(NamedTuple):
-    kind: str              # "send" | "recv"
-    chan: str
-    msg: str | None
-    param: str | None
-    cont: PiTerm
-    top: int               # top-level thread index
-    levels: tuple[_CopyLevel, ...]
-
-    @property
-    def place(self) -> tuple[int, int] | tuple[()]:
-        """Where the offer sits in its top-level thread: the innermost copy
-        that unfolds to reach it and its part there, or () for the thread
-        itself.  It tells the offers of one thread apart, as their rank in
-        _acts does, and is the same in any thread spelled alike."""
-        return (self.levels[-1].cid, self.levels[-1].part) if self.levels else ()
-
-
 class _Acts(NamedTuple):
     """What one top-level thread can do now (see _acts): its offers as
-    (kind, chan, msg, param, cont, levels) rows, its external barbs with the
-    subjects of its outputs, and the subjects of its inputs, each subject
-    only where no restriction of an unfolded copy hides it."""
+    (kind, chan, msg, param, cont, levels, place) rows, its external barbs
+    with the subjects of its outputs, and the subjects of its inputs, each
+    subject only where no restriction of an unfolded copy hides it.  An
+    offer's place is where it sits in the thread: the innermost copy that
+    unfolds to reach it and its part there, or () for the thread itself.
+    It tells the offers of one thread apart, as their rank does, and is the
+    same in any thread spelled alike."""
     offers: tuple[tuple, ...]
     barbs: frozenset[Barb]
     inputs: frozenset[Barb]
@@ -1307,32 +1295,32 @@ def _acts(th: PiTerm) -> _Acts:
     """The acts of the threads of the top-level thread th that can act now,
     in order: th itself, or in place of a replication the threads of one
     copy of its body.  Each offer carries the copies (outermost first) that
-    unfold to reach it, numbered from 0 within th."""
+    unfold to reach it, numbered from 0 within th, and its place."""
     offers: list[tuple] = []
     barbs: set[Barb] = set()
     inputs: set[Barb] = set()
     cids = count()
-    stack: list[tuple[PiTerm, tuple[_CopyLevel, ...]]] = [(th, ())]
+    stack: list[tuple[PiTerm, tuple[_CopyLevel, ...], tuple]] = [(th, (), ())]
     while stack:
-        t, levels = stack.pop()
+        t, levels, place = stack.pop()
         cls = type(t)
         if cls is Repl:
             cid = next(cids)
             nus, parts = _split_level(t.body)
             nus, parts = tuple(nus), tuple(parts)
             for i in reversed(range(len(parts))):
-                stack.append((parts[i], levels + (_CopyLevel(cid, nus, parts, i),)))
+                stack.append((parts[i], levels + (_CopyLevel(cid, nus, parts, i),), (cid, i)))
         elif cls is ExtBarb:
             barbs.add(Barb("ext", t.ident))
         elif cls is Out or cls is In:
             x = t.chan
             shown = all(x not in lv.nus for lv in levels)
             if cls is Out:
-                offers.append(("send", x, t.msg, None, t.cont, levels))
+                offers.append(("send", x, t.msg, None, t.cont, levels, place))
                 if shown:
                     barbs.add(Barb("out", x))
             else:
-                offers.append(("recv", x, None, t.param, t.cont, levels))
+                offers.append(("recv", x, None, t.param, t.cont, levels, place))
                 if shown:
                     inputs.add(Barb("in", x))
     return _Acts(tuple(offers), frozenset(barbs), frozenset(inputs))
@@ -1356,45 +1344,45 @@ def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
     return frozenset(acc)
 
 
-def _successor(canon: _Canon, state: PiState, send: _Offer, recv: _Offer) -> PiState:
-    """The state after send meets recv: the state's other threads, the
+def _successor(canon: _Canon, state: PiState, send: tuple[int, tuple],
+               recv: tuple[int, tuple]) -> PiState:
+    """The state after send meets recv, each a top-level thread's number and
+    one of its offer rows (see _Acts): the state's other threads, the
     unconsumed parts of every replication copy either offer opened (with its
     restrictions), and the two continuations, the received name substituted
     for the parameter."""
+    stop, (_, _, msg, _, sent, slevels, _) = send
+    rtop, (_, _, _, param, cont, rlevels, _) = recv
     # merge takes only a parent that a canon's state or merge made, so
     # each of its binders occurs once and clashes with no free name or input
     # parameter.  A step that opens no copy adds no binder, and the
     # continuations' binders, free names and parameters were their threads'.
     # The received name was free in the parent or restricted at its top, so
-    # no restriction captures it, and unless an input of recv.cont binds it
-    # too, subst respells no parameter.  So state() would respell nothing,
-    # and the successor is the parent's untouched entries with the touched
-    # ones keyed again.
-    if not (send.levels or recv.levels) and send.msg not in canon.scans[recv.cont].params:
+    # no restriction captures it, and unless an input of the receiver's
+    # continuation binds it too, subst respells no parameter.  So state()
+    # would respell nothing, and the successor is the parent's untouched
+    # entries with the touched ones keyed again.
+    if not (slevels or rlevels) and msg not in canon.scans[cont].params:
         merged = canon.merge(state, send, recv)
         if merged is not None:
             return merged
-    received = canon.subst(recv.cont, recv.param, send.msg)
-    consumed_top = {o.top for o in (send, recv) if not o.levels}
+    consumed_top = {top for top, levels in ((stop, slevels), (rtop, rlevels)) if not levels}
     parts = [th for i, th in enumerate(state.threads) if i not in consumed_top]
     # materialize every unfolded copy touched by either offer, in the order
     # of their top-level threads and, within one, of their numbers
-    levels: dict[tuple[int, int], tuple[_CopyLevel, set[int]]] = {}
-    for o in (send, recv):
-        for lv in o.levels:
-            info = levels.setdefault((o.top, lv.cid), (lv, set()))
-            info[1].add(lv.part)
+    opened: dict[tuple[int, int], tuple[_CopyLevel, set[int]]] = {}
+    for top, levels in ((stop, slevels), (rtop, rlevels)):
+        for lv in levels:
+            opened.setdefault((top, lv.cid), (lv, set()))[1].add(lv.part)
     nus = list(state.restricted)
-    for copy in sorted(levels):
-        lv, opened = levels[copy]
+    for copy in sorted(opened):
+        lv, used = opened[copy]
         nus.extend(lv.nus)
         for j, p in enumerate(lv.parts):
-            if j not in opened:
+            if j not in used or isinstance(p, Repl):  # the replication itself persists
                 parts.append(p)
-            elif isinstance(p, Repl):
-                parts.append(p)  # the replication itself persists
-    parts.append(send.cont)
-    parts.append(received)
+    parts.append(sent)
+    parts.append(canon.subst(cont, param, msg))
     return canon.state(nus, parts)
 
 
@@ -1408,16 +1396,16 @@ def reduce_once(state: PiState) -> list[PiState]:
     automorphisms lead to successors with equal keys (Emerson and Sistla,
     Symmetry and model checking, 1996).  So one pair of each orbit is
     stepped, the first in the order below: the orbit of a pair is each
-    side's representative thread and the offer's place in it (see
-    _Offer.place), and whether the two sides sit in one entry and in one
-    thread.  The first pair that makes a key is the first of its orbit, so
-    the successor kept for each key is the one every pair would keep."""
+    side's representative thread and the offer's place in it (see _Acts),
+    and whether the two sides sit in one entry and in one thread.  The
+    first pair that makes a key is the first of its orbit, so the successor
+    kept for each key is the one every pair would keep."""
     canon = state._canon or _Canon()
     spans = state._spans()
     reps = spans and spans.reps
     # the offers of the active threads (see _acts) as (top, row): the sends
-    # in order, the receives in order per channel; an _Offer is made only
-    # for a send and a receive that meet, each once
+    # in order, the receives in order per channel; each met pair is stepped
+    # as these two tuples, made once per offer
     sends: list[tuple[int, tuple]] = []
     recvs: dict[str, list[tuple[int, tuple]]] = {}
     acts = canon.acts
@@ -1427,26 +1415,21 @@ def reduce_once(state: PiState) -> list[PiState]:
                 sends.append((top, row))
             else:
                 recvs.setdefault(row[1], []).append((top, row))
-    met: dict[str, list[_Offer]] = {}
-    succs: dict[tuple, PiState] = {}
+    succs: dict[PiState, PiState] = {}
     stepped: set[tuple] = set()
-    for top, (kind, chan, msg, param, cont, levels) in sends:
-        rows = recvs.get(chan)
-        if rows is None:
-            continue
-        if chan not in met:
-            met[chan] = [_Offer(*row[:5], at, row[5]) for at, row in rows]
-        s = _Offer(kind, chan, msg, param, cont, top, levels)
-        for r in met[chan]:
+    for send in sends:
+        top, row = send
+        for recv in recvs.get(row[1], ()):
             if reps:
-                orbit = (reps[top], s.place, reps[r.top], r.place,
-                         spans.owner[top] == spans.owner[r.top], top == r.top)
+                at = recv[0]
+                orbit = (reps[top], row[6], reps[at], recv[1][6],
+                         spans.owner[top] == spans.owner[at], top == at)
                 if orbit in stepped:
                     continue
                 stepped.add(orbit)
-            nxt = _successor(canon, state, s, r)
-            succs.setdefault(nxt.key, nxt)
-    return [s for _, s in sorted(succs.items(), key=itemgetter(0))]
+            nxt = _successor(canon, state, send, recv)
+            succs.setdefault(nxt, nxt)
+    return sorted(succs, key=attrgetter("key"))
 
 
 # ------------- graphs on numbered states -------------
@@ -1556,12 +1539,12 @@ class ReductionGraph:
     builds; the dicts by state key and the divergent states are computed on
     first read."""
 
-    def __init__(self, nodes: list[PiState], index: dict[tuple, int], graph: _Graph,
+    def __init__(self, nodes: list[PiState], index: dict[PiState, int], graph: _Graph,
                  expanded: list[int], complete: bool) -> None:
         self.root: tuple = nodes[0].key
         self.complete = complete
         self._nodes = nodes  # the admitted states, by number
-        self._index = index  # the number of each state key
+        self._index = index  # the number of each state
         self._graph = graph
         self._expanded = expanded  # the states' numbers in the order they were expanded
 
@@ -1596,7 +1579,7 @@ class ReductionGraph:
 
 def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
         tuple[PiState, frozenset[Barb]], None,
-        tuple[list[PiState], dict[tuple, int], list[list[int]], list[int], bool]]:
+        tuple[list[PiState], dict[PiState, int], list[list[int]], list[int], bool]]:
     """The breadth-first search of explore, one admitted state at a time.
 
     Yields each state as it is admitted, with its strong barbs: the root,
@@ -1606,17 +1589,20 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
     every successor, and a thread met again is neither renormalized nor
     rekeyed, nor walked again for its offers and barbs.  Each state is
     numbered as it is admitted.  Returns the admitted states by number, the
-    number of each state key, the successor numbers of each state, the
+    number of each state, the successor numbers of each state, the
     states' numbers in the order they were expanded, and whether no
     successor was left out for the budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
-    root = t if isinstance(t, PiState) else _Canon().state([], [t])
-    pvs = set().union(*map(process_vars, root.threads))
+    # the process variables, from the scans of the canon that made the root
+    # (of the term itself, for a term); a state built by hand is scanned anew
+    root, parts = (t, t.threads) if isinstance(t, PiState) else (_Canon().state([], [t]), [t])
+    scan = root._canon.scans.__getitem__ if root._canon else _scan
+    pvs = set().union(*(scan(p).pvars for p in parts))
     if pvs:
         raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     nodes = [root]
-    index = {root.key: 0}
+    index = {root: 0}
     succ: list[list[int]] = [[]]
     expanded: list[int] = []
     yield root, strong_barbs(root, input_barbs)
@@ -1629,10 +1615,10 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
             out = succ[i]
             for s in reduce_once(nodes[i]):  # sorted, once each
                 n = len(nodes)
-                j = index.setdefault(s.key, n)
+                j = index.setdefault(s, n)
                 if j == n:
                     if n >= budget:
-                        del index[s.key]
+                        del index[s]
                         complete = False
                         continue
                     nodes.append(s)
@@ -1788,7 +1774,7 @@ def _union(g1: ReductionGraph, g2: ReductionGraph) -> tuple[_Graph, list[PiState
     succ, barbs = list(g1._graph.succ), list(g1._graph.barbs)
     at: list[int] = []  # the union's number of each state of g2
     for s in g2._nodes:
-        i = g1._index.get(s.key)
+        i = g1._index.get(s)
         if i is None:
             i = len(nodes)
             nodes.append(s)

@@ -2,11 +2,12 @@
 lines."""
 
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from transcheck.cli import main
-from transcheck.pi import PiState
+from transcheck.pi import PiState, PiTerm
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,6 +29,36 @@ def hand_built(s: PiState) -> PiState:
     """s as a state that no canon made: one that reduce_once steps with a
     fresh canon and merges no successor of."""
     return PiState(s.restricted, s.threads, s.key)
+
+
+class Offer(NamedTuple):
+    """One offer of a top-level thread as an object of its own, as
+    reduce_once once made one for each side of every met pair; the pi module
+    now pairs the (top, row) tuples of its threads' offer rows in place."""
+    kind: str  # "send" | "recv"
+    chan: str
+    msg: str | None
+    param: str | None
+    cont: PiTerm
+    top: int  # top-level thread index
+    levels: tuple
+
+    @property
+    def place(self) -> tuple:
+        """The innermost copy that unfolds to reach the offer and its part
+        there, or () for the thread itself."""
+        return (self.levels[-1].cid, self.levels[-1].part) if self.levels else ()
+
+    @classmethod
+    def of(cls, pair: tuple) -> "Offer":
+        """The offer of a (top, row) pair."""
+        top, (kind, chan, msg, param, cont, levels, _) = pair
+        return cls(kind, chan, msg, param, cont, top, levels)
+
+    def pair(self) -> tuple:
+        """The (top, row) pair that pi._successor takes."""
+        return self.top, (self.kind, self.chan, self.msg, self.param, self.cont, self.levels,
+                          self.place)
 
 
 def chain_text(n: int, msg: str = "a") -> str:

@@ -561,6 +561,23 @@ def test_carrier_or_values_that_are_not_lists_are_rejected(cli, tmp_path):
     assert (code, out, err) == (USAGE, "", "error: language values are not a JSON list of values\n")
 
 
+def test_values_of_mixed_types_are_usage_errors(cli, tmp_path):
+    # values are sorted, and a number does not sort beside a string: a
+    # carrier [1, "neg2.0", "neg2.1"] once gave a TypeError traceback, exit 1
+    rel = _write_json(tmp_path / "rel.json", {"name": "r", "kind": "equivalence",
+                                              "carrier": [1, "neg2.0", "neg2.1"], "pairs": []})
+    assert_input_error(cli("closure", "--lang", "negtop/L.json", "--relation", rel),
+                       "relation carrier is not a JSON list of values")
+    data = json.loads((FIXTURES / "negtop" / "L.json").read_text())
+    lang = _write_json(tmp_path / "L.json", {**data, "values": ["0", "1", 2]})
+    assert_input_error(cli("closure", "--lang", lang, "--relation", "negtop/sim.json"),
+                       "language values are not a JSON list of values")
+    data["operators"][2]["table"]["0"] = 1
+    lang = _write_json(tmp_path / "L.json", data)
+    assert_input_error(cli("closure", "--lang", lang, "--relation", "negtop/sim.json"),
+                       "operator neg table results are not values")
+
+
 def test_translation_without_heads_is_usage_error(cli, tmp_path):
     tr = _write_json(tmp_path / "T.json", {"source": "neg2", "target": "neg3"})
     code, _, err = cli("check", "correct", "--source", "negtop/L.json",

@@ -190,11 +190,11 @@ def test_load_relation_rejects_malformed_pairs():
 
 def test_load_relation_and_language_reject_malformed_value_lists():
     rel = {"name": "r", "kind": "preorder", "pairs": []}
-    for carrier in (5, "ab", {"L.a": 1}, ["L.a", ["L.b"]]):
+    for carrier in (5, "ab", {"L.a": 1}, ["L.a", ["L.b"]], [1, "L.a"], ["L.a", None]):
         with pytest.raises(InputError, match="^relation carrier is not a JSON list of values$"):
             load_relation({**rel, "carrier": carrier})
     lang = json.loads((FIXTURES / "negtop" / "L.json").read_text())
-    for values in (5, "01", ["0", {"1": 1}]):
+    for values in (5, "01", ["0", {"1": 1}], ["0", "1", 2], [0, 1]):
         with pytest.raises(InputError, match="^language values are not a JSON list of values$"):
             load_language({**lang, "values": values})
     with pytest.raises(InputError, match="^language operators are not a JSON list$"):

@@ -3,18 +3,23 @@ brute-force permutation key it replaced, the incremental successors of explore
 against successors normalized from scratch, the state-space frontier, and
 weak barbs decided on the fly against the whole reduction graph."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from functools import cache
 from itertools import chain, permutations
 from math import comb
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hand_built
+from conftest import Offer, hand_built
 
 from transcheck import pi
 from transcheck.cli import EXIT
@@ -703,9 +708,9 @@ def old_uniquify(t):
 
 
 def successor_parts(state, send, recv):
-    """The restrictions and parts of the successor after send meets recv:
-    the state's other threads, the unconsumed parts of each opened copy, and
-    the two continuations."""
+    """The restrictions and parts of the successor after the Offer send
+    meets recv: the state's other threads, the unconsumed parts of each
+    opened copy, and the two continuations."""
     components = [th for i, th in enumerate(state.threads)
                   if i not in {o.top for o in (send, recv) if not o.levels}]
     levels = {}
@@ -733,9 +738,8 @@ def scratch_successor(state, send, recv):
 
 
 def scratch_reduce(state):
-    offers = [pi._Offer(kind, chan, msg, param, cont, top, levels)
-              for top, th in enumerate(state.threads)
-              for kind, chan, msg, param, cont, levels in pi._acts(th).offers]
+    offers = [Offer.of((top, row)) for top, th in enumerate(state.threads)
+              for row in pi._acts(th).offers]
     succs = {}
     for s in offers:
         for r in offers:
@@ -919,7 +923,7 @@ def assert_successors_match_state(t, budget=2000):
     with counting(pi, "_successor") as built:
         explore(t, budget)
     for (_, state, send, recv), got in built:
-        want = pi._Canon().state(*successor_parts(state, send, recv))
+        want = pi._Canon().state(*successor_parts(state, Offer.of(send), Offer.of(recv)))
         assert (got.restricted, got.threads, got.key) == (want.restricted, want.threads, want.key)
 
 
@@ -1069,10 +1073,9 @@ def every_pair_reduce(state):
             else:
                 recvs.setdefault(row[1], []).append((top, row))
     succs = {}
-    for top, (kind, chan, msg, param, cont, levels) in sends:
-        s = pi._Offer(kind, chan, msg, param, cont, top, levels)
-        for at, row in recvs.get(chan, []):
-            nxt = pi._successor(canon, state, s, pi._Offer(*row[:5], at, row[5]))
+    for send in sends:
+        for recv in recvs.get(send[1][1], []):
+            nxt = pi._successor(canon, state, send, recv)
             succs.setdefault(nxt.key, nxt)
     return [succs[k] for k in sorted(succs)]
 
@@ -1415,3 +1418,167 @@ def test_weak_barb_stops_at_the_first_state_with_the_barb(monkeypatch):
     monkeypatch.setattr(pi, "reduce_once", counted)
     assert weak_barb(boudol(6), Barb("out", "r"), 2000) == "yes"
     assert 0 < len(calls) <= 3
+
+
+# ------------- offer rows paired in place; a state hashed once -------------
+
+def offer_reduce_once(state):
+    """reduce_once as it was before it paired offer rows in place: an Offer
+    made for each side of a met pair, the orbit read through its place
+    property, and the successors gathered by key."""
+    canon = state._canon or pi._Canon()
+    spans = state._spans()
+    reps = spans and spans.reps
+    sends, recvs = [], {}
+    for top, th in enumerate(state.threads):
+        for row in canon.acts[th].offers:
+            if row[0] == "send":
+                sends.append((top, row))
+            else:
+                recvs.setdefault(row[1], []).append((top, row))
+    met, succs, stepped = {}, {}, set()
+    for top, row in sends:
+        chan = row[1]
+        if chan not in recvs:
+            continue
+        if chan not in met:
+            met[chan] = [Offer.of(pair) for pair in recvs[chan]]
+        s = Offer.of((top, row))
+        for r in met[chan]:
+            if reps:
+                orbit = (reps[top], s.place, reps[r.top], r.place,
+                         spans.owner[top] == spans.owner[r.top], top == r.top)
+                if orbit in stepped:
+                    continue
+                stepped.add(orbit)
+            nxt = pi._successor(canon, state, s.pair(), r.pair())
+            succs.setdefault(nxt.key, nxt)
+    return [s for _, s in sorted(succs.items(), key=itemgetter(0))]
+
+
+def stepped_view(step, *args):
+    """step(*args) with the calls it made to the canon's state and merge."""
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
+        out = step(*args)
+    return out, len(whole), len(merged)
+
+
+def fields(states):
+    return [(s.restricted, s.threads, s.key) for s in states]
+
+
+def assert_pairing_matches_offers(t, budget):
+    """explore, with and without input barbs, admits the same states with
+    the same fields and edges as with the Offer loop, with as many calls to
+    the canon's state and merge; and on each state it admits, reduce_once
+    gives the Offer loop's successors in its order, with as many calls."""
+    for input_barbs in (False, True):
+        g, whole, merged = stepped_view(explore, t, budget, input_barbs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pi, "reduce_once", offer_reduce_once)
+            want, *calls = stepped_view(explore, t, budget, input_barbs)
+        assert (graph_view(g), fields(g._nodes), whole, merged) == (
+            graph_view(want), fields(want._nodes), *calls)
+    for s in g._nodes:
+        got, *calls = stepped_view(reduce_once, s)
+        want, *old_calls = stepped_view(offer_reduce_once, s)
+        assert (fields(got), calls) == (fields(want), old_calls)
+
+
+# twin replications whose copies each offer two sends, told apart by their
+# places; two receives that give one key, each spelled its own way
+PAIRED = ["!(x!a | x!b) | !(x!a | x!b) | x(y).y!c",
+          "x!a | x(y).new b. b!y | x(y).new c. c!y | x!a"]
+
+
+@pytest.mark.parametrize("t, budget", [
+    *[(boudol(n), 2000) for n in range(1, 5)], *[(pair_family(k), 2000) for k in range(1, 7)],
+    *[(parse_pi(text), 60) for text in TWINS + PAIRED],
+], ids=[*(f"boudol{n}" for n in range(1, 5)), *(f"pairs{k}" for k in range(1, 7)),
+        *(f"twins{i}" for i in range(len(TWINS))), "places", "spellings"])
+def test_pairing_in_place_matches_the_offer_loop(t, budget):
+    assert_pairing_matches_offers(t, budget)
+
+
+def test_pairing_in_place_matches_the_offer_loop_on_the_fixtures():
+    for t in fixture_terms():
+        for u in (t, boudol_translate(t)):
+            assert_pairing_matches_offers(u, 300)
+
+
+class CountedKey(tuple):
+    """A key that counts how often it is hashed."""
+    hashed = 0
+
+    def __hash__(self):
+        CountedKey.hashed += 1
+        return tuple.__hash__(self)
+
+
+def test_a_state_is_slotted_and_hashed_once_by_its_key():
+    for t in (boudol(3), pair_family(3), parse_pi(TWINS[3]), parse_pi("x!a | X")):
+        made = normal_form(t)
+        built = hand_built(made)
+        for s in (made, built):
+            assert not hasattr(s, "__dict__")
+            assert hash(s) == hash(s.key)
+        # equal by key whoever made them: one entry in a set or a dict
+        assert made == built and made is not built and made._canon and not built._canon
+        assert len({made, built}) == 1 and {made: 1, built: 2} == {made: 2}
+        assert made != made.key and made not in {made.key}
+    # the key is hashed when the state is built, and never again
+    made = normal_form(boudol(2))
+    CountedKey.hashed = 0
+    s = pi.PiState(made.restricted, made.threads, CountedKey(made.key))
+    assert CountedKey.hashed == 1
+    assert s in {made} and {s: 0, made: 1} == {made: 1} and hash(s) == hash(made)
+    assert CountedKey.hashed == 1
+
+
+def test_a_state_pickled_under_another_hash_seed_is_hashed_again():
+    text = "new a. (x!a | x(y).y!b) | c!d"
+    code = ("import pickle, sys; from transcheck.pi import normal_form, parse_pi; "
+            f"sys.stdout.buffer.write(pickle.dumps(normal_form(parse_pi({text!r}))))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    s = pickle.loads(run.stdout)
+    assert hash(s) == hash(s.key) and s in {normal_form(parse_pi(text))}
+    assert fields(reduce_once(s)) == fields(reduce_once(normal_form(parse_pi(text))))
+
+
+def test_explore_keeps_its_dicts_keyed_by_state_key():
+    for t in (boudol(3), pair_family(3), parse_pi(TWINS[0])):
+        g = explore(t, 40)
+        keys = g.order()
+        assert all(type(k) is tuple for k in keys) and g.root == keys[0]
+        assert list(g.states) == keys and [s.key for s in g.states.values()] == keys
+        assert list(g.barbs) == keys
+        assert all(type(k) is tuple and all(type(j) is tuple for j in succ)
+                   for k, succ in g.edges.items())
+        assert all(type(k) is tuple for k in g.divergent) and g.divergent <= set(keys)
+        assert_explore_matches_scratch(t, 40)
+
+
+def test_free_process_variables_are_refused_from_every_root():
+    t = parse_pi("new a. (a!b | !a(y).Y) | x!a.X")
+    message = r"free process variables: \['X', 'Y'\]"
+    for root in (t, normal_form(t), hand_built(normal_form(t))):
+        with pytest.raises(PiError, match=message):
+            explore(root, 5)
+        with pytest.raises(PiError, match=message):
+            weak_barb(root, Barb("out", "x"), 5)
+    with pytest.raises(PiError, match=r"free process variables: \['X'\]"):
+        bisim(parse_pi("x!a"), parse_pi("x!a | X"), "strong-barbed", 5)
+
+
+def test_explore_reads_the_root_term_from_the_canon_scan():
+    # the canon scans the root term to normalize it; the check for free
+    # process variables reads that scan, and scans none of the root's threads
+    t = pair_family(3)
+    with counting(pi, "_scan") as scanned:
+        explore(t, 100)
+    terms = [args[0] for args, _ in scanned]
+    assert terms.count(t) == 1
+    assert not set(normal_form(t).threads) & set(terms)

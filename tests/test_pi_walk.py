@@ -25,12 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_text, hand_built, translated_chain_text
+from conftest import Offer, chain_text, hand_built, translated_chain_text
 
 from transcheck.encodings import (boudol_encoding, boudol_translate, pi_to_term, plug,
                                   plug_var, routes_agree, term_to_pi)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiError, PiState,
-                           PiTerm, PVar, Repl, Res, _Canon, _CopyLevel, _Offer,
+                           PiTerm, PVar, Repl, Res, _Canon, _CopyLevel,
                            _fold, _fresh_name, _rename, _scan, _split_level,
                            _successor, _tokenize, all_names, alpha_eq_pi,
                            free_names, is_async, normal_form, parse_pi, print_pi,
@@ -639,23 +639,24 @@ def test_barbs_and_offers_match_the_recursive_walks(t):
     s = normal_form(t)
     for inp in (False, True):
         assert strong_barbs(s, inp) == old_strong_barbs(s, inp)
+    rows = [(top, row) for top, th in enumerate(s.threads) for row in _Canon().acts[th].offers]
     got = [(kind, chan, msg, param, cont, top, levels)
-           for top, th in enumerate(s.threads)
-           for kind, chan, msg, param, cont, levels in _Canon().acts[th].offers]
+           for top, (kind, chan, msg, param, cont, levels, _) in rows]
     assert got == old_offers(s.threads)
+    # each row carries its offer's place, as the property once worked it out
+    assert [row[6] for _, row in rows] == [Offer.of(pair).place for pair in rows]
 
 
 def old_reduce_once(state, canon):
-    """reduce_once as it was: an _Offer for every offer of every thread, and
+    """reduce_once as it was: an Offer for every offer of every thread, and
     each send tried against every receive, in offer order."""
-    offers = [_Offer(kind, chan, msg, param, cont, top, levels)
-              for top, th in enumerate(state.threads)
-              for kind, chan, msg, param, cont, levels in canon.acts[th].offers]
+    offers = [Offer.of((top, row)) for top, th in enumerate(state.threads)
+              for row in canon.acts[th].offers]
     succs = {}
     for s in offers:
         for r in offers:
             if s.kind == "send" and r.kind == "recv" and s.chan == r.chan:
-                nxt = _successor(canon, state, s, r)
+                nxt = _successor(canon, state, s.pair(), r.pair())
                 succs.setdefault(nxt.key, nxt)
     return [succs[k] for k in sorted(succs)]
 
