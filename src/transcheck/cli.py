@@ -136,6 +136,12 @@ def _cmd_lang_validate(ns) -> int:
 
 
 def _cmd_check_congruence(ns) -> int:
+    # each mode refuses the options only the other one reads
+    for flag in ("lang", "one_hole") if ns.image else ("source", "target", "translation", "w"):
+        if getattr(ns, flag):
+            option = "--" + flag.replace("_", "-")
+            raise InputError(f"--image does not take {option}" if ns.image
+                             else f"{option} needs --image")
     rel = load_relation(_read_json(ns.relation))
     if ns.image:
         for flag in ("source", "target", "translation"):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .terms import (App, Construct, Signature, Term, Translation, Var,
                     complete_compositional, compose_translations,
@@ -41,11 +41,14 @@ class FiniteLanguage:
     operators: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
+        vs = set(self.values)
+        if len(vs) < len(self.values):
+            dup = sorted({v for v in vs if self.values.count(v) > 1})
+            raise InputError(f"{self.name}: duplicate values {dup}")
         names = [op.name for op in self.operators]
         dup = sorted({n for n in names if names.count(n) > 1})
         if dup:
             raise InputError(f"{self.name}: duplicate operator names {dup}")
-        vs = set(self.values)
         for op in self.operators:
             keys = set(op.table)
             want = set(product(self.values, repeat=op.arity))
@@ -260,14 +263,23 @@ def load_translation(data: dict, source: FiniteLanguage | Signature,
 def is_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
     """Equivalence preserved by every operator, all argument positions at once."""
     _need_carrier(rel, lang)
-    for op in lang.operators:
-        for us in product(lang.values, repeat=op.arity):
-            for vs in product(lang.values, repeat=op.arity):
+    found = _congruence_witness(lang, lang.operators, lang.values, rel)
+    return Verdict("yes") if found is None else Verdict("no", found)
+
+
+def _congruence_witness(lang: FiniteLanguage, ops, values: tuple[str, ...],
+                        rel: Relation) -> tuple | None:
+    """The first (operator, us, vs, op(us), op(vs)) with us and vs rows of
+    values related pointwise and their results not related, names qualified
+    by lang; None when every operator keeps rel."""
+    for op in ops:
+        for us in product(values, repeat=op.arity):
+            for vs in product(values, repeat=op.arity):
                 if all(rel.related(lang.qualify(u), lang.qualify(v)) for u, v in zip(us, vs)):
                     ru, rv = op.table[us], op.table[vs]
                     if not rel.related(lang.qualify(ru), lang.qualify(rv)):
-                        return Verdict("no", (op.name, us, vs, ru, rv))
-    return Verdict("yes")
+                        return op.name, us, vs, ru, rv
+    return None
 
 
 def is_one_hole_congruence(lang: FiniteLanguage, rel: Relation) -> Verdict:
@@ -293,24 +305,6 @@ def _need_carrier(rel: Relation, *langs: FiniteLanguage) -> None:
         raise InputError(f"relation carrier misses {sorted(missing)}")
 
 
-def _refine(rel: Relation, lang: FiniteLanguage, values: tuple[str, ...],
-            probe: Callable[[str, dict[str, int]], tuple]) -> frozenset[tuple[str, str]]:
-    """Pairs of the coarsest partition of values inside rel that probe does
-    not split: the greatest fixpoint of partition refinement.  Values start
-    in their rel classes; each round splits a block by probe(v, block), the
-    blocks that v's one-hole contexts reach under the current partition."""
-    qs = [lang.qualify(v) for v in values]
-    block = {q: i for i, cls in enumerate(rel.restricted(set(qs)).classes()) for q in cls}
-    while True:
-        ids: dict[tuple, int] = {}
-        nxt = {q: ids.setdefault((block[q], probe(v, block)), len(ids))
-               for v, q in zip(values, qs)}
-        if len(ids) == len(set(block.values())):
-            break
-        block = nxt
-    return frozenset((a, b) for a in qs for b in qs if block[a] == block[b])
-
-
 def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
     """Largest one-hole congruence for lang contained in the equivalence rel:
     values are split whenever some operator with one varied argument tells
@@ -318,18 +312,32 @@ def congruence_closure_1hole(lang: FiniteLanguage, rel: Relation) -> Relation:
     if rel.kind != "equivalence":
         raise InputError("congruence closure needs an equivalence")
     _need_carrier(rel, lang)
-
-    def probe(v: str, block: dict[str, int]) -> tuple:
-        sig = []
-        for op in lang.operators:
-            for ctx in product(lang.values, repeat=op.arity):
-                for i in range(op.arity):
-                    plugged = ctx[:i] + (v,) + ctx[i + 1:]
-                    sig.append(block[lang.qualify(op.table[plugged])])
-        return tuple(sig)
-
-    pairs = _refine(rel, lang, lang.values, probe)
+    pairs = _one_hole_pairs(lang, lang.operators, lang.values, rel)
     return Relation(f"{rel.name}^1c", "equivalence", lang.qualified_values, pairs)
+
+
+def _one_hole_pairs(lang: FiniteLanguage, ops, values: tuple[str, ...],
+                    rel: Relation) -> frozenset[tuple[str, str]]:
+    """Pairs of the coarsest partition of values inside rel that no operator
+    with one varied argument splits, names qualified by lang: the greatest
+    fixpoint of partition refinement.  Values start in their rel classes;
+    each round splits a block by the blocks that each value's one-hole
+    contexts reach under the current partition.  The operators' results
+    must lie in values."""
+    qs = [lang.qualify(v) for v in values]
+    block = {q: i for i, cls in enumerate(rel.restricted(set(qs)).classes()) for q in cls}
+    while True:
+        ids: dict[tuple, int] = {}
+        nxt = {}
+        for v, q in zip(values, qs):
+            reached = tuple(block[lang.qualify(op.table[ctx[:i] + (v,) + ctx[i + 1:]])]
+                            for op in ops for ctx in product(values, repeat=op.arity)
+                            for i in range(op.arity))
+            nxt[q] = ids.setdefault((block[q], reached), len(ids))
+        if len(ids) == len(set(block.values())):
+            break
+        block = nxt
+    return frozenset((a, b) for a in qs for b in qs if block[a] == block[b])
 
 
 def smallest_equiv_containing(r: SemanticTranslation, carrier: tuple[str, ...]) -> Relation:
@@ -338,27 +346,31 @@ def smallest_equiv_containing(r: SemanticTranslation, carrier: tuple[str, ...]) 
 
 def lr_closure(lang: FiniteLanguage, rel: Relation, r: SemanticTranslation) -> Relation:
     """Combined closure on the whole carrier: w1 related to w2 iff
-    w1 eq_R v1, v1 cc v2, v2 eq_R w2 for some source values v1, v2."""
+    w1 eq_R v1, v1 cc v2, v2 eq_R w2 for some source values v1, v2.
+
+    eq_R and cc are equivalences, so w1 and w2 are related iff the source
+    values in their eq_R classes meet one common cc class: the relation and
+    its transitivity are computed on classes, not on every (w1, w2, v1, v2).
+    """
     for a, b in r.pairs:
         if not rel.related(a, b):
             raise InputError(f"semantic translation pair ({a}, {b}) is not inside the relation")
     eq = smallest_equiv_containing(r, rel.carrier)
     cc = congruence_closure_1hole(lang, rel)
-    v_set = lang.qualified_values
-    pairs = set()
-    for w1 in rel.carrier:
-        for w2 in rel.carrier:
-            if any(eq.related(w1, v1) and cc.related(v1, v2) and eq.related(v2, w2)
-                   for v1 in v_set for v2 in v_set):
-                pairs.add((w1, w2))
-    pairs |= {(w, w) for w in rel.carrier}  # values unreachable from V stay singletons
-    out = Relation(f"{rel.name}^1c_{r.name}", "equivalence", rel.carrier, frozenset(pairs))
-    for a, b in out.pairs:  # composite can fail to be transitive on bad inputs
-        for c, d in out.pairs:
-            if b == c and not out.related(a, d):
-                raise InputError("combined closure is not transitive; "
-                                 "the translation is not correct w.r.t. this semantic translation")
-    return out
+    block = {v: i for i, cls in enumerate(cc.classes()) for v in cls}
+    classes = eq.classes()
+    # the cc classes each eq class meets, and the eq classes meeting one of them
+    meets = [{block[w] for w in cls if w in block} for cls in classes]
+    near = [{j for j, other in enumerate(meets) if ids & other} for ids in meets]
+    pairs = {(w, w) for w in rel.carrier}  # values unreachable from V stay singletons
+    for k, cls in enumerate(classes):
+        # reflexive and symmetric on classes, so transitive iff related
+        # classes are related to the same classes; bad inputs break it
+        if any(near[j] != near[k] for j in near[k]):
+            raise InputError("combined closure is not transitive; "
+                             "the translation is not correct w.r.t. this semantic translation")
+        pairs.update(product(cls, chain.from_iterable(classes[j] for j in near[k])))
+    return Relation(f"{rel.name}^1c_{r.name}", "equivalence", rel.carrier, frozenset(pairs))
 
 
 # ------------- translation quality -------------
@@ -379,6 +391,14 @@ def _joint_vars(lang: FiniteLanguage, lang2: FiniteLanguage,
     return tuple(sorted(free_vars(lang.signature, head) | free_vars(lang2.signature, image)))
 
 
+def _image_table(lang2: FiniteLanguage, image: Term, variables: tuple[str, ...],
+                 values: tuple[str, ...]) -> dict[tuple[str, ...], str]:
+    """The meaning of a head image at every row of values for variables,
+    keyed by the row."""
+    return {row: denote(lang2, image, dict(zip(variables, row)))
+            for row in product(values, repeat=len(variables))}
+
+
 def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                       r: SemanticTranslation) -> Verdict:
     """Correctness w.r.t. a given semantic translation, decided on heads.
@@ -389,13 +409,18 @@ def check_correct_wrt(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangua
     under eta must be R-related to the meaning of H under rho.
     """
     check_total(r, lang)
+    bare = {lang2.qualify(w): w for w in lang2.values}
+    stray = sorted((w, u) for w, u in r.pairs if w not in bare)
+    if stray:
+        raise InputError(f"semantic translation pair ({stray[0][0]}, {stray[0][1]}) "
+                         f"names a target value outside {lang2.name}")
     rp = set(r.pairs)
     for name, head, image in _heads(tr):
         joint = _joint_vars(lang, lang2, head, image)
         for rho in valuations(joint, lang.values):
-            cands = [[w for w, u in r.pairs if u == lang.qualify(rho[x])] for x in joint]
+            cands = [[bare[w] for w, u in r.pairs if u == lang.qualify(rho[x])] for x in joint]
             for combo in product(*cands):
-                eta = dict(zip(joint, [w.split(".", 1)[1] for w in combo]))
+                eta = dict(zip(joint, combo))
                 lhs = denote(lang2, image, eta)
                 rhs = denote(lang, head, rho)
                 if (lang2.qualify(lhs), lang.qualify(rhs)) not in rp:
@@ -545,9 +570,8 @@ def check_correct_upto(tr: Translation, lang: FiniteLanguage, lang2: FiniteLangu
 
 def _extra_vars(tr: Translation) -> tuple[str, ...]:
     out: set[str] = set()
-    for name, _, image in _heads(tr):
-        holes = {f"X{i + 1}" for i in range(tr.source[name].args)}
-        out |= free_vars(tr.target, image) - holes
+    for _, head, image in _heads(tr):
+        out |= free_vars(tr.target, image) - {x.name for x in head.args}
     return tuple(sorted(out))
 
 
@@ -600,16 +624,9 @@ def _preserve_reps(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
                 for row in rows_img]
     ext_cols = tuple(zip(*ext_rows))
 
-    image_ops = {}
-    for name, _, image in _heads(tr):
-        n = tr.source[name].args
-        tbl = {}
-        for args in product(lang2.values, repeat=n):
-            for ext in product(lang2.values, repeat=len(extras)):
-                rho = {f"X{i + 1}": args[i] for i in range(n)}
-                rho.update(zip(extras, ext))
-                tbl[args + ext] = denote(lang2, image, rho)
-        image_ops[name] = tbl
+    image_ops = {name: _image_table(lang2, image, tuple(x.name for x in head.args) + extras,
+                                    lang2.values)
+                 for name, head, image in _heads(tr)}
 
     def combine(op: Operator, combo: tuple) -> tuple:
         img_tbl = image_ops[op.name]
@@ -672,6 +689,13 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
     which is then the answer of the full scan: when no bT survives the
     behaviours built so far, or when the first survivor in product order
     holds the certificate (see the invariant beside the stop).
+
+    The certificate is that T is correct w.r.t. the graph of bT, the
+    semantic translation {(bT(v), v)}: check_correct_wrt then asks, on
+    every head f(X1..Xn) with image I and every valuation rho, that
+    I[bT . rho] = bT(f[rho]).  So image meanings commute with bT on the
+    heads, and by induction on terms every translated term keeps its
+    meaning under bT.
     """
     _need_depth(depth)
     _need_carrier(rel, lang, lang2)
@@ -740,7 +764,9 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
         # with it.  So a stop never changes an answer.
         if found is None:
             return Verdict("no")
-        if _homomorphism_certificate(tr, lang, lang2, found):
+        graph = SemanticTranslation("bT", tuple(sorted(
+            (lang2.qualify(w), lang.qualify(v)) for v, w in found.items())))
+        if check_correct_wrt(tr, lang, lang2, graph).status == "yes":
             return Verdict("yes", found, "preserves")
     if exhausted:
         return Verdict("yes", found, "preserves")
@@ -749,18 +775,6 @@ def check_preserves(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage
                  else f"table bound {CELL_BOUND} cells")
         return Verdict("inconclusive", note=f"inconclusive: {bound} reached before depth {depth}")
     return Verdict("yes", found, f"holds-to-depth {depth}")
-
-
-def _homomorphism_certificate(tr: Translation, lang: FiniteLanguage,
-                              lang2: FiniteLanguage, bt: dict[str, str]) -> bool:
-    """Image meanings commute with bT on every head; implies preservation for
-    all terms by induction."""
-    for _, head, image in _heads(tr):
-        for rho in valuations(_joint_vars(lang, lang2, head, image), lang.values):
-            eta = {x: bt[v] for x, v in rho.items()}
-            if denote(lang2, image, eta) != bt[denote(lang, head, rho)]:
-                return False
-    return True
 
 
 def _need_depth(depth: int) -> None:
@@ -795,48 +809,44 @@ def check_respects(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
     return Verdict("yes", note=f"holds-to-depth {depth}")
 
 
-def is_congruence_for_image(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
-                            rel: Relation, w_set: tuple[str, ...]) -> Verdict:
-    """Relation preserved by every translated head over valuations into w_set."""
+def _image_ops(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage, rel: Relation,
+               w_set: tuple[str, ...]) -> list[tuple[Operator, tuple[str, ...]]]:
+    """The translated heads as operators on w_set, each beside its
+    arguments: its image's sorted free variables.  Results may leave w_set."""
     _need_carrier(rel, lang, lang2)
     stray = sorted(set(w_set) - set(lang2.values))
     if stray:
         raise InputError(f"values outside {lang2.name}: {stray}")
+    out = []
     for name, _, image in _heads(tr):
         xs = tuple(sorted(free_vars(lang2.signature, image)))
-        for theta in valuations(xs, w_set):
-            for eta in valuations(xs, w_set):
-                if all(rel.related(lang2.qualify(theta[x]), lang2.qualify(eta[x])) for x in xs):
-                    lhs, rhs = denote(lang2, image, theta), denote(lang2, image, eta)
-                    if not rel.related(lang2.qualify(lhs), lang2.qualify(rhs)):
-                        return Verdict("no", (name, theta, eta, lhs, rhs))
-    return Verdict("yes")
+        out.append((Operator(name, len(xs), _image_table(lang2, image, xs, w_set)), xs))
+    return out
+
+
+def is_congruence_for_image(tr: Translation, lang: FiniteLanguage, lang2: FiniteLanguage,
+                            rel: Relation, w_set: tuple[str, ...]) -> Verdict:
+    """Relation preserved by every translated head over valuations into w_set."""
+    ops = _image_ops(tr, lang, lang2, rel, w_set)
+    found = _congruence_witness(lang2, [op for op, _ in ops], w_set, rel)
+    if found is None:
+        return Verdict("yes")
+    name, us, vs, lhs, rhs = found
+    xs = next(xs for op, xs in ops if op.name == name)
+    return Verdict("no", (name, dict(zip(xs, us)), dict(zip(xs, vs)), lhs, rhs))
 
 
 def image_congruence_closure_1hole(tr: Translation, lang: FiniteLanguage,
                                    lang2: FiniteLanguage, rel: Relation,
                                    w_set: tuple[str, ...]) -> Relation:
     """Largest 1-hole congruence for the translated language on w_set inside rel."""
-    images = [image for _, _, image in _heads(tr)]
-
-    def probe(w: str, block: dict[str, int]) -> tuple:
-        sig = []
-        for image in images:
-            xs = tuple(sorted(free_vars(lang2.signature, image)))
-            for i, x in enumerate(xs):
-                others = xs[:i] + xs[i + 1:]
-                for ctx in valuations(others, tuple(w_set)):
-                    rho = dict(ctx)
-                    rho[x] = w
-                    out = lang2.qualify(denote(lang2, image, rho))
-                    if out not in block:
-                        raise InputError("image language is not closed on the given value set")
-                    sig.append(block[out])
-        return tuple(sig)
-
-    pairs = _refine(rel, lang2, w_set, probe)
+    ops = [op for op, _ in _image_ops(tr, lang, lang2, rel, w_set)]
+    # a head without variables has no hole, so only the others must stay in w_set
+    if any(out not in w_set for op in ops if op.arity for out in op.table.values()):
+        raise InputError("image language is not closed on the given value set")
     return Relation(f"{rel.name}^1c_image", "equivalence",
-                    tuple(sorted(lang2.qualify(w) for w in w_set)), pairs)
+                    tuple(sorted(lang2.qualify(w) for w in w_set)),
+                    _one_hole_pairs(lang2, ops, w_set, rel))
 
 
 def compose_semantic(r2: SemanticTranslation, r1: SemanticTranslation) -> SemanticTranslation:
@@ -969,12 +979,8 @@ def property_suite(seed: int, trials: int) -> PropertyReport:
                 w_set = tuple(w for w in l2.values
                               if any(lr.related(l2.qualify(w), l1.qualify(v))
                                      for v in l1.values))
-                closed = all(
-                    denote(l2, image, rho) in w_set
-                    for _, _, image in _heads(t1)
-                    for rho in valuations(
-                        tuple(sorted(free_vars(l2.signature, image))), w_set))
-                if not closed:
+                if any(out not in w_set for op, _ in _image_ops(t1, l1, l2, rel12, w_set)
+                       for out in op.table.values()):
                     note("closure-clauses", (trial, 2))
                 else:
                     icc = image_congruence_closure_1hole(t1, l1, l2, rel12, w_set)

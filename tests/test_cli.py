@@ -734,6 +734,68 @@ def test_answer_word_matches_exit_code(cli, argv):
     assert ANSWER_EXIT[_answer(out)] == code
 
 
+def _dotted_target(tmp_path) -> tuple[str, ...]:
+    """The identity from a over x to b.2 over x: a target language whose
+    name holds a dot, with the relation relating the two x."""
+    for name in ("a", "b.2"):
+        _write_json(tmp_path / f"{name}.json", {
+            "name": name, "values": ["x"],
+            "operators": [{"name": "f", "arity": 1, "table": {"x": "x"}}]})
+    _write_json(tmp_path / "T.json", {"source": "a", "target": "b.2", "heads": {"f": "f(X1)"}})
+    _write_json(tmp_path / "sim.json", {"kind": "equivalence", "carrier": ["a.x", "b.2.x"],
+                                        "pairs": [["b.2.x", "a.x"]]})
+    return ("--source", str(tmp_path / "a.json"), "--target", str(tmp_path / "b.2.json"),
+            "--translation", str(tmp_path / "T.json"))
+
+
+def test_a_dotted_target_name_is_read_through_its_language(cli, tmp_path):
+    # check correct cut the target name at its first dot and ended in
+    # KeyError ('2.x',), a traceback and exit 1
+    triple = _dotted_target(tmp_path)
+    assert cli("check", "correct", *triple, "--relation", str(tmp_path / "sim.json")) == (
+        OK, "correct: yes\n", "")
+    assert cli("check", "preserves", *triple, "--relation", str(tmp_path / "sim.json")) == (
+        OK, "preserves: yes\nwitness: bT(x)=x\nnote: preserves\n", "")
+
+
+def test_a_semantic_translation_pair_outside_the_target_is_usage_error(cli, tmp_path):
+    # the target zz.q was cut to q and looked up in b.2's tables: KeyError, exit 1
+    triple = _dotted_target(tmp_path)
+    semtrans = _write_json(tmp_path / "R.json", {"pairs": [["zz.q", "a.x"], ["b.2.x", "a.x"]]})
+    assert_input_error(cli("check", "correct", *triple, "--semtrans", semtrans),
+                       "semantic translation pair (zz.q, a.x) names a target value outside b.2")
+
+
+def test_a_language_with_a_repeated_value_is_refused(cli, tmp_path):
+    # lang validate said "ok: l (2 values, 0 operators)", and closure
+    # printed the class {a, a}
+    lang = _write_json(tmp_path / "l.json", {"name": "l", "values": ["a", "a"], "operators": []})
+    rel = _write_json(tmp_path / "sim.json", {"kind": "equivalence", "carrier": ["l.a"],
+                                              "pairs": []})
+    message = "l: duplicate values ['a']"
+    assert cli("lang", "validate", "--lang", lang) == (FAIL, f"invalid: {message}\n", "")
+    assert_input_error(cli("closure", "--lang", lang, "--relation", rel), message)
+    assert_input_error(cli("check", "congruence", "--lang", lang, "--relation", rel), message)
+    assert_input_error(cli("check", "valid", "--source", lang, *NEGTOP[2:]), message)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--image", "--one-hole", *NEGTOP), "--image does not take --one-hole"),
+    (("--image", "--lang", "negtop/L.json", *NEGTOP), "--image does not take --lang"),
+    (("--lang", "negtop/L.json", "--relation", "negtop/sim.json", "--w", "0"),
+     "--w needs --image"),
+    (("--lang", "negtop/L.json", *NEGTOP), "--source needs --image"),
+    (("--lang", "negtop/L.json", "--relation", "negtop/sim.json",
+      "--target", "negtop/Lp.json"), "--target needs --image"),
+    (("--lang", "negtop/L.json", "--relation", "negtop/sim.json",
+      "--translation", "negtop/T.json"), "--translation needs --image"),
+], ids=["one-hole-with-image", "lang-with-image", "w", "source", "target", "translation"])
+def test_check_congruence_refuses_options_its_mode_does_not_read(cli, extra, message):
+    # --one-hole with --image was ignored, and the all-positions check on
+    # the image answered "congruence: no", exit 1
+    assert_input_error(cli("check", "congruence", *extra), message)
+
+
 def _parity(tmp_path, n: int) -> tuple[str, ...]:
     """Z_n against Z_n with the head map s |-> s(s(X1)), ~ relating values of
     equal parity; for even n no semantic translation inside ~ is correct."""

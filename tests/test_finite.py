@@ -2,9 +2,12 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -25,7 +28,10 @@ from transcheck.finlang import (FiniteLanguage, InputError, Operator, Relation,
                                 load_translation, lr_closure, property_suite,
                                 smallest_equiv_containing, upward_closed_targets,
                                 valuations)
-from transcheck.terms import App, Var, complete_compositional, enumerate_terms, is_fvr
+from transcheck import finlang
+from transcheck.terms import (App, Var, complete_compositional, enumerate_terms, free_vars,
+                              is_fvr)
+from transcheck.verdict import Verdict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -429,3 +435,291 @@ def test_property_suite_is_deterministic():
     a = property_suite(7, 25)
     b = property_suite(7, 25)
     assert a.checks == b.checks and a.violations == b.violations
+
+
+# ---------- the replaced image checks and closures, kept as oracles ----------
+
+def old_is_congruence_for_image(tr, lang, lang2, rel, w_set):
+    """The loop is_congruence_for_image ran: every pair of valuations into
+    w_set, with each image evaluated under both; it now tabulates each
+    image once and runs is_congruence's loop on the tables."""
+    finlang._need_carrier(rel, lang, lang2)
+    stray = sorted(set(w_set) - set(lang2.values))
+    if stray:
+        raise InputError(f"values outside {lang2.name}: {stray}")
+    for name, _, image in finlang._heads(tr):
+        xs = tuple(sorted(free_vars(lang2.signature, image)))
+        for theta in valuations(xs, w_set):
+            for eta in valuations(xs, w_set):
+                if all(rel.related(lang2.qualify(theta[x]), lang2.qualify(eta[x])) for x in xs):
+                    lhs, rhs = denote(lang2, image, theta), denote(lang2, image, eta)
+                    if not rel.related(lang2.qualify(lhs), lang2.qualify(rhs)):
+                        return Verdict("no", (name, theta, eta, lhs, rhs))
+    return Verdict("yes")
+
+
+def old_refine(rel, lang, values, probe):
+    """The partition refinement both one-hole closures ran, each with its
+    own probe: probe(v, block) gives the blocks v's one-hole contexts reach."""
+    qs = [lang.qualify(v) for v in values]
+    block = {q: i for i, cls in enumerate(rel.restricted(set(qs)).classes()) for q in cls}
+    while True:
+        ids = {}
+        nxt = {q: ids.setdefault((block[q], probe(v, block)), len(ids))
+               for v, q in zip(values, qs)}
+        if len(ids) == len(set(block.values())):
+            break
+        block = nxt
+    return frozenset((a, b) for a in qs for b in qs if block[a] == block[b])
+
+
+def old_congruence_closure_1hole(lang, rel):
+    def probe(v, block):
+        return tuple(block[lang.qualify(op.table[ctx[:i] + (v,) + ctx[i + 1:]])]
+                     for op in lang.operators for ctx in product(lang.values, repeat=op.arity)
+                     for i in range(op.arity))
+
+    return Relation(f"{rel.name}^1c", "equivalence", lang.qualified_values,
+                    old_refine(rel, lang, lang.values, probe))
+
+
+def old_image_congruence_closure_1hole(tr, lang, lang2, rel, w_set):
+    """The image closure with its own probe, which evaluated each image at
+    every one-hole context; the closure now runs congruence_closure_1hole's
+    refinement on the image tables."""
+    images = [image for _, _, image in finlang._heads(tr)]
+
+    def probe(w, block):
+        sig = []
+        for image in images:
+            xs = tuple(sorted(free_vars(lang2.signature, image)))
+            for i, x in enumerate(xs):
+                others = xs[:i] + xs[i + 1:]
+                for ctx in valuations(others, tuple(w_set)):
+                    rho = dict(ctx)
+                    rho[x] = w
+                    out = lang2.qualify(denote(lang2, image, rho))
+                    if out not in block:
+                        raise InputError("image language is not closed on the given value set")
+                    sig.append(block[out])
+        return tuple(sig)
+
+    return Relation(f"{rel.name}^1c_image", "equivalence",
+                    tuple(sorted(lang2.qualify(w) for w in w_set)),
+                    old_refine(rel, lang2, w_set, probe))
+
+
+def old_lr_closure(lang, rel, r):
+    """lr_closure as it looped over every (w1, w2, v1, v2) and checked
+    transitivity over every pair of pairs."""
+    for a, b in r.pairs:
+        if not rel.related(a, b):
+            raise InputError(f"semantic translation pair ({a}, {b}) is not inside the relation")
+    eq = smallest_equiv_containing(r, rel.carrier)
+    cc = congruence_closure_1hole(lang, rel)
+    v_set = lang.qualified_values
+    pairs = set()
+    for w1 in rel.carrier:
+        for w2 in rel.carrier:
+            if any(eq.related(w1, v1) and cc.related(v1, v2) and eq.related(v2, w2)
+                   for v1 in v_set for v2 in v_set):
+                pairs.add((w1, w2))
+    pairs |= {(w, w) for w in rel.carrier}
+    out = Relation(f"{rel.name}^1c_{r.name}", "equivalence", rel.carrier, frozenset(pairs))
+    for a, b in out.pairs:
+        for c, d in out.pairs:
+            if b == c and not out.related(a, d):
+                raise InputError("combined closure is not transitive; "
+                                 "the translation is not correct w.r.t. this semantic translation")
+    return out
+
+
+def outcome(f, *args):
+    """f's result, or the message of the InputError it raised."""
+    try:
+        return f(*args)
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+def suite_triples(seed, trials):
+    """The (T1, L1, L2, relation on L1 and L2) instances property_suite draws."""
+    rnd = random.Random(seed)
+    for _ in range(trials):
+        l1, l2, l3 = (finlang._random_language(rnd, n) for n in ("L1", "L2", "L3"))
+        rel = finlang._random_equivalence(
+            rnd, l1.qualified_values + l2.qualified_values + l3.qualified_values)
+        t1 = finlang._random_translation(rnd, l1, l2)
+        if finlang._random_translation(rnd, l2, l3) is not None and t1 is not None:
+            yield t1, l1, l2, rel.restricted(set(l1.qualified_values) | set(l2.qualified_values))
+
+
+def assert_image_checks_match(tr, lang, lang2, rel, w_set):
+    """The image congruence check and closure answer as their oracles do;
+    return the two answers."""
+    args = (tr, lang, lang2, rel, w_set)
+    cong = outcome(is_congruence_for_image, *args)
+    assert cong == outcome(old_is_congruence_for_image, *args), args
+    closure = outcome(image_congruence_closure_1hole, *args)
+    assert closure == outcome(old_image_congruence_closure_1hole, *args), args
+    return cong, closure
+
+
+def test_image_checks_match_their_oracles_on_suite_instances():
+    # every value set: U, and each subset of the target values
+    seen = set()
+    for tr, lang, lang2, rel in suite_triples(3, 300):
+        subsets = [tuple(w for w, keep in zip(lang2.values, mask) if keep)
+                   for mask in product((0, 1), repeat=len(lang2.values))]
+        for w_set in [tuple(upward_closed_targets(lang, lang2, rel))] + subsets:
+            cong, closure = assert_image_checks_match(tr, lang, lang2, rel, w_set)
+            seen.add((cong.status, type(closure).__name__))
+    assert seen == {("yes", "Relation"), ("no", "Relation"), ("yes", "str"), ("no", "str")}
+
+
+def test_the_closures_match_their_oracle_on_suite_instances():
+    for tr, lang, lang2, rel in suite_triples(4, 300):
+        for side in (lang, lang2):
+            assert congruence_closure_1hole(side, rel) == old_congruence_closure_1hole(side, rel)
+
+
+def two_languages():
+    """S over a, b with a binary f and a constant c; T over 0, 1, 2 with a
+    binary g, a unary h and a constant k."""
+    src = FiniteLanguage("S", ("a", "b"), (
+        Operator("f", 2, {k: "a" if k[0] == k[1] else "b" for k in product("ab", repeat=2)}),
+        Operator("c", 0, {(): "a"})))
+    tgt = FiniteLanguage("T", ("0", "1", "2"), (
+        Operator("g", 2, {(x, y): str((int(x) * int(y) + 1) % 3)
+                          for x, y in product("012", repeat=2)}),
+        Operator("h", 1, {("0",): "1", ("1",): "0", ("2",): "2"}),
+        Operator("k", 0, {(): "2"})))
+    return src, tgt
+
+
+@pytest.mark.parametrize("heads", [
+    {"f": "g(X1, Y)", "c": "k"},          # an image variable no head binds
+    {"f": "h(X2)", "c": "h(k)"},          # a placeholder the image leaves unused
+    {"f": "g(h(X2), X1)", "c": "Z"},      # a constant whose image is a variable
+    {"f": "X1", "c": "k"},
+], ids=["extra-variable", "unused-placeholder", "open-constant", "projection"])
+@pytest.mark.parametrize("kind", ["equivalence", "preorder"])
+def test_image_checks_match_their_oracles_on_hand_made_heads(heads, kind):
+    src, tgt = two_languages()
+    tr = load_translation({"source": "S", "target": "T", "heads": heads}, src, tgt)
+    carrier = src.qualified_values + tgt.qualified_values
+    for gens in ({("T.0", "T.1")}, {("T.1", "T.2"), ("S.a", "T.0")}, {("T.2", "T.0")}, set()):
+        rel = close_relation(gens, kind, carrier)
+        for w_set in (("0", "1", "2"), ("0", "1"), ("1", "2"), ("2",), ()):
+            assert_image_checks_match(tr, src, tgt, rel, w_set)
+
+
+def test_a_value_set_the_image_leaves_is_refused_by_the_closure():
+    # h maps 1 to 0: on {1, 2} the image of f leaves the set, as the oracle found
+    src, tgt = two_languages()
+    tr = load_translation({"source": "S", "target": "T",
+                           "heads": {"f": "h(X2)", "c": "k"}}, src, tgt)
+    rel = close_relation({("T.1", "T.2")}, "equivalence", src.qualified_values
+                         + tgt.qualified_values)
+    cong, closure = assert_image_checks_match(tr, src, tgt, rel, ("1", "2"))
+    assert cong == Verdict("no", ("f", {"X2": "1"}, {"X2": "2"}, "0", "2"))
+    assert closure == "InputError: image language is not closed on the given value set"
+    # a constant image outside the set has no hole, and the closure takes it
+    tr = load_translation({"source": "S", "target": "T",
+                           "heads": {"f": "X1", "c": "h(k)"}}, src, tgt)
+    _, closure = assert_image_checks_match(tr, src, tgt, rel, ("0", "1"))
+    assert isinstance(closure, Relation)
+
+
+def random_lr_instance(rnd):
+    """A source language of 2 to 8 values with one unary f, a target of 1
+    to 3 values with no operators, an equivalence on both, and a semantic
+    translation drawn from the related pairs, with now and then a pair
+    outside the relation.  The source values fall into up to four blocks,
+    f maps each block into one block, and the relation joins whole blocks:
+    so the one-hole closure keeps blocks of several values, which a target
+    value related to two of them can bridge into an intransitive composite."""
+    values = tuple(f"v{i}" for i in range(rnd.randint(2, 8)))
+    block = {v: rnd.randrange(4) for v in values}
+    live = sorted(set(block.values()))
+    members = {b: [v for v in values if block[v] == b] for b in live}
+    image = {b: rnd.choice(live) for b in live}
+    lang = FiniteLanguage("L", values, (Operator(
+        "f", 1, {(v,): rnd.choice(members[image[block[v]]]) for v in values}),))
+    lang2 = FiniteLanguage("M", tuple(f"w{i}" for i in range(rnd.randint(1, 3))), ())
+    group = {b: rnd.randrange(2) for b in live}
+    label = {lang.qualify(v): group[block[v]] for v in values}
+    label.update({w: rnd.randrange(2) for w in lang2.qualified_values})
+    carrier = lang.qualified_values + lang2.qualified_values
+    rel = Relation("sim", "equivalence", tuple(sorted(carrier)), frozenset(
+        (a, b) for a in carrier for b in carrier if label[a] == label[b]))
+    cross = [(w, v) for w in lang2.qualified_values for v in lang.qualified_values]
+    pairs = {p for p in cross if rel.related(*p) and rnd.random() < 0.3}
+    if rnd.random() < 0.05:
+        pairs.add(rnd.choice(cross))
+    return lang, rel, SemanticTranslation("R", tuple(sorted(pairs)))
+
+
+def test_lr_closure_matches_the_quartic_loop_on_random_instances():
+    rnd = random.Random(5)
+    kinds = Counter()
+    for _ in range(1000):
+        lang, rel, r = random_lr_instance(rnd)
+        new = outcome(lr_closure, lang, rel, r)
+        assert new == outcome(old_lr_closure, lang, rel, r), (lang, rel, r)
+        kinds["closure" if isinstance(new, Relation) else
+              "intransitive" if "transitive" in new else "outside"] += 1
+    assert kinds == {"closure": 950, "outside": 26, "intransitive": 24}
+
+
+def test_lr_closure_matches_the_quartic_loop_on_the_suites_witnesses():
+    compared = 0
+    for tr, lang, lang2, rel in suite_triples(6, 300):
+        v = check_valid_upto(tr, lang, lang2, rel)
+        if v.holds:
+            assert outcome(lr_closure, lang, rel, v.witness) == outcome(
+                old_lr_closure, lang, rel, v.witness)
+            compared += 1
+    assert compared >= 20
+
+
+def test_lr_closure_on_parity_z64_is_fast():
+    # the quartic loop took 0.6 s on Z_32, and doubling n cost it about 16x
+    n = 64
+    vals = [str(i) for i in range(n)]
+    src, tgt = (load_language({"name": name, "values": vals, "operators": [
+        {"name": "s", "arity": 1, "table": {v: str((int(v) + 1) % n) for v in vals}}]})
+        for name in ("z", "zp"))
+    rel = load_relation({"kind": "equivalence",
+                         "carrier": list(src.qualified_values + tgt.qualified_values),
+                         "pairs": [[src.qualify(v), tgt.qualify(v)] for v in vals]
+                         + [[src.qualify(str(i)), src.qualify(str(i + 2))] for i in range(n - 2)]})
+    r = SemanticTranslation("R", tuple((tgt.qualify(v), src.qualify(v)) for v in vals))
+    start = time.perf_counter()
+    out = lr_closure(src, rel, r)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.classes()) == 2 and len(out.pairs) == 2 * 64 ** 2
+
+
+# ---------- names and values ----------
+
+def test_a_language_with_a_repeated_value_is_refused():
+    # the closure printed the class {a, a}
+    with pytest.raises(InputError, match=r"^l: duplicate values \['a'\]$"):
+        load_language({"name": "l", "values": ["a", "a"], "operators": []})
+    # results may repeat
+    assert load_language({"name": "l", "values": ["a", "b"], "operators": [
+        {"name": "f", "arity": 1, "table": {"a": "a", "b": "a"}}]}).values == ("a", "b")
+
+
+def test_correct_wrt_reads_target_names_through_the_target_language():
+    # a target language named b.2 made the correctness check strip the
+    # qualification at the first dot, and fail with KeyError ('2.x',)
+    src = FiniteLanguage("a", ("x",), (Operator("f", 1, {("x",): "x"}),))
+    tgt = FiniteLanguage("b.2", ("x",), (Operator("g", 1, {("x",): "x"}),))
+    tr = load_translation({"source": "a", "target": "b.2", "heads": {"f": "g(X1)"}}, src, tgt)
+    r = SemanticTranslation("R", (("b.2.x", "a.x"),))
+    assert check_correct_wrt(tr, src, tgt, r) == Verdict("yes")
+    with pytest.raises(InputError, match=r"^semantic translation pair \(zz\.q, a\.x\) names "
+                                         r"a target value outside b\.2$"):
+        check_correct_wrt(tr, src, tgt, SemanticTranslation("R", r.pairs + (("zz.q", "a.x"),)))

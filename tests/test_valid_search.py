@@ -67,9 +67,22 @@ def product_preserves(tr, lang, lang2, rel, depth) -> Verdict:
         if all(rel.related(lang2.qualify(img[img_index[tuple(bt[v] for v in row)]]),
                            lang.qualify(src[i]))
                for src, img in reps for i, row in enumerate(rows_src)):
-            certified = exhausted or finlang._homomorphism_certificate(tr, lang, lang2, bt)
+            certified = exhausted or homomorphism_certificate(tr, lang, lang2, bt)
             return Verdict("yes", bt, "preserves" if certified else f"holds-to-depth {depth}")
     return Verdict("no")
+
+
+def homomorphism_certificate(tr, lang, lang2, bt) -> bool:
+    """Image meanings commute with bT on every head; implies preservation for
+    all terms by induction.  check_preserves now asks check_correct_wrt
+    whether T is correct w.r.t. the graph of bT instead."""
+    for _, head, image in finlang._heads(tr):
+        for rho in finlang.valuations(finlang._joint_vars(lang, lang2, head, image),
+                                      lang.values):
+            eta = {x: bt[v] for x, v in rho.items()}
+            if denote(lang2, image, eta) != bt[denote(lang, head, rho)]:
+                return False
+    return True
 
 
 def same_answer(new: Verdict, old: Verdict) -> bool:
@@ -239,6 +252,36 @@ def test_cap_bounds_the_closures_computed():
 
 # ---------- check_preserves ----------
 
+def graph(lang, lang2, bt) -> SemanticTranslation:
+    """The semantic translation {(bT(v), v)}."""
+    return SemanticTranslation("bT", tuple(sorted(
+        (lang2.qualify(w), lang.qualify(v)) for v, w in bt.items())))
+
+
+def certificate_agrees(tr, lang, lang2) -> tuple[int, int]:
+    """Compare the certificate with correctness w.r.t. the graph of bT for
+    every map bT from the source values to the target values; return how
+    many maps were compared and how many held."""
+    cases = held = 0
+    for combo in product(lang2.values, repeat=len(lang.values)):
+        bt = dict(zip(lang.values, combo))
+        old = homomorphism_certificate(tr, lang, lang2, bt)
+        assert check_correct_wrt(tr, lang, lang2, graph(lang, lang2, bt)).holds == old, (tr, bt)
+        cases, held = cases + 1, held + old
+    return cases, held
+
+
+def test_the_certificate_is_correctness_wrt_the_graph_of_bt_on_suite_instances():
+    cases, held = map(sum, zip(*(certificate_agrees(*inst[:3]) for inst in SUITE)))
+    assert (cases, held) == (6169, 1424)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_the_certificate_is_correctness_wrt_the_graph_of_bt_with_image_only_variables(inst):
+    certificate_agrees(*inst[:3])
+
+
 def test_depth_first_bt_matches_product_order_on_suite_instances():
     found = 0
     for inst in SUITE[::2]:
@@ -291,7 +334,7 @@ def test_a_certified_map_settles_in_product_order(scans):
                       {"s": "s(X1)"}, [("1", "0"), ("0", "1"), ("1", "1")])
     first = {"0": "1", "1": "0"}
     assert check_preserves(*inst, depth=1) == Verdict("yes", first, "holds-to-depth 1")
-    assert not finlang._homomorphism_certificate(*inst[:3], first)
+    assert not homomorphism_certificate(*inst[:3], first)
     scans.clear()
     v = check_preserves(*inst, depth=3)
     assert v == Verdict("yes", {"0": "1", "1": "1"}, "preserves")
@@ -313,7 +356,7 @@ def test_a_fixed_point_before_depth_ends_the_scan(scans):
         assert v == Verdict("yes", {"0": "0", "1": "1"}, "preserves")
         assert scans == [[(2, False), (4, False), (4, True)]]
         assert same_answer(v, product_preserves(*inst, depth=depth))
-    assert not finlang._homomorphism_certificate(*inst[:3], v.witness)
+    assert not homomorphism_certificate(*inst[:3], v.witness)
 
 
 def test_the_suites_preservation_scans_stop_early(scans):
