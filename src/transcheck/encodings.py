@@ -9,7 +9,6 @@ the two routes are required to agree up to renaming of bound names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 from typing import Callable
@@ -169,12 +168,16 @@ def term_to_pi(t: Term) -> PiTerm:
     return _fold(t, None, visit)
 
 
-@dataclass(frozen=True)
 class Encoding:
-    """A process translation given both directly and by its head map."""
-    name: str
-    translate: Callable[[PiTerm], PiTerm]
-    head_map: Translation
+    """A process translation given both directly and by its head map.  The
+    fields are not set again."""
+    __slots__ = ("name", "translate", "head_map")
+
+    def __init__(self, name: str, translate: Callable[[PiTerm], PiTerm],
+                 head_map: Translation) -> None:
+        self.name = name
+        self.translate = translate
+        self.head_map = head_map
 
     def translate_via_heads(self, p: PiTerm) -> PiTerm:
         return term_to_pi(complete_compositional(self.head_map)(pi_to_term(p)))
@@ -221,12 +224,15 @@ def plug(context: PiTerm, p: PiTerm) -> PiTerm:
     return _subst_pvar(context, hole, p)
 
 
-@dataclass(frozen=True)
 class ContextProbe:
-    """A one-hole observer: plug a subject in, ask for a weak barb."""
-    context: PiTerm
-    subject: PiTerm
-    barb: Barb
+    """A one-hole observer: plug a subject in, ask for a weak barb.  The
+    fields are not set again."""
+    __slots__ = ("context", "subject", "barb")
+
+    def __init__(self, context: PiTerm, subject: PiTerm, barb: Barb) -> None:
+        self.context = context
+        self.subject = subject
+        self.barb = barb
 
     def plugged(self) -> PiTerm:
         return plug(self.context, self.subject)
@@ -237,10 +243,15 @@ class ContextProbe:
 
 # ------------- spot checks and reports -------------
 
-@dataclass
 class EncodingReport:
-    kind: str
-    rows: list[tuple[PiTerm, Verdict]] = field(default_factory=list)
+    """One (term, verdict) row per term checked, under one kind of
+    bisimilarity.  The fields are not set again; rows grows as terms are
+    checked."""
+    __slots__ = ("kind", "rows")
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.rows: list[tuple[PiTerm, Verdict]] = []
 
     @property
     def counts(self) -> dict[str, int]:
@@ -311,9 +322,13 @@ def finite_pullback_precondition(lang: FiniteLanguage) -> Verdict:
     return Verdict("yes", note="closed-term language")
 
 
-@dataclass
 class FullAbstractionReport:
-    rows: list[tuple[PiTerm, PiTerm, Verdict, Verdict, str]] = field(default_factory=list)
+    """One (p, q, source verdict, target verdict, status) row per pair
+    checked.  rows is not set again; it grows as pairs are checked."""
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[PiTerm, PiTerm, Verdict, Verdict, str]] = []
 
     @property
     def counterexamples(self) -> list[tuple[PiTerm, PiTerm]]:

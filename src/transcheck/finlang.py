@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterator
@@ -27,40 +26,55 @@ class InputError(Exception):
 
 # ------------- languages -------------
 
-@dataclass(frozen=True)
 class Operator:
-    name: str
-    arity: int
-    table: dict[tuple[str, ...], str] = field(hash=False)
+    """An operator with its total table.  == reads name, arity and table,
+    hash name and arity.  The fields are not set again."""
+    __slots__ = ("name", "arity", "table")
+
+    def __init__(self, name: str, arity: int, table: dict[tuple[str, ...], str]) -> None:
+        self.name = name
+        self.arity = arity
+        self.table = table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity, self.table) == (other.name, other.arity, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity))
 
 
-@dataclass(frozen=True)
 class FiniteLanguage:
-    name: str
-    values: tuple[str, ...]
-    operators: tuple[Operator, ...]
+    """Named values and the operators on them, each table total on the
+    values.  The fields are not set again; signature and tables are computed
+    on first use."""
 
-    def __post_init__(self) -> None:
-        vs = set(self.values)
-        if len(vs) < len(self.values):
-            dup = sorted({v for v in vs if self.values.count(v) > 1})
-            raise InputError(f"{self.name}: duplicate values {dup}")
-        names = [op.name for op in self.operators]
+    def __init__(self, name: str, values: tuple[str, ...],
+                 operators: tuple[Operator, ...]) -> None:
+        vs = set(values)
+        if len(vs) < len(values):
+            dup = sorted({v for v in vs if values.count(v) > 1})
+            raise InputError(f"{name}: duplicate values {dup}")
+        names = [op.name for op in operators]
         dup = sorted({n for n in names if names.count(n) > 1})
         if dup:
-            raise InputError(f"{self.name}: duplicate operator names {dup}")
-        for op in self.operators:
+            raise InputError(f"{name}: duplicate operator names {dup}")
+        for op in operators:
             keys = set(op.table)
-            want = set(product(self.values, repeat=op.arity))
+            want = set(product(values, repeat=op.arity))
             if not keys <= want:
                 extra = sorted(keys - want)[:3]
-                raise InputError(f"{self.name}.{op.name}: table keys outside values: {extra}")
+                raise InputError(f"{name}.{op.name}: table keys outside values: {extra}")
             if keys != want:
                 missing = sorted(want - keys)[:3]
-                raise InputError(f"{self.name}.{op.name}: table not total, missing {missing}")
+                raise InputError(f"{name}.{op.name}: table not total, missing {missing}")
             for out in op.table.values():
                 if out not in vs:
-                    raise InputError(f"{self.name}.{op.name}: result {out} outside values")
+                    raise InputError(f"{name}.{op.name}: result {out} outside values")
+        self.name = name
+        self.values = values
+        self.operators = operators
 
     @cached_property
     def signature(self) -> Signature:
@@ -96,24 +110,37 @@ def _need_values(vs, message: str) -> None:
         raise InputError(message)
 
 
+def _need_name(name, what: str) -> None:
+    """name must be a nonempty string: translation and relation files name
+    languages and operators by strings."""
+    if not isinstance(name, str) or not name:
+        raise InputError(f"{what} name {json.dumps(name)} is not a nonempty string")
+
+
 def load_language(data: dict) -> FiniteLanguage:
     _need_keys(data, ("name", "values", "operators"), "language file")
+    _need_name(data["name"], "language")
     _need_values(data["values"], "language values are not a JSON list of values")
     if not isinstance(data["operators"], list):
         raise InputError("language operators are not a JSON list")
     ops = []
     for op in data["operators"]:
         _need_keys(op, ("name", "arity", "table"), "operator")
+        _need_name(op["name"], "operator")
+        arity = op["arity"]
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+            raise InputError(f"operator {op['name']}: arity {json.dumps(arity)} is not "
+                             "a nonnegative integer")
         _need_keys(op["table"], (), f"operator {op['name']} table")
         _need_values(list(op["table"].values()),
                      f"operator {op['name']} table results are not values")
         table = {}
         for key, out in op["table"].items():
             args = tuple(key.split(",")) if key else ()
-            if len(args) != op["arity"]:
-                raise InputError(f"{op['name']}: key {key!r} does not match arity {op['arity']}")
+            if len(args) != arity:
+                raise InputError(f"{op['name']}: key {key!r} does not match arity {arity}")
             table[args] = out
-        ops.append(Operator(op["name"], op["arity"], table))
+        ops.append(Operator(op["name"], arity, table))
     return FiniteLanguage(data["name"], tuple(data["values"]), tuple(ops))
 
 
@@ -146,12 +173,26 @@ def valuations(variables: tuple[str, ...], values: tuple[str, ...]) -> Iterator[
 
 # ------------- relations -------------
 
-@dataclass(frozen=True)
 class Relation:
-    name: str
-    kind: str  # "equivalence" | "preorder"
-    carrier: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
+    """A relation on qualified value names.  == and hash read every field,
+    which is not set again."""
+    __slots__ = ("name", "kind", "carrier", "pairs")
+
+    def __init__(self, name: str, kind: str, carrier: tuple[str, ...],
+                 pairs: frozenset[tuple[str, str]]) -> None:
+        self.name = name
+        self.kind = kind  # "equivalence" | "preorder"
+        self.carrier = carrier
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.kind, self.carrier, self.pairs)
+                == (other.name, other.kind, other.carrier, other.pairs))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, self.carrier, self.pairs))
 
     def related(self, a: str, b: str) -> bool:
         return (a, b) in self.pairs
@@ -214,11 +255,26 @@ def load_relation(data: dict) -> Relation:
                           tuple(data["carrier"]), data.get("name", "rel"))
 
 
-@dataclass(frozen=True)
 class SemanticTranslation:
-    """Relation between target and source values, total on the source."""
-    name: str
-    pairs: tuple[tuple[str, str], ...]  # (target value, source value), qualified
+    """Relation between target and source values, total on the source: pairs
+    holds (target value, source value) pairs, qualified.  ==, hash and repr
+    read name and pairs, which are not set again."""
+    __slots__ = ("name", "pairs")
+
+    def __init__(self, name: str, pairs: tuple[tuple[str, str], ...]) -> None:
+        self.name = name
+        self.pairs = pairs
+
+    def __repr__(self) -> str:
+        return f"SemanticTranslation(name={self.name!r}, pairs={self.pairs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.pairs) == (other.name, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.pairs))
 
     def image(self) -> list[str]:
         return sorted({w for w, _ in self.pairs})
@@ -857,12 +913,16 @@ def compose_semantic(r2: SemanticTranslation, r1: SemanticTranslation) -> Semant
 
 # ------------- randomized law checks -------------
 
-@dataclass
 class PropertyReport:
-    seed: int
-    trials: int
-    checks: dict[str, int]
-    violations: list[tuple]
+    """What property_suite found.  The fields are not set again."""
+    __slots__ = ("seed", "trials", "checks", "violations")
+
+    def __init__(self, seed: int, trials: int, checks: dict[str, int],
+                 violations: list[tuple]) -> None:
+        self.seed = seed
+        self.trials = trials
+        self.checks = checks
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, islice
 from operator import attrgetter, eq, itemgetter
@@ -28,70 +27,82 @@ class PiError(Exception):
 # ------------- syntax -------------
 
 _INTERNED = WeakValueDictionary()
-_alloc = object.__new__
+_alloc, _set = object.__new__, object.__setattr__
 
 
 class _Interned:
     """Base of the term constructors: while a node lives, no other is built
-    with its class and fields, and its fields are set once (Filliâtre and
-    Conchon, Type-safe modular hash-consing, 2006).  So equal terms are one
-    object, and == and hash are the identity's at any depth."""
+    with its class and fields, and its fields are set once, here, and never
+    again (Filliâtre and Conchon, Type-safe modular hash-consing, 2006).  So
+    equal terms are one object, and == and hash are the identity's at any
+    depth.  A copy or an unpickled node is the node itself."""
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, *fields):
         key = (cls, *fields)
         node = _INTERNED.get(key)
         if node is None:
             node = _INTERNED[key] = _alloc(cls)
-            node.__dict__.update(zip(cls.__match_args__, fields))
+            for name, value in zip(cls.__match_args__, fields):
+                _set(node, name, value)
         return node
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
-@dataclass(frozen=True, eq=False, init=False)
+    def __setattr__(self, name: str, _value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
 class Nil(_Interned):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Out(_Interned):
+    __slots__ = __match_args__ = ("chan", "msg", "cont")
     chan: str
     msg: str
-    cont: "PiTerm"
+    cont: PiTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class In(_Interned):
+    __slots__ = __match_args__ = ("chan", "param", "cont")
     chan: str
     param: str
-    cont: "PiTerm"
+    cont: PiTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Par(_Interned):
-    left: "PiTerm"
-    right: "PiTerm"
+    __slots__ = __match_args__ = ("left", "right")
+    left: PiTerm
+    right: PiTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Res(_Interned):
+    __slots__ = __match_args__ = ("name", "body")
     name: str
-    body: "PiTerm"
+    body: PiTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Repl(_Interned):
-    body: "PiTerm"
+    __slots__ = __match_args__ = ("body",)
+    body: PiTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PVar(_Interned):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class ExtBarb(_Interned):
+    __slots__ = __match_args__ = ("ident",)
     ident: str
 
 
@@ -1235,10 +1246,27 @@ def normal_form(t: PiTerm) -> PiState:
 
 # ------------- barbs -------------
 
-@dataclass(frozen=True, order=True)
 class Barb:
-    kind: str  # "out" | "in" | "ext"
-    name: str
+    """A barb: an output or input on a name, or an external barb.  ==, hash
+    and < read kind and name, which are not set again."""
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str) -> None:
+        self.kind = kind  # "out" | "in" | "ext"
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.name) == (other.kind, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.name) < (other.kind, other.name)
 
     def __str__(self) -> str:
         if self.kind == "out":
@@ -1269,12 +1297,28 @@ def barb_from_text(s: str) -> Barb:
 
 # ------------- reduction -------------
 
-@dataclass(frozen=True)
 class _CopyLevel:
-    cid: int
-    nus: tuple[str, ...]
-    parts: tuple[PiTerm, ...]
-    part: int
+    """One unfolded copy of a replication's body on the way to an offer: the
+    copy's number cid within its top-level thread, the body's restricted
+    names nus and parallel parts, and the part the offer sits in.  == and
+    hash read every field, which is not set again."""
+    __slots__ = ("cid", "nus", "parts", "part")
+
+    def __init__(self, cid: int, nus: tuple[str, ...], parts: tuple[PiTerm, ...],
+                 part: int) -> None:
+        self.cid = cid
+        self.nus = nus
+        self.parts = parts
+        self.part = part
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.cid, self.nus, self.parts, self.part)
+                == (other.cid, other.nus, other.parts, other.part))
+
+    def __hash__(self) -> int:
+        return hash((self.cid, self.nus, self.parts, self.part))
 
 
 class _Acts(NamedTuple):

@@ -9,7 +9,6 @@ bindable names (lowercase); alpha-conversion renames every kind of bound name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, product
 from typing import Callable, Iterator
@@ -27,7 +26,6 @@ class TermError(Exception):
 
 # ------------- signatures -------------
 
-@dataclass(frozen=True)
 class Construct:
     """A construct with its binding profile.
 
@@ -36,39 +34,55 @@ class Construct:
     first-appearance order, and an App's bound names are aligned with it;
     scopes[i] holds the indices into slots of the labels in binders[i], in
     that order, so bound[k] for k in scopes[i] are the names bound in
-    argument i.
+    argument i.  == and hash read name, args and binders.  The fields are not
+    set again.
     """
-    name: str
-    args: int
-    binders: tuple[tuple[str, ...], ...]
-    slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    scopes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "args", "binders", "slots", "scopes")
 
-    def __post_init__(self) -> None:
-        if self.args < 0:
-            raise TermError(f"{self.name}: negative arity")
-        if len(self.binders) != self.args:
-            raise TermError(f"{self.name}: binding profile length != arity")
-        slots = tuple(dict.fromkeys(lbl for per_arg in self.binders for lbl in per_arg))
+    def __init__(self, name: str, args: int, binders: tuple[tuple[str, ...], ...]) -> None:
+        if args < 0:
+            raise TermError(f"{name}: negative arity")
+        if len(binders) != args:
+            raise TermError(f"{name}: binding profile length != arity")
+        slots = tuple(dict.fromkeys(lbl for per_arg in binders for lbl in per_arg))
         for lbl in slots:
             if _PLACEHOLDER.match(lbl):
-                raise TermError(f"{self.name}: slot label {lbl} collides with argument placeholders")
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "scopes", tuple(
-            tuple(slots.index(lbl) for lbl in per_arg) for per_arg in self.binders))
+                raise TermError(f"{name}: slot label {lbl} collides with argument placeholders")
+        self.name = name
+        self.args = args
+        self.binders = binders
+        self.slots = slots
+        self.scopes = tuple(tuple(slots.index(lbl) for lbl in per_arg) for per_arg in binders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.args, self.binders) == (other.name, other.args, other.binders)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.args, self.binders))
 
 
-@dataclass(frozen=True)
 class Signature:
-    name: str
-    constructs: tuple[Construct, ...]
-    _by_name: dict[str, Construct] = field(init=False, repr=False, compare=False)
+    """Constructs by name.  == and hash read name and constructs.  The fields
+    are not set again."""
+    __slots__ = ("name", "constructs", "_by_name")
 
-    def __post_init__(self) -> None:
-        by_name = {c.name: c for c in self.constructs}
-        if len(by_name) != len(self.constructs):
-            raise TermError(f"{self.name}: duplicate construct names")
-        object.__setattr__(self, "_by_name", by_name)
+    def __init__(self, name: str, constructs: tuple[Construct, ...]) -> None:
+        by_name = {c.name: c for c in constructs}
+        if len(by_name) != len(constructs):
+            raise TermError(f"{name}: duplicate construct names")
+        self.name = name
+        self.constructs = constructs
+        self._by_name = by_name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.constructs) == (other.name, other.constructs)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.constructs))
 
     def __getitem__(self, op: str) -> Construct:
         c = self._by_name.get(op)
@@ -90,27 +104,56 @@ def signature_from_dict(data: dict) -> Signature:
 
 # ------------- terms -------------
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    """A variable, or a bindable name.  The field is not set again."""
+    __slots__ = ("name", "__weakref__")
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name,) == (other.name,)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class App:
     """A construct applied to its bound names and arguments.
 
-    The two memo fields are filled on first use and never take part in ==,
-    hash or repr.  _fv_memo pairs the free variables with the Signature they
-    were computed under, since two signatures may give one construct name
-    different binding profiles; _names_memo holds every name in the term.
+    bound holds the actual binder names, aligned with the construct's slots.
+    ==, hash and repr read op, bound and args, which are not set again.  The
+    two memo fields are filled on first use: _fv_memo pairs the free
+    variables with the Signature they were computed under, since two
+    signatures may give one construct name different binding profiles;
+    _names_memo holds every name in the term.
     """
-    op: str
-    bound: tuple[str, ...]  # actual binder names, aligned with the construct's slots
-    args: tuple["Term", ...]
-    _fv_memo: tuple[Signature, frozenset[str]] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False)
-    _names_memo: frozenset[str] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("op", "bound", "args", "_fv_memo", "_names_memo", "__weakref__")
+    __match_args__ = ("op", "bound", "args")
+
+    def __init__(self, op: str, bound: tuple[str, ...], args: tuple[Term, ...]) -> None:
+        self.op = op
+        self.bound = bound
+        self.args = args
+        self._fv_memo: tuple[Signature, frozenset[str]] | None = None
+        self._names_memo: frozenset[str] | None = None
+
+    def __repr__(self) -> str:
+        return f"App(op={self.op!r}, bound={self.bound!r}, args={self.args!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.op, self.bound, self.args) == (other.op, other.bound, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.bound, self.args))
 
 
 Term = Var | App
@@ -244,7 +287,7 @@ def _fv(sig: Signature, t: Term) -> frozenset[str]:
                 out |= fa - {bound[k] for k in scope} if scope else fa
         if out is not None:
             todo.pop()
-            object.__setattr__(u, "_fv_memo", (sig, frozenset(out)))
+            u._fv_memo = (sig, frozenset(out))
     return t._fv_memo[1]
 
 
@@ -266,7 +309,7 @@ def _name(u: App, *_) -> None:
         if not isinstance(a, (Var, App)):
             raise TermError(f"not a term: {a!r}")
         out |= {a.name} if isinstance(a, Var) else a._names_memo
-    object.__setattr__(u, "_names_memo", frozenset(out))
+    u._names_memo = frozenset(out)
 
 
 def free_vars(sig: Signature, t: Term) -> set[str]:
@@ -508,30 +551,31 @@ def head_decompose(sig: Signature, t: Term) -> tuple[Term, dict[str, Term]]:
 
 # ------------- translations -------------
 
-@dataclass(frozen=True)
 class Translation:
     """Head map from source constructs to open target terms over X1..Xn.
 
     Image binders named like a source slot label re-bind the source's bound
     name; every other image binder is auxiliary and is freshened against the
-    plugged arguments.
+    plugged arguments.  heads pairs each construct name with its image.  The
+    fields are not set again.
     """
-    source: Signature
-    target: Signature
-    heads: tuple[tuple[str, Term], ...]
-    _images: dict[str, Term] = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "heads", "_images")
 
-    def __post_init__(self) -> None:
-        images = dict(self.heads)
-        stray = sorted(op for op in images if op not in self.source)
+    def __init__(self, source: Signature, target: Signature,
+                 heads: tuple[tuple[str, Term], ...]) -> None:
+        images = dict(heads)
+        stray = sorted(op for op in images if op not in source)
         if stray:
-            raise TermError(f"translation has images for constructs {self.source.name} "
+            raise TermError(f"translation has images for constructs {source.name} "
                             f"lacks: {stray}")
-        for c in self.source.constructs:
+        for c in source.constructs:
             if c.name not in images:
                 raise TermError(f"translation lacks an image for {c.name}")
-            validate(self.target, images[c.name])
-        object.__setattr__(self, "_images", images)
+            validate(target, images[c.name])
+        self.source = source
+        self.target = target
+        self.heads = heads
+        self._images = images
 
     def head(self, op: str) -> Term:
         return self._images[op]
@@ -563,7 +607,6 @@ def _rename_slot_binders(sig: Signature, t: Term, ren: dict[str, str]) -> Term:
 _KEEP, _PLUG, _SLOT, _NODE = range(4)
 
 
-@dataclass(frozen=True)
 class _HeadPlan:
     """How to instantiate one head image: a post-order program over its nodes.
 
@@ -574,9 +617,14 @@ class _HeadPlan:
     from the last n terms pushed, spelled giving each binder by name or, for
     a slot-labelled one, by its slot index k (spelled w[k]).  aux pairs each
     argument index i with the auxiliary binders of the nodes above an
-    occurrence of its placeholder, where there are any."""
-    steps: tuple[tuple, ...]
-    aux: tuple[tuple[int, frozenset[str]], ...]
+    occurrence of its placeholder, where there are any.  The fields are not
+    set again."""
+    __slots__ = ("steps", "aux")
+
+    def __init__(self, steps: tuple[tuple, ...],
+                 aux: tuple[tuple[int, frozenset[str]], ...]) -> None:
+        self.steps = steps
+        self.aux = aux
 
 
 def _head_plan(c: Construct, target: Signature, image: Term) -> _HeadPlan | None:
@@ -768,7 +816,7 @@ def _respell_w(t: Term, at: int, used: int, shift: int) -> Term:
         node = App(u.op, bound, args)
         if u._fv_memo is not None:  # as the plain path leaves it, so no walk for them follows
             sig, fv = u._fv_memo
-            object.__setattr__(node, "_fv_memo", (sig, frozenset([names.get(n, n) for n in fv])))
+            node._fv_memo = (sig, frozenset([names.get(n, n) for n in fv]))
         return node
 
     return _map(t, ren, lambda u, _: (partial(build, u), [_arg(a, ren) for a in u.args]))

@@ -779,6 +779,47 @@ def test_a_language_with_a_repeated_value_is_refused(cli, tmp_path):
     assert_input_error(cli("check", "valid", "--source", lang, *NEGTOP[2:]), message)
 
 
+def assert_language_refused(cli, lang, message):
+    """lang validate answers invalid, and every command that loads the
+    language exits 3, with one message."""
+    rel = "negtop/sim.json"
+    assert cli("lang", "validate", "--lang", lang) == (FAIL, f"invalid: {message}\n", "")
+    assert_input_error(cli("closure", "--lang", lang, "--relation", rel), message)
+    assert_input_error(cli("check", "congruence", "--lang", lang, "--relation", rel), message)
+    assert_input_error(cli("check", "valid", "--source", lang, *NEGTOP[2:]), message)
+
+
+@pytest.mark.parametrize("arity, table, shown", [
+    (-1, {}, "-1"),
+    ("1", {"a": "a"}, '"1"'),
+    (True, {"a": "a"}, "true"),
+    (1.5, {"a": "a"}, "1.5"),
+], ids=["negative", "string", "bool", "float"])
+def test_an_operator_arity_that_is_no_count_is_refused(cli, tmp_path, arity, table, shown):
+    # -1 ended in a ValueError traceback (exit 1); "1" was reported as a key
+    # that does not match arity 1
+    lang = _write_json(tmp_path / "l.json", {"name": "l", "values": ["a"], "operators": [
+        {"name": "f", "arity": arity, "table": table}]})
+    assert_language_refused(cli, lang, f"operator f: arity {shown} is not a nonnegative integer")
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"name": 5, "values": ["a"], "operators": []}, "language name 5 is not a nonempty string"),
+    ({"name": "", "values": ["a"], "operators": []},
+     'language name "" is not a nonempty string'),
+    ({"name": "l", "values": ["a"], "operators": [{"name": ["f"], "arity": 0,
+                                                   "table": {"": "a"}}]},
+     'operator name ["f"] is not a nonempty string'),
+    ({"name": "l", "values": ["a"], "operators": [{"name": "", "arity": 0,
+                                                   "table": {"": "a"}}]},
+     'operator name "" is not a nonempty string'),
+], ids=["language-number", "language-empty", "operator-list", "operator-empty"])
+def test_a_name_that_is_no_string_is_refused(cli, tmp_path, data, message):
+    # {"name": 5} validated as "ok: 5", and closure and check congruence
+    # answered on an operator named ["f"]
+    assert_language_refused(cli, _write_json(tmp_path / "l.json", data), message)
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--image", "--one-hole", *NEGTOP), "--image does not take --one-hole"),
     (("--image", "--lang", "negtop/L.json", *NEGTOP), "--image does not take --lang"),

@@ -9,11 +9,15 @@ the known call cycles, so a term of any depth is walked: every call cycle of
 pi.py, encodings.py, terms.py and finlang.py is a known one, and of terms.py
 only the parser is left.  And pi terms are interned, so pi.py keys no
 memo by id.  terms.alpha_eq builds no canonical key and does not call
-itself."""
+itself.  No module imports dataclasses, whose decorator compiles the
+methods of each class it makes when the package is imported."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -84,6 +88,31 @@ def _library_names() -> set[str]:
     bullets = re.search(r"\n\n((?:- .*\n(?:  .*\n)*)+)", after).group(1)
     return {name for span in re.findall(r"`([^`]*)`", bullets)
             for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)}
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a bare import, in a fresh interpreter, as every command starts
+    code = ("import sys, transcheck.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_the_library_names_are_the_bullets():
