@@ -17,7 +17,7 @@ from functools import cache
 
 from .encodings import (boudol_encoding, check_encoding_pairs,
                         full_abstraction_check, load_pairs, plug)
-from .finlang import (FiniteLanguage, InputError, Relation,
+from .finlang import (FiniteLanguage, InputError, Relation, SemanticTranslation,
                       check_correct_upto, check_correct_wrt, check_preserves,
                       check_respects, congruence_closure_1hole,
                       check_valid_upto, is_congruence, is_congruence_for_image,
@@ -25,8 +25,8 @@ from .finlang import (FiniteLanguage, InputError, Relation,
                       load_semantic_translation, load_translation, lr_closure,
                       property_suite, upward_closed_targets)
 from .pi import (BISIM_KINDS, PiError, PiTerm, barb_from_text, bisim, explore,
-                 normal_form, parse_pi, print_pi, print_state, reduce_once,
-                 strong_barbs, weak_barb, _scan)
+                 normal_form, parse_pi, print_pi, print_state, process_vars,
+                 reduce_once, strong_barbs, weak_barb, _scan)
 from .terms import Term, TermError, compose_translations, print_term
 from .verdict import BISIM_WORDS, Verdict
 
@@ -107,20 +107,26 @@ def _report(label: str, v: Verdict, langs=(), show=None) -> int:
     """Print `label: status`, the witness and the note; return the exit code.
 
     A "no" prints its counterexample; a "yes" prints its witness only when
-    show is given to format it."""
+    show is given to format it, as show(witness, *langs)."""
     print(f"{label}: {v.status}")
     if v.status == "no":
         _print_witness(v.witness, langs)
     elif v.status == "yes" and show is not None:
-        print("witness: " + show(v.witness))
+        print("witness: " + show(v.witness, *langs))
     if v.note:
         print(f"note: {v.note}")
     return EXIT[v.status]
 
 
-def _batch_exit(failed: int, inconclusive: int) -> int:
-    """A batch fails if one check fails, else is inconclusive if one is."""
-    return EXIT["no" if failed else "inconclusive" if inconclusive else "yes"]
+def _tally(rows, good: str, bad: str) -> int:
+    """Print each (word, text) row as `word: text`, then how many rows say
+    good, bad and inconclusive.  A batch fails if one row is bad, else is
+    inconclusive if one is."""
+    n = Counter(word for word, _ in rows)
+    for word, text in rows:
+        print(f"{word}: {text}")
+    print(f"{good}={n[good]} {bad}={n[bad]} inconclusive={n['inconclusive']}")
+    return EXIT["no" if n[bad] else "inconclusive" if n["inconclusive"] else "yes"]
 
 
 # ------------- finite-language commands -------------
@@ -177,50 +183,34 @@ def _cmd_lr_closure(ns) -> int:
     return OK
 
 
-def _load_triple(ns):
+def _show_relation(r: SemanticTranslation, src: FiniteLanguage, tgt: FiniteLanguage) -> str:
+    pairs = sorted((_unqualify(a, (tgt,)), _unqualify(b, (src,))) for a, b in r.pairs)
+    return " ".join(f"({a},{b})" for a, b in pairs)
+
+
+def _show_value_map(bt: dict[str, str], *_langs) -> str:
+    return " ".join(f"bT({a})={b}" for a, b in sorted(bt.items()))
+
+
+def _cmd_check(ns) -> int:
+    """check correct|valid|preserves|respects: the subcommand's library
+    function, and the format of its "yes" witness (None: a "yes" prints
+    none).  correct with --semtrans checks w.r.t. that semantic translation
+    instead of searching the relation."""
     src, tgt = _lang(ns.source), _lang(ns.target)
     tr = load_translation(_read_json(ns.translation), src, tgt)
-    return src, tgt, tr
-
-
-def _cmd_check_correct(ns) -> int:
-    src, tgt, tr = _load_triple(ns)
-    if ns.semtrans:
-        r = load_semantic_translation(_read_json(ns.semtrans))
-        v = check_correct_wrt(tr, src, tgt, r)
-    elif ns.relation:
-        rel = load_relation(_read_json(ns.relation))
-        v = check_correct_upto(tr, src, tgt, rel)
-    else:
+    check, show = {"correct": (check_correct_upto, None),
+                   "valid": (check_valid_upto, _show_relation),
+                   "preserves": (check_preserves, _show_value_map),
+                   "respects": (check_respects, None)}[ns.subcommand]
+    if getattr(ns, "semtrans", None):
+        check, rel = check_correct_wrt, load_semantic_translation(_read_json(ns.semtrans))
+    elif ns.relation is None:
         raise InputError("check correct needs --relation or --semtrans")
-    return _report("correct", v, (src, tgt))
-
-
-def _cmd_check_valid(ns) -> int:
-    src, tgt, tr = _load_triple(ns)
-    rel = load_relation(_read_json(ns.relation))
-    v = check_valid_upto(tr, src, tgt, rel)
-
-    def show(r) -> str:
-        pairs = sorted((_unqualify(a, (tgt,)), _unqualify(b, (src,))) for a, b in r.pairs)
-        return " ".join(f"({a},{b})" for a, b in pairs)
-
-    return _report("valid", v, show=show)
-
-
-def _cmd_check_preserves(ns) -> int:
-    src, tgt, tr = _load_triple(ns)
-    rel = load_relation(_read_json(ns.relation))
-    v = check_preserves(tr, src, tgt, rel, ns.depth)
-    return _report("preserves", v, (src, tgt),
-                   lambda bt: " ".join(f"bT({a})={b}" for a, b in sorted(bt.items())))
-
-
-def _cmd_check_respects(ns) -> int:
-    src, tgt, tr = _load_triple(ns)
-    rel = load_relation(_read_json(ns.relation))
-    v = check_respects(tr, src, tgt, rel, ns.depth)
-    return _report("respects", v, (src, tgt))
+    else:
+        rel = load_relation(_read_json(ns.relation))
+    v = check(tr, src, tgt, rel, *([ns.depth] if "depth" in ns else []))
+    return _report(ns.subcommand, v, (src, tgt), show)
 
 
 def _cmd_compose(ns) -> int:
@@ -254,9 +244,8 @@ def _cmd_property_suite(ns) -> int:
 
 def _parse_term_arg(ns, text: str) -> PiTerm:
     t = parse_pi(text, allow_reserved=ns.allow_reserved)
-    omega = getattr(ns, "ext", None)
-    if omega is not None:
-        declared = set(omega.split(",")) if omega else set()
+    if ns.ext is not None:
+        declared = set(ns.ext.split(",")) if ns.ext else set()
         stray = _scan(t).ext - declared
         if stray:
             raise PiError(f"external barb ids {sorted(stray)} not in the declared set")
@@ -266,11 +255,19 @@ def _parse_term_arg(ns, text: str) -> PiTerm:
 def _subject(ns) -> PiTerm:
     """Positional term, optionally translated and plugged into a context."""
     t = _parse_term_arg(ns, ns.term)
-    if getattr(ns, "boudol", False):
+    if ns.boudol:
         t = boudol_encoding().translate(t)
-    ctx = getattr(ns, "context", None)
-    if ctx:
-        t = plug(parse_pi(ctx, allow_reserved=True), t)
+    if ns.context:
+        t = plug(parse_pi(ns.context, allow_reserved=True), t)
+    return t
+
+
+def _closed(t: PiTerm) -> PiTerm:
+    """t, refused if it has a free process variable: what that does is
+    unknown, so a command that runs t cannot answer."""
+    pvs = process_vars(t)
+    if pvs:
+        raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     return t
 
 
@@ -285,13 +282,13 @@ def _cmd_pi_print(ns) -> int:
 
 
 def _cmd_pi_reduce(ns) -> int:
-    for s in reduce_once(normal_form(_subject(ns))):
+    for s in reduce_once(normal_form(_closed(_subject(ns)))):
         print(print_state(s))
     return OK
 
 
 def _cmd_pi_explore(ns) -> int:
-    g = explore(_subject(ns), ns.budget, input_barbs=ns.input_barbs)
+    g = explore(_closed(_subject(ns)), ns.budget, input_barbs=ns.input_barbs)
     order = g.order()
     index = {k: i for i, k in enumerate(order)}
     print(f"states: {len(order)} ({'complete' if g.complete else 'truncated'})")
@@ -306,21 +303,21 @@ def _cmd_pi_explore(ns) -> int:
 
 
 def _cmd_pi_barbs(ns) -> int:
-    bs = strong_barbs(normal_form(_subject(ns)), input_barbs=ns.input_barbs)
+    bs = strong_barbs(normal_form(_closed(_subject(ns))), input_barbs=ns.input_barbs)
     for b in sorted(bs, key=str):
         print(b)
     return OK
 
 
 def _cmd_pi_weak_barb(ns) -> int:
-    verdict = weak_barb(_subject(ns), barb_from_text(ns.barb), ns.budget)
+    verdict = weak_barb(_closed(_subject(ns)), barb_from_text(ns.barb), ns.budget)
     print(verdict)
     return EXIT[verdict]
 
 
 def _cmd_pi_bisim(ns) -> int:
-    p = _parse_term_arg(ns, ns.left)
-    q = _parse_term_arg(ns, ns.right)
+    p = _closed(_parse_term_arg(ns, ns.left))
+    q = _closed(_parse_term_arg(ns, ns.right))
     v = bisim(p, q, ns.kind, ns.budget, input_barbs=ns.input_barbs)
     word = {"yes": "bisimilar", "no": "not bisimilar"}.get(v.status, v.status)
     print(f"{word}: {v.note}" if v.note else word)
@@ -339,39 +336,64 @@ def _cmd_pi_plug(ns) -> int:
 
 def _cmd_pi_check_encoding(ns) -> int:
     texts: list[str] = list(ns.terms)
-    if ns.file:
-        texts = [line.strip() for line in _read_text(ns.file).splitlines()
-                 if line.strip() and not line.strip().startswith("#")] + texts
+    if ns.file:  # the blank-and-# rules of load_pairs
+        lines = map(str.strip, _read_text(ns.file).splitlines())
+        texts = [s for s in lines if s and not s.startswith("#")] + texts
     if not texts:
         raise InputError("no terms given (positional or --file)")
     terms = [_parse_term_arg(ns, s) for s in texts]
     report = check_encoding_pairs(boudol_encoding(), terms, ns.kind, ns.budget)
-    for p, v in report.rows:
-        print(f"{BISIM_WORDS[v.status]}: {print_pi(p)}")
-    counts = report.counts
-    print(f"bisimilar={counts['bisimilar']} not={counts['not']} "
-          f"inconclusive={counts['inconclusive']}")
-    return _batch_exit(counts["not"], counts["inconclusive"])
+    return _tally([(BISIM_WORDS[v.status], print_pi(p)) for p, v in report.rows],
+                  "bisimilar", "not")
 
 
 def _cmd_pi_full_abstraction(ns) -> int:
     pairs = [(_parse_term_arg(ns, a), _parse_term_arg(ns, b))
              for a, b in load_pairs(_read_text(ns.pairs))]
-    enc = boudol_encoding()
+    if not pairs:
+        raise InputError(f"no pairs given ({ns.pairs} lists none)")
 
     def oracle(p, q):
         return bisim(p, q, ns.kind, ns.budget)
 
-    report = full_abstraction_check(enc.translate, oracle, oracle, pairs)
-    for p, q, sv, tv, status in report.rows:
-        print(f"{status}: {print_pi(p)} ;; {print_pi(q)} "
-              f"(source={BISIM_WORDS[sv.status]}, target={BISIM_WORDS[tv.status]})")
-    n = Counter(status for *_, status in report.rows)
-    print(f"pass={n['pass']} fail={n['fail']} inconclusive={n['inconclusive']}")
-    return _batch_exit(n["fail"], n["inconclusive"])
+    report = full_abstraction_check(boudol_encoding().translate, oracle, oracle, pairs)
+    return _tally([(status, f"{print_pi(p)} ;; {print_pi(q)} (source={BISIM_WORDS[sv.status]}, "
+                            f"target={BISIM_WORDS[tv.status]})")
+                   for p, q, sv, tv, status in report.rows], "pass", "fail")
 
 
 # ------------- wiring -------------
+
+def _parent() -> argparse.ArgumentParser:
+    """A parser that only lends its arguments to the commands built on it,
+    so each argument is declared once.  A command takes its parents'
+    arguments first, in the order its parents are listed, then its own."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _file_options(required: bool) -> dict[str, argparse.ArgumentParser]:
+    """The file options of the finite-language commands, each on its own
+    parent, keyed by its name without the dashes."""
+    opts = {name: _parent() for name in ("lang", "relation", "source", "target",
+                                         "translation", "semtrans")}
+    opts["lang"].add_argument("--lang", required=required)
+    opts["relation"].add_argument("--relation", required=required)
+    opts["source"].add_argument("--source", required=required)
+    opts["target"].add_argument("--target", required=required)
+    opts["translation"].add_argument("--translation", required=required)
+    opts["semtrans"].add_argument("--semtrans", required=required,
+                                  help="semantic translation file (check correct: check "
+                                       "w.r.t. it instead of searching the relation)")
+    return opts
+
+
+def _plug_options(context_required: bool) -> argparse.ArgumentParser:
+    """How a pi command turns its term into the process it reads."""
+    p = _parent()
+    p.add_argument("--context", required=context_required)
+    p.add_argument("--boudol", action="store_true", help="translate the term before plugging")
+    return p
+
 
 @cache
 def _build_parser() -> _Parser:
@@ -382,150 +404,90 @@ def _build_parser() -> _Parser:
                               "languages, with a pi-calculus workbench")
     sub = top.add_subparsers(dest="command", required=True)
 
-    lang = sub.add_parser("lang", help="language file utilities")
-    lang_sub = lang.add_subparsers(dest="subcommand", required=True)
-    lv = lang_sub.add_parser("validate", help="validate a language file")
-    lv.add_argument("--lang", required=True)
-    lv.set_defaults(func=_cmd_lang_validate)
+    def group(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    check = sub.add_parser("check", help="translation and relation checks")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-
-    cc = check_sub.add_parser("congruence", help="is the relation a congruence")
-    cc.add_argument("--lang")
-    cc.add_argument("--relation", required=True)
-    cc.add_argument("--one-hole", action="store_true", dest="one_hole")
-    cc.add_argument("--image", action="store_true",
-                    help="check on the translated image over U (needs the triple)")
-    cc.add_argument("--source")
-    cc.add_argument("--target")
-    cc.add_argument("--translation")
-    cc.add_argument("--w", help="comma list of target values overriding U")
-    cc.set_defaults(func=_cmd_check_congruence)
-
-    for name, fn, with_depth in (
-            ("correct", _cmd_check_correct, False),
-            ("valid", _cmd_check_valid, False),
-            ("preserves", _cmd_check_preserves, True),
-            ("respects", _cmd_check_respects, True)):
-        p = check_sub.add_parser(name)
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-        p.add_argument("--translation", required=True)
-        p.add_argument("--relation", required=name != "correct")
-        if name == "correct":
-            p.add_argument("--semtrans", help="check w.r.t. this semantic translation "
-                                              "instead of searching the relation")
-        if with_depth:
-            p.add_argument("--depth", type=int, default=3)
-        p.set_defaults(func=fn)
-
-    cl = sub.add_parser("closure", help="largest one-hole congruence inside a relation")
-    cl.add_argument("--lang", required=True)
-    cl.add_argument("--relation", required=True)
-    cl.set_defaults(func=_cmd_closure)
-
-    lr = sub.add_parser("lr-closure", help="congruence closure of a translation")
-    lr.add_argument("--lang", required=True, help="source language (closure side)")
-    lr.add_argument("--relation", required=True)
-    lr.add_argument("--semtrans", required=True)
-    lr.set_defaults(func=_cmd_lr_closure)
-
-    co = sub.add_parser("compose", help="compose two head-map translations")
-    co.add_argument("--source", required=True)
-    co.add_argument("--mid", required=True)
-    co.add_argument("--target", required=True)
-    co.add_argument("--first", required=True)
-    co.add_argument("--second", required=True)
-    co.set_defaults(func=_cmd_compose)
-
-    ps = sub.add_parser("property-suite", help="brute-force the library's theorems")
-    ps.add_argument("--trials", type=int, default=200)
-    ps.add_argument("--seed", type=int, default=42)
-    ps.set_defaults(func=_cmd_property_suite)
-
-    pi = sub.add_parser("pi", help="process workbench")
-    pi_sub = pi.add_subparsers(dest="subcommand", required=True)
-
-    def piparser(name, **kw):
-        p = pi_sub.add_parser(name, **kw)
-        p.add_argument("--allow-reserved", action="store_true", dest="allow_reserved",
-                       help="accept names in the reserved _ namespace")
-        p.add_argument("--ext", help="declared external barb ids (comma list)")
+    def command(subs, name: str, func, *parents, **kw) -> _Parser:
+        p = subs.add_parser(name, parents=parents, **kw)
+        p.set_defaults(func=func)
         return p
 
-    pp = piparser("parse", help="syntax check; echo the parsed term")
-    pp.add_argument("term")
-    pp.set_defaults(func=_cmd_pi_parse)
+    # arguments of one or two commands that come before shared ones: on
+    # parents too, so that usage lines and "required" errors list every
+    # command's arguments in the order they have always had
+    mode, depth, mid, batch, pairs = (_parent() for _ in range(5))
+    mode.add_argument("--one-hole", action="store_true")
+    mode.add_argument("--image", action="store_true",
+                      help="check on the translated image over U (needs the triple)")
+    depth.add_argument("--depth", type=int, default=3)
+    mid.add_argument("--mid", required=True)
+    batch.add_argument("terms", nargs="*")
+    batch.add_argument("--file", help="file with one term per line")
+    pairs.add_argument("--pairs", required=True,
+                       help="file with one pair per line, sides separated by ' ;; '")
 
-    pn = piparser("print", help="print the structural normal form")
-    pn.add_argument("term")
-    pn.add_argument("--context")
-    pn.add_argument("--boudol", action="store_true")
-    pn.set_defaults(func=_cmd_pi_print)
+    req, opt = _file_options(True), _file_options(False)
+    command(group("lang", "language file utilities"), "validate", _cmd_lang_validate,
+            req["lang"], help="validate a language file")
+    check = group("check", "translation and relation checks")
+    cc = command(check, "congruence", _cmd_check_congruence, opt["lang"], req["relation"],
+                 mode, opt["source"], opt["target"], opt["translation"],
+                 help="is the relation a congruence")
+    cc.add_argument("--w", help="comma list of target values overriding U")
+    triple = (req["source"], req["target"], req["translation"])
+    command(check, "correct", _cmd_check, *triple, opt["relation"], opt["semtrans"])
+    command(check, "valid", _cmd_check, *triple, req["relation"])
+    for name in ("preserves", "respects"):
+        command(check, name, _cmd_check, *triple, req["relation"], depth)
+    command(sub, "closure", _cmd_closure, req["lang"], req["relation"],
+            help="largest one-hole congruence inside a relation")
+    command(sub, "lr-closure", _cmd_lr_closure, req["lang"], req["relation"], req["semtrans"],
+            help="congruence closure of a translation")
+    co = command(sub, "compose", _cmd_compose, req["source"], mid, req["target"],
+                 help="compose two head-map translations")
+    co.add_argument("--first", required=True)
+    co.add_argument("--second", required=True)
+    ps = command(sub, "property-suite", _cmd_property_suite,
+                 help="brute-force the library's theorems")
+    ps.add_argument("--trials", type=int, default=200)
+    ps.add_argument("--seed", type=int, default=42)
 
-    pr = piparser("reduce", help="single-step successors")
-    pr.add_argument("term")
-    pr.add_argument("--context")
-    pr.add_argument("--boudol", action="store_true")
-    pr.set_defaults(func=_cmd_pi_reduce)
+    # names: what every pi command takes first
+    names, term, barb, sides, budget, kind, input_barbs = (_parent() for _ in range(7))
+    names.add_argument("--allow-reserved", action="store_true",
+                       help="accept names in the reserved _ namespace")
+    names.add_argument("--ext", help="declared external barb ids (comma list)")
+    term.add_argument("term")
+    barb.add_argument("barb")
+    sides.add_argument("left")
+    sides.add_argument("right")
+    budget.add_argument("--budget", type=int, default=200)
+    kind.add_argument("--kind", choices=BISIM_KINDS, default="weak-barbed")
+    input_barbs.add_argument("--input-barbs", action="store_true")
+    plugging = _plug_options(context_required=False)
+    pi_sub = group("pi", "process workbench")
 
-    pe = piparser("explore", help="bounded reduction graph")
-    pe.add_argument("term")
-    pe.add_argument("--budget", type=int, default=200)
-    pe.add_argument("--input-barbs", action="store_true", dest="input_barbs")
-    pe.add_argument("--context")
-    pe.add_argument("--boudol", action="store_true")
-    pe.set_defaults(func=_cmd_pi_explore)
+    def pi(name: str, func, *parents, help: str) -> _Parser:
+        return command(pi_sub, name, func, names, *parents, help=help)
 
-    pb = piparser("barbs", help="strong barbs of the normal form")
-    pb.add_argument("term")
-    pb.add_argument("--input-barbs", action="store_true", dest="input_barbs")
-    pb.add_argument("--context")
-    pb.add_argument("--boudol", action="store_true")
-    pb.set_defaults(func=_cmd_pi_barbs)
-
-    pw = piparser("weak-barb", help="is the barb reachable")
-    pw.add_argument("term")
-    pw.add_argument("barb")
-    pw.add_argument("--budget", type=int, default=200)
-    pw.add_argument("--context")
-    pw.add_argument("--boudol", action="store_true")
-    pw.set_defaults(func=_cmd_pi_weak_barb)
-
-    pbi = piparser("bisim", help="barbed bisimilarity check")
-    pbi.add_argument("left")
-    pbi.add_argument("right")
-    pbi.add_argument("--kind", choices=BISIM_KINDS, default="weak-barbed")
-    pbi.add_argument("--budget", type=int, default=200)
-    pbi.add_argument("--input-barbs", action="store_true", dest="input_barbs")
-    pbi.set_defaults(func=_cmd_pi_bisim)
-
-    pt = piparser("translate", help="synchronous-to-asynchronous translation")
-    pt.add_argument("term")
-    pt.set_defaults(func=_cmd_pi_translate)
-
-    pg = piparser("plug", help="plug a term into a one-hole context")
-    pg.add_argument("term")
-    pg.add_argument("--context", required=True)
-    pg.add_argument("--boudol", action="store_true",
-                    help="translate the term before plugging")
-    pg.set_defaults(func=_cmd_pi_plug)
-
-    pc = piparser("check-encoding", help="spot-check terms against their translations")
-    pc.add_argument("terms", nargs="*")
-    pc.add_argument("--file", help="file with one term per line")
-    pc.add_argument("--kind", choices=BISIM_KINDS, default="weak-barbed")
-    pc.add_argument("--budget", type=int, default=200)
-    pc.set_defaults(func=_cmd_pi_check_encoding)
-
-    pf = piparser("full-abstraction", help="p ~ q iff T(p) ~ T(q) on listed pairs")
-    pf.add_argument("--pairs", required=True,
-                    help="file with one pair per line, sides separated by ' ;; '")
-    pf.add_argument("--kind", choices=BISIM_KINDS, default="weak-barbed")
-    pf.add_argument("--budget", type=int, default=200)
-    pf.set_defaults(func=_cmd_pi_full_abstraction)
-
+    pi("parse", _cmd_pi_parse, term, help="syntax check; echo the parsed term")
+    pi("print", _cmd_pi_print, term, plugging, help="print the structural normal form")
+    pi("reduce", _cmd_pi_reduce, term, plugging, help="single-step successors")
+    pi("explore", _cmd_pi_explore, term, budget, input_barbs, plugging,
+       help="bounded reduction graph")
+    pi("barbs", _cmd_pi_barbs, term, input_barbs, plugging,
+       help="strong barbs of the normal form")
+    pi("weak-barb", _cmd_pi_weak_barb, term, barb, budget, plugging,
+       help="is the barb reachable")
+    pi("bisim", _cmd_pi_bisim, sides, kind, budget, input_barbs,
+       help="barbed bisimilarity check")
+    pi("translate", _cmd_pi_translate, term, help="synchronous-to-asynchronous translation")
+    pi("plug", _cmd_pi_plug, term, _plug_options(context_required=True),
+       help="plug a term into a one-hole context")
+    pi("check-encoding", _cmd_pi_check_encoding, batch, kind, budget,
+       help="spot-check terms against their translations")
+    pi("full-abstraction", _cmd_pi_full_abstraction, pairs, kind, budget,
+       help="p ~ q iff T(p) ~ T(q) on listed pairs")
     return top
 
 

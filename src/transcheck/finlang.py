@@ -984,8 +984,11 @@ def property_suite(seed: int, trials: int) -> PropertyReport:
     semantic translation; (c) the three clauses of the combined-closure
     theorem; (d) valid implies preserves, to depth 3; (e) a certified
     preserving fvr head map is valid.  Any violation is an implementation
-    bug, not an input problem.
+    bug, not an input problem.  Fewer than one trial is refused, as a depth
+    below 1 is.
     """
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     rnd = random.Random(seed)
     checks: dict[str, int] = {k: 0 for k in
                               ("valid-correct", "composition", "closure-clauses",

@@ -1,5 +1,6 @@
 """Command line goldens: exact stdout and exit codes over the fixture files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -883,3 +884,222 @@ def test_in_process_calls_match_runs_on_their_own(cli, monkeypatch):
     assert [cli(*argv) for argv in calls] == [
         (run.returncode, run.stdout, run.stderr) for run in alone]
     assert _build_parser() is _build_parser()
+
+
+# ------------- refusals -------------
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_property_suite_refuses_fewer_than_one_trial(cli, trials):
+    # --trials -3 printed "trials: -3", no violations, and exited 0
+    assert cli("property-suite", "--trials", trials) == (
+        USAGE, "", "error: trials must be >= 1\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n   \n# a comment\n"], ids=["empty", "comments"])
+def test_full_abstraction_refuses_an_empty_pair_list(cli, tmp_path, text):
+    # printed pass=0 fail=0 inconclusive=0 and exited 0, where check-encoding
+    # refuses an empty term list
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(text)
+    assert cli("pi", "full-abstraction", "--pairs", str(pairs)) == (
+        USAGE, "", f"error: no pairs given ({pairs} lists none)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "X | x!a | x(y).0"), ("barbs", "X | x!a"), ("explore", "X | x!a"),
+    ("weak-barb", "X | x!a", "x!"), ("bisim", "x!a", "X | x!a"), ("bisim", "Y", "x!a"),
+], ids=" ".join)
+def test_every_command_that_runs_a_process_refuses_an_open_one(cli, argv):
+    # what X does is unknown: pi reduce printed X and pi barbs printed x!,
+    # both with exit 0
+    free = "Y" if "Y" in argv else "X"
+    assert cli("pi", *argv) == (
+        USAGE, "", f"error: cannot explore a process with free process variables: ['{free}']\n")
+
+
+def test_a_subject_plugged_into_a_context_is_closed(cli):
+    assert cli("pi", "reduce", "x!a", "--context", "X | x(y).y!b") == (OK, "a!b\n", "")
+    assert cli("pi", "barbs", "x!a", "--context", "X | y!b") == (OK, "x!\ny!\n", "")
+
+
+def test_pi_plug_needs_a_context(cli):
+    code, out, err = cli("pi", "plug", "x!a")
+    assert (code, out) == (USAGE, "")
+    assert err.endswith("error: the following arguments are required: --context\n")
+
+
+# ------------- the parser's shape -------------
+
+STORE, FLAG = "_StoreAction", "_StoreTrueAction"
+KINDS = ("strong-barbed", "weak-barbed", "branching-barbed", "dp-branching-barbed",
+         "wdp-branching-barbed")
+
+# every command's arguments in order, as (option string or positional, dest,
+# action class, default, type, choices, required, nargs), recorded from the
+# parser that declared each command's options on the command itself
+PARSER_SHAPE = {
+    "lang validate": [
+        ("--lang", "lang", STORE, None, None, None, True, None),
+    ],
+    "check congruence": [
+        ("--lang", "lang", STORE, None, None, None, False, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+        ("--one-hole", "one_hole", FLAG, False, None, None, False, 0),
+        ("--image", "image", FLAG, False, None, None, False, 0),
+        ("--source", "source", STORE, None, None, None, False, None),
+        ("--target", "target", STORE, None, None, None, False, None),
+        ("--translation", "translation", STORE, None, None, None, False, None),
+        ("--w", "w", STORE, None, None, None, False, None),
+    ],
+    "check correct": [
+        ("--source", "source", STORE, None, None, None, True, None),
+        ("--target", "target", STORE, None, None, None, True, None),
+        ("--translation", "translation", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, False, None),
+        ("--semtrans", "semtrans", STORE, None, None, None, False, None),
+    ],
+    "check valid": [
+        ("--source", "source", STORE, None, None, None, True, None),
+        ("--target", "target", STORE, None, None, None, True, None),
+        ("--translation", "translation", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+    ],
+    "check preserves": [
+        ("--source", "source", STORE, None, None, None, True, None),
+        ("--target", "target", STORE, None, None, None, True, None),
+        ("--translation", "translation", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+        ("--depth", "depth", STORE, 3, "int", None, False, None),
+    ],
+    "check respects": [
+        ("--source", "source", STORE, None, None, None, True, None),
+        ("--target", "target", STORE, None, None, None, True, None),
+        ("--translation", "translation", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+        ("--depth", "depth", STORE, 3, "int", None, False, None),
+    ],
+    "closure": [
+        ("--lang", "lang", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+    ],
+    "lr-closure": [
+        ("--lang", "lang", STORE, None, None, None, True, None),
+        ("--relation", "relation", STORE, None, None, None, True, None),
+        ("--semtrans", "semtrans", STORE, None, None, None, True, None),
+    ],
+    "compose": [
+        ("--source", "source", STORE, None, None, None, True, None),
+        ("--mid", "mid", STORE, None, None, None, True, None),
+        ("--target", "target", STORE, None, None, None, True, None),
+        ("--first", "first", STORE, None, None, None, True, None),
+        ("--second", "second", STORE, None, None, None, True, None),
+    ],
+    "property-suite": [
+        ("--trials", "trials", STORE, 200, "int", None, False, None),
+        ("--seed", "seed", STORE, 42, "int", None, False, None),
+    ],
+    "pi parse": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+    ],
+    "pi print": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("--context", "context", STORE, None, None, None, False, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi reduce": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("--context", "context", STORE, None, None, None, False, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi explore": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("--budget", "budget", STORE, 200, "int", None, False, None),
+        ("--input-barbs", "input_barbs", FLAG, False, None, None, False, 0),
+        ("--context", "context", STORE, None, None, None, False, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi barbs": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("--input-barbs", "input_barbs", FLAG, False, None, None, False, 0),
+        ("--context", "context", STORE, None, None, None, False, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi weak-barb": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("barb", "barb", STORE, None, None, None, True, None),
+        ("--budget", "budget", STORE, 200, "int", None, False, None),
+        ("--context", "context", STORE, None, None, None, False, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi bisim": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("left", "left", STORE, None, None, None, True, None),
+        ("right", "right", STORE, None, None, None, True, None),
+        ("--kind", "kind", STORE, "weak-barbed", None, KINDS, False, None),
+        ("--budget", "budget", STORE, 200, "int", None, False, None),
+        ("--input-barbs", "input_barbs", FLAG, False, None, None, False, 0),
+    ],
+    "pi translate": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+    ],
+    "pi plug": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("term", "term", STORE, None, None, None, True, None),
+        ("--context", "context", STORE, None, None, None, True, None),
+        ("--boudol", "boudol", FLAG, False, None, None, False, 0),
+    ],
+    "pi check-encoding": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("terms", "terms", STORE, None, None, None, True, "*"),
+        ("--file", "file", STORE, None, None, None, False, None),
+        ("--kind", "kind", STORE, "weak-barbed", None, KINDS, False, None),
+        ("--budget", "budget", STORE, 200, "int", None, False, None),
+    ],
+    "pi full-abstraction": [
+        ("--allow-reserved", "allow_reserved", FLAG, False, None, None, False, 0),
+        ("--ext", "ext", STORE, None, None, None, False, None),
+        ("--pairs", "pairs", STORE, None, None, None, True, None),
+        ("--kind", "kind", STORE, "weak-barbed", None, KINDS, False, None),
+        ("--budget", "budget", STORE, 200, "int", None, False, None),
+    ],
+}
+
+
+def _shape(parser) -> dict[str, list[tuple]]:
+    """The arguments of each command of parser, as in PARSER_SHAPE."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {"": [(a.option_strings[0] if a.option_strings else a.dest, a.dest,
+                      type(a).__name__, a.default, a.type and a.type.__name__,
+                      a.choices and tuple(a.choices), a.required, a.nargs)
+                     for a in parser._actions if not isinstance(a, argparse._HelpAction)]}
+    return {f"{name} {path}".strip(): args for name, p in subs[0].choices.items()
+            for path, args in _shape(p).items()}
+
+
+def test_every_command_keeps_its_arguments():
+    # options moved onto shared parent parsers: no option is added, dropped
+    # or renamed, and none changes its dest, default, type, choices,
+    # requiredness, arity or place
+    from transcheck.cli import _build_parser
+    shape = _shape(_build_parser())
+    assert list(shape) == list(PARSER_SHAPE)
+    for command, args in PARSER_SHAPE.items():
+        assert shape[command] == args, command

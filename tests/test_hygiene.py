@@ -10,7 +10,8 @@ pi.py, encodings.py, terms.py and finlang.py is a known one, and of terms.py
 only the parser is left.  And pi terms are interned, so pi.py keys no
 memo by id.  terms.alpha_eq builds no canonical key and does not call
 itself.  No module imports dataclasses, whose decorator compiles the
-methods of each class it makes when the package is imported."""
+methods of each class it makes when the package is imported.  cli.py
+declares each command-line argument in one add_argument call."""
 
 import ast
 import importlib
@@ -357,3 +358,13 @@ def test_alpha_eq_walks_both_terms_in_step():
               for n in ast.walk(fn) if isinstance(n, ast.Call)}
     assert called.isdisjoint({"alpha_eq", "_canon_key", "canon_key"})
     assert "_fv" in called
+
+
+def test_each_command_line_argument_is_declared_once():
+    # an argument several commands take sits on one parent parser, so the
+    # commands cannot drift apart and a new shared option lands once
+    declared = Counter(arg.value for n in ast.walk(PACKAGE_TREES["src/transcheck/cli.py"])
+                       if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "add_argument"
+                       for arg in n.args if isinstance(arg, ast.Constant))
+    assert {"term", "--context", "--boudol", "--budget", "--kind", "--relation"} <= set(declared)
+    assert sorted(name for name, n in declared.items() if n > 1) == []
