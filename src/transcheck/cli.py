@@ -196,15 +196,18 @@ def _cmd_check(ns) -> int:
     """check correct|valid|preserves|respects: the subcommand's library
     function, and the format of its "yes" witness (None: a "yes" prints
     none).  correct with --semtrans checks w.r.t. that semantic translation
-    instead of searching the relation."""
+    instead of searching the relation, and refuses --relation beside it."""
+    semtrans = getattr(ns, "semtrans", None)
+    if semtrans and ns.relation is not None:
+        raise InputError("--semtrans does not take --relation")
     src, tgt = _lang(ns.source), _lang(ns.target)
     tr = load_translation(_read_json(ns.translation), src, tgt)
     check, show = {"correct": (check_correct_upto, None),
                    "valid": (check_valid_upto, _show_relation),
                    "preserves": (check_preserves, _show_value_map),
                    "respects": (check_respects, None)}[ns.subcommand]
-    if getattr(ns, "semtrans", None):
-        check, rel = check_correct_wrt, load_semantic_translation(_read_json(ns.semtrans))
+    if semtrans:
+        check, rel = check_correct_wrt, load_semantic_translation(_read_json(semtrans))
     elif ns.relation is None:
         raise InputError("check correct needs --relation or --semtrans")
     else:

@@ -47,8 +47,8 @@ class Operator:
 
 class FiniteLanguage:
     """Named values and the operators on them, each table total on the
-    values.  The fields are not set again; signature and tables are computed
-    on first use."""
+    values.  The fields are not set again; signature, tables and
+    qualified_values are computed on first use and kept."""
 
     def __init__(self, name: str, values: tuple[str, ...],
                  operators: tuple[Operator, ...]) -> None:
@@ -89,7 +89,7 @@ class FiniteLanguage:
     def qualify(self, v: str) -> str:
         return f"{self.name}.{v}"
 
-    @property
+    @cached_property
     def qualified_values(self) -> tuple[str, ...]:
         return tuple(self.qualify(v) for v in self.values)
 

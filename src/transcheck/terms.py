@@ -129,12 +129,13 @@ class App:
 
     bound holds the actual binder names, aligned with the construct's slots.
     ==, hash and repr read op, bound and args, which are not set again.  The
-    two memo fields are filled on first use: _fv_memo pairs the free
+    three memo fields are filled on first use: _fv_memo pairs the free
     variables with the Signature they were computed under, since two
     signatures may give one construct name different binding profiles;
-    _names_memo holds every name in the term.
+    _names_memo holds every name in the term, and _w_memo those of them that
+    start with _w.
     """
-    __slots__ = ("op", "bound", "args", "_fv_memo", "_names_memo", "__weakref__")
+    __slots__ = ("op", "bound", "args", "_fv_memo", "_names_memo", "_w_memo", "__weakref__")
     __match_args__ = ("op", "bound", "args")
 
     def __init__(self, op: str, bound: tuple[str, ...], args: tuple[Term, ...]) -> None:
@@ -143,6 +144,7 @@ class App:
         self.args = args
         self._fv_memo: tuple[Signature, frozenset[str]] | None = None
         self._names_memo: frozenset[str] | None = None
+        self._w_memo: frozenset[str] | None = None
 
     def __repr__(self) -> str:
         return f"App(op={self.op!r}, bound={self.bound!r}, args={self.args!r})"
@@ -310,6 +312,43 @@ def _name(u: App, *_) -> None:
             raise TermError(f"not a term: {a!r}")
         out |= {a.name} if isinstance(a, Var) else a._names_memo
     u._names_memo = frozenset(out)
+
+
+_NO_W: frozenset[str] = frozenset()
+
+
+def _w_names(t: Term) -> frozenset[str]:
+    """The names in t, free or bound, that start with _w, memoized on each App
+    node.  A node is filled once its arguments are, on an explicit stack, as
+    _fv fills its memo."""
+    if isinstance(t, Var):
+        return frozenset((t.name,)) if t.name.startswith("_w") else _NO_W
+    if not isinstance(t, App):
+        raise TermError(f"not a term: {t!r}")
+    if t._w_memo is not None:
+        return t._w_memo
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        out = [b for b in u.bound if b.startswith("_w")]
+        ready = True
+        for a in u.args:
+            if isinstance(a, Var):
+                if a.name.startswith("_w"):
+                    out.append(a.name)
+            elif isinstance(a, App):
+                memo = a._w_memo
+                if memo is None:
+                    todo.append(a)  # u is read again after a
+                    ready = False
+                elif memo:
+                    out.extend(memo)
+            else:
+                raise TermError(f"not a term: {a!r}")
+        if ready:
+            todo.pop()
+            u._w_memo = frozenset(out) if out else _NO_W
+    return t._w_memo
 
 
 def free_vars(sig: Signature, t: Term) -> set[str]:
@@ -613,12 +652,13 @@ class _HeadPlan:
     Each step pushes one term: (_KEEP, t) pushes the image subterm t, which
     holds no placeholder, no slot-labelled binder and no name one binds;
     (_PLUG, i) the image of argument i; (_SLOT, k) Var(w[k]), an occurrence
-    bound by the binder of slot k; (_NODE, op, spelled, n) rebuilds a node
-    from the last n terms pushed, spelled giving each binder by name or, for
-    a slot-labelled one, by its slot index k (spelled w[k]).  aux pairs each
-    argument index i with the auxiliary binders of the nodes above an
-    occurrence of its placeholder, where there are any.  The fields are not
-    set again."""
+    bound by the binder of slot k; (_NODE, op, spelled, n, static) rebuilds a
+    node from the last n terms pushed, spelled giving each binder by name or,
+    for a slot-labelled one, by its slot index k (spelled w[k]); static is
+    true when no binder is slot-labelled, and spelled is then the node's
+    binder tuple as it stands.  aux pairs each argument index i with the
+    auxiliary binders of the nodes above an occurrence of its placeholder,
+    where there are any.  The fields are not set again."""
     __slots__ = ("steps", "aux")
 
     def __init__(self, steps: tuple[tuple, ...],
@@ -658,7 +698,8 @@ def _head_plan(c: Construct, target: Signature, image: Term) -> _HeadPlan | None
             steps.append((_KEEP, u))
             return True, frozenset()
         holes = frozenset().union(*(h for _, h in below))
-        steps.append((_NODE, u.op, tuple(labels.get(b, b) for b in u.bound), len(below)))
+        spelled = tuple(labels.get(b, b) for b in u.bound)
+        steps.append((_NODE, u.op, spelled, len(below), spelled == u.bound))
         for i in holes:
             aux.setdefault(i, set()).update(b for b in u.bound if b not in labels)
         return False, holes
@@ -681,11 +722,12 @@ def _run_plan(plan: _HeadPlan, w: list[str], images: list[Term]) -> Term:
         elif kind == _SLOT:
             done.append(Var(w[step[1]]))
         else:
-            _, op, spelled, n = step
+            _, op, spelled, n, static = step
             cut = len(done) - n
             args = tuple(done[cut:])
             del done[cut:]
-            bound = tuple([w[s] if isinstance(s, int) else s for s in spelled])
+            bound = spelled if static else tuple([w[s] if isinstance(s, int) else s
+                                                  for s in spelled])
             done.append(App(op, bound, args))
     return done[0]
 
@@ -705,7 +747,9 @@ def complete_compositional(tr: Translation,
     image at counter c is the one at c0 with each _wK respelled _w(K + c - c0).
     So the memo, keyed by the term object (a structural key would hash whole
     subtrees), maps such a term to (image, c0, n); terms holding a _w name,
-    and all when a head holds one, take the plain path.  Arguments are
+    and all when a head holds one, take the plain path.  Whether a term holds
+    one is read from its _w memo (_w_names), not from a scan of its names;
+    a hit's image is respelled by _respell_w.  Arguments are
     memoized as they are translated, a term passed in only when the same
     object comes a second time, so a stream of distinct terms costs no memory.
 
@@ -718,7 +762,7 @@ def complete_compositional(tr: Translation,
     # a head binder spelled _w... may be freshened to a _wN that depends on
     # the counter; a kept binder matters only in a term that holds it, and
     # such a term takes the plain path
-    memo_ok = not any(nm.startswith("_w") for _, img in tr.heads for nm in _names(img))
+    memo_ok = not any(_w_names(img) for _, img in tr.heads)
     # id(term) -> (term, which keeps the id taken; image, counter at, names used)
     memo: dict[int, tuple[Term, Term, int, int]] = {}
     seen: WeakValueDictionary[int, Term] = WeakValueDictionary()  # outside terms met once
@@ -759,41 +803,43 @@ def complete_compositional(tr: Translation,
         if op not in plans:
             plans[op] = _head_plan(c, tr.target, image)
         plan = plans[op]
-        ren = {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm}
-        slot_names = frozenset(w)
+        ren: dict[str, str] = {}
+        slot_names: frozenset[str] = frozenset()
+        if w:  # with no slot, nothing is respelled, shadowed, captured or leaked
+            ren = {lbl: nm for lbl, nm in zip(c.slots, w) if lbl != nm}
+            slot_names = frozenset(w)
         # The plan builds what the other route builds unless that captures an
         # occurrence under a binder spelled like a slot label it respells, a
         # slot binder shadows a placeholder, or it renames an auxiliary
         # binder, not in slot_names, free in a plugged image under it.
         if (plan is not None
-                and not any(nm in ren or _PLACEHOLDER.match(nm) for nm in w)
+                and not (w and any(nm in ren or _PLACEHOLDER.match(nm) for nm in w))
                 and not any((names & _fv(tr.target, new_args[i])) - slot_names
                             for i, names in plan.aux)):
             out = _run_plan(plan, w, new_args)
         else:
-            image = _rename_slot_binders(tr.target, image, ren)
+            if ren:
+                image = _rename_slot_binders(tr.target, image, ren)
             plugs = {f"X{i + 1}": new_args[i] for i in range(c.args)}
             # the slot binders capture the images plugged under them
             out = _map(image, plugs, _avoiding(tr.target, slot_names))
-        # with no slot, slot_names is empty and nothing can leak
-        leaked = _fv(tr.target, out) & slot_names if slot_names else None
-        if leaked:
-            raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
+        if slot_names:
+            leaked = _fv(tr.target, out) & slot_names
+            if leaked:
+                raise TermError(f"image of {op} does not bind slot(s) {sorted(leaked)}")
         if keep:
             memo[id(t)] = (t, out, start, state["next"] - start)
         return out
 
     def translate(t: Term) -> Term:
-        clear = memo_ok
-        for nm in _names(t):
-            if nm.startswith("_w"):
-                clear = False
-                m = w_pattern.match(nm)
-                if m:  # keep internal names clear of any _wN already in the input
-                    state["next"] = max(state["next"], int(m.group(1)) + 1)
+        held = _w_names(t)
+        for nm in held:
+            m = w_pattern.match(nm)
+            if m:  # keep internal names clear of any _wN already in the input
+                state["next"] = max(state["next"], int(m.group(1)) + 1)
         if isinstance(t, Var):
             return t
-        if not clear:
+        if held or not memo_ok:
             return _fold(t, None, visit)
         repeat = seen.get(id(t)) is t
         if not repeat:
@@ -805,21 +851,37 @@ def complete_compositional(tr: Translation,
 
 def _respell_w(t: Term, at: int, used: int, shift: int) -> Term:
     """t with _wK renamed _w(K + shift) for at <= K < at + used, bound or
-    free.  A subterm that holds none of them comes back as it is."""
+    free.  A subterm that holds none of them comes back as it is.  One loop
+    on an explicit stack: a node is opened, its arguments are respelled, then
+    (node,) rebuilds it from their results."""
     names = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
-    ren: dict[str, Term] = {old: Var(new) for old, new in names.items()}
-
-    def build(u: App, *args: Term) -> Term:
-        bound = tuple([names.get(b, b) for b in u.bound])
-        if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
-            return u
-        node = App(u.op, bound, args)
-        if u._fv_memo is not None:  # as the plain path leaves it, so no walk for them follows
-            sig, fv = u._fv_memo
-            node._fv_memo = (sig, frozenset([names.get(n, n) for n in fv]))
-        return node
-
-    return _map(t, ren, lambda u, _: (partial(build, u), [_arg(a, ren) for a in u.args]))
+    done: list[Term] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:
+            u = u[0]
+            cut = len(done) - len(u.args)
+            args = tuple(done[cut:])
+            del done[cut:]
+            bound = tuple([names.get(b, b) for b in u.bound])
+            if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
+                done.append(u)
+                continue
+            node = App(u.op, bound, args)
+            if u._fv_memo is not None:  # as the plain path leaves it, so no walk for them follows
+                sig, fv = u._fv_memo
+                node._fv_memo = (sig, frozenset([names.get(n, n) for n in fv]))
+            done.append(node)
+        elif isinstance(u, Var):
+            new = names.get(u.name)
+            done.append(u if new is None else Var(new))
+        elif isinstance(u, App):
+            todo.append((u,))
+            todo.extend(reversed(u.args))
+        else:
+            raise TermError(f"not a term: {u!r}")
+    return done[0]
 
 
 def compose_translations(t1: Translation, t2: Translation) -> Translation:

@@ -451,7 +451,8 @@ def test_a_pi_node_is_interned_frozen_and_copied_as_itself(text):
 
 
 def test_the_plain_classes_are_slotted():
-    # FiniteLanguage keeps a __dict__ for its cached signature and tables
+    # FiniteLanguage keeps a __dict__ for its cached signature, tables and
+    # qualified_values
     sig = Signature("s", ())
     made = [Verdict("yes"), Construct("f", 0, ()), sig, Var("x"), App("f", (), ()),
             Translation(sig, sig, ()), _HeadPlan((), ()), Barb("out", "x"),

@@ -838,6 +838,14 @@ def test_check_congruence_refuses_options_its_mode_does_not_read(cli, extra, mes
     assert_input_error(cli("check", "congruence", *extra), message)
 
 
+@pytest.mark.parametrize("relation", ["no/such/file.json", "samecopy/sim.json", ""])
+def test_check_correct_with_semtrans_refuses_a_relation(cli, relation):
+    # --relation was never opened: a missing file answered "correct: yes", exit 0
+    assert_input_error(cli("check", "correct", *SAMECOPY, "--translation", "samecopy/T.json",
+                           "--semtrans", "samecopy/R.json", "--relation", relation),
+                       "--semtrans does not take --relation")
+
+
 def _parity(tmp_path, n: int) -> tuple[str, ...]:
     """Z_n against Z_n with the head map s |-> s(s(X1)), ~ relating values of
     equal parity; for even n no semantic translation inside ~ is correct."""

@@ -12,7 +12,10 @@ comparison with the term substitute builds, the head plans of complete_compositi
 to the respelling and substitution they replaced, the semi-naive
 enumerate_terms to the enumeration that dropped repeats by canonical key,
 and check_compositional, which translates each term once per call, to the
-loop that translated T(E) and every range term again for every pair.
+loop that translated T(E) and every range term again for every pair.  The
+route's _w check, read from a memo on each node, is held to the scan of every
+name it replaced, and the flat respelling of a memoized image to the one on
+_map.
 """
 
 import gc
@@ -20,6 +23,7 @@ import json
 import re
 import sys
 import weakref
+from functools import partial
 from itertools import count, islice, product
 from pathlib import Path
 
@@ -32,12 +36,12 @@ from transcheck import terms
 from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
                                   boudol_head_translation, pi_to_term, term_to_pi)
 from transcheck.pi import is_async, parse_pi, print_pi
-from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _avoiding,
-                              _fresh, _map, _rename_slot_binders, all_names, alpha_eq, canon_key,
-                              canonical_binders, check_compositional, complete_compositional,
-                              compose_translations, enumerate_terms, free_vars, head_decompose,
-                              is_fvr, is_prefix, print_term, signature_from_dict, substitute,
-                              translation, validate)
+from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _arg,
+                              _avoiding, _fresh, _map, _rename_slot_binders, all_names, alpha_eq,
+                              canon_key, canonical_binders, check_compositional,
+                              complete_compositional, compose_translations, enumerate_terms,
+                              free_vars, head_decompose, is_fvr, is_prefix, print_term,
+                              signature_from_dict, substitute, translation, validate)
 from transcheck.verdict import Verdict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -391,6 +395,29 @@ def old_respell_w(t, at, used, shift):
     return done[0]
 
 
+def scan_w_names(t):
+    """The route's _w check before the memo: a scan of every name in t."""
+    return frozenset(nm for nm in terms._names(t) if nm.startswith("_w"))
+
+
+def fold_respell_w(t, at, used, shift):
+    """The respelling on _map, a partial per node, before the flat loop."""
+    names = {f"_w{k}": f"_w{k + shift}" for k in range(at, at + used)}
+    ren = {old: Var(new) for old, new in names.items()}
+
+    def build(u, *args):
+        bound = tuple([names.get(b, b) for b in u.bound])
+        if bound == u.bound and all(a is b for a, b in zip(args, u.args)):
+            return u
+        node = App(u.op, bound, args)
+        if u._fv_memo is not None:
+            sig, fv = u._fv_memo
+            node._fv_memo = (sig, frozenset([names.get(n, n) for n in fv]))
+        return node
+
+    return _map(t, ren, lambda u, _: (partial(build, u), [_arg(a, ren) for a in u.args]))
+
+
 # ------------- signatures and random terms -------------
 
 LAM = Signature("lam", (
@@ -427,16 +454,16 @@ def _distinct_per_arg(c, bound):
                for per_arg in c.binders)
 
 
-def terms_over(sig):
+def terms_over(sig, names=NAMES, leaves=LEAVES):
     nullary = [App(c.name, (), ()) for c in sig.constructs if c.args == 0]
     composite = [c for c in sig.constructs if c.args > 0]
 
     def node(c, sub):
-        bound = st.tuples(*[st.sampled_from(NAMES)] * len(c.slots)).filter(
+        bound = st.tuples(*[st.sampled_from(names)] * len(c.slots)).filter(
             lambda b: _distinct_per_arg(c, b))
         return st.builds(lambda b, a: App(c.name, b, a), bound, st.tuples(*[sub] * c.args))
 
-    return st.recursive(st.sampled_from([Var(x) for x in LEAVES] + nullary),
+    return st.recursive(st.sampled_from([Var(x) for x in leaves] + nullary),
                         lambda sub: st.one_of(*(node(c, sub) for c in composite)),
                         max_leaves=8)
 
@@ -649,6 +676,25 @@ def test_criterion_8_instantiates_few_heads(monkeypatch):
     w = is_fvr(PI_TERM_SIG, API_TERM_SIG, complete_compositional(tr), 3, max_terms=1000)
     assert (v.status, v.checked, w.status, w.checked) == ("yes", 1000, "yes", 1000)
     assert 0 < len(heads) <= 2500
+
+
+def test_criterion_8_scans_few_names(monkeypatch):
+    # 2,078 scans when translate read every name of each term it was given
+    # to find the _w ones; the _w memo of each node answers instead
+    scans = []
+    names = terms._names
+
+    def counted(t):
+        scans.append(t)
+        return names(t)
+
+    monkeypatch.setattr(terms, "_names", counted)
+    tr = boudol_head_translation()
+    v = check_compositional(PI_TERM_SIG, API_TERM_SIG, complete_compositional(tr), 3,
+                            max_pairs=1000)
+    w = is_fvr(PI_TERM_SIG, API_TERM_SIG, complete_compositional(tr), 3, max_terms=1000)
+    assert (v.status, v.checked, w.status, w.checked) == ("yes", 1000, "yes", 1000)
+    assert len(scans) <= 20
 
 
 def test_memoized_images_die_with_their_route():
@@ -1377,6 +1423,70 @@ def test_the_walkers_on_the_fold_match_their_recursive_oracles(case):
     assert got == old_respell_w(t, 1, 2, 3)
     if all_names(sig, t).isdisjoint({"_w1", "_w2"}):
         assert got is t
+
+
+# names spelled like the route's fresh names, and like them but never drawn
+W_NAMES = ("x", "_w", "_w7", "_w01")
+W_LEAVES = ("X", "x", "_w", "_w7", "_w01", "_w2")
+SIG_AND_W_TERM = st.one_of(*(st.tuples(st.just(sig), terms_over(sig, W_NAMES, W_LEAVES))
+                             for sig in SIGS.values()))
+
+
+def _same_copies(t, got, want, respelled):
+    """got and want keep the same nodes of t, exactly those that hold no
+    respelled name, and their copies carry the same free-variable memos."""
+    todo = [(t, got, want)]
+    while todo:
+        u, g, w = todo.pop()
+        assert (g is u) == (w is u) == respelled.isdisjoint(terms._names(u))
+        if isinstance(u, App):
+            assert g._fv_memo == w._fv_memo
+            todo.extend(zip(u.args, g.args, w.args))
+
+
+@given(case=SIG_AND_W_TERM, filled=st.booleans(), at=st.integers(0, 8),
+       used=st.integers(1, 4), shift=st.sampled_from([-3, -2, -1, 1, 2, 5]))
+@settings(max_examples=300, deadline=None)
+def test_the_w_memo_and_the_flat_respelling_match_their_oracles(case, filled, at, used, shift):
+    # as in a memo hit, the names move (shift != 0) to names >= _w0
+    sig, t = case
+    if at + shift < 0:
+        shift = -shift
+    assert terms._w_names(t) == scan_w_names(t)
+    if filled:  # as the plain path leaves an image
+        free_vars(sig, t)
+    got, want = terms._respell_w(t, at, used, shift), fold_respell_w(t, at, used, shift)
+    assert got == want == old_respell_w(t, at, used, shift)
+    _same_copies(t, got, want, {f"_w{k}" for k in range(at, at + used)})
+
+
+def test_the_w_memo_and_the_flat_respelling_take_a_deep_chain():
+    # 10,000 levels of nesting, bound and free _w names at every level
+    t = Var("_w01")
+    for i in range(5000):
+        t = App("lam", (("_w7", "_w", "x")[i % 3],), (App("app", (), (t, Var(f"_w{i % 5}"))),))
+    assert terms._w_names(t) == scan_w_names(t) == {
+        "_w01", "_w7", "_w", "_w0", "_w1", "_w2", "_w3", "_w4"}
+    free_vars(LAM, t)
+    got, want = terms._respell_w(t, 1, 7, 4), fold_respell_w(t, 1, 7, 4)
+    assert print_term(got) == print_term(want) == re.sub(
+        r"_w([1-7])\b", lambda m: f"_w{int(m.group(1)) + 4}", print_term(t))
+    _same_copies(t, got, want, {f"_w{k}" for k in range(1, 8)})
+    assert terms._respell_w(t, 8, 3, 1) is t is fold_respell_w(t, 8, 3, 1)
+
+
+@pytest.mark.parametrize("bad", [
+    5, App("app", (), (Var("x"), "y")), App("lam", ("v",), (App("app", (), (None, Var("v"))),))],
+    ids=["top", "argument", "nested"])
+def test_the_w_memo_refuses_a_non_term_as_the_name_scan_did(bad):
+    with pytest.raises(TermError) as new:
+        terms._w_names(bad)
+    with pytest.raises(TermError) as old:
+        scan_w_names(bad)
+    assert str(new.value) == str(old.value)
+    tr = TRANSLATIONS["lam"]
+    route, oracle = _both(complete_compositional(tr), old_complete_compositional(tr), bad)
+    assert isinstance(route, str) and route == oracle
 
 
 @given(case=SIG_TERM_AND_SUBST)
