@@ -24,9 +24,9 @@ from .finlang import (FiniteLanguage, InputError, Relation, SemanticTranslation,
                       is_one_hole_congruence, load_language, load_relation,
                       load_semantic_translation, load_translation, lr_closure,
                       property_suite, upward_closed_targets)
-from .pi import (BISIM_KINDS, PiError, PiTerm, barb_from_text, bisim, explore,
-                 normal_form, parse_pi, print_pi, print_state, process_vars,
-                 reduce_once, strong_barbs, weak_barb, _scan)
+from .pi import (BISIM_KINDS, PiError, PiTerm, barb_from_text, bisim, closed_state,
+                 explore, normal_form, parse_pi, print_pi, print_state, reduce_once,
+                 strong_barbs, weak_barb, _scan)
 from .terms import Term, TermError, compose_translations, print_term
 from .verdict import BISIM_WORDS, Verdict
 
@@ -144,7 +144,7 @@ def _cmd_lang_validate(ns) -> int:
 def _cmd_check_congruence(ns) -> int:
     # each mode refuses the options only the other one reads
     for flag in ("lang", "one_hole") if ns.image else ("source", "target", "translation", "w"):
-        if getattr(ns, flag):
+        if getattr(ns, flag) not in (None, False):  # "" is given, False is --one-hole unset
             option = "--" + flag.replace("_", "-")
             raise InputError(f"--image does not take {option}" if ns.image
                              else f"{option} needs --image")
@@ -155,8 +155,13 @@ def _cmd_check_congruence(ns) -> int:
                 raise InputError(f"--image needs --{flag}")
         src, tgt = _lang(ns.source), _lang(ns.target)
         tr = load_translation(_read_json(ns.translation), src, tgt)
-        if ns.w:
+        if ns.w is not None:
+            if not ns.w:
+                raise InputError("--w lists no value")
             w_set = tuple(ns.w.split(","))
+            twice = sorted(w for w, n in Counter(w_set).items() if n > 1)
+            if twice:
+                raise InputError(f"--w repeats {twice}")
         else:
             w_set = tuple(upward_closed_targets(src, tgt, rel))
         v = is_congruence_for_image(tr, src, tgt, rel, w_set)
@@ -265,15 +270,6 @@ def _subject(ns) -> PiTerm:
     return t
 
 
-def _closed(t: PiTerm) -> PiTerm:
-    """t, refused if it has a free process variable: what that does is
-    unknown, so a command that runs t cannot answer."""
-    pvs = process_vars(t)
-    if pvs:
-        raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
-    return t
-
-
 def _cmd_pi_parse(ns) -> int:
     print(print_pi(_parse_term_arg(ns, ns.term)))
     return OK
@@ -285,13 +281,13 @@ def _cmd_pi_print(ns) -> int:
 
 
 def _cmd_pi_reduce(ns) -> int:
-    for s in reduce_once(normal_form(_closed(_subject(ns)))):
+    for s in reduce_once(closed_state(_subject(ns))):
         print(print_state(s))
     return OK
 
 
 def _cmd_pi_explore(ns) -> int:
-    g = explore(_closed(_subject(ns)), ns.budget, input_barbs=ns.input_barbs)
+    g = explore(_subject(ns), ns.budget, input_barbs=ns.input_barbs)
     order = g.order()
     index = {k: i for i, k in enumerate(order)}
     print(f"states: {len(order)} ({'complete' if g.complete else 'truncated'})")
@@ -306,21 +302,21 @@ def _cmd_pi_explore(ns) -> int:
 
 
 def _cmd_pi_barbs(ns) -> int:
-    bs = strong_barbs(normal_form(_closed(_subject(ns))), input_barbs=ns.input_barbs)
+    bs = strong_barbs(closed_state(_subject(ns)), input_barbs=ns.input_barbs)
     for b in sorted(bs, key=str):
         print(b)
     return OK
 
 
 def _cmd_pi_weak_barb(ns) -> int:
-    verdict = weak_barb(_closed(_subject(ns)), barb_from_text(ns.barb), ns.budget)
+    verdict = weak_barb(closed_state(_subject(ns)), barb_from_text(ns.barb), ns.budget)
     print(verdict)
     return EXIT[verdict]
 
 
 def _cmd_pi_bisim(ns) -> int:
-    p = _closed(_parse_term_arg(ns, ns.left))
-    q = _closed(_parse_term_arg(ns, ns.right))
+    p = _parse_term_arg(ns, ns.left)
+    q = _parse_term_arg(ns, ns.right)
     v = bisim(p, q, ns.kind, ns.budget, input_barbs=ns.input_barbs)
     word = {"yes": "bisimilar", "no": "not bisimilar"}.get(v.status, v.status)
     print(f"{word}: {v.note}" if v.note else word)

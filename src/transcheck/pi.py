@@ -613,27 +613,21 @@ class _Canon:
         # by node: normalized continuations (by core), normalized threads
         # with their free names, and scans of parts (scans[t]); by (node,
         # depth, tokens of its free names): the keys of continuations and of
-        # threads; substituted continuations by (part, param, msg); and by
-        # top-level thread: its offers and barbs (acts[th])
+        # threads; by thread nodes and outer tokens: the keys of components
+        # (see component); and by top-level thread: its offers and barbs
+        # (acts[th])
         self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
         self.scans: dict[PiTerm, _Names] = _Memo(_scan)
         self._conts: dict[tuple, tuple] = {}
         self._keys: dict[tuple, tuple] = {}
         self._comps: dict[tuple, tuple] = {}
-        self._substs: dict[tuple, PiTerm] = {}
         self.acts: dict[PiTerm, _Acts] = _Memo(_acts)
+        # the roots closed_state made, which hold no free process variable
+        self.closed: set[PiState] = set()
         # merge's re-keyed entries by the touched names and kept threads and
         # the step (see rekey)
         self._steps: dict[tuple, tuple[list[tuple], int, int, bool]] = {}
-
-    def subst(self, t: PiTerm, param: str, msg: str) -> PiTerm:
-        """subst_names(t, {param: msg}), memoized."""
-        memo_key = (t, param, msg)
-        out = self._substs.get(memo_key)
-        if out is None:
-            out = self._substs[memo_key] = subst_names(t, {param: msg})
-        return out
 
     def state(self, nus: list[str], parts: list[PiTerm]) -> PiState:
         """The normal form of ``new nus. (parts[0] | parts[1] | ...)``.
@@ -771,7 +765,7 @@ class _Canon:
         since a kept thread still holds a name of its component."""
         lifted: list[str] = []
         raw = list(kept)
-        for p in (sent, self.subst(cont, param, msg)):
+        for p in (sent, subst_names(cont, {param: msg})):
             nus, threads = _split_level(p)
             lifted += nus
             raw += threads
@@ -861,28 +855,30 @@ class _Canon:
 
     def thread(self, t: PiTerm, fn: frozenset[str], env: dict[str, str], depth: int) -> tuple:
         """Key of a normalized thread with free names fn.  It depends on env
-        only through the tokens of fn, which key the memo."""
+        only through the tokens of fn, which key the memo.  The memo is read
+        here, not in a method of its own, so that keying a continuation costs
+        one frame fewer per prefix."""
         memo_key = (t, depth, *map(env.get, fn))
         key = self._keys.get(memo_key)
-        if key is None:
-            key = self._keys[memo_key] = self._thread(t, env, depth)
-        return key
-
-    def _thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
+        if key is not None:
+            return key
         match t:
             case Out(x, y, k):
-                return ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
-                        self.cont(k, env, depth))
+                key = ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
+                       self.cont(k, env, depth))
             case In(x, z, k):
-                return ("in", env.get(x) or f"f:{x}",
-                        self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
+                key = ("in", env.get(x) or f"f:{x}",
+                       self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
             case Repl(b):
-                return ("repl", self.cont(b, env, depth))
+                key = ("repl", self.cont(b, env, depth))
             case PVar(x):
-                return ("pvar", x)
+                key = ("pvar", x)
             case ExtBarb(w):
-                return ("ext", w)
-        raise PiError(f"not a sequential thread: {t!r}")
+                key = ("ext", w)
+            case _:
+                raise PiError(f"not a sequential thread: {t!r}")
+        self._keys[memo_key] = key
+        return key
 
     def cont(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
         """Key of a normalized continuation.  It depends on env only through
@@ -1403,9 +1399,9 @@ def _successor(canon: _Canon, state: PiState, send: tuple[int, tuple],
     # continuations' binders, free names and parameters were their threads'.
     # The received name was free in the parent or restricted at its top, so
     # no restriction captures it, and unless an input of the receiver's
-    # continuation binds it too, subst respells no parameter.  So state()
-    # would respell nothing, and the successor is the parent's untouched
-    # entries with the touched ones keyed again.
+    # continuation binds it too, subst_names respells no parameter.  So
+    # state() would respell nothing, and the successor is the parent's
+    # untouched entries with the touched ones keyed again.
     if not (slevels or rlevels) and msg not in canon.scans[cont].params:
         merged = canon.merge(state, send, recv)
         if merged is not None:
@@ -1426,7 +1422,7 @@ def _successor(canon: _Canon, state: PiState, send: tuple[int, tuple],
             if j not in used or isinstance(p, Repl):  # the replication itself persists
                 parts.append(p)
     parts.append(sent)
-    parts.append(canon.subst(cont, param, msg))
+    parts.append(subst_names(cont, {param: msg}))
     return canon.state(nus, parts)
 
 
@@ -1621,7 +1617,30 @@ class ReductionGraph:
         return frozenset([s.key for s, d in zip(self._nodes, self._graph.divergent) if d])
 
 
-def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
+def closed_state(t: PiTerm | PiState, canon: _Canon | None = None) -> PiState:
+    """The state t, or the normal form of the term t made by canon (a fresh
+    one by default), refused if it has a free process variable: what that
+    does is unknown, so no run of it can answer.  A term is checked on the
+    scan that normalizing it reads anyway.  A state that closed_state made
+    is not checked again; another state's threads are scanned through the
+    canon that made it (a fresh one for a state built by hand)."""
+    if isinstance(t, PiState):
+        canon, parts = t._canon or _Canon(), t.threads
+        if t in canon.closed:
+            return t
+    else:
+        canon, parts = canon or _Canon(), [t]
+    pvs = set().union(*(canon.scans[p].pvars for p in parts))
+    if pvs:
+        raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
+    if isinstance(t, PiState):
+        return t
+    root = canon.state([], [t])
+    canon.closed.add(root)
+    return root
+
+
+def _bfs(root: PiState, budget: int, input_barbs: bool) -> Generator[
         tuple[PiState, frozenset[Barb]], None,
         tuple[list[PiState], dict[PiState, int], list[list[int]], list[int], bool]]:
     """The breadth-first search of explore, one admitted state at a time.
@@ -1629,22 +1648,15 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
     Yields each state as it is admitted, with its strong barbs: the root,
     then each frontier's new successors, the frontier expanded in key order,
     until budget states are admitted.  reduce_once steps each state with the
-    canon that made it, so the root's canon (a fresh one for a term) makes
-    every successor, and a thread met again is neither renormalized nor
-    rekeyed, nor walked again for its offers and barbs.  Each state is
-    numbered as it is admitted.  Returns the admitted states by number, the
-    number of each state, the successor numbers of each state, the
-    states' numbers in the order they were expanded, and whether no
-    successor was left out for the budget."""
+    canon that made it, so the root's canon (see closed_state) makes every
+    successor, and a thread met again is neither renormalized nor rekeyed,
+    nor walked again for its offers and barbs.  Each state is numbered as it
+    is admitted.  Returns the admitted states by number, the number of each
+    state, the successor numbers of each state, the states' numbers in the
+    order they were expanded, and whether no successor was left out for the
+    budget."""
     if budget < 1:
         raise PiError("budget must be >= 1")
-    # the process variables, from the scans of the canon that made the root
-    # (of the term itself, for a term); a state built by hand is scanned anew
-    root, parts = (t, t.threads) if isinstance(t, PiState) else (_Canon().state([], [t]), [t])
-    scan = root._canon.scans.__getitem__ if root._canon else _scan
-    pvs = set().union(*(scan(p).pvars for p in parts))
-    if pvs:
-        raise PiError(f"cannot explore a process with free process variables: {sorted(pvs)}")
     nodes = [root]
     index = {root: 0}
     succ: list[list[int]] = [[]]
@@ -1677,8 +1689,9 @@ def _bfs(t: PiTerm | PiState, budget: int, input_barbs: bool) -> Generator[
 def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> ReductionGraph:
     """The reduction graph of t, breadth first with each frontier in key
     order, up to budget states (see _bfs), made by the canon of the root:
-    the canon that made the state t, or a fresh one."""
-    search = _bfs(t, budget, input_barbs)
+    the canon that made the state t, or a fresh one.  t must be closed (see
+    closed_state)."""
+    search = _bfs(closed_state(t), budget, input_barbs)
     barbs: list[frozenset[Barb]] = []
     try:
         while True:
@@ -1691,8 +1704,9 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
 def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
     """'yes' | 'no' | 'inconclusive' for reachability of the barb.  The
     search of explore stops at the first admitted state that shows the barb;
-    only a search that admits no such state is run to its end."""
-    search = _bfs(t, budget, input_barbs=barb.kind == "in")
+    only a search that admits no such state is run to its end.  t must be
+    closed (see closed_state)."""
+    search = _bfs(closed_state(t), budget, input_barbs=barb.kind == "in")
     try:
         while True:
             if barb in next(search)[1]:
@@ -1836,10 +1850,11 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
           input_barbs: bool = False) -> Verdict:
     """Decide whether p and q are bisimilar of the given kind.
 
-    One canon makes both roots, so the second graph reuses the first one's
-    memos.  Both graphs are explored within the state budget, and once when
-    p and q have one normal form (they are then bisimilar); if either does
-    not close, the verdict is inconclusive.  On the union of the two
+    p and q must be closed (see closed_state).  One canon makes both roots,
+    so the second graph reuses the first one's memos.  Both graphs are
+    explored within the state budget, and once when p and q have one normal
+    form (they are then bisimilar); if either does not close, the verdict is
+    inconclusive.  On the union of the two
     numbered graphs (see _union), _refinement splits blocks by the kind's
     signature until the partition is stable; the roots are bisimilar iff
     they end in one block.
@@ -1859,8 +1874,8 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
     canon = _Canon()
-    g1 = explore(canon.state([], [p]), budget, input_barbs)
-    root2 = canon.state([], [q])
+    root1, root2 = closed_state(p, canon), closed_state(q, canon)
+    g1 = explore(root1, budget, input_barbs)
     g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
         return Verdict("inconclusive", note="state budget exhausted before both graphs closed")

@@ -332,12 +332,13 @@ def test_deeply_nested_term_gets_an_answer(cli):
 
 def test_bisim_takes_the_chains_print_takes():
     # bisim normalizes both roots itself, at the depth print does: two chains
-    # of 165 nested x!a. prefixes, the second ending in x!b, are compared
-    # (each state shows only the barb x!, and no state moves)
+    # of 195 nested x!a. prefixes, the second ending in x!b, are compared
+    # (each state shows only the barb x!, and no state moves); both commands
+    # take 198
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    p, q = chain_text(165), chain_text(164) + ".x!b"
+    p, q = chain_text(195), chain_text(194) + ".x!b"
     runs = [subprocess.run([sys.executable, "-m", "transcheck", "pi", *argv],
                            env=env, capture_output=True, text=True)
             for argv in (("print", p), ("bisim", p, q))]
@@ -695,6 +696,16 @@ def test_check_congruence_on_image_rejects_stray_values(cli):
     assert (code, out) == (OK, "congruence: yes\n")
 
 
+@pytest.mark.parametrize("w, message", [
+    ("", "--w lists no value"), ("0,0", "--w repeats ['0']"),
+    ("1,0,top,1,0", "--w repeats ['0', '1']"),
+], ids=["empty", "twice", "two-twice"])
+def test_check_congruence_on_image_refuses_an_empty_or_repeating_w(cli, w, message):
+    # --w "" was taken as no --w: the check ran over U and answered
+    # "congruence: no", exit 1
+    assert_input_error(cli("check", "congruence", "--image", *NEGTOP, "--w", w), message)
+
+
 # ------------- the exit-code contract -------------
 
 NEGTOP = ("--source", "negtop/L.json", "--target", "negtop/Lp.json",
@@ -826,12 +837,16 @@ def test_a_name_that_is_no_string_is_refused(cli, tmp_path, data, message):
     (("--image", "--lang", "negtop/L.json", *NEGTOP), "--image does not take --lang"),
     (("--lang", "negtop/L.json", "--relation", "negtop/sim.json", "--w", "0"),
      "--w needs --image"),
+    # an empty --w was not refused: "congruence: yes", exit 0
+    (("--lang", "negtop/L.json", "--relation", "negtop/sim.json", "--w", ""),
+     "--w needs --image"),
     (("--lang", "negtop/L.json", *NEGTOP), "--source needs --image"),
     (("--lang", "negtop/L.json", "--relation", "negtop/sim.json",
       "--target", "negtop/Lp.json"), "--target needs --image"),
     (("--lang", "negtop/L.json", "--relation", "negtop/sim.json",
       "--translation", "negtop/T.json"), "--translation needs --image"),
-], ids=["one-hole-with-image", "lang-with-image", "w", "source", "target", "translation"])
+], ids=["one-hole-with-image", "lang-with-image", "w", "empty-w", "source", "target",
+        "translation"])
 def test_check_congruence_refuses_options_its_mode_does_not_read(cli, extra, message):
     # --one-hole with --image was ignored, and the all-positions check on
     # the image answered "congruence: no", exit 1

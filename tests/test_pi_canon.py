@@ -1575,10 +1575,13 @@ def test_free_process_variables_are_refused_from_every_root():
 
 def test_explore_reads_the_root_term_from_the_canon_scan():
     # the canon scans the root term to normalize it; the check for free
-    # process variables reads that scan, and scans none of the root's threads
-    t = pair_family(3)
-    with counting(pi, "_scan") as scanned:
-        explore(t, 100)
-    terms = [args[0] for args, _ in scanned]
-    assert terms.count(t) == 1
-    assert not set(normal_form(t).threads) & set(terms)
+    # process variables reads that scan, and scans none of the root's threads,
+    # in explore and for both roots of bisim
+    t, u = pair_family(3), pair_family(2)
+    for run, roots in [(lambda: explore(t, 100), (t,)),
+                       (lambda: bisim(t, u, "weak-barbed", 100), (t, u))]:
+        with counting(pi, "_scan") as scanned:
+            run()
+        terms = [args[0] for args, _ in scanned]
+        assert [terms.count(r) for r in roots] == [1] * len(roots)
+        assert not {th for r in roots for th in normal_form(r).threads} & set(terms)
