@@ -590,9 +590,12 @@ class _Canon:
     component (see level); input parameters are spelled ``p{depth}`` and free
     names ``f:{name}``.
 
-    Terms are interned, so every memo is keyed by the node itself.  A thread
-    is normalized and scanned once; a normalized thread is keyed once per
-    depth and spelling of its free names.  A top-level key whose level has
+    Terms are interned, so every memo is keyed by the node itself.  The
+    canon's memos are _levels, _normal, scans, acts, _conts and _steps (see
+    __init__), and each _Search keeps its own: a thread is normalized,
+    scanned and walked for its offers once, and a normalized continuation is
+    keyed once per depth and spelling of its free names, so keying a thread
+    met before costs its first prefix.  A top-level key whose level has
     no names, or several components, is a list of entries: one per
     component, and one per thread outside every component.  A successor of
     such a state that a canon made, by a step that opens no replication
@@ -600,8 +603,8 @@ class _Canon:
     keyed anew, the same step in another state is looked up, and every
     other entry keeps its key, names and threads.  So a successor costs the
     entries its step touched, not the whole state.  Every other successor,
-    every root and normal_form go through state, which scans, gathers and
-    sorts every thread but normalizes and keys only the threads not met
+    every root and normal_form go through state, which scans, gathers,
+    keys and sorts every thread but normalizes only the threads not met
     before.  Where such a state's entries lie (see PiState._spans) is worked
     out once, when it is first expanded; state and merge note whether two of
     its entries may be equal or an entry may hold twins, and only then are
@@ -612,16 +615,12 @@ class _Canon:
     def __init__(self) -> None:
         # by node: normalized continuations (by core), normalized threads
         # with their free names, and scans of parts (scans[t]); by (node,
-        # depth, tokens of its free names): the keys of continuations and of
-        # threads; by thread nodes and outer tokens: the keys of components
-        # (see component); and by top-level thread: its offers and barbs
-        # (acts[th])
+        # depth, tokens of its free names): the keys of continuations; and by
+        # top-level thread: its offers and barbs (acts[th])
         self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
         self.scans: dict[PiTerm, _Names] = _Memo(_scan)
         self._conts: dict[tuple, tuple] = {}
-        self._keys: dict[tuple, tuple] = {}
-        self._comps: dict[tuple, tuple] = {}
         self.acts: dict[PiTerm, _Acts] = _Memo(_acts)
         # the roots closed_state made, which hold no free process variable
         self.closed: set[PiState] = set()
@@ -677,7 +676,7 @@ class _Canon:
 
         Only the entries holding a consumed thread are keyed again (see
         rekey).  Every other entry keeps its key, names and threads:
-        component, given a component in its own canonical order, returns that
+        whole, given a component in its own canonical order, returns that
         order and thread order, since the first leaf _Search reaches
         individualizes at each frame the name the canonical leaf did there.
         The entries go in the order of level's stable sort: equal outside
@@ -775,9 +774,9 @@ class _Canon:
         used = frozenset().union(*fns)
         index = {n: i for i, n in enumerate(chain(names, lifted))}
         comps, outside = _linked([n for n in index if n in used], fns)
-        new = [(self.thread(threads[i], fns[i], {}, 1), i, (), (threads[i],)) for i in outside]
+        new = [(self.thread(threads[i], {}, 1), i, (), (threads[i],)) for i in outside]
         for cnames, tids in comps:
-            keys, order, perm = self.component(
+            (_, keys), order, perm = self.whole(
                 cnames, [threads[i] for i in tids], [fns[i] for i in tids], {}, 0)
             new.append((("~c", len(cnames), keys), index[cnames[0]], tuple(order),
                         tuple([threads[tids[j]] for j in perm])))
@@ -853,32 +852,22 @@ class _Canon:
             case _:
                 return t, frozenset()
 
-    def thread(self, t: PiTerm, fn: frozenset[str], env: dict[str, str], depth: int) -> tuple:
-        """Key of a normalized thread with free names fn.  It depends on env
-        only through the tokens of fn, which key the memo.  The memo is read
-        here, not in a method of its own, so that keying a continuation costs
-        one frame fewer per prefix."""
-        memo_key = (t, depth, *map(env.get, fn))
-        key = self._keys.get(memo_key)
-        if key is not None:
-            return key
+    def thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
+        """Key of a normalized thread."""
         match t:
             case Out(x, y, k):
-                key = ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
-                       self.cont(k, env, depth))
+                return ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
+                        self.cont(k, env, depth))
             case In(x, z, k):
-                key = ("in", env.get(x) or f"f:{x}",
-                       self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
+                return ("in", env.get(x) or f"f:{x}",
+                        self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
             case Repl(b):
-                key = ("repl", self.cont(b, env, depth))
+                return ("repl", self.cont(b, env, depth))
             case PVar(x):
-                key = ("pvar", x)
+                return ("pvar", x)
             case ExtBarb(w):
-                key = ("ext", w)
-            case _:
-                raise PiError(f"not a sequential thread: {t!r}")
-        self._keys[memo_key] = key
-        return key
+                return ("ext", w)
+        raise PiError(f"not a sequential thread: {t!r}")
 
     def cont(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
         """Key of a normalized continuation.  It depends on env only through
@@ -911,10 +900,9 @@ class _Canon:
         if len(nus) > 1:
             comps, outside = _linked(nus, fns)
             if len(comps) > 1:
-                entries = [(self.thread(threads[i], fns[i], env, depth + 1), [], [i])
-                           for i in outside]
+                entries = [(self.thread(threads[i], env, depth + 1), [], [i]) for i in outside]
                 for names, tids in comps:
-                    keys, order, perm = self.component(
+                    (_, keys), order, perm = self.whole(
                         names, [threads[i] for i in tids], [fns[i] for i in tids], env, depth)
                     entries.append((("~c", len(names), keys), order, [tids[j] for j in perm]))
                 entries.sort(key=itemgetter(0))
@@ -922,22 +910,6 @@ class _Canon:
                         [n for _, order, _ in entries for n in order],
                         [i for _, _, perm in entries for i in perm])
         return self.whole(nus, threads, fns, env, depth)
-
-    def component(self, names: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
-                  env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
-        """The sorted thread keys of one component of a level, keyed whole,
-        and its restriction and thread orders.  They depend on env only
-        through the tokens of the threads' other free names, which key the
-        memo with the thread nodes, so a successor re-keys only the
-        components it changed."""
-        own = set(names)
-        free = sorted(frozenset().union(*fns))
-        memo_key = (depth, tuple(threads), tuple(["" if n in own else env.get(n) for n in free]))
-        done = self._comps.get(memo_key)
-        if done is None:
-            (_, keys), order, perm = self.whole(names, threads, fns, env, depth)
-            done = self._comps[memo_key] = keys, order, perm
-        return done
 
     def whole(self, nus: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
               env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
@@ -948,8 +920,7 @@ class _Canon:
             keys, order, perm = _Search(self, nus, threads, fns, env, depth).best()
             return (len(nus), keys), order, perm
         env2 = {**env, nus[0]: f"r{depth}.0"} if nus else env
-        keyed = sorted([(self.thread(th, fn, env2, depth + 1), i)
-                        for i, (th, fn) in enumerate(zip(threads, fns))])
+        keyed = sorted([(self.thread(th, env2, depth + 1), i) for i, th in enumerate(threads)])
         return (len(nus), tuple([k for k, _ in keyed])), list(nus), [i for _, i in keyed]
 
 
@@ -972,7 +943,6 @@ class _Search:
     def __init__(self, canon: _Canon, nus: list[str], threads: list[PiTerm],
                  fns: list[frozenset[str]], env: dict[str, str], depth: int) -> None:
         self.canon, self.nus, self.threads, self.env, self.depth = canon, nus, threads, env, depth
-        self.fns = fns
         self.mine = [[n for n in nus if n in fn] for fn in fns]
         self.occurs = {n: [i for i, fn in enumerate(fns) if n in fn] for n in nus}
         self.memo: dict[tuple, tuple] = {}
@@ -985,8 +955,7 @@ class _Search:
         if key is None:
             env = dict(self.env)
             env.update((n, tokens[n]) for n in mine)
-            key = self.memo[memo_key] = self.canon.thread(self.threads[i], self.fns[i], env,
-                                                          self.depth + 1)
+            key = self.memo[memo_key] = self.canon.thread(self.threads[i], env, self.depth + 1)
         return key
 
     def refine(self, cells: list[list[str]]) -> list[list[str]]:
