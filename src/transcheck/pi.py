@@ -1823,10 +1823,9 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     so the second graph reuses the first one's memos.  Both graphs are
     explored within the state budget, and once when p and q have one normal
     form (they are then bisimilar); if either does not close, the verdict is
-    inconclusive.  On the union of the two
-    numbered graphs (see _union), _refinement splits blocks by the kind's
-    signature until the partition is stable; the roots are bisimilar iff
-    they end in one block.
+    inconclusive.  On the union of the two numbered graphs (see _union),
+    _refinement splits blocks by the kind's signature until the partition
+    is stable; the roots are bisimilar iff they end in one block.
     Divergence (some infinite run, or for dp-branching an infinite run of
     inert steps) comes from one pass of Tarjan's strongly connected
     components, made only for the kinds that read it.
