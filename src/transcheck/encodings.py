@@ -215,13 +215,11 @@ def _subst_pvar(context: PiTerm, var: str, p: PiTerm) -> PiTerm:
 
 def plug(context: PiTerm, p: PiTerm) -> PiTerm:
     """Substitute p for the unique process variable of context."""
-    if process_vars(p):
-        raise PiError(f"cannot plug an open process: free {sorted(process_vars(p))}")
     holes = process_vars(context)
     if len(holes) != 1:
         raise PiError(f"context must have exactly one process variable, found {sorted(holes)}")
     (hole,) = holes
-    return _subst_pvar(context, hole, p)
+    return plug_var(context, hole, p)
 
 
 class ContextProbe:
@@ -333,10 +331,6 @@ class FullAbstractionReport:
     @property
     def counterexamples(self) -> list[tuple[PiTerm, PiTerm]]:
         return [(p, q) for p, q, _, _, status in self.rows if status == "fail"]
-
-    @property
-    def ok(self) -> bool:
-        return all(status == "pass" for _, _, _, _, status in self.rows)
 
 
 def full_abstraction_check(translate: Callable[[PiTerm], PiTerm],

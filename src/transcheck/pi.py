@@ -768,7 +768,7 @@ class _Canon:
             nus, threads = _split_level(p)
             lifted += nus
             raw += threads
-        normal = list(map(self.renorm_thread, raw))
+        normal = list(map(self.normalize_thread, raw))
         threads = [th for th, _ in normal]
         fns = [fn for _, fn in normal]
         used = frozenset().union(*fns)
@@ -811,75 +811,68 @@ class _Canon:
             list[str], list[PiTerm], list[frozenset[str]]]:
         """The used restrictions, normalized threads and their free names of
         a level with restrictions nus and threads raw."""
-        parts = list(map(self.renorm_thread, raw))  # a comprehension adds a frame per prefix
+        parts = list(map(self.normalize_thread, raw))  # a comprehension adds a frame per prefix
         used = frozenset().union(*(fn for _, fn in parts))
         return [n for n in nus if n in used], [th for th, _ in parts], [fn for _, fn in parts]
 
-    def renorm(self, t: PiTerm) -> _Level:
-        """Normalize a continuation: drop unused restrictions and order
-        restrictions and threads canonically."""
-        if isinstance(t, Nil):
-            return _EMPTY
-        nus, threads, fns = self.gather(*_split_level(t))
-        if len(nus) > 1 or len(threads) > 1:
-            _, nus, perm = self.level(nus, threads, fns, {}, 0)
-            threads = [threads[i] for i in perm]
-            fns = [fns[i] for i in perm]
-        core = _assemble(nus, threads)
-        free = frozenset().union(*fns) - set(nus)
-        lv = self._levels[core] = _Level(core, nus, threads, fns, free)
-        return lv
-
-    def renorm_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
-        """The thread with normalized continuations, and its free names."""
+    def normalize_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
+        """The thread with its continuation normalized, and its free names,
+        made once per thread.  The continuation is normalized here, so that
+        normalizing takes two frames per nested prefix (this and gather):
+        unused restrictions are dropped, restrictions and threads ordered
+        canonically, and its level recorded in _levels for keying."""
         done = self._normal.get(t)
-        if done is None:
-            done = self._normal[t] = self.normalize_thread(t)
+        if done is not None:
+            return done
+        cls = type(t)
+        k = t.body if cls is Repl else t.cont if cls is Out or cls is In else Nil()
+        lv = _EMPTY
+        if type(k) is not Nil:
+            nus, threads, fns = self.gather(*_split_level(k))
+            if len(nus) > 1 or len(threads) > 1:
+                _, nus, perm = self.level(nus, threads, fns, {}, 0)
+                threads = [threads[i] for i in perm]
+                fns = [fns[i] for i in perm]
+            core = _assemble(nus, threads)
+            free = frozenset().union(*fns) - set(nus)
+            lv = self._levels[core] = _Level(core, nus, threads, fns, free)
+        if cls is Out:
+            done = Out(t.chan, t.msg, lv.term), lv.free | {t.chan, t.msg}
+        elif cls is In:
+            done = In(t.chan, t.param, lv.term), (lv.free - {t.param}) | {t.chan}
+        else:  # a replication, or a thread with no continuation
+            done = (Repl(lv.term) if cls is Repl else t), lv.free
+        self._normal[t] = done
         return done
 
-    def normalize_thread(self, t: PiTerm) -> tuple[PiTerm, frozenset[str]]:
-        """renorm_thread's work, done once per thread."""
-        match t:
-            case Out(x, y, k):
-                lv = self.renorm(k)
-                return Out(x, y, lv.term), lv.free | {x, y}
-            case In(x, z, k):
-                lv = self.renorm(k)
-                return In(x, z, lv.term), (lv.free - {z}) | {x}
-            case Repl(b):
-                lv = self.renorm(b)
-                return Repl(lv.term), lv.free
-            case _:
-                return t, frozenset()
-
     def thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
-        """Key of a normalized thread."""
+        """Key of a normalized thread.  Its continuation is keyed here, so
+        that keying takes two frames per nested prefix (this and whole, or
+        level).  That key depends on env only through the tokens of the
+        continuation's free names, which key the memo _conts."""
         match t:
             case Out(x, y, k):
-                return ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}",
-                        self.cont(k, env, depth))
+                head = ("out", env.get(x) or f"f:{x}", env.get(y) or f"f:{y}")
             case In(x, z, k):
-                return ("in", env.get(x) or f"f:{x}",
-                        self.cont(k, {**env, z: f"p{depth}"}, depth + 1))
-            case Repl(b):
-                return ("repl", self.cont(b, env, depth))
+                head = ("in", env.get(x) or f"f:{x}")
+                env, depth = {**env, z: f"p{depth}"}, depth + 1
+            case Repl(k):
+                head = ("repl",)
             case PVar(x):
                 return ("pvar", x)
             case ExtBarb(w):
                 return ("ext", w)
-        raise PiError(f"not a sequential thread: {t!r}")
-
-    def cont(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
-        """Key of a normalized continuation.  It depends on env only through
-        the tokens of the level's free names, which key the memo."""
-        if isinstance(t, Nil):
-            return (0, ())
-        lv = self._levels[t]
-        memo_key = (t, depth, tuple(map(env.get, lv.free)))
+            case _:
+                raise PiError(f"not a sequential thread: {t!r}")
+        if type(k) is Nil:
+            return (*head, (0, ()))
+        lv = self._levels[k]
+        memo_key = (k, depth, tuple(map(env.get, lv.free)))
         key = self._conts.get(memo_key)
-        if key is None:
-            key = self._conts[memo_key] = self.level(lv.nus, lv.threads, lv.fns, env, depth)[0]
-        return key
+        if key is None:  # level splits a level of two names or more into components
+            key = self._conts[memo_key] = (self.level if len(lv.nus) > 1 else self.whole)(
+                lv.nus, lv.threads, lv.fns, env, depth)[0]
+        return (*head, key)
 
     def level(self, nus: list[str], threads: list[PiTerm], fns: list[frozenset[str]],
               env: dict[str, str], depth: int) -> tuple[tuple, list[str], list[int]]:
@@ -920,7 +913,10 @@ class _Canon:
             keys, order, perm = _Search(self, nus, threads, fns, env, depth).best()
             return (len(nus), keys), order, perm
         env2 = {**env, nus[0]: f"r{depth}.0"} if nus else env
-        keyed = sorted([(self.thread(th, env2, depth + 1), i) for i, th in enumerate(threads)])
+        keyed = []
+        for i, th in enumerate(threads):  # a comprehension adds a frame per prefix
+            keyed.append((self.thread(th, env2, depth + 1), i))
+        keyed.sort()
         return (len(nus), tuple([k for k, _ in keyed])), list(nus), [i for _, i in keyed]
 
 

@@ -355,11 +355,6 @@ def free_vars(sig: Signature, t: Term) -> set[str]:
     return set(_fv(sig, t))
 
 
-def all_names(sig: Signature, t: Term) -> set[str]:
-    """Every variable name occurring in t, free or bound."""
-    return set(_names(t))
-
-
 def _fresh(base: str, avoid: set[str]) -> str:
     stem = base.rstrip("0123456789") or base
     if stem not in avoid:

@@ -330,20 +330,30 @@ def test_deeply_nested_term_gets_an_answer(cli):
     assert cli("pi", "plug", term, "--context", "a(b).X") == (OK, f"a(b).{chain_text(1500)}\n", "")
 
 
-def test_bisim_takes_the_chains_print_takes():
-    # bisim normalizes both roots itself, at the depth print does: two chains
-    # of 195 nested x!a. prefixes, the second ending in x!b, are compared
-    # (each state shows only the barb x!, and no state moves); both commands
-    # take 198
+def test_bisim_takes_the_chains_print_takes(tmp_path):
+    # each command normalizes its terms itself, which takes two frames per
+    # nested prefix: print takes 494 nested x!a. prefixes, and check-encoding,
+    # which normalizes the translation too, 492.  bisim compares a chain with
+    # one ending in x!b (each state shows only the barb x!, and no state
+    # moves) and takes 330, full-abstraction 329: there comparing the two
+    # root keys, nested three tuples per prefix, recurses in the interpreter.
+    # Each command runs 3 prefixes below its limit
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    p, q = chain_text(195), chain_text(194) + ".x!b"
+    p, q = chain_text(327), chain_text(326) + ".x!b"
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"{chain_text(326)} ;; {chain_text(325)}.x!b\n")
     runs = [subprocess.run([sys.executable, "-m", "transcheck", "pi", *argv],
                            env=env, capture_output=True, text=True)
-            for argv in (("print", p), ("bisim", p, q))]
+            for argv in (("print", chain_text(491)), ("check-encoding", chain_text(489)),
+                         ("bisim", p, q), ("full-abstraction", "--pairs", str(pairs)))]
     assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [
-        (OK, p + "\n", ""), (OK, "bisimilar\n", "")]
+        (OK, chain_text(491) + "\n", ""),
+        (OK, f"bisimilar: {chain_text(489)}\nbisimilar=1 not=0 inconclusive=0\n", ""),
+        (OK, "bisimilar\n", ""),
+        (OK, f"pass: {chain_text(326)} ;; {chain_text(325)}.x!b (source=bisimilar, "
+             "target=bisimilar)\npass=1 fail=0 inconclusive=0\n", "")]
 
 
 def test_recursion_error_is_an_input_error(cli, monkeypatch):

@@ -1,17 +1,20 @@
 """No dead code in src/transcheck: every import is used in its module, and
 every module-level function, class and method is named in src/ outside its
 own definition, or, when README.md's Library section names it as public
-API, somewhere in src/, tests/ or perfbench/.  Read with the stdlib ast
-module, so comments and docstrings do not count as uses.  A method that
-overrides one of a base class (argparse calls _Parser.error) is used by the
-base class's callers.  No walker of pi terms or of terms recurses outside
-the known call cycles, so a term of any depth is walked: every call cycle of
-pi.py, encodings.py, terms.py and finlang.py is a known one, and of terms.py
-only the parser is left.  And pi terms are interned, so pi.py keys no
-memo by id.  terms.alpha_eq builds no canonical key and does not call
-itself.  No module imports dataclasses, whose decorator compiles the
-methods of each class it makes when the package is imported.  cli.py
-declares each command-line argument in one add_argument call."""
+API, somewhere in src/, tests/ or perfbench/.  A module-level function is
+named only in its own module, in an import from that module, or as
+module.name, so a function of the same name elsewhere does not hide a dead
+one.  Read with the stdlib ast module, so comments and docstrings do not
+count as uses.  A method that overrides one of a base class (argparse calls
+_Parser.error) is used by the base class's callers.  No walker of pi terms
+or of terms recurses outside the known call cycles, so a term of any depth
+is walked: every call cycle of pi.py, encodings.py, terms.py and finlang.py
+is a known one, and of terms.py only the parser is left.  And pi terms are
+interned, so pi.py keys no memo by id.  terms.alpha_eq builds no canonical
+key and does not call itself.  No module imports dataclasses, whose
+decorator compiles the methods of each class it makes when the package is
+imported.  cli.py declares each command-line argument in one add_argument
+call."""
 
 import ast
 import importlib
@@ -145,10 +148,7 @@ def test_public_functions_take_no_private_parameters():
 
 # parameters no line of their function reads, with the reason each stays;
 # the list may only shrink
-UNREAD_ALLOWED = {
-    "src/transcheck/terms.py: all_names(sig)": "every walker of terms.py takes the signature "
-    "first, as free_vars and validate do; collecting names looks up no construct",
-}
+UNREAD_ALLOWED: dict[str, str] = {}
 
 
 def test_every_parameter_is_read():
@@ -167,21 +167,77 @@ def test_every_parameter_is_read():
     assert found == set(UNREAD_ALLOWED)
 
 
-def test_every_definition_is_used():
-    in_src, everywhere = Counter(), Counter()
-    for path, tree in ALL_TREES.items():
-        mentions = _mentions(tree)
-        everywhere += mentions
-        if path.startswith("src/"):
-            in_src += mentions
-    public = _library_names()
+def _taken(tree: ast.Module) -> dict[str, Counter]:
+    """The names a tree takes from each module, by the module's stem: those
+    imported from it, and those read as its attribute (module.name,
+    transcheck.module.name, or alias.name for a module imported as alias)."""
+    alias = {a.asname: a.name.split(".")[-1] for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names if a.asname}
+    out: dict[str, Counter] = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            out.setdefault((n.module or "").split(".")[-1], Counter()).update(
+                a.name for a in n.names)
+        elif isinstance(n, ast.Attribute):
+            owner = getattr(n.value, "id", None) or getattr(n.value, "attr", None)
+            out.setdefault(alias.get(owner, owner), Counter())[n.attr] += 1
+    return out
+
+
+def _dead(package: dict[str, ast.Module], trees: dict[str, ast.Module],
+          public: set[str]) -> list[str]:
+    """The definitions of package named nowhere in trees (only in src/ unless
+    public) outside their own definition.  A module-level function counts
+    the mentions in its own module and what the other trees take from that
+    module; a class or method counts every mention of its name."""
+    mentions = {path: _mentions(tree) for path, tree in trees.items()}
+    taken = {path: _taken(tree) for path, tree in trees.items()}
     dead = []
-    for path, tree in PACKAGE_TREES.items():
+    for path, tree in package.items():
+        module = Path(path).stem
         for node in _definitions(path, tree):
-            uses = everywhere if node.name in public else in_src
-            if uses[node.name] - _mentions(node)[node.name] == 0:
+            where = [p for p in trees if node.name in public or p.startswith("src/")]
+            if isinstance(node, ast.ClassDef) or node not in tree.body:
+                uses = sum(mentions[p][node.name] for p in where)
+            else:
+                uses = sum(mentions[p][node.name] if p == path
+                           else taken[p].get(module, Counter())[node.name] for p in where)
+            if uses - _mentions(node)[node.name] == 0:
                 dead.append(f"{path}: {node.name}")
-    assert dead == []
+    return dead
+
+
+def test_every_definition_is_used():
+    assert _dead(PACKAGE_TREES, ALL_TREES, _library_names()) == []
+
+
+def test_a_function_of_the_same_name_elsewhere_does_not_hide_a_dead_one():
+    # terms.all_names had no caller: pi.all_names, which encodings calls,
+    # was counted as its use
+    package = {
+        "src/transcheck/a.py": ast.parse("def names(t):\n    return t\n\n"
+                                         "def shared(t):\n    return t\n"),
+        "src/transcheck/b.py": ast.parse("def names(t):\n    return [t]\n"),
+    }
+    trees = {
+        **package,
+        "src/transcheck/c.py": ast.parse("from .b import names\nfrom . import a\n"
+                                         "names(a.shared(0))\n"),
+        "tests/test_a.py": ast.parse("from transcheck.a import names\n"),
+    }
+    assert _dead(package, trees, set()) == ["src/transcheck/a.py: names"]
+    # public, so a test's import from its module is a use
+    assert _dead(package, trees, {"names"}) == []
+
+
+def _branches(node: ast.expr) -> list[ast.expr]:
+    """The expressions node may evaluate to: both arms of a conditional
+    expression and every operand of and / or, each in turn unfolded."""
+    if isinstance(node, ast.IfExp):
+        return _branches(node.body) + _branches(node.orelse)
+    if isinstance(node, ast.BoolOp):
+        return [b for v in node.values for b in _branches(v)]
+    return [node]
 
 
 def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
@@ -190,7 +246,9 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
     or passed to a call resolves to the innermost function of that name in
     scope, or to a class's __init__; an attribute called resolves to every
     method of that name, and an attribute passed to every such method but
-    the properties: a property read counts as no call, passed or not."""
+    the properties: a property read counts as no call, passed or not.  A
+    conditional or and / or expression called or passed stands for each of
+    its branches."""
     defs: dict[str, ast.AST] = {}
     methods: dict[str, set[str]] = {}
     properties: set[str] = set()
@@ -219,10 +277,12 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
         for call in ast.walk(fn):
             if not isinstance(call, ast.Call):
                 continue
-            for f in [call.func, *call.args, *(k.value for k in call.keywords)]:
+            called = _branches(call.func)
+            for f in called + [g for a in (*call.args, *(k.value for k in call.keywords))
+                               for g in _branches(a)]:
                 if isinstance(f, ast.Attribute):
                     named = methods.get(f.attr, set())
-                    callees |= named if f is call.func else named - properties
+                    callees |= named if f in called else named - properties
                 elif isinstance(f, ast.Name):
                     found = next((".".join(scope[:k] + [f.id]) for k in range(len(scope), -1, -1)
                                   if ".".join(scope[:k] + [f.id]) in defs), None)
@@ -258,10 +318,10 @@ CYCLES_ALLOWED = {
     "src/transcheck/pi.py: subst_names, subst_names.bind": "respells a binder by renaming it "
     "in its body to a name fresh for that body, a call that respells no binder and so does "
     "not call again",
-    "src/transcheck/pi.py: _Canon.gather, _Canon.normalize_thread, _Canon.renorm, "
-    "_Canon.renorm_thread": "normalizes a continuation inside the thread it follows, one "
-    "round per prefix of nesting, so normalizing commands refuse deeply nested terms",
-    "src/transcheck/pi.py: _Canon.cont, _Canon.level, _Canon.thread, _Canon.whole, "
+    "src/transcheck/pi.py: _Canon.gather, _Canon.normalize_thread": "normalizes a "
+    "continuation inside the thread it follows, one round per prefix of nesting, so "
+    "normalizing commands refuse deeply nested terms",
+    "src/transcheck/pi.py: _Canon.level, _Canon.thread, _Canon.whole, "
     "_Search.best, _Search.key, _Search.leaf, _Search.refine":
     "keys a continuation inside the thread it follows, one round per prefix of nesting",
     "src/transcheck/terms.py: parse_term.term": _WALKS,
@@ -310,8 +370,24 @@ def helper(n):
 
 def outer():
     return 0
+
+class C:
+    def thread(self, n):
+        return (self.level if n > 1 else self.whole)(n)
+
+    def whole(self, n):
+        return self.thread(n - 1)
+
+    def level(self, n):
+        return n
+
+def pick(f=None):
+    return map(f or pick, [])
 """)
-    assert _cycles(_call_graph(tree)) == {"walk", "A.f, A.g", "helper.inner"}
+    # a conditional callee, as the canon's thread calls level or whole, and
+    # an or passed along
+    assert _cycles(_call_graph(tree)) == {"walk", "A.f, A.g", "helper.inner",
+                                          "C.thread, C.whole", "pick"}
 
 
 def test_the_call_graph_reads_a_passed_property_as_a_value():

@@ -1585,3 +1585,33 @@ def test_explore_reads_the_root_term_from_the_canon_scan():
         terms = [args[0] for args, _ in scanned]
         assert [terms.count(r) for r in roots] == [1] * len(roots)
         assert not {th for r in roots for th in normal_form(r).threads} & set(terms)
+
+
+# ------------- two frames per nested prefix -------------
+
+def deepest(run) -> int:
+    """The most Python frames open at once under run()."""
+    depth = top = 0
+
+    def count(_frame, event, _arg):
+        nonlocal depth, top
+        if event == "call":
+            depth += 1
+            top = max(top, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return top
+
+
+@pytest.mark.parametrize("prefix, tail", [("x!a.", "0"), ("x(y).", "y!a.0"), ("!", "x!a.0")])
+def test_the_canon_takes_two_frames_per_nested_prefix(prefix, tail):
+    # normalizing a prefix went through four methods and keying it through
+    # five frames, so 50 more prefixes went 250 frames deeper
+    short, long = (parse_pi(prefix * n + tail) for n in (50, 100))
+    assert deepest(lambda: normal_form(long)) - deepest(lambda: normal_form(short)) <= 2 * 50

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transcheck.terms import (App, Construct, Signature, TermError, Var,
-                              alpha_eq, all_names, canon_key, canonical_binders,
+                              alpha_eq, canon_key, canonical_binders,
                               check_compositional, complete_compositional,
                               compose_subst, compose_translations, enumerate_terms,
                               free_vars, head_decompose, is_fvr, is_prefix,

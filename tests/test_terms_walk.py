@@ -1,7 +1,7 @@
 """The term walkers that read Construct.scopes, against the walkers that
 looked the scoping binders up by slot label at every node.
 
-The oracles below are the earlier definitions of free_vars, all_names,
+The oracles below are the earlier definitions of free_vars, _names,
 substitute, canon_key, canonical_binders, complete_compositional and
 enumerate_terms, with the helpers they used (the slot list and _arg_binders).  They recompute at every
 node and read no memo.  Each new result must equal its oracle under ==, not
@@ -37,7 +37,7 @@ from transcheck.encodings import (API_TERM_SIG, PI_TERM_SIG, boudol_encoding,
                                   boudol_head_translation, pi_to_term, term_to_pi)
 from transcheck.pi import is_async, parse_pi, print_pi
 from transcheck.terms import (App, Construct, Signature, TermError, Translation, Var, _arg,
-                              _avoiding, _fresh, _map, _rename_slot_binders, all_names, alpha_eq,
+                              _avoiding, _fresh, _map, _names, _rename_slot_binders, alpha_eq,
                               canon_key, canonical_binders, check_compositional,
                               complete_compositional, compose_translations, enumerate_terms,
                               free_vars, head_decompose, is_fvr, is_prefix, print_term,
@@ -483,7 +483,7 @@ SIG_TERM_AND_SUBST = st.one_of(*(
 def test_free_vars_canon_key_and_canonical_binders_match(case):
     sig, t = case
     assert free_vars(sig, t) == old_free_vars(sig, t)
-    assert all_names(sig, t) == old_all_names(t)
+    assert _names(t) == old_all_names(t)
     assert canon_key(sig, t) == old_flat_key(old_canon_key(sig, t))
     assert canonical_binders(sig, t) == old_canonical_binders(sig, t)
     assert canonical_binders(sig, t, base="q") == old_canonical_binders(sig, t, base="q")
@@ -771,7 +771,7 @@ def test_an_argument_name_an_auxiliary_binder_captures_takes_the_substitution_pa
         counts.update(heads=0, planned=0)
         (image,) = _same_route(BOUDOL, [t])
         assert counts["planned"] < counts["heads"]
-        assert renamed in all_names(API_TERM_SIG, image)
+        assert renamed in _names(image)
 
 
 def test_criterion_8_builds_every_head_from_its_plan(monkeypatch):
@@ -1126,7 +1126,7 @@ def test_free_variable_memo_is_kept_apart_per_signature():
     assert free_vars(A_FIRST, t) == {"X", "Z"}
     assert free_vars(A_SECOND, t) == {"X", "Z", "y"}
     assert substitute(A_FIRST, t, sigma) != substitute(A_SECOND, t, sigma)
-    assert all_names(A_FIRST, t) == all_names(A_SECOND, t) == {"X", "Z", "y"}
+    assert _names(t) == {"X", "Z", "y"}
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     assert repr(t) == ("App(op='g', bound=(), args=(App(op='f', bound=('y',), "
                        "args=(Var(name='y'), Var(name='X'))), Var(name='Z')))")
@@ -1137,12 +1137,13 @@ def test_free_variable_memo_is_kept_apart_per_signature():
 
 def test_returned_name_sets_do_not_alias_a_memo():
     t = _memo_term()
-    for collect in (lambda: free_vars(A_SECOND, t), lambda: all_names(A_SECOND, t)):
-        first = collect()
-        want = set(first)
-        first.add("z")
-        first.discard("X")
-        assert collect() == want
+    first = free_vars(A_SECOND, t)
+    want = set(first)
+    first.add("z")
+    first.discard("X")
+    assert free_vars(A_SECOND, t) == want
+    # the name memo itself is returned, and cannot be changed
+    assert _names(t) is _names(t) and isinstance(_names(t), frozenset)
 
 
 def test_memoized_walks_skip_repeated_work(monkeypatch):
@@ -1421,7 +1422,7 @@ def test_the_walkers_on_the_fold_match_their_recursive_oracles(case):
         assert head_decompose(sig, t) == old_head_decompose(sig, t)
     got = terms._respell_w(t, 1, 2, 3)
     assert got == old_respell_w(t, 1, 2, 3)
-    if all_names(sig, t).isdisjoint({"_w1", "_w2"}):
+    if _names(t).isdisjoint({"_w1", "_w2"}):
         assert got is t
 
 
@@ -1532,8 +1533,8 @@ def _deep_answer(walker, n):
     t = _one_spelling(n, "c")
     if walker == "print_term":
         return print_term(t), "In[y](a, Out(y, b, " * n + "c" + "))" * n
-    if walker == "all_names":
-        return all_names(PI_TERM_SIG, t), {"y", "a", "b", "c"}
+    if walker == "_names":
+        return _names(t), {"y", "a", "b", "c"}
     if walker == "validate":
         return validate(PI_TERM_SIG, t), None
     if walker == "substitute":
@@ -1561,7 +1562,7 @@ def _deep_answer(walker, n):
                     f"In[v](u, Par(Out(v, b), " for k in range(n)) + "c" + ")" * (8 * n))
 
 
-MOVED = ("print_term", "all_names", "validate", "substitute", "canonical_binders",
+MOVED = ("print_term", "_names", "validate", "substitute", "canonical_binders",
          "head_decompose", "is_prefix", "complete_compositional")
 
 
@@ -1586,7 +1587,7 @@ def test_the_moved_walkers_match_their_oracles_at_300_pairs():
     x = _chain(300, lambda i: "y", Var("X"))
     for new, old, args in (
             (print_term, old_print_term, (t,)),
-            (all_names, lambda sig, t: old_all_names(t), (PI_TERM_SIG, t)),
+            (_names, old_all_names, (t,)),
             (validate, old_validate, (PI_TERM_SIG, t)),
             (canonical_binders, old_canonical_binders, (PI_TERM_SIG, t)),
             (head_decompose, old_head_decompose, (PI_TERM_SIG, _bound_chain(300))),
