@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 from itertools import chain, count, islice
 from operator import attrgetter, eq, itemgetter
-from typing import Callable, Generator, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 from weakref import WeakValueDictionary
 
 from .terms import _fold, _skip
@@ -109,20 +109,28 @@ class ExtBarb(_Interned):
 PiTerm = Nil | Out | In | Par | Res | Repl | PVar | ExtBarb
 
 
-class _Names(NamedTuple):
-    """What one walk of a term collects (see _scan)."""
-    free: set[str]  # free names
-    names: set[str]  # every name, bound or free, barb ids included
-    params: set[str]  # input parameters
-    binders: dict[str, int]  # restriction binders, with how often each occurs
-    pvars: set[str]  # process variables
-    ext: set[str]  # external barb ids
-    sync: bool  # some output has a continuation other than 0
+class _Names:
+    """What one walk of a term collects (see _scan).  The fields are not set
+    again."""
+    __slots__ = ("free", "names", "params", "binders", "pvars", "ext", "sync")
+
+    def __init__(self, free: set[str], names: set[str], params: set[str],
+                 binders: dict[str, int], pvars: set[str], ext: set[str], sync: bool) -> None:
+        self.free = free  # free names
+        self.names = names  # every name, bound or free, barb ids included
+        self.params = params  # input parameters
+        self.binders = binders  # restriction binders, with how often each occurs
+        self.pvars = pvars  # process variables
+        self.ext = ext  # external barb ids
+        self.sync = sync  # some output has a continuation other than 0
 
 
-class _Unbind(NamedTuple):
+class _Unbind:
     """Stack entry that closes the scope of one input or restriction binder."""
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
 def _scan(t: PiTerm) -> _Names:
@@ -542,14 +550,19 @@ def _split_level(t: PiTerm) -> tuple[list[str], list[PiTerm]]:
     return nus, threads
 
 
-class _Level(NamedTuple):
+class _Level:
     """A normalized continuation: its term, its restrictions and threads,
-    each thread's free names, and the level's own free names."""
-    term: PiTerm
-    nus: list[str]
-    threads: list[PiTerm]
-    fns: list[frozenset[str]]
-    free: frozenset[str]
+    each thread's free names, and the level's own free names.  The fields
+    are not set again."""
+    __slots__ = ("term", "nus", "threads", "fns", "free")
+
+    def __init__(self, term: PiTerm, nus: list[str], threads: list[PiTerm],
+                 fns: list[frozenset[str]], free: frozenset[str]) -> None:
+        self.term = term
+        self.nus = nus
+        self.threads = threads
+        self.fns = fns
+        self.free = free
 
 
 _EMPTY = _Level(Nil(), [], [], [], frozenset())
@@ -1034,7 +1047,7 @@ class _Search:
         return best
 
 
-class _Spans(NamedTuple):
+class _Spans:
     """Where the entries of a level key lie in the level's orders: thread i
     is in entry owner[i], and entry j holds names names_at[j]:names_at[j + 1]
     and threads threads_at[j]:threads_at[j + 1]; ties[j] orders entries of
@@ -1049,14 +1062,24 @@ class _Spans(NamedTuple):
     thread spelled twice.  reps[i] is the thread that stands for thread i
     under these maps: the thread at i's offset in the first entry equal to
     i's, or the first of its twins there.  reps is None when no two entries
-    are equal and no entry holds twins, so each thread stands for itself."""
-    owner: Sequence[int]
-    names_at: Sequence[int]
-    threads_at: Sequence[int]
-    ties: Sequence[int]
-    comps: int
-    entries: tuple
-    reps: list[int] | None
+    are equal and no entry holds twins, so each thread stands for itself.
+    The fields are not set again; iterating gives them in this order."""
+    __slots__ = ("owner", "names_at", "threads_at", "ties", "comps", "entries", "reps")
+
+    def __init__(self, owner: Sequence[int], names_at: Sequence[int],
+                 threads_at: Sequence[int], ties: Sequence[int], comps: int, entries: tuple,
+                 reps: list[int] | None) -> None:
+        self.owner = owner
+        self.names_at = names_at
+        self.threads_at = threads_at
+        self.ties = ties
+        self.comps = comps
+        self.entries = entries
+        self.reps = reps
+
+    def __iter__(self) -> Iterator:
+        return iter((self.owner, self.names_at, self.threads_at, self.ties, self.comps,
+                     self.entries, self.reps))
 
     @staticmethod
     def of(key: tuple, symmetric: bool) -> _Spans | None:
@@ -1068,11 +1091,12 @@ class _Spans(NamedTuple):
         names, entries = key
         if not names:  # bytes of zeros: no entry holds a name
             n = len(entries)
-            spans = _Spans(range(n), bytes(n + 1), range(n + 1), range(n), 0, entries, None)
+            owner, names_at, threads_at, ties, comps = (
+                range(n), bytes(n + 1), range(n + 1), range(n), 0)
         elif not any(e[0] == "~c" for e in entries):
             return None
         else:
-            owner: list[int] = []
+            owner = []
             names_at, threads_at, ties = [0], [0], []
             for j, e in enumerate(entries):
                 n, t = names_at[-1], threads_at[-1]
@@ -1085,9 +1109,9 @@ class _Spans(NamedTuple):
                     names_at.append(n)
                     threads_at.append(t + 1)
                 owner += [j] * (threads_at[-1] - t)
-            spans = _Spans(owner, names_at, threads_at, ties,
-                           sum(e[0] == "~c" for e in entries), entries, None)
-        return spans._replace(reps=_reps(entries, spans.threads_at)) if symmetric else spans
+            comps = sum(e[0] == "~c" for e in entries)
+        return _Spans(owner, names_at, threads_at, ties, comps, entries,
+                      _reps(entries, threads_at) if symmetric else None)
 
 
 def _symmetric(entries: Sequence[tuple]) -> bool:
@@ -1282,7 +1306,7 @@ class _CopyLevel:
         return hash((self.cid, self.nus, self.parts, self.part))
 
 
-class _Acts(NamedTuple):
+class _Acts:
     """What one top-level thread can do now (see _acts): its offers as
     (kind, chan, msg, param, cont, levels, place) rows, its external barbs
     with the subjects of its outputs, and the subjects of its inputs, each
@@ -1290,10 +1314,14 @@ class _Acts(NamedTuple):
     offer's place is where it sits in the thread: the innermost copy that
     unfolds to reach it and its part there, or () for the thread itself.
     It tells the offers of one thread apart, as their rank does, and is the
-    same in any thread spelled alike."""
-    offers: tuple[tuple, ...]
-    barbs: frozenset[Barb]
-    inputs: frozenset[Barb]
+    same in any thread spelled alike.  The fields are not set again."""
+    __slots__ = ("offers", "barbs", "inputs")
+
+    def __init__(self, offers: tuple[tuple, ...], barbs: frozenset[Barb],
+                 inputs: frozenset[Barb]) -> None:
+        self.offers = offers
+        self.barbs = barbs
+        self.inputs = inputs
 
 
 def _acts(th: PiTerm) -> _Acts:

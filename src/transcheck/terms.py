@@ -642,7 +642,8 @@ _KEEP, _PLUG, _SLOT, _NODE = range(4)
 
 
 class _HeadPlan:
-    """How to instantiate one head image: a post-order program over its nodes.
+    """How to instantiate one head image: a post-order program over its
+    nodes, and a table of what the result leaves free.
 
     Each step pushes one term: (_KEEP, t) pushes the image subterm t, which
     holds no placeholder, no slot-labelled binder and no name one binds;
@@ -651,57 +652,78 @@ class _HeadPlan:
     node from the last n terms pushed, spelled giving each binder by name or,
     for a slot-labelled one, by its slot index k (spelled w[k]); static is
     true when no binder is slot-labelled, and spelled is then the node's
-    binder tuple as it stands.  aux pairs each argument index i with the
-    auxiliary binders of the nodes above an occurrence of its placeholder,
-    where there are any.  The fields are not set again."""
-    __slots__ = ("steps", "aux")
+    binder tuple as it stands.
+
+    table holds one (what, aux, bound, slots) row per placeholder
+    occurrence and per group of names the image leaves free, rows alike kept
+    once.  what is the argument index i of an occurrence of X(i+1), or the
+    free names.  aux holds the auxiliary binders of the nodes above the
+    occurrence, which the capture check reads, bound those of them whose
+    scope holds it, and slots the indices k of the slot-labelled binders
+    whose scope holds it; all three are empty for free names, which no
+    auxiliary binder binds.  The names free in the head instantiated are
+    each row's what, or those of the image plugged for it, less bound and
+    each w[k]: a slot spelled like a name the image leaves free captures
+    it.  The fields are not set again."""
+    __slots__ = ("steps", "table")
 
     def __init__(self, steps: tuple[tuple, ...],
-                 aux: tuple[tuple[int, frozenset[str]], ...]) -> None:
+                 table: tuple[tuple[int | frozenset[str], frozenset[str], frozenset[str],
+                                    tuple[int, ...]], ...]) -> None:
         self.steps = steps
-        self.aux = aux
+        self.table = table
 
 
 def _head_plan(c: Construct, target: Signature, image: Term) -> _HeadPlan | None:
     """The plan of image as the head of c, or None when image binds a name
     spelled like a placeholder or starting with _w.  Written on the fold:
-    each subterm folds to whether it is kept whole and the plugs under it."""
+    each subterm folds to whether it is kept whole, and each occurrence of a
+    name not bound above it is a row of the table."""
     labels = {lbl: k for k, lbl in enumerate(c.slots)}
     plugs = {f"X{i + 1}": i for i in range(c.args)}
     steps: list[tuple] = []
-    aux: dict[int, set[str]] = {}
+    rows: dict[tuple, None] = {}  # the plug rows of the table, in order
+    free: dict[tuple[int, ...], set[str]] = {}  # slots above -> the free names under them
     refused = []
 
-    def visit(u: Term, env: dict[str, int | None]):  # env: names bound above u -> slot or None
+    # ctx: names bound above u -> slot or None, and the auxiliary binders of
+    # the nodes above u
+    def visit(u: Term, ctx: tuple[dict[str, int | None], frozenset[str]]):
+        env, aux = ctx
         if isinstance(u, Var):
+            if u.name not in env:
+                slots = tuple(sorted({k for k in env.values() if k is not None}))
+                if u.name in plugs:
+                    bound = frozenset(b for b, k in env.items() if k is None)
+                    rows[(plugs[u.name], aux, bound, slots)] = None
+                else:
+                    free.setdefault(slots, set()).add(u.name)
             if env.get(u.name) is not None:
                 steps.append((_SLOT, env[u.name]))
-                return (lambda: (False, frozenset())), ()
+                return (lambda: False), ()
             if u.name in plugs:
                 steps.append((_PLUG, plugs[u.name]))
-                return (lambda: (False, frozenset((plugs[u.name],)))), ()
+                return (lambda: False), ()
             steps.append((_KEEP, u))
-            return (lambda: (True, frozenset())), ()
+            return (lambda: True), ()
         refused.extend(b for b in u.bound if _PLACEHOLDER.match(b) or b.startswith("_w"))
+        aux = aux.union([b for b in u.bound if b not in labels])
         return partial(node, u, len(steps)), [
-            (a, {**env, **{u.bound[k]: labels.get(u.bound[k]) for k in scope}} if scope else env)
-            for a, scope in zip(u.args, target[u.op].scopes)]
+            (a, ({**env, **{u.bound[k]: labels.get(u.bound[k]) for k in scope}} if scope else env,
+                 aux)) for a, scope in zip(u.args, target[u.op].scopes)]
 
-    def node(u: App, start: int, *below: tuple[bool, frozenset[int]]):
-        if all(whole for whole, _ in below) and not any(b in labels for b in u.bound):
+    def node(u: App, start: int, *whole: bool) -> bool:
+        if all(whole) and not any(b in labels for b in u.bound):
             del steps[start:]
             steps.append((_KEEP, u))
-            return True, frozenset()
-        holes = frozenset().union(*(h for _, h in below))
+            return True
         spelled = tuple(labels.get(b, b) for b in u.bound)
-        steps.append((_NODE, u.op, spelled, len(below), spelled == u.bound))
-        for i in holes:
-            aux.setdefault(i, set()).update(b for b in u.bound if b not in labels)
-        return False, holes
+        steps.append((_NODE, u.op, spelled, len(whole), spelled == u.bound))
+        return False
 
-    _fold(image, {}, visit)
-    return None if refused else _HeadPlan(tuple(steps), tuple(
-        (i, frozenset(names)) for i, names in sorted(aux.items()) if names))
+    _fold(image, ({}, frozenset()), visit)
+    return None if refused else _HeadPlan(tuple(steps), tuple(rows) + tuple(
+        (frozenset(names), frozenset(), frozenset(), slots) for slots, names in free.items()))
 
 
 def _run_plan(plan: _HeadPlan, w: list[str], images: list[Term]) -> Term:
@@ -751,7 +773,15 @@ def complete_compositional(tr: Translation,
     Each head is instantiated from its _HeadPlan, built on first use, unless
     respelling the slot binders and then substituting would rename or capture
     a name (see build); those instantiations, and all of a head _head_plan
-    refuses, take that route.  Only a construct with a slot can leak one."""
+    refuses, take that route.  Only a construct with a slot can leak one.
+    The plan's table, one row per placeholder occurrence and per group of
+    names the image leaves free, gives both that capture check and the free
+    variables of the image built: those of each argument image, read from
+    its memo, less the binders above the occurrence, slots spelled w[k].
+    They are set as the built image's _fv memo under tr.target, so neither
+    the leak check nor a caller such as is_fvr walks the nodes just built.
+    Only the image's root gets the memo: filling every node the plan builds
+    costs check_compositional more than it saves is_fvr."""
     state = {"next": 0}
     w_pattern = re.compile(r"_w([0-9]+)$")
     # a head binder spelled _w... may be freshened to a _wN that depends on
@@ -806,12 +836,26 @@ def complete_compositional(tr: Translation,
         # The plan builds what the other route builds unless that captures an
         # occurrence under a binder spelled like a slot label it respells, a
         # slot binder shadows a placeholder, or it renames an auxiliary
-        # binder, not in slot_names, free in a plugged image under it.
-        if (plan is not None
-                and not (w and any(nm in ren or _PLACEHOLDER.match(nm) for nm in w))
-                and not any((names & _fv(tr.target, new_args[i])) - slot_names
-                            for i, names in plan.aux)):
+        # binder, not in slot_names, free in a plugged image under it.  Its
+        # table gives the free names of what it builds, set on the image it
+        # returns, so that neither the leak check nor a caller walks it.
+        fv: set[str] | None = None
+        if plan is not None and not (w and any(nm in ren or _PLACEHOLDER.match(nm) for nm in w)):
+            fv = set()
+            for what, aux, bound, slots in plan.table:
+                names = what if what.__class__ is frozenset else _fv(tr.target, new_args[what])
+                if aux:
+                    caught = aux & names
+                    if caught:
+                        if not caught <= slot_names:
+                            fv = None
+                            break
+                        names = names - bound
+                fv |= names.difference([w[k] for k in slots]) if slots else names
+        if fv is not None:
             out = _run_plan(plan, w, new_args)
+            if plan.steps[-1][0] == _NODE:  # out is a node built here, not a term passed on
+                out._fv_memo = (tr.target, frozenset(fv))
         else:
             if ren:
                 image = _rename_slot_binders(tr.target, image, ren)

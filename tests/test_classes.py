@@ -23,7 +23,7 @@ from transcheck.encodings import (ContextProbe, EncodingReport, FullAbstractionR
 from transcheck.finlang import (FiniteLanguage, InputError, Operator, PropertyReport,
                                 Relation, SemanticTranslation)
 from transcheck.pi import (Barb, ExtBarb, In, Nil, Out, Par, PiTerm, PVar, Repl, Res,
-                           _CopyLevel, parse_pi)
+                           _Acts, _CopyLevel, _Level, _Names, _Spans, _Unbind, parse_pi)
 from transcheck.terms import (_PLACEHOLDER, App, Construct, Signature, TermError,
                               Translation, Var, _HeadPlan, validate)
 from transcheck.verdict import Verdict
@@ -460,6 +460,8 @@ def test_the_plain_classes_are_slotted():
             Relation("r", "equivalence", (), frozenset()), SemanticTranslation("R", ()),
             PropertyReport(1, 0, {}, []), boudol_encoding(),
             ContextProbe(Nil(), Nil(), Barb("out", "x")), EncodingReport("weak-barbed"),
-            FullAbstractionReport()]
+            FullAbstractionReport(), _Names(set(), set(), set(), {}, set(), set(), False),
+            _Unbind("x"), _Level(Nil(), [], [], [], frozenset()),
+            _Spans((), b"\0", (0,), (), 0, (), None), _Acts((), frozenset(), frozenset())]
     assert [type(x).__name__ for x in made if hasattr(x, "__dict__")] == []
     assert hasattr(FiniteLanguage("l", ("a",), ()), "__dict__")

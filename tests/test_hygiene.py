@@ -13,8 +13,10 @@ is a known one, and of terms.py only the parser is left.  And pi terms are
 interned, so pi.py keys no memo by id.  terms.alpha_eq builds no canonical
 key and does not call itself.  No module imports dataclasses, whose
 decorator compiles the methods of each class it makes when the package is
-imported.  cli.py declares each command-line argument in one add_argument
-call."""
+imported, and no class under src/ is a named tuple, whose making runs eval
+(collections.namedtuple) and compiles its string annotations
+(typing.NamedTuple).  cli.py declares each command-line argument in one
+add_argument call."""
 
 import ast
 import importlib
@@ -106,6 +108,29 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def _called_or_based_on(node: ast.AST) -> list[str]:
+    """The names of the functions node calls, or of the classes it derives from."""
+    exprs = [node.func] if isinstance(node, ast.Call) else (
+        node.bases if isinstance(node, ast.ClassDef) else [])
+    return [e.id if isinstance(e, ast.Name) else e.attr for e in exprs
+            if isinstance(e, (ast.Name, ast.Attribute))]
+
+
+def test_nothing_under_src_is_a_named_tuple():
+    found = [f"{path}:{node.lineno}: {name}"
+             for path, tree in ALL_TREES.items() if path.startswith("src/")
+             for node in ast.walk(tree)
+             for name in _called_or_based_on(node) if name in ("NamedTuple", "namedtuple")]
+    assert found == []
+
+
+def test_the_named_tuple_check_finds_both_forms():
+    tree = ast.parse("class A(typing.NamedTuple):\n    x: int\n"
+                     "B = collections.namedtuple('B', 'x')\nC = namedtuple('C', 'x')\n")
+    assert [name for node in ast.walk(tree) for name in _called_or_based_on(node)
+            if name in ("NamedTuple", "namedtuple")] == ["NamedTuple", "namedtuple", "namedtuple"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

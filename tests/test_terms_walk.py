@@ -14,8 +14,9 @@ enumerate_terms to the enumeration that dropped repeats by canonical key,
 and check_compositional, which translates each term once per call, to the
 loop that translated T(E) and every range term again for every pair.  The
 route's _w check, read from a memo on each node, is held to the scan of every
-name it replaced, and the flat respelling of a memoized image to the one on
-_map.
+name it replaced, the flat respelling of a memoized image to the one on
+_map, and the free variables a head plan sets on each image it builds to
+those of a rebuild of that image with no memo.
 """
 
 import gc
@@ -935,6 +936,91 @@ def head_maps(draw):
 def test_plans_match_the_substitution_path_on_random_head_maps(case):
     tr, calls, keep = case
     _same_route(tr, calls, keep)
+
+
+# ------------- the free variables a plan sets on its image -------------
+
+def _rebuilt(t):
+    """t from fresh nodes, which hold no memo."""
+    return t if isinstance(t, Var) else App(t.op, t.bound, tuple(map(_rebuilt, t.args)))
+
+
+def _memos_hold(tr, calls, keep=frozenset()):
+    """Translate calls on a new route: every node a plan builds, and every
+    image returned that carries a free-variable memo, carries the free
+    variables of its rebuild under the target.  Gives the number of nodes
+    the plans built."""
+    built, returned = [], []
+    run = terms._run_plan
+
+    def recorded(plan, w, images):
+        out = run(plan, w, images)
+        if plan.steps[-1][0] == terms._NODE:
+            built.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(terms, "_run_plan", recorded)
+        route = complete_compositional(tr, keep)
+        for t in calls:
+            try:
+                image = route(t)
+            except TermError:
+                continue
+            if isinstance(image, App) and image._fv_memo is not None:
+                returned.append(image)
+    for u in built + returned:
+        assert u._fv_memo[0] is tr.target
+        assert u._fv_memo == (tr.target, terms._fv(tr.target, _rebuilt(u)))
+    return len(built)
+
+
+@given(case=head_maps())
+@settings(max_examples=300, deadline=None)
+def test_plan_memos_match_a_rebuild_on_random_head_maps(case):
+    tr, calls, keep = case
+    _memos_hold(tr, calls, keep)
+
+
+def test_plan_memos_match_a_rebuild_on_the_criterion_8_pool():
+    assert _memos_hold(BOUDOL, list(islice(enumerate_terms(PI_TERM_SIG, 3), 1000))) > 1000
+
+
+def test_plan_memos_leave_out_what_a_slot_or_an_auxiliary_binder_captures(monkeypatch):
+    # lam's image leaves c free under slot v: a kept source binder c spells
+    # v as c, which captures it
+    tr = translation(LAM, LAM, dict(LAM_HEADS, lam=App("lam", ("v",), (
+        App("app", (), (Var("X1"), Var("c"))),))))
+    t = App("lam", ("c",), (Var("X"),))
+    counts = _planned(monkeypatch)
+    assert _same_route(tr, [t], frozenset({"c"})) == [App("lam", ("c",), (
+        App("app", (), (Var("X"), Var("c"))),))]
+    assert _same_route(tr, [t]) == [App("lam", ("_w0",), (
+        App("app", (), (Var("X"), Var("c"))),))]
+    assert counts["heads"] == counts["planned"] == 2
+    assert _memos_hold(tr, [t], frozenset({"c"})) == _memos_hold(tr, [t]) == 1
+    assert complete_compositional(tr, frozenset({"c"}))(t)._fv_memo == (LAM, {"X"})
+    assert complete_compositional(tr)(t)._fv_memo == (LAM, {"X", "c"})
+    # In's image binds u on the node above X1 but not over it: a kept source
+    # binder u, free in the channel, is neither renamed nor captured, so the
+    # plan leaks the slot as the substitution path does
+    t = App("In", ("u",), (Var("u"), NIL))
+    counts.update(heads=0, planned=0)
+    assert _same_route(BOUDOL, [t], frozenset({"u"})) == [
+        "image of In does not bind slot(s) ['u']"]
+    assert counts["heads"] == counts["planned"] == 2
+    assert _memos_hold(BOUDOL, [t], frozenset({"u"})) == 1
+
+
+def test_plan_built_images_carry_their_free_variables():
+    """is_fvr and the leak check read an image's free variables from its
+    memo: each image the Boudol head map's plans build carries it when the
+    route returns it."""
+    route = complete_compositional(BOUDOL)
+    for t in islice(enumerate_terms(PI_TERM_SIG, 3), 1000):
+        image = route(t)
+        if isinstance(t, App) and t.op != "Nil":
+            assert image._fv_memo is not None and image._fv_memo[0] is API_TERM_SIG
 
 
 # ------------- criterion 8: each term translated once per call -------------
