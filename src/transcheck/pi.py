@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cached_property, partial
 from itertools import chain, count, islice
 from operator import attrgetter, eq, itemgetter
@@ -499,13 +500,55 @@ class PiState:
         return self._memo
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PiState) and self.key == other.key
+        if not isinstance(other, PiState):
+            return False
+        try:
+            return self.key == other.key
+        except RecursionError:
+            return _compare(self.key, other.key) == 0
 
     def __hash__(self) -> int:
         return self._hash
 
     def term(self) -> PiTerm:
         return _assemble(self.restricted, self.threads)
+
+
+def _compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a sorts before, with or after b in the order of tuples,
+    walked with an explicit stack.  The interpreter's own comparison recurses
+    once per nested tuple, and a key nests three tuples per prefix, so keys
+    that it refuses to compare are compared here instead."""
+    stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        if i == len(x) or i == len(y):
+            if len(x) != len(y):
+                return -1 if len(x) < len(y) else 1
+            continue  # equal: the enclosing pair goes on with its next entries
+        stack.append((x, y, i + 1))
+        u, v = x[i], y[i]
+        if u is v:
+            continue
+        if type(u) is tuple and type(v) is tuple:
+            stack.append((u, v, 0))
+        elif u != v:
+            return -1 if u < v else 1
+    return 0
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    try:
+        return a == b
+    except RecursionError:
+        return _compare(a, b) == 0
+
+
+def _key_below(a: tuple, b: tuple) -> bool:
+    try:
+        return a < b
+    except RecursionError:
+        return _compare(a, b) < 0
 
 
 def print_state(s: PiState) -> str:
@@ -635,7 +678,8 @@ class _Canon:
         self.scans: dict[PiTerm, _Names] = _Memo(_scan)
         self._conts: dict[tuple, tuple] = {}
         self.acts: dict[PiTerm, _Acts] = _Memo(_acts)
-        # the roots closed_state made, which hold no free process variable
+        # the states known to hold no free process variable: the roots
+        # closed_state made, and their groups (see _groups)
         self.closed: set[PiState] = set()
         # merge's re-keyed entries by the touched names and kept threads and
         # the step (see rekey)
@@ -1694,12 +1738,183 @@ def explore(t: PiTerm | PiState, budget: int, input_barbs: bool = False) -> Redu
     return ReductionGraph(nodes, index, _Graph(succ, barbs), expanded, complete)
 
 
+# ------------- independent groups -------------
+
+def _groups(state: PiState) -> list[PiState] | None:
+    """The state as a parallel composition of groups that can never
+    interact, each group's state made by the canon that made state, in the
+    order of their first threads; None when state has fewer than two top-level
+    threads or they form one group, or no canon made it.
+
+    A group is a set of top-level threads with the top-level restrictions
+    they hold.  Threads that share a restricted name are in one group, and
+    so are two threads when a name that one may output on is a name the
+    other may input on.  Which names those are is a least fixed point over
+    the names that may travel on each channel (Bodei, Degano, Nielson and
+    Nielson, Control flow analysis for the π-calculus, 1998).  A name is a
+    free name or top-level restriction of state, or one restriction under
+    a prefix per top-level thread and spelling, which every replication copy
+    shares; an input parameter, per top-level thread and spelling, stands for
+    every name it may receive.  So the names a thread's descendants ever use
+    as subjects are among its own, and two groups never meet on a channel:
+    the state's graph is the product of the groups' graphs, a state's strong
+    barbs the union of its groups'.  A name that is sent but never used as a
+    subject, like a in ``c!a | c(y).d!y``, joins nothing."""
+    threads = state.threads
+    if len(threads) < 2 or state._canon is None:  # a state built by hand
+        return None
+    canon = state._canon
+    top = set(state.restricted)
+    # the links the fixed point finds include these, read from the offers
+    # that the search memoizes anyway: a top-level restriction that two
+    # threads use now, and a name that one thread offers an output on now
+    # and another an input on; when they already make one group, the walk
+    # below finds no other
+    sends: set[str] = set()
+    recvs: set[str] = set()
+    quick: list[set[str]] = []
+    for th in threads:
+        mine: set[str] = set()
+        for kind, x, y, _, _, levels, _ in canon.acts[th].offers:
+            hidden = {n for lv in levels for n in lv.nus} if levels else ()
+            if x not in hidden:
+                (sends if kind == "send" else recvs).add(x)
+                mine.add(x)
+            if y in top and y not in hidden:
+                mine.add(y)
+        quick.append(mine)
+    links = top | (sends & recvs)
+    comps, outside = _linked(list(links), [links.intersection(m) for m in quick])
+    if len(comps) + len(outside) < 2:
+        return None
+    # every output as (thread, its subjects, its objects) and every input as
+    # (thread, its subjects, what its parameter may receive), each a set of
+    # names: a free name or top-level restriction is itself, a restriction
+    # under a prefix a (thread, spelling) pair, and the names a parameter may
+    # receive one set per thread and spelling, filled in below
+    outs: list[tuple[int, set, set]] = []
+    ins: list[tuple[int, set, set]] = []
+    params: dict[tuple[int, str], set] = {}
+    fns: list[set[str]] = []  # the free names of each thread
+    for i, th in enumerate(threads):
+        free: set[str] = set()
+        fns.append(free)
+        stack: list[tuple[PiTerm, dict[str, set]]] = [(th, {})]
+        while stack:
+            t, env = stack.pop()
+            cls = type(t)
+            if cls is Out or cls is In:
+                xs = env.get(t.chan)
+                if xs is None:
+                    free.add(t.chan)
+                    xs = {t.chan}
+                if cls is Out:
+                    ys = env.get(t.msg)
+                    if ys is None:
+                        free.add(t.msg)
+                        ys = {t.msg}
+                    outs.append((i, xs, ys))
+                    stack.append((t.cont, env))
+                else:
+                    zs = params.setdefault((i, t.param), set())
+                    ins.append((i, xs, zs))
+                    stack.append((t.cont, {**env, t.param: zs}))
+            elif cls is Res:
+                stack.append((t.body, {**env, t.name: {(i, t.name)}}))
+            elif cls is Par:
+                stack.append((t.right, env))
+                stack.append((t.left, env))
+            elif cls is Repl:
+                stack.append((t.body, env))
+    travel: dict = {}  # the names that may travel on each name
+    changed = True
+    while changed:
+        changed = False
+        for _, xs, ys in outs:
+            for c in xs:
+                have = travel.get(c)
+                if have is None:
+                    travel[c] = set(ys)
+                    changed = True
+                elif not have >= ys:
+                    have |= ys
+                    changed = True
+        for _, xs, zs in ins:
+            for c in list(xs):  # xs may be zs
+                more = travel.get(c)
+                if more and not zs >= more:
+                    zs |= more
+                    changed = True
+    # a name both output and input on links every thread that uses it so
+    senders: dict = {}
+    receivers: dict = {}
+    for side, uses in ((senders, outs), (receivers, ins)):
+        for i, xs, _ in uses:
+            for c in xs:
+                side.setdefault(c, set()).add(i)
+    held = [top.intersection(fn) for fn in fns]
+    links = list(state.restricted)
+    for c, ts in senders.items():
+        if c in receivers:
+            if c not in top:
+                links.append(c)
+            for i in ts | receivers[c]:
+                held[i].add(c)
+    comps, outside = _linked(links, held)
+    if len(comps) + len(outside) < 2:
+        return None
+    # each group's state, as state() would make it of the group's threads;
+    # the root has no free process variable, nor has any group
+    out = []
+    for names, tids in sorted(comps + [([], [i]) for i in outside], key=lambda c: c[1][0]):
+        ths = [threads[i] for i in tids]
+        if top:
+            nus = [n for n in names if n in top]
+            key, order, perm = canon.level(nus, ths, [fns[i] for i in tids], {}, 0)
+            ths = [ths[i] for i in perm]
+        else:  # an unrestricted key lists the threads' keys in thread order
+            key, order = (0, tuple([state.key[1][i] for i in tids])), []
+        group = PiState(tuple(order), tuple(ths), key, canon, _symmetric(key[1]))
+        canon.closed.add(group)
+        out.append(group)
+    return out
+
+
+def _closed(groups: list[PiState], budget: int, input_barbs: bool,
+            graphs: dict[PiState, ReductionGraph]) -> bool:
+    """Whether the graph of each group closes within budget and the product
+    of their sizes is at most budget, so that the graph of the whole closes
+    within budget too.  Each group's graph is explored once, into graphs."""
+    size = 1
+    for s in groups:
+        g = graphs.get(s)
+        if g is None:
+            g = graphs[s] = explore(s, budget, input_barbs)
+        size *= len(g._nodes)
+        if not g.complete or size > budget:
+            return False
+    return True
+
+
 def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
-    """'yes' | 'no' | 'inconclusive' for reachability of the barb.  The
-    search of explore stops at the first admitted state that shows the barb;
-    only a search that admits no such state is run to its end.  t must be
-    closed (see closed_state)."""
-    search = _bfs(closed_state(t), budget, input_barbs=barb.kind == "in")
+    """'yes' | 'no' | 'inconclusive' for reachability of the barb.  t must
+    be closed (see closed_state).
+
+    When the root splits into groups that never interact (see _groups),
+    whose graphs all close with a product of sizes at most budget, the
+    search of the whole would close too, and some state of it shows the
+    barb exactly when some group's graph has a state that does.  Otherwise
+    the search of explore runs, and stops at the first admitted state that
+    shows the barb; only a search that admits no such state is run to its
+    end."""
+    root = closed_state(t)
+    input_barbs = barb.kind == "in"
+    groups = _groups(root) if budget >= 1 else None
+    graphs: dict[PiState, ReductionGraph] = {}
+    if groups and _closed(groups, budget, input_barbs, graphs):
+        shown = any(barb in bs for g in graphs.values() for bs in g._graph.barbs)
+        return "yes" if shown else "no"
+    search = _bfs(root, budget, input_barbs)
     try:
         while True:
             if barb in next(search)[1]:
@@ -1816,27 +2031,81 @@ def _violation(g: _Graph, kind: str, u: int, v: int, related: Callable[[int, int
     return None
 
 
-def _union(g1: ReductionGraph, g2: ReductionGraph) -> tuple[_Graph, list[PiState], int]:
-    """The union of two closed graphs: g1's states numbered as in g1, then
-    g2's other states in g2's order, a state both hold shown as g2 shows it;
-    and the number of g2's root.  A state both hold has one successor list,
-    since its successors' keys depend on its key alone."""
-    nodes = list(g1._nodes)
-    succ, barbs = list(g1._graph.succ), list(g1._graph.barbs)
-    at: list[int] = []  # the union's number of each state of g2
-    for s in g2._nodes:
-        i = g1._index.get(s)
-        if i is None:
-            i = len(nodes)
-            nodes.append(s)
-        else:
-            nodes[i] = s
-        at.append(i)
-    for i, out in enumerate(g2._graph.succ):
-        if at[i] >= len(g1._nodes):
-            succ.append([at[j] for j in out])
-            barbs.append(g2._graph.barbs[i])
-    return _Graph(succ, barbs), nodes, at[0]
+def _union(graphs: Sequence[ReductionGraph]) -> tuple[_Graph, list[PiState], list[int]]:
+    """The union of closed graphs of one canon: the first graph's states
+    numbered as in it, then each next graph's new states in its order, a
+    state several hold shown as the last of them shows it; and the number of
+    each graph's root.  A state several hold has one successor list, since
+    its successors' keys depend on its key alone."""
+    first = graphs[0]
+    nodes = list(first._nodes)
+    succ, barbs = list(first._graph.succ), list(first._graph.barbs)
+    index, added = first._index, {}  # the union's number of each state
+    roots = [0]
+    for g in graphs[1:]:
+        at: list[int] = []  # the union's number of each state of g
+        for s in g._nodes:
+            i = index.get(s)
+            if i is None:
+                i = added.get(s)
+            if i is None:
+                i = added[s] = len(nodes)
+                nodes.append(s)
+                succ.append(None)
+                barbs.append(g._graph.barbs[len(at)])
+            else:
+                nodes[i] = s
+            at.append(i)
+        for i, out in zip(at, g._graph.succ):
+            if succ[i] is None:
+                succ[i] = [at[j] for j in out]
+        roots.append(at[0])
+    return _Graph(succ, barbs), nodes, roots
+
+
+# the kinds that parallel composition with a part that never interacts
+# preserves, by a one-line argument (see _groups_match)
+_COMPOSED_KINDS = ("strong-barbed", "weak-barbed")
+
+
+def _groups_match(root1: PiState, root2: PiState, kind: str, budget: int,
+                  input_barbs: bool) -> bool:
+    """Whether the groups of two roots of one canon (see _groups) prove the
+    roots bisimilar of kind, where the graphs of both would close within
+    budget (see _closed).  For one root, that is all.  For two, of a kind in
+    _COMPOSED_KINDS, the groups must match one to one, each pair bisimilar:
+    equal keys are matched first, and the other groups of the two sides by
+    their blocks in the stable partition of the union of their graphs.
+    Then the pairs of products of matched groups' states form a bisimulation
+    of kind: a step or a barb of a product is one group's, which its match
+    answers in its own group, and the other groups stay where they are."""
+    if len(root2.threads) < 2:  # one group, as _groups would find
+        return False
+    groups1 = _groups(root1)
+    if groups1 is None:
+        return False
+    graphs: dict[PiState, ReductionGraph] = {}
+    if root2 is root1:
+        return _closed(groups1, budget, input_barbs, graphs)
+    groups2 = _groups(root2)
+    if groups2 is None or len(groups2) != len(groups1):
+        return False
+    count1, count2 = Counter(groups1), Counter(groups2)
+    lone1, lone2 = count1 - count2, count2 - count1
+    if lone1:
+        lone = [*lone1, *lone2]
+        for s in lone:
+            graphs[s] = explore(s, budget, input_barbs)
+            if not graphs[s].complete:
+                return False
+        g, _, roots = _union([graphs[s] for s in lone])
+        *_, block = _refinement(g, kind)
+        at = dict(zip(lone, roots))
+        if (Counter([block[at[s]] for s in lone1.elements()])
+                != Counter([block[at[s]] for s in lone2.elements()])):
+            return False
+    return (_closed(groups1, budget, input_barbs, graphs)
+            and _closed(groups2, budget, input_barbs, graphs))
 
 
 def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
@@ -1844,7 +2113,15 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     """Decide whether p and q are bisimilar of the given kind.
 
     p and q must be closed (see closed_state).  One canon makes both roots,
-    so the second graph reuses the first one's memos.  Both graphs are
+    so the second graph reuses the first one's memos.
+
+    Where the roots split into groups that never interact (see _groups),
+    whose graphs all close with a product of sizes at most budget, so that
+    both whole graphs would close too, the groups answer "yes" without the
+    whole graphs: for roots with one normal form under every kind, and under
+    the kinds in _COMPOSED_KINDS for roots whose groups match one to one
+    (see _groups_match).  Every other verdict comes from the whole graphs,
+    as follows.  Both graphs are
     explored within the state budget, and once when p and q have one normal
     form (they are then bisimilar); if either does not close, the verdict is
     inconclusive.  On the union of the two numbered graphs (see _union),
@@ -1866,15 +2143,20 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     if kind not in BISIM_KINDS:
         raise PiError(f"unknown bisimilarity kind {kind!r}")
     canon = _Canon()
-    root1, root2 = closed_state(p, canon), closed_state(q, canon)
+    root1 = closed_state(p, canon)
+    root2 = root1 if q is p else closed_state(q, canon)  # one node: terms are interned
+    same = _same_key(root1.key, root2.key)
+    if budget >= 1 and (same or kind in _COMPOSED_KINDS) and _groups_match(
+            root1, root1 if same else root2, kind, budget, input_barbs):
+        return Verdict("yes")
     g1 = explore(root1, budget, input_barbs)
-    g2 = g1 if root2.key == g1.root else explore(root2, budget, input_barbs)
+    g2 = g1 if same else explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
         return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
     if g1 is g2:
         return Verdict("yes")
-    g, nodes, r2 = _union(g1, g2)
-    a, b = (0, r2) if g1.root < g2.root else (r2, 0)
+    g, nodes, (_, r2) = _union([g1, g2])
+    a, b = (0, r2) if _key_below(g1.root, g2.root) else (r2, 0)
     rounds = _refinement(g, kind)
     before = next(rounds)
     for block in rounds:

@@ -335,15 +335,16 @@ def test_bisim_takes_the_chains_print_takes(tmp_path):
     # nested prefix: print takes 494 nested x!a. prefixes, and check-encoding,
     # which normalizes the translation too, 492.  bisim compares a chain with
     # one ending in x!b (each state shows only the barb x!, and no state
-    # moves) and takes 330, full-abstraction 329: there comparing the two
-    # root keys, nested three tuples per prefix, recurses in the interpreter.
-    # Each command runs 3 prefixes below its limit
+    # moves) and takes 493, full-abstraction 491: the two root keys, nested
+    # three tuples per prefix, are compared on an explicit stack where the
+    # interpreter's comparison refuses.  Each command runs 3 prefixes below
+    # its limit
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    p, q = chain_text(327), chain_text(326) + ".x!b"
+    p, q = chain_text(490), chain_text(489) + ".x!b"
     pairs = tmp_path / "pairs.txt"
-    pairs.write_text(f"{chain_text(326)} ;; {chain_text(325)}.x!b\n")
+    pairs.write_text(f"{chain_text(488)} ;; {chain_text(487)}.x!b\n")
     runs = [subprocess.run([sys.executable, "-m", "transcheck", "pi", *argv],
                            env=env, capture_output=True, text=True)
             for argv in (("print", chain_text(491)), ("check-encoding", chain_text(489)),
@@ -352,7 +353,7 @@ def test_bisim_takes_the_chains_print_takes(tmp_path):
         (OK, chain_text(491) + "\n", ""),
         (OK, f"bisimilar: {chain_text(489)}\nbisimilar=1 not=0 inconclusive=0\n", ""),
         (OK, "bisimilar\n", ""),
-        (OK, f"pass: {chain_text(326)} ;; {chain_text(325)}.x!b (source=bisimilar, "
+        (OK, f"pass: {chain_text(488)} ;; {chain_text(487)}.x!b (source=bisimilar, "
              "target=bisimilar)\npass=1 fail=0 inconclusive=0\n", "")]
 
 

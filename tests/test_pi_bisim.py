@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transcheck import pi
-from transcheck.encodings import load_pairs
-from transcheck.pi import (BISIM_KINDS, Barb, In, Nil, Out, Par, Repl, Res,
-                           _divergent, _Graph, _refinement, bisim, explore,
-                           parse_pi)
+from transcheck.encodings import boudol_translate, load_pairs
+from transcheck.pi import (BISIM_KINDS, Barb, In, Nil, Out, Par, PiError, Repl, Res,
+                           _Canon, _compare, _divergent, _Graph, _groups, _refinement,
+                           _union, bisim, closed_state, explore, parse_pi,
+                           subst_names, weak_barb)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -321,3 +322,237 @@ def test_seven_independent_pairs(kind):
     assert len(explore(p, 200).states) == 128
     assert bisim(p, p, kind, 200).result == "bisimilar"
     assert bisim(p, q, kind, 200).result == "not"
+
+
+# ------------- independent groups -------------
+
+def product_bisim(p, q, kind, budget, input_barbs=False):
+    """bisim's verdict by the product path alone: both graphs explored
+    whole, refined on their union."""
+    g1, g2 = explore(p, budget, input_barbs), explore(q, budget, input_barbs)
+    if not (g1.complete and g2.complete):
+        return "inconclusive"
+    g, _, (r1, r2) = _union([g1, g2])
+    *_, block = _refinement(g, kind)
+    return "bisimilar" if block[r1] == block[r2] else "not"
+
+
+def product_weak_barb(p, barb, budget):
+    """weak_barb's answer by a search of the whole graph."""
+    g = explore(p, budget, barb.kind == "in")
+    if any(barb in bs for bs in g.barbs.values()):
+        return "yes"
+    return "no" if g.complete else "inconclusive"
+
+
+def group_count(t):
+    groups = _groups(closed_state(t, _Canon()))
+    return 1 if groups is None else len(groups)
+
+
+def renamed_pairs(k, j):
+    """The k pairs with the sent name a renamed to b in the first j pairs:
+    b is never a subject either, so the result is bisimilar to the pairs
+    under every barbed kind, and its first j groups have keys of their own."""
+    return parse_pi(" | ".join(f"c{i}!{'b' if i < j else 'a'} | c{i}(y).d{i}!y"
+                               for i in range(k)))
+
+
+def assert_as_product(p, q, budgets, barbs=()):
+    for budget in budgets:
+        for kind in BISIM_KINDS:
+            assert bisim(p, q, kind, budget).result == product_bisim(p, q, kind, budget), \
+                (kind, budget)
+        for barb in barbs:
+            assert weak_barb(p, barb, budget) == product_weak_barb(p, barb, budget), \
+                (barb, budget)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_groups_answer_as_the_product_on_pairs(k):
+    p, q = independent_pairs(k)
+    size = 2 ** k
+    barbs = [Barb("out", f"d{k - 1}"), Barb("out", "e"), Barb("in", "c0"), Barb("out", "a")]
+    for other in (p, q, renamed_pairs(k, k // 2), renamed_pairs(k, k)):
+        assert_as_product(p, other, (size - 1, size, size + 1), barbs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_groups_answer_as_the_product_on_boudol_products(k):
+    p = independent_pairs(k)[0]
+    tp = boudol_translate(p)
+    assert group_count(tp) == k
+    size = 4 ** k
+    barbs = [Barb("out", "d0"), Barb("out", "e"), Barb("in", "c0")]
+    for other in (tp, p, boudol_translate(renamed_pairs(k, 1))):
+        assert_as_product(tp, other, (size - 1, size, size + 1), barbs)
+
+
+def apart(t, i):
+    """t with each of its free names n spelled n<i>, so that parts spelled
+    apart share no free name."""
+    return subst_names(t, {n: f"{n}{i}" for n in pi.free_names(t)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_terms(), min_size=2, max_size=4), st.lists(small_terms(), min_size=2,
+                                                                   max_size=4),
+       st.booleans(), st.integers(1, 60))
+def test_groups_answer_as_the_product_on_random_products(left, right, spelled_apart, budget):
+    # parts spelled apart are independent; parts that share names may be too
+    if spelled_apart:
+        left = [apart(t, i) for i, t in enumerate(left)]
+        right = [apart(t, i) for i, t in enumerate(right)]
+    p, q = (parse_pi(" | ".join(f"({pi.print_pi(t)})" for t in ts)) for ts in (left, right))
+    barbs = [Barb("out", "a"), Barb("out", "a0"), Barb("in", "x1")]
+    assert_as_product(p, p, (budget,), barbs)
+    assert_as_product(p, q, (budget,), barbs)
+    assert_as_product(p, parse_pi(" | ".join(f"({pi.print_pi(t)})" for t in reversed(left))),
+                      (budget,))
+
+
+@pytest.mark.parametrize("text", [
+    "a!c | a(x).x!b | c(y).0",  # a received name later used as a subject
+    "new r. (a!r | r(y).0) | a(x).x!b",  # an extruded restriction
+    "!a(x).x!b | a!c | c(y).0",  # a replicated learner
+    "a!c | !a(x).x(y).0 | c!d",
+    "x!z | x(y).y!w",
+])
+def test_threads_that_may_meet_stay_one_group(text):
+    assert group_count(parse_pi(text)) == 1
+
+
+@pytest.mark.parametrize("text, groups", [
+    ("new r. (r!a | r(y).y!c) | new s. (s!a | s(y).y!c)", 2),
+    ("x!z.new r. (r!a | r(y).0) | x!z.new r. (r!a | r(y).0)", 2),
+    # each thread's parameter y stands for what that thread receives
+    ("a!p | a(y).y!c | b!q | b(y).y(w).0", 2),
+    ("c!a | c(y).d!y", 1),
+    ("@done | x!z", 2),
+    # a name only sent on, or only received on, links nothing
+    ("x!a | x!b", 2),
+    ("x(y).y!a | x(z).z!b", 2),
+])
+def test_threads_that_never_meet_split(text, groups):
+    assert group_count(parse_pi(text)) == groups
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_pairs_and_boudol_products_split_into_their_pairs(k):
+    p = independent_pairs(k)[0]
+    assert group_count(p) == k
+    if k <= 4:
+        assert group_count(boudol_translate(p)) == k
+
+
+def assert_groups_keyed_as_their_terms(t):
+    canon = _Canon()
+    groups = _groups(closed_state(t, canon)) or []
+    for g in groups:
+        assert closed_state(g.term(), canon).key == g.key
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_group_keys_are_the_keys_of_their_terms(k):
+    p = independent_pairs(k)[0]
+    assert_groups_keyed_as_their_terms(p)
+    assert_groups_keyed_as_their_terms(renamed_pairs(k, 1))
+    if k <= 3:
+        assert_groups_keyed_as_their_terms(boudol_translate(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_terms(), min_size=2, max_size=4), st.booleans())
+def test_group_keys_are_the_keys_of_their_terms_on_random_products(parts, spelled_apart):
+    if spelled_apart:
+        parts = [apart(t, i) for i, t in enumerate(parts)]
+    assert_groups_keyed_as_their_terms(parse_pi(" | ".join(f"({pi.print_pi(t)})" for t in parts)))
+
+
+@pytest.mark.parametrize("kind", BISIM_KINDS)
+def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
+    # pairs k = 6: 64 states, six groups of 2
+    p = independent_pairs(6)[0]
+    sizes = []
+
+    def counting(*args, **kwargs):
+        g = explore(*args, **kwargs)
+        sizes.append(len(g.states))
+        return g
+
+    monkeypatch.setattr(pi, "explore", counting)
+    assert bisim(p, p, kind, 63).result == "inconclusive"
+    assert sizes == [2] * 6 + [63]
+    sizes.clear()
+    assert bisim(p, p, kind, 64).result == "bisimilar"
+    assert sizes == [2] * 6
+    sizes.clear()
+    assert weak_barb(p, Barb("out", "d5"), 64) == "yes"
+    assert weak_barb(p, Barb("out", "e"), 64) == "no"
+    assert sizes == [2] * 12
+
+
+def test_a_budget_below_1_raises_before_any_analysis(monkeypatch):
+    def refuse(_):
+        raise AssertionError("analysed")
+
+    monkeypatch.setattr(pi, "_groups", refuse)
+    p = independent_pairs(3)[0]
+    for kind in BISIM_KINDS:
+        with pytest.raises(PiError, match="budget must be >= 1"):
+            bisim(p, p, kind, 0)
+    with pytest.raises(PiError, match="budget must be >= 1"):
+        weak_barb(p, Barb("out", "d0"), 0)
+
+
+# ------------- deep keys -------------
+
+def nested(draw_leaf, depth):
+    return st.recursive(draw_leaf, lambda kids: st.lists(kids, max_size=3).map(tuple),
+                        max_leaves=depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested(st.sampled_from(["a", "b", "f:x"]), 12), nested(st.sampled_from(["a", "b"]), 12))
+def test_compare_orders_as_tuples_do(a, b):
+    if not (isinstance(a, tuple) and isinstance(b, tuple)):
+        return
+    try:
+        want = (a > b) - (a < b)
+    except TypeError:  # a string against a tuple: no order
+        with pytest.raises(TypeError):
+            _compare(a, b)
+        return
+    assert _compare(a, b) == want
+    assert _compare(a, a) == 0
+
+
+def test_bisim_compares_keys_deeper_than_the_interpreter_does():
+    # x(y). and x(z). chains of 450 prefixes have equal keys that share no
+    # tuple, nested three per prefix: comparing them recursed past the
+    # interpreter's limit
+    p, q = parse_pi("x(y)." * 450 + "0"), parse_pi("x(z)." * 450 + "0")
+    a, b = (closed_state(t, _Canon()).key for t in (p, q))
+    with pytest.raises(RecursionError):
+        _ = a == b
+    assert _compare(a, b) == 0
+    assert bisim(p, q, "strong-barbed", 10).result == "bisimilar"
+    assert bisim(p, parse_pi("x(y)." * 449 + "y!a"), "strong-barbed", 10).result == "bisimilar"
+    assert bisim(p, parse_pi("x(y)." * 449 + "x!a"), "strong-barbed", 10).result == "bisimilar"
+
+
+@pytest.mark.parametrize("kind", ["strong-barbed", "weak-barbed"])
+def test_matched_groups_answer_without_the_product(monkeypatch, kind):
+    # three groups of each side have keys of their own, matched by their
+    # blocks; three have equal keys
+    p, q = independent_pairs(6)[0], renamed_pairs(6, 3)
+    sizes = []
+
+    def counting(*args, **kwargs):
+        g = explore(*args, **kwargs)
+        sizes.append(len(g.states))
+        return g
+
+    monkeypatch.setattr(pi, "explore", counting)
+    assert bisim(p, q, kind, 64).result == "bisimilar"
+    assert sizes == [2] * 9
