@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import cached_property, partial
 from itertools import chain, count, islice
 from operator import attrgetter, eq, itemgetter
@@ -535,13 +534,6 @@ def _compare(a: tuple, b: tuple) -> int:
         elif u != v:
             return -1 if u < v else 1
     return 0
-
-
-def _same_key(a: tuple, b: tuple) -> bool:
-    try:
-        return a == b
-    except RecursionError:
-        return _compare(a, b) == 0
 
 
 def _key_below(a: tuple, b: tuple) -> bool:
@@ -1765,28 +1757,6 @@ def _groups(state: PiState) -> list[PiState] | None:
         return None
     canon = state._canon
     top = set(state.restricted)
-    # the links the fixed point finds include these, read from the offers
-    # that the search memoizes anyway: a top-level restriction that two
-    # threads use now, and a name that one thread offers an output on now
-    # and another an input on; when they already make one group, the walk
-    # below finds no other
-    sends: set[str] = set()
-    recvs: set[str] = set()
-    quick: list[set[str]] = []
-    for th in threads:
-        mine: set[str] = set()
-        for kind, x, y, _, _, levels, _ in canon.acts[th].offers:
-            hidden = {n for lv in levels for n in lv.nus} if levels else ()
-            if x not in hidden:
-                (sends if kind == "send" else recvs).add(x)
-                mine.add(x)
-            if y in top and y not in hidden:
-                mine.add(y)
-        quick.append(mine)
-    links = top | (sends & recvs)
-    comps, outside = _linked(list(links), [links.intersection(m) for m in quick])
-    if len(comps) + len(outside) < 2:
-        return None
     # every output as (thread, its subjects, its objects) and every input as
     # (thread, its subjects, what its parameter may receive), each a set of
     # names: a free name or top-level restriction is itself, a restriction
@@ -1868,52 +1838,54 @@ def _groups(state: PiState) -> list[PiState] | None:
     out = []
     for names, tids in sorted(comps + [([], [i]) for i in outside], key=lambda c: c[1][0]):
         ths = [threads[i] for i in tids]
-        if top:
-            nus = [n for n in names if n in top]
-            key, order, perm = canon.level(nus, ths, [fns[i] for i in tids], {}, 0)
-            ths = [ths[i] for i in perm]
-        else:  # an unrestricted key lists the threads' keys in thread order
-            key, order = (0, tuple([state.key[1][i] for i in tids])), []
-        group = PiState(tuple(order), tuple(ths), key, canon, _symmetric(key[1]))
+        nus = [n for n in names if n in top]
+        key, order, perm = canon.level(nus, ths, [fns[i] for i in tids], {}, 0)
+        group = PiState(tuple(order), tuple([ths[i] for i in perm]), key, canon,
+                        _symmetric(key[1]))
         canon.closed.add(group)
         out.append(group)
     return out
 
 
-def _closed(groups: list[PiState], budget: int, input_barbs: bool,
-            graphs: dict[PiState, ReductionGraph]) -> bool:
-    """Whether the graph of each group closes within budget and the product
-    of their sizes is at most budget, so that the graph of the whole closes
-    within budget too.  Each group's graph is explored once, into graphs."""
+def _closed(groups: list[PiState], budget: int,
+            input_barbs: bool) -> dict[PiState, ReductionGraph] | None:
+    """The graph of each group, explored once, when each closes and the
+    product of their sizes is at most budget, so that the graph of the
+    whole closes within budget too; None otherwise.  A group is explored
+    within budget over the product of the sizes before it, the most states
+    it may have for the product to stay within budget, so a group that
+    cannot fit stops there."""
+    graphs: dict[PiState, ReductionGraph] = {}
     size = 1
     for s in groups:
         g = graphs.get(s)
         if g is None:
-            g = graphs[s] = explore(s, budget, input_barbs)
-        size *= len(g._nodes)
+            g = graphs[s] = explore(s, budget // size, input_barbs)
+        size *= len(g._nodes)  # a group met before may exceed its share here
         if not g.complete or size > budget:
-            return False
-    return True
+            return None
+    return graphs
 
 
 def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
     """'yes' | 'no' | 'inconclusive' for reachability of the barb.  t must
     be closed (see closed_state).
 
-    When the root splits into groups that never interact (see _groups),
-    whose graphs all close with a product of sizes at most budget, the
-    search of the whole would close too, and some state of it shows the
-    barb exactly when some group's graph has a state that does.  Otherwise
-    the search of explore runs, and stops at the first admitted state that
-    shows the barb; only a search that admits no such state is run to its
-    end."""
+    When the root does not show the barb but splits into groups that never
+    interact (see _groups), whose graphs all close with a product of sizes
+    at most budget (see _closed), the search of the whole would close too,
+    and some state of it shows the barb exactly when some group's graph has
+    a state that does.  Otherwise the search of explore runs, and stops at
+    the first admitted state that shows the barb; only a search that admits
+    no such state is run to its end."""
     root = closed_state(t)
     input_barbs = barb.kind == "in"
-    groups = _groups(root) if budget >= 1 else None
-    graphs: dict[PiState, ReductionGraph] = {}
-    if groups and _closed(groups, budget, input_barbs, graphs):
-        shown = any(barb in bs for g in graphs.values() for bs in g._graph.barbs)
-        return "yes" if shown else "no"
+    if budget >= 1 and barb not in strong_barbs(root, input_barbs):
+        groups = _groups(root)
+        graphs = _closed(groups, budget, input_barbs) if groups else None
+        if graphs:
+            shown = any(barb in bs for g in graphs.values() for bs in g._graph.barbs)
+            return "yes" if shown else "no"
     search = _bfs(root, budget, input_barbs)
     try:
         while True:
@@ -2031,81 +2003,27 @@ def _violation(g: _Graph, kind: str, u: int, v: int, related: Callable[[int, int
     return None
 
 
-def _union(graphs: Sequence[ReductionGraph]) -> tuple[_Graph, list[PiState], list[int]]:
-    """The union of closed graphs of one canon: the first graph's states
-    numbered as in it, then each next graph's new states in its order, a
-    state several hold shown as the last of them shows it; and the number of
-    each graph's root.  A state several hold has one successor list, since
-    its successors' keys depend on its key alone."""
-    first = graphs[0]
-    nodes = list(first._nodes)
-    succ, barbs = list(first._graph.succ), list(first._graph.barbs)
-    index, added = first._index, {}  # the union's number of each state
-    roots = [0]
-    for g in graphs[1:]:
-        at: list[int] = []  # the union's number of each state of g
-        for s in g._nodes:
-            i = index.get(s)
-            if i is None:
-                i = added.get(s)
-            if i is None:
-                i = added[s] = len(nodes)
-                nodes.append(s)
-                succ.append(None)
-                barbs.append(g._graph.barbs[len(at)])
-            else:
-                nodes[i] = s
-            at.append(i)
-        for i, out in zip(at, g._graph.succ):
-            if succ[i] is None:
-                succ[i] = [at[j] for j in out]
-        roots.append(at[0])
-    return _Graph(succ, barbs), nodes, roots
-
-
-# the kinds that parallel composition with a part that never interacts
-# preserves, by a one-line argument (see _groups_match)
-_COMPOSED_KINDS = ("strong-barbed", "weak-barbed")
-
-
-def _groups_match(root1: PiState, root2: PiState, kind: str, budget: int,
-                  input_barbs: bool) -> bool:
-    """Whether the groups of two roots of one canon (see _groups) prove the
-    roots bisimilar of kind, where the graphs of both would close within
-    budget (see _closed).  For one root, that is all.  For two, of a kind in
-    _COMPOSED_KINDS, the groups must match one to one, each pair bisimilar:
-    equal keys are matched first, and the other groups of the two sides by
-    their blocks in the stable partition of the union of their graphs.
-    Then the pairs of products of matched groups' states form a bisimulation
-    of kind: a step or a barb of a product is one group's, which its match
-    answers in its own group, and the other groups stay where they are."""
-    if len(root2.threads) < 2:  # one group, as _groups would find
-        return False
-    groups1 = _groups(root1)
-    if groups1 is None:
-        return False
-    graphs: dict[PiState, ReductionGraph] = {}
-    if root2 is root1:
-        return _closed(groups1, budget, input_barbs, graphs)
-    groups2 = _groups(root2)
-    if groups2 is None or len(groups2) != len(groups1):
-        return False
-    count1, count2 = Counter(groups1), Counter(groups2)
-    lone1, lone2 = count1 - count2, count2 - count1
-    if lone1:
-        lone = [*lone1, *lone2]
-        for s in lone:
-            graphs[s] = explore(s, budget, input_barbs)
-            if not graphs[s].complete:
-                return False
-        g, _, roots = _union([graphs[s] for s in lone])
-        *_, block = _refinement(g, kind)
-        at = dict(zip(lone, roots))
-        if (Counter([block[at[s]] for s in lone1.elements()])
-                != Counter([block[at[s]] for s in lone2.elements()])):
-            return False
-    return (_closed(groups1, budget, input_barbs, graphs)
-            and _closed(groups2, budget, input_barbs, graphs))
+def _union(g1: ReductionGraph, g2: ReductionGraph) -> tuple[_Graph, list[PiState], int]:
+    """The union of two closed graphs: g1's states numbered as in g1, then
+    g2's other states in g2's order, a state both hold shown as g2 shows it;
+    and the number of g2's root.  A state both hold has one successor list,
+    since its successors' keys depend on its key alone."""
+    nodes = list(g1._nodes)
+    succ, barbs = list(g1._graph.succ), list(g1._graph.barbs)
+    at: list[int] = []  # the union's number of each state of g2
+    for s in g2._nodes:
+        i = g1._index.get(s)
+        if i is None:
+            i = len(nodes)
+            nodes.append(s)
+        else:
+            nodes[i] = s
+        at.append(i)
+    for i, out in enumerate(g2._graph.succ):
+        if at[i] >= len(g1._nodes):
+            succ.append([at[j] for j in out])
+            barbs.append(g2._graph.barbs[i])
+    return _Graph(succ, barbs), nodes, at[0]
 
 
 def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
@@ -2115,13 +2033,11 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     p and q must be closed (see closed_state).  One canon makes both roots,
     so the second graph reuses the first one's memos.
 
-    Where the roots split into groups that never interact (see _groups),
-    whose graphs all close with a product of sizes at most budget, so that
-    both whole graphs would close too, the groups answer "yes" without the
-    whole graphs: for roots with one normal form under every kind, and under
-    the kinds in _COMPOSED_KINDS for roots whose groups match one to one
-    (see _groups_match).  Every other verdict comes from the whole graphs,
-    as follows.  Both graphs are
+    When p and q have one normal form (they are then bisimilar) and its root
+    splits into groups that never interact (see _groups), whose graphs all
+    close with a product of sizes at most budget (see _closed), the graph of
+    the whole would close too, and the verdict is "yes" without it.  Every
+    other verdict comes from the whole graphs, as follows.  Both graphs are
     explored within the state budget, and once when p and q have one normal
     form (they are then bisimilar); if either does not close, the verdict is
     inconclusive.  On the union of the two numbered graphs (see _union),
@@ -2145,17 +2061,18 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     canon = _Canon()
     root1 = closed_state(p, canon)
     root2 = root1 if q is p else closed_state(q, canon)  # one node: terms are interned
-    same = _same_key(root1.key, root2.key)
-    if budget >= 1 and (same or kind in _COMPOSED_KINDS) and _groups_match(
-            root1, root1 if same else root2, kind, budget, input_barbs):
-        return Verdict("yes")
+    same = root1 == root2
+    if same and budget >= 1:
+        groups = _groups(root1)
+        if groups and _closed(groups, budget, input_barbs):
+            return Verdict("yes")
     g1 = explore(root1, budget, input_barbs)
     g2 = g1 if same else explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
         return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
     if g1 is g2:
         return Verdict("yes")
-    g, nodes, (_, r2) = _union([g1, g2])
+    g, nodes, r2 = _union(g1, g2)
     a, b = (0, r2) if _key_below(g1.root, g2.root) else (r2, 0)
     rounds = _refinement(g, kind)
     before = next(rounds)

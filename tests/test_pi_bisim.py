@@ -332,9 +332,9 @@ def product_bisim(p, q, kind, budget, input_barbs=False):
     g1, g2 = explore(p, budget, input_barbs), explore(q, budget, input_barbs)
     if not (g1.complete and g2.complete):
         return "inconclusive"
-    g, _, (r1, r2) = _union([g1, g2])
+    g, _, r2 = _union(g1, g2)
     *_, block = _refinement(g, kind)
-    return "bisimilar" if block[r1] == block[r2] else "not"
+    return "bisimilar" if block[0] == block[r2] else "not"
 
 
 def product_weak_barb(p, barb, budget):
@@ -482,7 +482,8 @@ def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
 
     monkeypatch.setattr(pi, "explore", counting)
     assert bisim(p, p, kind, 63).result == "inconclusive"
-    assert sizes == [2] * 6 + [63]
+    # the sixth group may have 63 // 32 states: it stops at one
+    assert sizes == [2] * 5 + [1, 63]
     sizes.clear()
     assert bisim(p, p, kind, 64).result == "bisimilar"
     assert sizes == [2] * 6
@@ -490,6 +491,36 @@ def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
     assert weak_barb(p, Barb("out", "d5"), 64) == "yes"
     assert weak_barb(p, Barb("out", "e"), 64) == "no"
     assert sizes == [2] * 12
+
+
+def test_a_group_that_does_not_close_stops_within_its_share(monkeypatch):
+    # the second group grows without end; the first has 2 states, so the
+    # second may have at most budget // 2
+    grows = "!x(y).(x!y | x!y) | x!z"
+    p = parse_pi(f"c!a | c(y).d!y | {grows}")
+    assert group_count(p) == 2
+    sizes = []
+
+    def counting(*args, **kwargs):
+        g = explore(*args, **kwargs)
+        sizes.append((len(g.states), g.complete))
+        return g
+
+    monkeypatch.setattr(pi, "explore", counting)
+    assert weak_barb(p, Barb("out", "d"), 200) == "yes"
+    assert weak_barb(p, Barb("out", "e"), 200) == "inconclusive"
+    assert sizes == [(2, True), (100, False)] * 2
+    sizes.clear()
+    assert bisim(p, p, "strong-barbed", 200).result == "inconclusive"
+    assert sizes == [(2, True), (100, False), (200, False)]
+    sizes.clear()
+    # a root that shows the barb answers before any group is explored
+    assert weak_barb(parse_pi(f"d!a | {grows}"), Barb("out", "d"), 200) == "yes"
+    assert sizes == []
+    monkeypatch.undo()
+    for budget in (1, 2, 3, 50):
+        for barb in (Barb("out", "d"), Barb("out", "e"), Barb("in", "x")):
+            assert weak_barb(p, barb, budget) == product_weak_barb(p, barb, budget)
 
 
 def test_a_budget_below_1_raises_before_any_analysis(monkeypatch):
@@ -539,20 +570,3 @@ def test_bisim_compares_keys_deeper_than_the_interpreter_does():
     assert bisim(p, q, "strong-barbed", 10).result == "bisimilar"
     assert bisim(p, parse_pi("x(y)." * 449 + "y!a"), "strong-barbed", 10).result == "bisimilar"
     assert bisim(p, parse_pi("x(y)." * 449 + "x!a"), "strong-barbed", 10).result == "bisimilar"
-
-
-@pytest.mark.parametrize("kind", ["strong-barbed", "weak-barbed"])
-def test_matched_groups_answer_without_the_product(monkeypatch, kind):
-    # three groups of each side have keys of their own, matched by their
-    # blocks; three have equal keys
-    p, q = independent_pairs(6)[0], renamed_pairs(6, 3)
-    sizes = []
-
-    def counting(*args, **kwargs):
-        g = explore(*args, **kwargs)
-        sizes.append(len(g.states))
-        return g
-
-    monkeypatch.setattr(pi, "explore", counting)
-    assert bisim(p, q, kind, 64).result == "bisimilar"
-    assert sizes == [2] * 9
