@@ -645,26 +645,30 @@ class _Canon:
     keyed once per depth and spelling of its free names, so keying a thread
     met before costs its first prefix.  A top-level key whose level has
     no names, or several components, is a list of entries: one per
-    component, and one per thread outside every component.  A successor of
-    such a state that a canon made, by a step that opens no replication
-    copy, goes through merge: the entries the step touched are split and
-    keyed anew, the same step in another state is looked up, and every
-    other entry keeps its key, names and threads.  So a successor costs the
-    entries its step touched, not the whole state.  Every other successor,
-    every root and normal_form go through state, which scans, gathers,
-    keys and sorts every thread but normalizes only the threads not met
-    before.  Where such a state's entries lie (see PiState._spans) is worked
-    out once, when it is first expanded; state and merge note whether two of
-    its entries may be equal or an entry may hold twins, and only then are
-    the threads that stand for others looked for, so that reduce_once steps
-    one met pair per orbit.
+    component, and one per thread outside every component.  Every
+    successor goes through merge.  Of a state that a canon keyed so, the
+    entries the step touched are split and keyed anew, the same step in
+    another state is looked up, and every other entry keeps its key, names
+    and threads, respelled in place where the step calls for it (see
+    merge).  So a successor costs the entries its step touched, not the whole
+    state.  A successor keyed whole, or of a state keyed whole or built by
+    hand, is keyed whole (see keyed), a thread normalized before at one
+    lookup.  Only roots and
+    normal_form go through state, which scans every part for binders to
+    respell, then gathers, keys and sorts every thread but normalizes only
+    the threads not met before.  Where such a state's entries lie (see
+    PiState._spans) is worked out once, when it is first expanded; state
+    and merge note whether two of its entries may be equal or an entry may
+    hold twins, and only then are the threads that stand for others looked
+    for, so that reduce_once steps one met pair per orbit.
     """
 
     def __init__(self) -> None:
         # by node: normalized continuations (by core), normalized threads
-        # with their free names, and scans of parts (scans[t]); by (node,
-        # depth, tokens of its free names): the keys of continuations; and by
-        # top-level thread: its offers and barbs (acts[th])
+        # with their free names (by the raw thread and by the normalized one
+        # itself), and scans of parts (scans[t]); by (node, depth, tokens of
+        # its free names): the keys of continuations; and by top-level
+        # thread: its offers and barbs (acts[th])
         self._levels: dict[PiTerm, _Level] = {}
         self._normal: dict[PiTerm, tuple[PiTerm, frozenset[str]]] = {}
         self.scans: dict[PiTerm, _Names] = _Memo(_scan)
@@ -678,151 +682,161 @@ class _Canon:
         self._steps: dict[tuple, tuple[list[tuple], int, int, bool]] = {}
 
     def state(self, nus: list[str], parts: list[PiTerm]) -> PiState:
-        """The normal form of ``new nus. (parts[0] | parts[1] | ...)``.
+        """The normal form of ``new nus. (parts[0] | parts[1] | ...)``: its
+        binders respelled (see _respell), then its levels flattened and
+        keyed (see keyed)."""
+        return self.keyed(*self._respell(nus, parts))
 
-        First the restriction binders are renamed so that lifting them over
-        siblings is capture-free: a binder keeps its spelling unless that
-        spelling also occurs free, as an input parameter, or on another
-        restriction.  That is decided from the scans of the parts, and only
-        a part holding such a binder, or a free occurrence of a renamed name
-        of nus, is rebuilt.  Then the levels are flattened and keyed."""
-        scans = [self.scans[p] for p in parts]
-        count: dict[str, int] = {}
-        for n in nus:
-            count[n] = count.get(n, 0) + 1
-        for sc in scans:
-            for n, c in sc.binders.items():
-                count[n] = count.get(n, 0) + c
-        clash: set[str] = set()
-        if count:
-            free = set().union(*(sc.free for sc in scans)).difference(nus)
-            params = set().union(*(sc.params for sc in scans))
-            clash = {n for n, c in count.items() if c > 1 or n in free or n in params}
-        if clash:
-            nus, parts = self._respell(nus, parts, scans, clash)
+    def keyed(self, nus: list[str], parts: list[PiTerm]) -> PiState:
+        """The state of ``new nus. (parts[0] | ...)`` whose binders need no
+        respelling: the levels flattened, the threads normalized (a thread
+        met before, or normalized already, costs one lookup), and the level
+        keyed (see level)."""
         top: list[str] = list(nus)
         raw: list[PiTerm] = []
         for p in parts:
-            if type(p) in (Par, Res, Nil):  # a level, not a thread
-                more, threads = _split_level(p)
-                top += more
-                raw += threads
-            else:
-                raw.append(p)
+            more, threads = _split_level(p)
+            top += more
+            raw += threads
         top, threads, fns = self.gather(top, raw)
         key, order, perm = self.level(top, threads, fns, {}, 0)
         return PiState(tuple(order), tuple([threads[i] for i in perm]), key, self,
                        _symmetric(key[1]))
 
-    def merge(self, state: PiState, send: tuple[int, tuple],
-              recv: tuple[int, tuple]) -> PiState | None:
-        """The successor after send meets recv, both offered by top-level
-        threads, as (top, row) (see _successor), of a parent whose binders
-        need no respelling, as state would make it of the parent's
-        restrictions, its other threads and the two continuations; None when
-        no canon made the parent with a level keyed entry by entry, or when
-        the successor's level would not be keyed that way (see level).
+    def merge(self, state: PiState, tops: tuple[int, int], consumed: tuple[int, ...],
+              nus: tuple[str, ...], parts: tuple[PiTerm, ...], cont: PiTerm, param: str,
+              msg: str) -> PiState:
+        """The successor of state after a step (see _successor), as state
+        would make it of the parent's restrictions and nus, the parent's
+        threads but those numbered in consumed, parts, and the receiver's
+        continuation cont with msg for param; tops are the numbers of the
+        two threads that offered.
 
-        Only the entries holding a consumed thread are keyed again (see
-        rekey).  Every other entry keeps its key, names and threads:
-        whole, given a component in its own canonical order, returns that
-        order and thread order, since the first leaf _Search reaches
+        A parent that a canon made has binders that occur once and clash
+        with no free name or input parameter, so its successor needs them
+        respelled only where the step opens a replication copy (an offer
+        that consumes no thread), whose binders are its replication's, or
+        where an input of cont binds msg, which subst_names then respells.
+        There, and for a parent built by hand, the whole part list is
+        respelled as state would.  A thread or restricted name of the parent
+        so respelled keeps its place and its entry's key, since no key or
+        order reads the spelling of a bound name; a thread is normalized
+        again, since a name moved free in it may reorder its continuation.
+
+        Where a canon keyed the parent entry by entry and the successor's
+        level is keyed that way too (see level), only the entries that lost
+        a thread, or are components that offered, are keyed again (see
+        rekey).  Every other entry keeps its key, names and threads: whole,
+        given a component in its own canonical order, returns that order
+        and thread order, since the first leaf _Search reaches
         individualizes at each frame the name the canonical leaf did there.
         The entries go in the order of level's stable sort: equal outside
-        threads by index, kept ones first, then the send side's, then the
-        receive side's; equal components by the position of their first name
-        in the parent's restrictions, then the lifted ones."""
+        threads by index, kept ones first, then the new ones; equal
+        components by the position of their first name in the parent's
+        restrictions, then the copies' and the lifted ones.  Otherwise the
+        level is keyed whole (see keyed), over the parent's threads
+        (normalized already, unless built by hand) and the new parts."""
+        names, threads = list(state.restricted), list(state.threads)
+        if len(consumed) < 2 or msg in self.scans[cont].params or state._canon is None:
+            cont, param = subst_names(cont, {param: msg}), msg
+            keep = [i for i in range(len(threads)) if i not in consumed]
+            spelt, out = self._respell(names + list(nus),
+                                       [threads[i] for i in keep] + [*parts, cont])
+            r, k = len(names), len(keep)
+            names, nus, parts, cont = spelt[:r], tuple(spelt[r:]), tuple(out[k:-1]), out[-1]
+            for i, p in zip(keep, out):
+                threads[i] = self.normalize_thread(p)[0]
         spans = state._spans()
-        if spans is None:
-            return None
-        owner, names_at, threads_at, ties, comps, keys, reps = spans
-        restricted, old = state.restricted, state.threads
-        stop, (_, _, msg, _, sent, _, _) = send
-        rtop, (_, _, _, param, cont, _, _) = recv
-        # the touched entries, each to be cut out; the names of those that
-        # are components, with their positions, and their kept threads (an
-        # outside thread is one thread, and consumed)
-        a, b = owner[stop], owner[rtop]
-        touched = (a,) if a == b else (a, b) if a < b else (b, a)
-        cuts: list[tuple] = []
-        names: list[str] = []
-        where: list[int] = []
-        kept: list[PiTerm] = []
-        for j in touched:
-            cuts.append((j, 1, None, None, (), ()))
-            lo, hi = names_at[j], names_at[j + 1]
-            if lo < hi:
-                names += restricted[lo:hi]
-                where += range(lo, hi)
-                comps -= 1
-                kept += [old[i] for i in range(threads_at[j], threads_at[j + 1])
-                         if i != stop and i != rtop]
-        step = (tuple(names), tuple(kept), sent, cont, param, msg)
-        done = self._steps.get(step)
-        if done is None:
-            done = self._steps[step] = self.rekey(*step)
-        new, added, linked, symmetric = done
-        # level keys the successor entry by entry when it has no names, or two
-        # or more in two or more components; otherwise whole, as state does
-        if len(restricted) - len(names) + added and comps + linked < 2:
-            return None
-        # each new entry goes before the parent's first entry with a larger
-        # key, or an equal key and a larger tie: a new thread ties after
-        # every old one, a lifted name after every name of the parent.  The
-        # successor may hold equal entries or twins where the parent held
-        # some, where the new entries do among themselves, or where a new
-        # entry equals an entry of the parent (perhaps a touched one)
-        symmetric = symmetric or reps is not None
-        for key, tie, ns, ths in new:
-            at = bisect_right(keys, key)
-            if not symmetric and at and keys[at - 1] == key:
-                symmetric = True
-            if ns:
-                tie = where[tie] if tie < len(where) else len(restricted) + tie
-                lo = bisect_left(keys, key, 0, at)
-                if lo < at:
-                    at = bisect_right(ties, tie, lo, at)
-            cuts.append((at, 0, key, tie, ns, ths))
-        # edit the parent's orders from the back, a touched entry cut out
-        # before the new ones that go in its place
-        cuts.sort(reverse=True)
-        ekeys, nus, out = list(keys), list(restricted), list(old)
-        for at, cut, key, _, ns, ths in cuts:
-            n, t = names_at[at], threads_at[at]
-            if cut:
-                del ekeys[at], nus[n:names_at[at + 1]], out[t:threads_at[at + 1]]
-            else:
-                ekeys.insert(at, key)
-                nus[n:n] = ns
-                out[t:t] = ths
-        return PiState(tuple(nus), tuple(out), (len(nus), tuple(ekeys)), self, symmetric)
+        if spans is not None:
+            owner, names_at, threads_at, ties, comps, keys, reps = spans
+            # the touched entries, each to be cut out; the names of those that
+            # are components, with their positions, and their kept threads
+            a, b = owner[tops[0]], owner[tops[1]]
+            cuts: list[tuple] = []
+            cnames: list[str] = []
+            where: list[int] = []
+            kept: list[PiTerm] = []
+            for j in (a,) if a == b else (a, b) if a < b else (b, a):
+                lo, hi = names_at[j], names_at[j + 1]
+                if lo == hi and threads_at[j] not in consumed:
+                    continue  # a replication outside every component that opened a copy
+                cuts.append((j, 1, None, None, (), ()))
+                if lo < hi:
+                    cnames += names[lo:hi]
+                    where += range(lo, hi)
+                    comps -= 1
+                    kept += [threads[i] for i in range(threads_at[j], threads_at[j + 1])
+                             if i not in consumed]
+            step = (tuple(cnames), tuple(kept), nus, parts, cont, param, msg)
+            done = self._steps.get(step)
+            if done is None:
+                done = self._steps[step] = self.rekey(*step)
+            new, added, linked, symmetric = done
+            # level keys the successor entry by entry when it has no names, or
+            # two or more in two or more components
+            if not (len(names) - len(cnames) + added and comps + linked < 2):
+                # each new entry goes before the parent's first entry with a
+                # larger key, or an equal key and a larger tie: a new thread
+                # ties after every old one, a new name after every name of the
+                # parent.  The successor may hold equal entries or twins where
+                # the parent held some, where the new entries do among
+                # themselves, or where a new entry equals an entry of the
+                # parent (perhaps a touched one)
+                symmetric = symmetric or reps is not None
+                for key, tie, ns, ths in new:
+                    at = bisect_right(keys, key)
+                    if not symmetric and at and keys[at - 1] == key:
+                        symmetric = True
+                    if ns:
+                        tie = where[tie] if tie < len(where) else len(names) + tie
+                        lo = bisect_left(keys, key, 0, at)
+                        if lo < at:
+                            at = bisect_right(ties, tie, lo, at)
+                    cuts.append((at, 0, key, tie, ns, ths))
+                # edit the parent's orders from the back, a touched entry cut
+                # out before the new ones that go in its place
+                cuts.sort(reverse=True)
+                ekeys = list(keys)
+                for at, cut, key, _, ns, ths in cuts:
+                    n, t = names_at[at], threads_at[at]
+                    if cut:
+                        del ekeys[at], names[n:names_at[at + 1]], threads[t:threads_at[at + 1]]
+                    else:
+                        ekeys.insert(at, key)
+                        names[n:n] = ns
+                        threads[t:t] = ths
+                return PiState(tuple(names), tuple(threads), (len(names), tuple(ekeys)), self,
+                               symmetric)
+        return self.keyed(names + list(nus), [th for i, th in enumerate(threads)
+                                              if i not in consumed]
+                          + [*parts, subst_names(cont, {param: msg})])
 
-    def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], sent: PiTerm,
-              cont: PiTerm, param: str, msg: str) -> tuple[list[tuple], int, int, bool]:
+    def rekey(self, names: tuple[str, ...], kept: tuple[PiTerm, ...], nus: tuple[str, ...],
+              parts: tuple[PiTerm, ...], cont: PiTerm, param: str,
+              msg: str) -> tuple[list[tuple], int, int, bool]:
         """The entries that replace a successor's touched ones (see merge),
         with their number of names and of components, and whether two of
         them are equal or one holds twins (see _Spans): the touched entries'
-        names and kept threads, with the threads and restrictions of the
-        sender's continuation sent and of the receiver's cont with msg for
-        param, split into components anew and keyed, unused names dropped.
-        The continuations hold no name of an untouched entry, since each
-        one's free names were its thread's.  Each entry is (key, tie, names,
-        threads) with a local tie: for a component the index of its first
-        name in names and then the lifted ones, for an outside thread its
-        index in kept and then the new threads.  Every outside thread is new,
-        since a kept thread still holds a name of its component."""
+        names and kept threads, with the restrictions nus and parts of the
+        opened copies and the sender's continuation, and the receiver's cont
+        with msg for param, split into components anew and keyed, unused
+        names dropped.  The new parts hold no name of an untouched entry,
+        since each one's free names were those of a touched thread, or of a
+        replication that holds no restricted name.  Each entry is (key, tie,
+        names, threads) with a local tie: for a component the index of its
+        first name in names, nus and then the lifted ones, for an outside
+        thread its index in kept and then the new threads.  Every outside
+        thread is new, since a kept thread still holds a name of its
+        component."""
         lifted: list[str] = []
         raw = list(kept)
-        for p in (sent, subst_names(cont, {param: msg})):
-            nus, threads = _split_level(p)
-            lifted += nus
+        for p in (*parts, subst_names(cont, {param: msg})):
+            more, threads = _split_level(p)
+            lifted += more
             raw += threads
-        normal = list(map(self.normalize_thread, raw))
-        threads = [th for th, _ in normal]
-        fns = [fn for _, fn in normal]
-        used = frozenset().union(*fns)
-        index = {n: i for i, n in enumerate(chain(names, lifted))}
-        comps, outside = _linked([n for n in index if n in used], fns)
+        index = {n: i for i, n in enumerate(chain(names, nus, lifted))}
+        used, threads, fns = self.gather(list(index), raw)
+        comps, outside = _linked(used, fns)
         new = [(self.thread(threads[i], {}, 1), i, (), (threads[i],)) for i in outside]
         for cnames, tids in comps:
             (_, keys), order, perm = self.whole(
@@ -832,12 +846,26 @@ class _Canon:
         return (new, sum(len(c) for c, _ in comps), len(comps),
                 _symmetric(sorted([e[0] for e in new])))
 
-    @staticmethod
-    def _respell(nus: list[str], parts: list[PiTerm], scans: list[_Names],
-                 clash: set[str]) -> tuple[list[str], list[PiTerm]]:
-        """Rename the binders in clash as one pre-order walk of
-        ``new nus. (parts[0] | ...)`` would (see _rename), rebuilding only
-        the parts that walk changes."""
+    def _respell(self, nus: list[str], parts: list[PiTerm]) -> tuple[list[str], list[PiTerm]]:
+        """nus and parts with the restriction binders renamed so that lifting
+        them over siblings is capture-free: a binder keeps its spelling
+        unless that spelling also occurs free, as an input parameter, or on
+        another restriction.  That is decided from the scans of the parts.
+        The binders are renamed as one pre-order walk of ``new nus. (parts[0]
+        | ...)`` would (see _rename), and only a part holding such a binder,
+        or a free occurrence of a renamed name of nus, is rebuilt."""
+        scans = [self.scans[p] for p in parts]
+        count: dict[str, int] = {}
+        for n in nus:
+            count[n] = count.get(n, 0) + 1
+        for sc in scans:
+            for n, c in sc.binders.items():
+                count[n] = count.get(n, 0) + c
+        free = set().union(*(sc.free for sc in scans)).difference(nus)
+        params = set().union(*(sc.params for sc in scans))
+        clash = {n for n, c in count.items() if c > 1 or n in free or n in params}
+        if not clash:
+            return nus, parts
         avoid = set(nus).union(*(sc.names for sc in scans))
         ren: dict[str, str] = {}
         spelt = []
@@ -869,7 +897,9 @@ class _Canon:
         made once per thread.  The continuation is normalized here, so that
         normalizing takes two frames per nested prefix (this and gather):
         unused restrictions are dropped, restrictions and threads ordered
-        canonically, and its level recorded in _levels for keying."""
+        canonically, and its level recorded in _levels for keying.  A
+        normalized thread is its own normal form, which is recorded too, so
+        that a state's threads are normalized again at one lookup each."""
         done = self._normal.get(t)
         if done is not None:
             return done
@@ -891,7 +921,7 @@ class _Canon:
             done = In(t.chan, t.param, lv.term), (lv.free - {t.param}) | {t.chan}
         else:  # a replication, or a thread with no continuation
             done = (Repl(lv.term) if cls is Repl else t), lv.free
-        self._normal[t] = done
+        self._normal[t] = self._normal[done[0]] = done
         return done
 
     def thread(self, t: PiTerm, env: dict[str, str], depth: int) -> tuple:
@@ -1416,43 +1446,32 @@ def strong_barbs(s: PiState, input_barbs: bool = False) -> frozenset[Barb]:
 def _successor(canon: _Canon, state: PiState, send: tuple[int, tuple],
                recv: tuple[int, tuple]) -> PiState:
     """The state after send meets recv, each a top-level thread's number and
-    one of its offer rows (see _Acts): the state's other threads, the
-    unconsumed parts of every replication copy either offer opened (with its
-    restrictions), and the two continuations, the received name substituted
-    for the parameter."""
+    one of its offer rows (see _Acts), made by canon's merge: the state's
+    other threads, the unconsumed parts of every replication copy either
+    offer opened (with its restrictions), and the two continuations, the
+    received name substituted for the parameter."""
     stop, (_, _, msg, _, sent, slevels, _) = send
     rtop, (_, _, _, param, cont, rlevels, _) = recv
-    # merge takes only a parent that a canon's state or merge made, so
-    # each of its binders occurs once and clashes with no free name or input
-    # parameter.  A step that opens no copy adds no binder, and the
-    # continuations' binders, free names and parameters were their threads'.
-    # The received name was free in the parent or restricted at its top, so
-    # no restriction captures it, and unless an input of the receiver's
-    # continuation binds it too, subst_names respells no parameter.  So
-    # state() would respell nothing, and the successor is the parent's
-    # untouched entries with the touched ones keyed again.
-    if not (slevels or rlevels) and msg not in canon.scans[cont].params:
-        merged = canon.merge(state, send, recv)
-        if merged is not None:
-            return merged
-    consumed_top = {top for top, levels in ((stop, slevels), (rtop, rlevels)) if not levels}
-    parts = [th for i, th in enumerate(state.threads) if i not in consumed_top]
+    if not (slevels or rlevels):  # both threads consumed, only the continuations new
+        return canon.merge(state, (stop, rtop), (stop, rtop), (), (sent,), cont, param, msg)
     # materialize every unfolded copy touched by either offer, in the order
-    # of their top-level threads and, within one, of their numbers
+    # of their top-level threads and, within one, of their numbers; an
+    # offer that opens no copy consumes its thread
     opened: dict[tuple[int, int], tuple[_CopyLevel, set[int]]] = {}
     for top, levels in ((stop, slevels), (rtop, rlevels)):
         for lv in levels:
             opened.setdefault((top, lv.cid), (lv, set()))[1].add(lv.part)
-    nus = list(state.restricted)
+    nus: list[str] = []
+    parts: list[PiTerm] = []
     for copy in sorted(opened):
         lv, used = opened[copy]
-        nus.extend(lv.nus)
+        nus += lv.nus
         for j, p in enumerate(lv.parts):
             if j not in used or isinstance(p, Repl):  # the replication itself persists
                 parts.append(p)
     parts.append(sent)
-    parts.append(subst_names(cont, {param: msg}))
-    return canon.state(nus, parts)
+    consumed = tuple([top for top, levels in ((stop, slevels), (rtop, rlevels)) if not levels])
+    return canon.merge(state, (stop, rtop), consumed, tuple(nus), tuple(parts), cont, param, msg)
 
 
 def reduce_once(state: PiState) -> list[PiState]:
@@ -1899,6 +1918,7 @@ def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
 
 BISIM_KINDS = ("strong-barbed", "weak-barbed", "branching-barbed",
                "dp-branching-barbed", "wdp-branching-barbed")
+_UNCLOSED = "state budget exhausted before both graphs closed"
 
 
 def _refinement(g: _Graph, kind: str) -> Iterator[list[int]]:
@@ -2033,16 +2053,17 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     p and q must be closed (see closed_state).  One canon makes both roots,
     so the second graph reuses the first one's memos.
 
-    When p and q have one normal form (they are then bisimilar) and its root
-    splits into groups that never interact (see _groups), whose graphs all
-    close with a product of sizes at most budget (see _closed), the graph of
-    the whole would close too, and the verdict is "yes" without it.  Every
-    other verdict comes from the whole graphs, as follows.  Both graphs are
-    explored within the state budget, and once when p and q have one normal
-    form (they are then bisimilar); if either does not close, the verdict is
-    inconclusive.  On the union of the two numbered graphs (see _union),
-    _refinement splits blocks by the kind's signature until the partition
-    is stable; the roots are bisimilar iff they end in one block.
+    When p and q have one normal form, they are bisimilar, and the verdict
+    is "yes" if its graph closes within the state budget and inconclusive
+    otherwise.  Where its root splits into groups that never interact (see
+    _groups), that graph is not built: it closes within budget exactly when
+    the groups' graphs all close with a product of sizes at most budget (see
+    _closed).  Every other verdict comes from the two graphs, as follows.
+    Both are explored within the state budget; if either does not close,
+    the verdict is inconclusive.  On the union of the two numbered graphs
+    (see _union), _refinement splits blocks by the kind's signature until
+    the partition is stable; the roots are bisimilar iff they end in one
+    block.
     Divergence (some infinite run, or for dp-branching an infinite run of
     inert steps) comes from one pass of Tarjan's strongly connected
     components, made only for the kinds that read it.
@@ -2061,17 +2082,14 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     canon = _Canon()
     root1 = closed_state(p, canon)
     root2 = root1 if q is p else closed_state(q, canon)  # one node: terms are interned
-    same = root1 == root2
-    if same and budget >= 1:
-        groups = _groups(root1)
-        if groups and _closed(groups, budget, input_barbs):
+    if root1 == root2:  # one graph, bisimilar to itself once it closes
+        if _closed((budget >= 1 and _groups(root1)) or [root1], budget, input_barbs):
             return Verdict("yes")
+        return Verdict("inconclusive", note=_UNCLOSED)
     g1 = explore(root1, budget, input_barbs)
-    g2 = g1 if same else explore(root2, budget, input_barbs)
+    g2 = explore(root2, budget, input_barbs)
     if not (g1.complete and g2.complete):
-        return Verdict("inconclusive", note="state budget exhausted before both graphs closed")
-    if g1 is g2:
-        return Verdict("yes")
+        return Verdict("inconclusive", note=_UNCLOSED)
     g, nodes, r2 = _union(g1, g2)
     a, b = (0, r2) if _key_below(g1.root, g2.root) else (r2, 0)
     rounds = _refinement(g, kind)

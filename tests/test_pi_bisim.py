@@ -483,7 +483,7 @@ def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
     monkeypatch.setattr(pi, "explore", counting)
     assert bisim(p, p, kind, 63).result == "inconclusive"
     # the sixth group may have 63 // 32 states: it stops at one
-    assert sizes == [2] * 5 + [1, 63]
+    assert sizes == [2] * 5 + [1]
     sizes.clear()
     assert bisim(p, p, kind, 64).result == "bisimilar"
     assert sizes == [2] * 6
@@ -512,7 +512,7 @@ def test_a_group_that_does_not_close_stops_within_its_share(monkeypatch):
     assert sizes == [(2, True), (100, False)] * 2
     sizes.clear()
     assert bisim(p, p, "strong-barbed", 200).result == "inconclusive"
-    assert sizes == [(2, True), (100, False), (200, False)]
+    assert sizes == [(2, True), (100, False)]
     sizes.clear()
     # a root that shows the barb answers before any group is explored
     assert weak_barb(parse_pi(f"d!a | {grows}"), Barb("out", "d"), 200) == "yes"

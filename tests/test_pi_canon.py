@@ -976,13 +976,13 @@ def test_merged_successors_match_the_full_state_on_the_fixtures():
 
 def test_a_respelled_parameter_takes_the_full_path():
     # m is received where y(m) binds it, so the substitution respells that
-    # parameter m2, which the restriction new m2 already spells: only the
-    # full path respells the restriction too
+    # parameter m2, which the restriction new m2 already spells: merge
+    # respells the full part list, so the restriction too
     t = parse_pi("x!m | x(z).y(m).z!m | a!b.new m2. m2!c")
     assert_successors_match_state(t)
     with counting(pi._Canon, "merge") as merged:
         succs = reduce_once(normal_form(t))
-    assert merged == []
+    assert [out for _, out in merged] == succs
     assert [print_state(s) for s in succs] == ["y(m2).m!m2 | a!b.new m22. m22!c"]
 
 
@@ -1008,6 +1008,22 @@ def test_explore_rekeys_only_the_new_threads_of_unrestricted_states():
         assert all(out is not None for _, out in merged)
 
 
+def replicated(n):
+    """The translation of n senders x!z and the replicated receiver !x(y).r!y."""
+    return boudol_translate(parse_pi(" | ".join(["x!z"] * n + ["!x(y).r!y"])))
+
+
+def test_steps_that_open_a_copy_rekey_only_what_they_touch():
+    # every step opens a copy of the replicated receiver, whose inner binder
+    # is respelled in the persisting replication too; keying each successor
+    # whole took 121 state calls and 1,066 whole calls at n = 8
+    with counting(pi._Canon, "state") as whole, counting(pi._Canon, "whole") as keyed:
+        g = explore(replicated(8), 2000)
+    assert len(g.states) == 165
+    assert len(whole) == 1
+    assert len(keyed) <= 90
+
+
 def split(level):
     return split_term(*level)
 
@@ -1019,10 +1035,13 @@ def test_merged_successors_of_split_levels_match_the_full_state(t):
 
 
 def assert_merged(t, budget=2000):
-    """assert_successors_match_state, where some successor is merged."""
-    with counting(pi._Canon, "merge") as merged:
-        assert_successors_match_state(t, budget)
-    assert any(out is not None for _, out in merged)
+    """assert_successors_match_state, where merge keeps the untouched
+    entries of some successor: explore keys fewer levels whole than one for
+    the root and one per successor."""
+    with counting(pi._Canon, "merge") as merged, counting(pi._Canon, "keyed") as whole:
+        explore(t, budget)
+    assert len(whole) < 1 + len(merged)
+    assert_successors_match_state(t, budget)
 
 
 @pytest.mark.parametrize("t", [
@@ -1047,16 +1066,40 @@ def test_merged_successors_match_the_full_state_on_split_levels(t):
 
 def test_a_respelled_parameter_of_a_split_level_takes_the_full_path():
     # m is received where y(m) binds it, so subst respells that parameter
-    # m2, which the restriction new m2 in a's component already spells: only
-    # state respells that restriction too
+    # m2, which the restriction new m2 in a's component already spells:
+    # merge respells that restriction too, and only the root goes through
+    # state
     t = parse_pi("new a, d. (x!m | x(z).y(m).z!m | a!b.new m2. m2!a | d!e)")
     assert is_split(normal_form(t).key)
     with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
         g = explore(t, 2000)
-    assert merged == [] and len(whole) == 2
+    assert len(merged) == 1 and len(whole) == 1
     assert [print_state(s) for s in g.states.values()][1] == (
         "new a, d. (y(m2).m!m2 | a!b.new m22. m22!a | d!e)")
     assert_successors_match_state(t)
+
+
+@pytest.mark.parametrize("t", [
+    # the respelled parameter m2 moves the restriction m2 to m22, which
+    # reorders the continuation of the untouched threads that hold it
+    parse_pi("new m2, d, e. (x!m | x(z).y(m).z!m | a!b.(m2!a | m21!a) | a!e.(m2!a | m21!a)"
+             " | e!e | d!d | d(q).0)"),
+    # a replication in a component opens a copy whose threads join it
+    parse_pi("new t, s. (!(t!c | t(y).new u. (t!y | u!u)) | s!s | s(w).0)"),
+    # twin replications outside every component, each copy's binder
+    # respelled in the replication that persists
+    parse_pi("!x(y).new u. u!y | !x(y).new v. v!y | x!a | x!b | new w. (w!w | w(q).0)"
+             " | new k. k!k"),
+    parse_pi("new a. (!new u. (x!u | u(v).a!v) | x(w).w!a | a(z).z!z"
+             " | new b. (b!b | x(w).w!b))"),
+], ids=["moved-restriction", "copy-in-component", "outside-twins", "copy-restrictions"])
+def test_respelled_successors_of_split_levels_are_merged(t):
+    assert is_split(normal_form(t).key)
+    with counting(pi._Canon, "state") as whole:
+        explore(t, 300)
+    assert len(whole) == 1
+    assert_merged(t, 300)
+    assert_explore_matches_scratch(t, 60)
 
 
 # ------------- one met pair per orbit -------------
@@ -1171,10 +1214,11 @@ def test_the_successors_of_a_normal_form_are_merged():
     # the three senders and three receivers of Boudol n = 3 meet in one orbit
     assert whole == [] and len(merged) == len(succs) == 1
     assert all(s._canon is root._canon for s in succs)
-    # a hand-built state is never merged: every met pair is keyed whole
+    # a hand-built state has no spans: every met pair is stepped, and merge
+    # respells and keys each successor whole
     with counting(pi._Canon, "state") as whole, counting(pi._Canon, "merge") as merged:
         again = reduce_once(hand_built(root))
-    assert [out for _, out in merged] == [None] * len(whole) and len(whole) == 9
+    assert whole == [] and len(merged) == 9
     assert ([(s.restricted, s.threads, s.key) for s in again]
             == [(s.restricted, s.threads, s.key) for s in succs])
 
