@@ -1866,17 +1866,17 @@ def _groups(state: PiState) -> list[PiState] | None:
     return out
 
 
-def _closed(groups: list[PiState], budget: int,
+def _closed(root: PiState, budget: int,
             input_barbs: bool) -> dict[PiState, ReductionGraph] | None:
-    """The graph of each group, explored once, when each closes and the
-    product of their sizes is at most budget, so that the graph of the
-    whole closes within budget too; None otherwise.  A group is explored
-    within budget over the product of the sizes before it, the most states
-    it may have for the product to stay within budget, so a group that
-    cannot fit stops there."""
+    """The graph of each group of root (see _groups), explored once, when
+    each closes and the product of their sizes is at most budget, so that
+    the graph of the whole closes within budget too; None otherwise, and
+    empty when root has no groups.  A group is explored within budget over
+    the product of the sizes before it, the most states it may have for the
+    product to stay within budget, so a group that cannot fit stops there."""
     graphs: dict[PiState, ReductionGraph] = {}
     size = 1
-    for s in groups:
+    for s in _groups(root) or ():
         g = graphs.get(s)
         if g is None:
             g = graphs[s] = explore(s, budget // size, input_barbs)
@@ -1900,8 +1900,7 @@ def weak_barb(t: PiTerm, barb: Barb, budget: int) -> str:
     root = closed_state(t)
     input_barbs = barb.kind == "in"
     if budget >= 1 and barb not in strong_barbs(root, input_barbs):
-        groups = _groups(root)
-        graphs = _closed(groups, budget, input_barbs) if groups else None
+        graphs = _closed(root, budget, input_barbs)
         if graphs:
             shown = any(barb in bs for g in graphs.values() for bs in g._graph.barbs)
             return "yes" if shown else "no"
@@ -2056,9 +2055,11 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     When p and q have one normal form, they are bisimilar, and the verdict
     is "yes" if its graph closes within the state budget and inconclusive
     otherwise.  Where its root splits into groups that never interact (see
-    _groups), that graph is not built: it closes within budget exactly when
-    the groups' graphs all close with a product of sizes at most budget (see
-    _closed).  Every other verdict comes from the two graphs, as follows.
+    _groups), whose graphs all close with a product of sizes at most budget
+    (see _closed), the graph of the whole would close too, and it is not
+    built.  It may close where the groups do not, since its states are
+    multisets and alike groups share them, so otherwise it is explored.
+    Every other verdict comes from the two graphs, as follows.
     Both are explored within the state budget; if either does not close,
     the verdict is inconclusive.  On the union of the two numbered graphs
     (see _union), _refinement splits blocks by the kind's signature until
@@ -2083,7 +2084,8 @@ def bisim(p: PiTerm, q: PiTerm, kind: str, budget: int,
     root1 = closed_state(p, canon)
     root2 = root1 if q is p else closed_state(q, canon)  # one node: terms are interned
     if root1 == root2:  # one graph, bisimilar to itself once it closes
-        if _closed((budget >= 1 and _groups(root1)) or [root1], budget, input_barbs):
+        closes = budget >= 1 and _closed(root1, budget, input_barbs)
+        if closes or explore(root1, budget, input_barbs).complete:
             return Verdict("yes")
         return Verdict("inconclusive", note=_UNCLOSED)
     g1 = explore(root1, budget, input_barbs)

@@ -483,7 +483,7 @@ def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
     monkeypatch.setattr(pi, "explore", counting)
     assert bisim(p, p, kind, 63).result == "inconclusive"
     # the sixth group may have 63 // 32 states: it stops at one
-    assert sizes == [2] * 5 + [1]
+    assert sizes == [2] * 5 + [1, 63]
     sizes.clear()
     assert bisim(p, p, kind, 64).result == "bisimilar"
     assert sizes == [2] * 6
@@ -491,6 +491,20 @@ def test_groups_answer_only_where_the_product_would_close(monkeypatch, kind):
     assert weak_barb(p, Barb("out", "d5"), 64) == "yes"
     assert weak_barb(p, Barb("out", "e"), 64) == "no"
     assert sizes == [2] * 12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_alike_groups_that_do_not_fit_leave_the_whole_to_decide(k):
+    # k alike groups of 2 states: the whole graph is k + 1 multisets of
+    # them, so it closes within budgets where the product of 2 ** k does not
+    p = parse_pi(" | ".join(["new r. (r!a | r(y).y!c)"] * k))
+    assert group_count(p) == k
+    assert len(explore(p, 100).states) == k + 1
+    for budget in range(1, 2 ** k + 1):
+        for kind in BISIM_KINDS:
+            assert bisim(p, p, kind, budget).result == product_bisim(p, p, kind, budget), \
+                (kind, budget)
+    assert bisim(p, p, "strong-barbed", k + 1).result == "bisimilar"
 
 
 def test_a_group_that_does_not_close_stops_within_its_share(monkeypatch):
@@ -512,7 +526,7 @@ def test_a_group_that_does_not_close_stops_within_its_share(monkeypatch):
     assert sizes == [(2, True), (100, False)] * 2
     sizes.clear()
     assert bisim(p, p, "strong-barbed", 200).result == "inconclusive"
-    assert sizes == [(2, True), (100, False)]
+    assert sizes == [(2, True), (100, False), (200, False)]
     sizes.clear()
     # a root that shows the barb answers before any group is explored
     assert weak_barb(parse_pi(f"d!a | {grows}"), Barb("out", "d"), 200) == "yes"
